@@ -24,9 +24,9 @@ import pickle
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.baselines.base import BaselineOverlay
-from repro.journal.gate import EXECUTE, NULL_GATE
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
 from repro.spatial.filters import Event, Subscription, ensure_unique_names
+from repro.traces.oplog import EXECUTE, OpLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import SystemSpec
@@ -50,41 +50,14 @@ class BaselineBroker:
         # families accept exactly the same op sequences (a trace recorded
         # here replays on a DR-tree backend and vice versa).
         self._retired: set = set()
-        # The no-op tape and gate must be in place before attaching: a
-        # resume-mode journal re-executes journaled ops through this facade
-        # while attach() runs.
-        from repro.traces.recorder import NULL_TAPE
-
-        self._gate = NULL_GATE
-        self._tape = NULL_TAPE
-        self._tape = self._attach_tape()
-
-    def _attach_tape(self):
-        from repro.journal.recorder import active_journal
-        from repro.traces.recorder import (NULL_TAPE, CompositeTape,
-                                           active_recorder)
-
-        tapes = []
-        recorder = active_recorder()
-        if recorder is not None:
-            tapes.append(recorder.attach(self))
-        journal = active_journal()
-        if journal is not None:
-            tapes.append(journal.attach(self))
-        if not tapes:
-            return NULL_TAPE
-        return tapes[0] if len(tapes) == 1 else CompositeTape(*tapes)
+        # The log must be in place before attaching: a resume-mode journal
+        # re-executes journaled ops through this facade while attach() runs.
+        self.oplog = OpLog(self)
+        self.oplog.attach()
 
     def detach_tape(self) -> None:
         """Stop taping; called when the enclosing recording context exits."""
-        from repro.traces.recorder import NULL_TAPE
-
-        self._tape = NULL_TAPE
-        self._gate = NULL_GATE
-
-    def install_gate(self, gate) -> None:
-        """Install a resume gate (see :mod:`repro.journal.gate`)."""
-        self._gate = gate
+        self.oplog.detach()
 
     def consume_event_id(self) -> str:
         """Draw the next facade-assigned event id (journal resume lockstep)."""
@@ -127,17 +100,17 @@ class BaselineBroker:
     def subscribe(self, subscription: Subscription,
                   stabilize: bool = True) -> str:
         """Register a subscriber; returns its id (the subscription name)."""
-        # Gate check precedes validation: a skipped op already happened on
-        # the restored state (see repro.journal.gate).
-        handled = self._gate.subscribe(subscription, stabilize)
+        # Every op is bracketed by the op log (see repro.traces.oplog): the
+        # resume gate first, the record only once the op has succeeded.
+        handled = self.oplog.replayed("subscribe", subscription, stabilize)
         if handled is not EXECUTE:
             return handled
         self.overlay.check_space(subscription)
         self._check_new_name(subscription)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         subscriber_id = self.overlay.add_subscriber(subscription)
         self._ops += 1
-        self._tape.subscribe(issued, subscription, stabilize)
+        self.oplog.record("subscribe", issued, subscription, stabilize)
         return subscriber_id
 
     def subscribe_all(self, subscriptions: Iterable[Subscription],
@@ -145,17 +118,17 @@ class BaselineBroker:
                       bulk: Optional[bool] = None) -> List[str]:
         """Register many subscribers (``bulk`` is accepted and ignored)."""
         subs = list(subscriptions)
-        handled = self._gate.subscribe_all(subs, stabilize, bulk)
+        handled = self.oplog.replayed("subscribe_all", subs, stabilize, bulk)
         if handled is not EXECUTE:
             return handled
         ensure_unique_names(subs)
         for sub in subs:
             self.overlay.check_space(sub)
             self._check_new_name(sub)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         ids = self.overlay.add_all(subs)
         self._ops += 1
-        self._tape.subscribe_all(issued, subs, stabilize, bulk)
+        self.oplog.record("subscribe_all", issued, subs, stabilize, bulk)
         return ids
 
     def _check_known(self, subscriber_id: str) -> None:
@@ -164,44 +137,46 @@ class BaselineBroker:
 
     def unsubscribe(self, subscriber_id: str) -> None:
         """Controlled departure of a subscriber."""
-        handled = self._gate.unsubscribe(subscriber_id)
+        handled = self.oplog.replayed("unsubscribe", subscriber_id)
         if handled is not EXECUTE:
             return handled
         self._check_known(subscriber_id)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         self.overlay.remove_subscriber(subscriber_id)
         self._retired.add(subscriber_id)
         self._ops += 1
-        self._tape.unsubscribe(issued, subscriber_id)
+        self.oplog.record("unsubscribe", issued, subscriber_id)
 
     def fail(self, subscriber_id: str, stabilize: bool = True) -> None:
         """Crash of a subscriber (indistinguishable from a leave here)."""
-        handled = self._gate.crash(subscriber_id, stabilize)
+        handled = self.oplog.replayed("crash", subscriber_id, stabilize)
         if handled is not EXECUTE:
             return handled
         self._check_known(subscriber_id)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         self.overlay.remove_subscriber(subscriber_id)
         self._retired.add(subscriber_id)
         self._ops += 1
-        self._tape.crash(issued, subscriber_id, stabilize)
+        self.oplog.record("crash", issued, subscriber_id, stabilize)
 
     def move_subscription(self, subscriber_id: str,
                           subscription: Subscription,
                           stabilize: bool = True) -> str:
         """Re-subscribe under a fresh name, as the DR-tree facade does."""
-        handled = self._gate.move(subscriber_id, subscription, stabilize)
+        handled = self.oplog.replayed("move", subscriber_id, subscription,
+                                      stabilize)
         if handled is not EXECUTE:
             return handled
         self.overlay.check_space(subscription)
         self._check_new_name(subscription)
         self._check_known(subscriber_id)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         self.overlay.remove_subscriber(subscriber_id)
         self._retired.add(subscriber_id)
         new_id = self.overlay.add_subscriber(subscription)
         self._ops += 1
-        self._tape.move(issued, subscriber_id, subscription, stabilize)
+        self.oplog.record("move", issued, subscriber_id, subscription,
+                          stabilize)
         return new_id
 
     def subscribers(self) -> List[str]:
@@ -224,7 +199,7 @@ class BaselineBroker:
         origin, so ``publisher_id`` defaults to ``None`` (no receiver is
         excused from false-positive accounting as "the producer").
         """
-        handled = self._gate.publish(event)
+        handled = self.oplog.replayed("publish", event, publisher_id)
         if handled is not EXECUTE:
             return handled
         if not self.overlay.subscriptions:
@@ -233,7 +208,7 @@ class BaselineBroker:
         if auto:
             event = Event(dict(event.attributes),
                           event_id=self.consume_event_id())
-        issued = self._tape.now()
+        issued = self.oplog.now()
         outcome = self.accounting.start_event(event, publisher_id,
                                               self.overlay.subscriptions)
         result = self.overlay.disseminate(event)
@@ -247,7 +222,7 @@ class BaselineBroker:
                 hops=result.hops.get(subscriber_id, result.max_hops))
         self.accounting.record_messages(event.event_id, result.messages)
         self._ops += 1
-        self._tape.publish(issued, event, publisher_id, auto_id=auto)
+        self.oplog.record("publish", issued, event, publisher_id, auto=auto)
         return outcome
 
     def publish_many(self, events: Iterable[Event],
@@ -259,12 +234,12 @@ class BaselineBroker:
 
     def stabilize(self, max_rounds: Optional[int] = None) -> None:
         """No-op: the analytic overlays are always converged."""
-        handled = self._gate.stabilize(max_rounds)
+        handled = self.oplog.replayed("stabilize", max_rounds)
         if handled is not EXECUTE:
             return handled
-        issued = self._tape.now()
+        issued = self.oplog.now()
         self._ops += 1
-        self._tape.stabilize(issued, max_rounds)
+        self.oplog.record("stabilize", issued, max_rounds)
         return None
 
     def summary(self) -> Dict[str, float]:

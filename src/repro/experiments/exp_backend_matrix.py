@@ -92,8 +92,9 @@ def _run_synthesized(result: ExperimentResult, workload: str,
                      backends: List[str]) -> None:
     """The ``--workload`` path: one streamed op sequence, every backend."""
     from repro.spatial.filters import make_space
-    from repro.workloads.synth import (SyntheticWorkload, apply_ops,
-                                       delivered_digest, iter_ops)
+    from repro.traces.replay import apply_op
+    from repro.workloads.synth import (SyntheticWorkload, delivered_digest,
+                                       iter_ops)
     from repro.workloads.synth.stream import SYNTH_STABILIZE_ROUNDS
 
     spec = SyntheticWorkload.from_family(workload, subscribers=subscribers,
@@ -107,7 +108,10 @@ def _run_synthesized(result: ExperimentResult, workload: str,
         try:
             # Regenerated per backend from the spec: the identical byte
             # stream, never materialized as a list.
-            ops_applied = apply_ops(broker, iter_ops(spec))
+            ops_applied = 0
+            for op in iter_ops(spec):
+                apply_op(broker, op)
+                ops_applied += 1
             digest = delivered_digest(broker)
             _row_for(result, backend, broker, delivered=digest[:12])
             if backend_family(backend) == "drtree":

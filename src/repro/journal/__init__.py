@@ -34,8 +34,7 @@ from repro.journal.errors import (JournalCorruptError, JournalError,
                                   JournalFormatError, JournalResumeError)
 from repro.journal.io import Journal, JournalWriter, read_journal, verify_journal
 from repro.journal.records import (JOURNAL_FORMAT, JOURNAL_VERSION,
-                                   JournalHeader, JournalOp, JournalSnapshot,
-                                   JournalSystem)
+                                   JournalHeader, JournalSnapshot)
 from repro.journal.recorder import (DEFAULT_SNAPSHOT_EVERY, JournalRecorder,
                                     active_journal, journaling)
 from repro.journal.resume import ResumeReport, SegmentResume, resume_journal
@@ -47,9 +46,7 @@ __all__ = [
     "Journal",
     "JournalWriter",
     "JournalHeader",
-    "JournalOp",
     "JournalSnapshot",
-    "JournalSystem",
     "JournalError",
     "JournalFormatError",
     "JournalCorruptError",

@@ -2,8 +2,9 @@
 
 :func:`journal_to_trace` lowers a verified journal into the trace format
 (:mod:`repro.traces.format`): the chain fields, per-op indices, ``auto``
-markers and snapshots are journal-only machinery and are dropped; what
-remains — system records and the op sequence — is exactly a trace body.  A
+markers and snapshots are journal-only machinery the trace envelope does
+not write; what remains — system records and the op sequence, the same
+value types in both logs — is exactly a trace body.  A
 *sealed* journal additionally carries its final metrics rows, which become
 the trace's ``expect`` records, so ``repro run --trace`` verifies the
 exported file bit-identically.  Journals recording typed engine options
@@ -19,13 +20,13 @@ at which the DR-tree engines are equivalent by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.journal.errors import JournalFormatError
 from repro.journal.io import Journal
-from repro.journal.records import JournalSystem
-from repro.traces.format import (ExpectRecord, OpRecord, SystemRecord, Trace,
-                                 TraceHeader)
+from repro.traces.format import (ExpectRecord, Trace, TraceHeader,
+                                 lowest_version)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.broker import Broker
@@ -36,34 +37,24 @@ def journal_to_trace(journal: Journal) -> Trace:
 
     Works on sealed and unsealed journals alike; only sealed ones produce
     ``expect`` rows (an interrupted run has no final metrics to promise).
+    The records are shared value types, so the body *is* the journal's
+    system and op records; a system record that cannot describe a system
+    raises :class:`~repro.journal.errors.JournalFormatError` here rather
+    than exporting a trace that cannot replay.
     """
-    from repro.traces.recorder import _legacy_batch_flag
+    from repro.traces.replay import system_spec
 
     header = journal.header
     systems = journal.systems
-    version = 2 if any(system.engine_options for system in systems) else 1
+    for system in systems:
+        system_spec(system, error=JournalFormatError)
     trace = Trace(header=TraceHeader(
         scenario=header.scenario,
         params=dict(header.params) if header.params is not None else None,
         backend=systems[0].backend if systems else None,
-        version=version,
+        version=lowest_version(systems),
     ))
-    for system in systems:
-        trace.body.append(SystemRecord(
-            seg=system.seg,
-            t=system.t,
-            space=tuple(system.space),
-            seed=system.seed,
-            batch=_legacy_batch_flag(system.backend),
-            backend=system.backend,
-            stabilize_rounds=system.stabilize_rounds,
-            config=dict(system.config),
-            engine_options=(dict(system.engine_options)
-                            if system.engine_options else None),
-        ))
-    for op in journal.ops:
-        trace.body.append(OpRecord(seg=op.seg, op=op.op, data=dict(op.data),
-                                   t=op.t))
+    trace.body = [*systems, *journal.ops]
     if journal.sealed:
         trace.expects = [ExpectRecord(seg=seg, row=dict(row))
                          for seg, row in sorted(journal.finals.items())]
@@ -117,29 +108,6 @@ class BisectResult:
                 f"  {self.backend_b}: {d.b}")
 
 
-def _build_for_bisect(record: JournalSystem, backend: str) -> "Broker":
-    from repro.api.registry import normalize_backend
-    from repro.api.spec import SystemSpec
-    from repro.overlay.config import DRTreeConfig
-    from repro.spatial.filters import make_space
-
-    backend = normalize_backend(backend)
-    # Engine options never change delivery outcomes and rarely transfer
-    # across engines (e.g. shards= is sharded-only), so they ride along only
-    # when the journal's own backend is being rebuilt.
-    options = (dict(record.engine_options)
-               if record.engine_options and backend == record.backend
-               else None)
-    return SystemSpec(
-        space=make_space(*record.space),
-        backend=backend,
-        config=DRTreeConfig(**record.config) if record.config else None,
-        seed=record.seed,
-        stabilize_rounds=record.stabilize_rounds,
-        engine_options=options,
-    ).build()
-
-
 def _outcome_row(outcome: Any) -> Dict[str, Any]:
     return {
         "received": sorted(outcome.received),
@@ -153,18 +121,20 @@ def bisect_journal(journal: Journal, backend_a: str,
                    backend_b: str) -> BisectResult:
     """Replay ``journal`` on two backends; stop at the first divergence."""
     from repro.api.registry import normalize_backend
-    from repro.traces.replay import _apply_op
+    from repro.traces.replay import apply_op, system_spec
 
     result = BisectResult(backend_a=normalize_backend(backend_a),
                           backend_b=normalize_backend(backend_b))
     systems_a: Dict[int, "Broker"] = {}
     systems_b: Dict[int, "Broker"] = {}
     for system in journal.systems:
-        systems_a[system.seg] = _build_for_bisect(system, result.backend_a)
-        systems_b[system.seg] = _build_for_bisect(system, result.backend_b)
+        systems_a[system.seg] = system_spec(system, result.backend_a,
+                                            JournalFormatError).build()
+        systems_b[system.seg] = system_spec(system, result.backend_b,
+                                            JournalFormatError).build()
     for op in journal.ops:
-        _apply_op(systems_a[op.seg], op)
-        _apply_op(systems_b[op.seg], op)
+        apply_op(systems_a[op.seg], op)
+        apply_op(systems_b[op.seg], op)
         result.ops_applied += 1
         if op.op != "publish":
             continue

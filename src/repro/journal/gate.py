@@ -4,20 +4,21 @@ When an interrupted journal is resumed (:mod:`repro.journal.resume`), the
 scenario is re-run *from the beginning* — but the broker has already been
 restored to its journaled state (snapshot + tail re-execution), so the
 operations the scenario re-issues must not execute a second time.  A
-:class:`ReplayGate` installed on the broker intercepts every facade call at
-the top of the method — before any argument validation, because validation
+:class:`ReplayGate` installed on the broker's op log
+(:class:`~repro.traces.oplog.OpLog`) intercepts every facade call at the
+top of the method — before any argument validation, because validation
 runs against state in which the operation has already happened (e.g. a
 re-issued ``subscribe`` would trip the duplicate-name check).
 
-Each intercepted call is checked against the next journaled op: same
-operation, same canonical payload (the exact transforms the journal tape
-applies).  A match is *skipped* — the gate returns the result the original
-call produced, derived from the restored state.  Any mismatch raises
+Each intercepted call arrives as the :class:`~repro.traces.format.OpRecord`
+the journal would write for it and is checked against the next journaled
+op: same operation, same canonical payload.  A match is *skipped* — the
+gate returns the result the original call produced.  Any mismatch raises
 :class:`~repro.journal.errors.JournalResumeError`: the scenario is not
 deterministic in its parameters, and silently diverging would corrupt the
 journal.  Once every journaled op has been matched the gate goes inactive
-and returns :data:`EXECUTE` forever; from then on operations run (and are
-journaled) normally.
+and the op log answers :data:`~repro.traces.oplog.EXECUTE` forever; from
+then on operations run (and are journaled) normally.
 
 ``publish`` is compared on the event alone, not the resolved publisher:
 publisher resolution is a pure function of subscription state, which the
@@ -29,61 +30,24 @@ counter past the whole journaled prefix, so consuming again would skew it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 from repro.journal.errors import JournalResumeError
-from repro.spatial.filters import Event, Subscription
-from repro.traces.format import event_to_json, subscription_to_json
+from repro.traces.format import OpRecord
 from repro.traces.io import dump_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.broker import Broker
-    from repro.journal.records import JournalOp
-
-#: Sentinel a gate returns when the call was *not* intercepted and the
-#: facade must execute the operation for real.  Distinct from ``None``,
-#: which is the legitimate skipped-call result of several operations.
-EXECUTE = object()
-
-
-class NullGate:
-    """The always-pass-through gate every broker holds outside a resume."""
-
-    active = False
-
-    def subscribe(self, subscription, stabilize) -> Any:
-        return EXECUTE
-
-    def subscribe_all(self, subscriptions, stabilize, bulk) -> Any:
-        return EXECUTE
-
-    def unsubscribe(self, subscriber_id) -> Any:
-        return EXECUTE
-
-    def crash(self, subscriber_id, stabilize) -> Any:
-        return EXECUTE
-
-    def move(self, subscriber_id, subscription, stabilize) -> Any:
-        return EXECUTE
-
-    def publish(self, event) -> Any:
-        return EXECUTE
-
-    def stabilize(self, max_rounds) -> Any:
-        return EXECUTE
-
-
-#: Shared stateless instance handed to every broker outside resumes.
-NULL_GATE = NullGate()
 
 
 class ReplayGate:
-    """Validates and skips the journaled prefix of a resumed run."""
+    """Validates and skips the journaled prefix of one resumed segment."""
 
-    def __init__(self, system: "Broker",
-                 ops: Sequence["JournalOp"]) -> None:
+    def __init__(self, system: "Broker", seg: int,
+                 ops: Sequence[OpRecord]) -> None:
         self._system = system
-        self._ops: List["JournalOp"] = list(ops)
+        self.seg = seg
+        self._ops: List[OpRecord] = list(ops)
         self._cursor = 0
 
     @property
@@ -100,86 +64,38 @@ class ReplayGate:
     def journaled(self) -> int:
         return len(self._ops)
 
-    # -- matching helpers ------------------------------------------------ #
+    def match(self, reissued: OpRecord) -> Any:
+        """Check ``reissued`` against the next journaled op and skip it.
 
-    def _next(self, opname: str) -> Optional["JournalOp"]:
-        if self._cursor >= len(self._ops):
-            return None
+        Only called while :attr:`active`.  Returns what the original call
+        returned, derived from the payload (ids) or the restored state (a
+        publish outcome).
+        """
         record = self._ops[self._cursor]
-        if record.op != opname:
+        if record.op != reissued.op:
             raise JournalResumeError(
                 f"rerun diverged from the journal at segment {record.seg} "
                 f"op {record.n}: journal has {record.op!r}, the rerun "
-                f"issued {opname!r}")
+                f"issued {reissued.op!r}")
         self._cursor += 1
-        return record
-
-    def _check(self, record: "JournalOp", payload: dict) -> None:
+        data = reissued.data
+        if record.op == "publish":
+            return self._match_publish(record, data["event"])
         # Canonical-JSON comparison absorbs representation noise (tuple vs
         # list, int vs float) exactly as the on-disk form does.
-        if dump_record(payload) != dump_record(record.data):
+        if dump_record(data) != dump_record(record.data):
             raise JournalResumeError(
                 f"rerun diverged from the journal at segment {record.seg} "
                 f"op {record.n} ({record.op!r}): journaled payload "
-                f"{record.data!r}, reissued {payload!r}")
-
-    # -- one method per facade operation --------------------------------- #
-
-    def subscribe(self, subscription: Subscription, stabilize: bool) -> Any:
-        record = self._next("subscribe")
-        if record is None:
-            return EXECUTE
-        self._check(record, {
-            "subscription": subscription_to_json(subscription),
-            "stabilize": bool(stabilize),
-        })
-        return subscription.name
-
-    def subscribe_all(self, subscriptions: Sequence[Subscription],
-                      stabilize: bool, bulk: Optional[bool]) -> Any:
-        record = self._next("subscribe_all")
-        if record is None:
-            return EXECUTE
-        subs = list(subscriptions)
-        self._check(record, {
-            "subscriptions": [subscription_to_json(sub) for sub in subs],
-            "stabilize": bool(stabilize),
-            "bulk": bulk if bulk is None else bool(bulk),
-        })
-        return [sub.name for sub in subs]
-
-    def unsubscribe(self, subscriber_id: str) -> Any:
-        record = self._next("unsubscribe")
-        if record is None:
-            return EXECUTE
-        self._check(record, {"id": subscriber_id})
+                f"{record.data!r}, reissued {data!r}")
+        if record.op == "subscribe_all":
+            return [sub["name"] for sub in data["subscriptions"]]
+        if record.op in ("subscribe", "move"):
+            return data["subscription"]["name"]
         return None
 
-    def crash(self, subscriber_id: str, stabilize: bool) -> Any:
-        record = self._next("crash")
-        if record is None:
-            return EXECUTE
-        self._check(record, {"id": subscriber_id,
-                             "stabilize": bool(stabilize)})
-        return None
-
-    def move(self, subscriber_id: str, subscription: Subscription,
-             stabilize: bool) -> Any:
-        record = self._next("move")
-        if record is None:
-            return EXECUTE
-        self._check(record, {
-            "id": subscriber_id,
-            "subscription": subscription_to_json(subscription),
-            "stabilize": bool(stabilize),
-        })
-        return subscription.name
-
-    def publish(self, event: Event) -> Any:
-        record = self._next("publish")
-        if record is None:
-            return EXECUTE
-        if not event.event_id:
+    def _match_publish(self, record: OpRecord, event: Dict[str, Any]) -> Any:
+        if not event["id"]:
             if not record.auto:
                 raise JournalResumeError(
                     f"rerun diverged at segment {record.seg} op {record.n}: "
@@ -188,29 +104,21 @@ class ReplayGate:
             # Adopt the journaled id without touching the live counter: the
             # snapshot restore (plus tail re-execution) already advanced the
             # counter past the whole journaled prefix.
-            event = Event(dict(event.attributes),
-                          event_id=record.data["event"]["id"])
+            event = {**event, "id": record.data["event"]["id"]}
         elif record.auto:
             raise JournalResumeError(
                 f"rerun diverged at segment {record.seg} op {record.n}: "
                 "the journal recorded a facade-assigned event id, the rerun "
-                f"published {event.event_id!r} explicitly")
+                f"published {event['id']!r} explicitly")
         recorded = record.data["event"]
-        if dump_record(event_to_json(event)) != dump_record(recorded):
+        if dump_record(event) != dump_record(recorded):
             raise JournalResumeError(
                 f"rerun diverged at segment {record.seg} op {record.n} "
                 f"('publish'): journaled event {recorded!r}, reissued "
-                f"{event_to_json(event)!r}")
-        outcome = self._system.accounting.outcomes.get(event.event_id)
+                f"{event!r}")
+        outcome = self._system.accounting.outcomes.get(event["id"])
         if outcome is None:
             raise JournalResumeError(
-                f"journaled publish {event.event_id!r} has no accounted "
+                f"journaled publish {event['id']!r} has no accounted "
                 "outcome after restore (snapshot and journal disagree)")
         return outcome
-
-    def stabilize(self, max_rounds: Optional[int]) -> Any:
-        record = self._next("stabilize")
-        if record is None:
-            return EXECUTE
-        self._check(record, {"max_rounds": max_rounds})
-        return None

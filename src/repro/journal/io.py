@@ -28,10 +28,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.journal.errors import (JournalCorruptError, JournalFormatError)
-from repro.journal.records import (GENESIS_HASH, JournalHeader, JournalOp,
-                                   JournalSnapshot, JournalSystem, chain_hash,
-                                   parse_final, parse_header, parse_op,
-                                   parse_snapshot, parse_system, seal_record)
+from repro.journal.records import (GENESIS_HASH, JOURNAL, JournalHeader,
+                                   JournalSnapshot, chain_hash, parse_final,
+                                   parse_journal_header, parse_snapshot,
+                                   seal_record)
+from repro.traces.format import OpRecord, SystemRecord, parse_op, parse_system
 from repro.traces.io import dump_record
 
 #: Record kinds whose durability matters enough to always fsync.
@@ -127,8 +128,8 @@ class Journal:
 
     path: Path
     header: JournalHeader
-    systems: List[JournalSystem] = field(default_factory=list)
-    ops: List[JournalOp] = field(default_factory=list)
+    systems: List[SystemRecord] = field(default_factory=list)
+    ops: List[OpRecord] = field(default_factory=list)
     snapshots: List[JournalSnapshot] = field(default_factory=list)
     finals: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     sealed: bool = False
@@ -142,14 +143,7 @@ class Journal:
     #: True when the tolerant reader dropped a torn final line.
     torn_tail: bool = False
 
-    def system_for(self, seg: int) -> JournalSystem:
-        for system in self.systems:
-            if system.seg == seg:
-                return system
-        raise JournalFormatError(f"journal has no system record for "
-                                 f"segment {seg}")
-
-    def ops_for(self, seg: int) -> List[JournalOp]:
+    def ops_for(self, seg: int) -> List[OpRecord]:
         return [op for op in self.ops if op.seg == seg]
 
     def snapshot_for(self, seg: int) -> Optional[JournalSnapshot]:
@@ -159,10 +153,6 @@ class Journal:
             if snapshot.seg == seg:
                 latest = snapshot
         return latest
-
-    @property
-    def segments(self) -> List[int]:
-        return [system.seg for system in self.systems]
 
 
 def _verify_chain_fields(raw: Dict[str, Any], index: int, line: int,
@@ -241,7 +231,7 @@ def read_journal(path: Union[str, Path], strict: bool = False) -> Journal:
 
         kind = raw.get("rec")
         if index == 0:
-            header = parse_header(raw, line=number)
+            header = parse_journal_header(raw, line=number)
             journal = Journal(path=path, header=header)
         else:
             assert journal is not None
@@ -250,7 +240,7 @@ def read_journal(path: Union[str, Path], strict: bool = False) -> Journal:
                     f"record after the close record (journal already "
                     f"sealed)", line=number)
             if kind == "system":
-                system = parse_system(raw, line=number)
+                system = parse_system(raw, number, JOURNAL)
                 if system.seg != len(journal.systems):
                     raise JournalFormatError(
                         f"system record for segment {system.seg} out of "
@@ -259,7 +249,7 @@ def read_journal(path: Union[str, Path], strict: bool = False) -> Journal:
                 journal.systems.append(system)
                 ops_in_seg[system.seg] = 0
             elif kind == "op":
-                op = parse_op(raw, line=number)
+                op = parse_op(raw, number, JOURNAL)
                 if op.seg not in ops_in_seg:
                     raise JournalFormatError(
                         f"op for segment {op.seg} precedes its system "

@@ -23,28 +23,30 @@ driven through the journaled tail ops, and fitted with a
 :class:`~repro.journal.gate.ReplayGate` that skips (and validates) the
 journaled prefix as the scenario re-runs.  New operations past the prefix
 continue the hash chain in place.
+
+Records are the trace format's :class:`~repro.traces.format.SystemRecord`
+and :class:`~repro.traces.format.OpRecord`, written in the journal envelope
+(:mod:`repro.journal.records`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Union)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.journal.errors import JournalResumeError
 from repro.journal.gate import ReplayGate
 from repro.journal.io import Journal, JournalWriter
-from repro.journal.records import (JournalHeader, JournalOp, JournalSnapshot,
-                                   JournalSystem, compress_snapshot,
-                                   decompress_snapshot)
+from repro.journal.records import (JournalHeader, JournalSnapshot,
+                                   compress_snapshot, decompress_snapshot,
+                                   op_to_json, system_to_json)
 from repro.traces.errors import TraceReplayError
-from repro.traces.format import event_to_json, subscription_to_json
+from repro.traces.format import OpRecord, SystemRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.broker import Broker
-    from repro.spatial.filters import Event, Subscription
 
 #: Default snapshot cadence: one full snapshot every this many ops per
 #: segment (0 disables snapshots; recovery then replays from the start).
@@ -59,85 +61,24 @@ def active_journal() -> Optional["JournalRecorder"]:
     return _ACTIVE
 
 
-class JournalTape:
-    """Per-system journal handle (the trace tape surface, plus ``auto_id``).
-
-    ``n`` is the dense per-segment op index the next journaled op gets; a
-    resumed segment starts it at the journaled op count so the chain stays
-    dense across the crash.
-    """
-
-    def __init__(self, recorder: "JournalRecorder", system: "Broker",
-                 seg: int, start_n: int = 0) -> None:
-        self._recorder = recorder
-        self._system = system
-        self.seg = seg
-        self.n = start_n
-
-    def now(self) -> float:
-        """The system's current logical time (the op *issue* time)."""
-        return float(self._system.clock())
-
-    def _record(self, t: float, op: str, auto: bool = False,
-                **data: Any) -> None:
-        self._recorder._add_op(self, JournalOp(seg=self.seg, n=self.n, op=op,
-                                               data=data, t=t, auto=auto))
-
-    # -- one method per facade operation (same payloads as SystemTape) --- #
-
-    def subscribe(self, t: float, subscription: "Subscription",
-                  stabilize: bool) -> None:
-        self._record(t, "subscribe",
-                     subscription=subscription_to_json(subscription),
-                     stabilize=bool(stabilize))
-
-    def subscribe_all(self, t: float, subscriptions: List["Subscription"],
-                      stabilize: bool, bulk: Optional[bool]) -> None:
-        self._record(t, "subscribe_all",
-                     subscriptions=[subscription_to_json(sub)
-                                    for sub in subscriptions],
-                     stabilize=bool(stabilize),
-                     bulk=bulk if bulk is None else bool(bulk))
-
-    def unsubscribe(self, t: float, subscriber_id: str) -> None:
-        self._record(t, "unsubscribe", id=subscriber_id)
-
-    def crash(self, t: float, subscriber_id: str, stabilize: bool) -> None:
-        self._record(t, "crash", id=subscriber_id, stabilize=bool(stabilize))
-
-    def move(self, t: float, subscriber_id: str,
-             subscription: "Subscription", stabilize: bool) -> None:
-        self._record(t, "move", id=subscriber_id,
-                     subscription=subscription_to_json(subscription),
-                     stabilize=bool(stabilize))
-
-    def publish(self, t: float, event: "Event", publisher_id: str,
-                auto_id: bool = False) -> None:
-        self._record(t, "publish", auto=bool(auto_id),
-                     event=event_to_json(event), publisher=publisher_id)
-
-    def stabilize(self, t: float, max_rounds: Optional[int]) -> None:
-        self._record(t, "stabilize", max_rounds=max_rounds)
-
-
 @dataclass(frozen=True)
 class SegmentPlan:
     """What the journal already holds for one segment (resume input)."""
 
-    system: JournalSystem
-    ops: List[JournalOp]
+    system: SystemRecord
+    ops: List[OpRecord]
     snapshot: Optional[JournalSnapshot]
 
 
 @dataclass(frozen=True)
-class SegmentStats:
+class SegmentResume:
     """How one segment was brought back during a resume."""
 
-    #: Ops the journal held for this segment.
+    #: Ops the journal held when the resume started.
     journaled: int
     #: Ops covered by the snapshot the broker was restored from (0 if none).
     snapshot_ops: int
-    #: Ops re-executed for real — exactly the tail after the snapshot.
+    #: Ops re-executed for real — exactly the post-snapshot tail.
     reexecuted: int
 
 
@@ -155,8 +96,12 @@ class JournalRecorder:
             raise ValueError("snapshot_every must be >= 0")
         self.snapshot_every = int(snapshot_every)
         self._systems: List["Broker"] = []
+        #: Per segment, the dense index the next journaled op gets; a
+        #: resumed segment starts at the journaled op count so the chain
+        #: stays dense across the crash.
+        self._next_n: List[int] = []
         self._gates: Dict[int, ReplayGate] = {}
-        self.segment_stats: Dict[int, SegmentStats] = {}
+        self.segment_stats: Dict[int, SegmentResume] = {}
         self._sealed = False
         self._closed = False
         if resume is None:
@@ -188,59 +133,53 @@ class JournalRecorder:
 
     # -- capture --------------------------------------------------------- #
 
-    def attach(self, system: "Broker") -> JournalTape:
-        """Register a newly constructed broker; returns its journal tape.
+    def attach(self, system: "Broker") -> int:
+        """Register a newly constructed broker; returns its segment index.
 
         In resume mode the first ``len(plan)`` attachments are matched
         against the journaled segments and brought back to their pre-crash
-        state before the tape is handed out.
+        state before this returns (and so before the broker's op log starts
+        observing).
         """
         if self._closed:
             raise RuntimeError("this journaling() context has already exited")
         seg = len(self._systems)
         self._systems.append(system)
         if seg < len(self._plan):
-            return self._resume_segment(system, seg, self._plan[seg])
-        spec = system.spec
-        self._writer.append(JournalSystem(
-            seg=seg,
-            t=float(system.clock()),
-            space=tuple(spec.space.names),
-            backend=spec.backend,
-            seed=int(spec.seed),
-            stabilize_rounds=int(spec.stabilize_rounds),
-            config=asdict(spec.config) if spec.config is not None else {},
-            engine_options=(dict(spec.engine_options)
-                            if spec.engine_options else None),
-        ).to_json())
-        return JournalTape(self, system, seg)
+            self._resume_segment(system, seg, self._plan[seg])
+        else:
+            self._writer.append(system_to_json(SystemRecord.of(system, seg)))
+            self._next_n.append(0)
+        return seg
 
-    def _add_op(self, tape: JournalTape, op: JournalOp) -> None:
-        self._writer.append(op.to_json())
-        tape.n += 1
-        self._maybe_snapshot(tape)
+    def observe(self, record: OpRecord) -> None:
+        """Append one succeeded facade operation durably, then maybe snapshot."""
+        seg = record.seg
+        self._writer.append(op_to_json(replace(record, n=self._next_n[seg])))
+        self._next_n[seg] += 1
+        self._maybe_snapshot(seg)
 
-    def _maybe_snapshot(self, tape: JournalTape) -> None:
+    def _maybe_snapshot(self, seg: int) -> None:
         from repro.api.capabilities import supports_snapshot
 
-        if self.snapshot_every <= 0 or tape.n % self.snapshot_every != 0:
+        ops = self._next_n[seg]
+        if self.snapshot_every <= 0 or ops % self.snapshot_every != 0:
             return
-        system = tape._system
+        system = self._systems[seg]
         # Snapshots are best-effort: a broker without the capability (or one
         # that is somehow not quiescent) just means a longer replay tail.
         if not supports_snapshot(system) or not system.quiescent():
             return
         blob = compress_snapshot(system.snapshot())
         self._writer.append(JournalSnapshot(
-            seg=tape.seg, ops=tape.n, t=float(system.clock()),
-            blob=blob).to_json())
+            seg=seg, ops=ops, t=float(system.clock()), blob=blob).to_json())
 
     # -- resume ---------------------------------------------------------- #
 
     def _resume_segment(self, system: "Broker", seg: int,
-                        plan: SegmentPlan) -> JournalTape:
+                        plan: SegmentPlan) -> None:
         from repro.api.capabilities import require_snapshot
-        from repro.traces.replay import _apply_op
+        from repro.traces.replay import apply_op
 
         record = plan.system
         spec = system.spec
@@ -280,19 +219,19 @@ class JournalRecorder:
                         f"diverged (journal {recorded!r}, restored broker "
                         f"would assign {assigned!r})")
             try:
-                _apply_op(system, op)
+                apply_op(system, op)
             except TraceReplayError as exc:
                 raise JournalResumeError(
                     f"segment {seg}: journaled op {op.n} ({op.op!r}) "
                     f"failed to re-execute: {exc}") from exc
 
-        gate = ReplayGate(system, plan.ops)
-        system.install_gate(gate)
+        gate = ReplayGate(system, seg, plan.ops)
+        system.oplog.gate = gate
         self._gates[seg] = gate
-        self.segment_stats[seg] = SegmentStats(
+        self._next_n.append(len(plan.ops))
+        self.segment_stats[seg] = SegmentResume(
             journaled=len(plan.ops), snapshot_ops=start,
             reexecuted=len(plan.ops) - start)
-        return JournalTape(self, system, seg, start_n=len(plan.ops))
 
     # -- completion ------------------------------------------------------ #
 
@@ -321,7 +260,7 @@ class JournalRecorder:
         self._sealed = True
 
     def close(self) -> None:
-        """Close the writer and detach every tape (idempotent).
+        """Close the writer and detach every broker (idempotent).
 
         Without a prior :meth:`seal` the journal is left *unsealed* — the
         durable record of an incomplete run, exactly what ``repro resume``

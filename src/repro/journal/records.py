@@ -14,14 +14,17 @@ Record kinds (the ``rec`` field):
     First record: format identity, scenario provenance and the snapshot
     cadence the run was journaled with.
 ``system``
-    Creation of one broker (a *segment*), carrying everything needed to
-    rebuild it: space, backend, seed, config, stabilize budget and the
-    typed engine options.
+    Creation of one broker (a *segment*): the trace format's
+    :class:`~repro.traces.format.SystemRecord` — space, backend, seed,
+    config, stabilize budget, typed engine options — without the trace
+    envelope's legacy ``batch`` flag and with ``engine_options`` always
+    present.
 ``op``
-    One facade operation, with the same payload shape as a trace op record
-    (:mod:`repro.traces.format`) plus ``n`` (the dense per-segment op index)
-    and, for ``publish``, ``auto`` — whether the facade assigned the event
-    id from its counter (resume must re-advance the counter for those).
+    One facade operation: the trace format's
+    :class:`~repro.traces.format.OpRecord` plus ``n`` (the dense
+    per-segment op index) and, for ``publish``, ``auto`` — whether the
+    facade assigned the event id from its counter (resume must re-advance
+    the counter for those).
 ``snapshot``
     A full broker snapshot taken after ``ops`` operations of its segment:
     the zlib-compressed pickle from ``Broker.snapshot()``, base64-armored,
@@ -31,6 +34,10 @@ Record kinds (the ``rec`` field):
 ``close``
     Clean end of the run; a journal without it records an interrupted run
     and is what ``repro resume`` operates on.
+
+Header, system and op records are parsed by the trace format's parsers
+reading the :data:`JOURNAL` envelope; only the journal-specific kinds
+(``snapshot``, ``final``) are parsed here.
 """
 
 from __future__ import annotations
@@ -39,10 +46,11 @@ import base64
 import hashlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.journal.errors import JournalCorruptError, JournalFormatError
-from repro.traces.format import _OP_REQUIRED_FIELDS, TRACE_OPS
+from repro.traces.format import (Envelope, OpRecord, SystemRecord, _require,
+                                 parse_header)
 from repro.traces.io import dump_record
 
 #: The journal format identifier written into every header.
@@ -54,6 +62,11 @@ GENESIS_HASH = "0" * 64
 
 #: Fields the chain adds to every record.
 CHAIN_FIELDS = ("seq", "prev", "hash")
+
+#: The journal envelope the shared record parsers read.
+JOURNAL = Envelope(noun="journal", error=JournalFormatError, kind_key="rec",
+                   format=JOURNAL_FORMAT, versions=(JOURNAL_VERSION,),
+                   op_extras=("n", "auto", *CHAIN_FIELDS))
 
 
 def chain_hash(record: Mapping[str, Any]) -> str:
@@ -114,7 +127,7 @@ def decompress_snapshot(blob: bytes) -> bytes:
 
 
 # --------------------------------------------------------------------------- #
-# Typed views over verified records
+# The journal envelope of the shared records, and the journal-only kinds
 # --------------------------------------------------------------------------- #
 
 
@@ -133,52 +146,24 @@ class JournalHeader:
                 "params": self.params, "snapshot_every": self.snapshot_every}
 
 
-@dataclass(frozen=True)
-class JournalSystem:
-    """One broker's construction record (a journal *segment*)."""
-
-    seg: int
-    space: Tuple[str, ...]
-    backend: str
-    seed: int
-    stabilize_rounds: int
-    config: Dict[str, Any] = field(default_factory=dict)
-    engine_options: Optional[Dict[str, Any]] = None
-    t: float = 0.0
-
-    def to_json(self) -> Dict[str, Any]:
-        record = {"rec": "system", "seg": self.seg, "t": self.t,
-                  "space": list(self.space), "backend": self.backend,
-                  "seed": self.seed,
-                  "stabilize_rounds": self.stabilize_rounds,
-                  "config": dict(self.config)}
-        record["engine_options"] = (dict(self.engine_options)
-                                    if self.engine_options else None)
-        return record
+def system_to_json(system: SystemRecord) -> Dict[str, Any]:
+    """One broker's construction record in the journal envelope."""
+    return {"rec": "system", "seg": system.seg, "t": system.t,
+            "space": list(system.space), "backend": system.backend,
+            "seed": system.seed,
+            "stabilize_rounds": system.stabilize_rounds,
+            "config": dict(system.config),
+            "engine_options": (dict(system.engine_options)
+                               if system.engine_options else None)}
 
 
-@dataclass(frozen=True)
-class JournalOp:
-    """One journaled facade operation.
-
-    ``data`` is the trace-compatible payload; ``n`` is the dense per-segment
-    op index (``snapshot.ops`` counts in the same units); ``auto`` marks a
-    ``publish`` whose event id was assigned by the facade's counter.
-    """
-
-    seg: int
-    n: int
-    op: str
-    data: Dict[str, Any] = field(default_factory=dict)
-    t: float = 0.0
-    auto: bool = False
-
-    def to_json(self) -> Dict[str, Any]:
-        record = {"rec": "op", "seg": self.seg, "n": self.n, "t": self.t,
-                  "op": self.op, **self.data}
-        if self.op == "publish":
-            record["auto"] = bool(self.auto)
-        return record
+def op_to_json(op: OpRecord) -> Dict[str, Any]:
+    """One facade operation in the journal envelope (``op.n`` must be set)."""
+    record = {"rec": "op", "seg": op.seg, "n": op.n, "t": op.t,
+              "op": op.op, **op.data}
+    if op.op == "publish":
+        record["auto"] = bool(op.auto)
+    return record
 
 
 @dataclass(frozen=True)
@@ -196,136 +181,28 @@ class JournalSnapshot:
                 "t": self.t, "state": state, "sha256": digest}
 
 
-# --------------------------------------------------------------------------- #
-# Record parsers (structural failures -> JournalFormatError)
-# --------------------------------------------------------------------------- #
-
-_MISSING = object()
-
-
-def _require(raw: Mapping[str, Any], key: str, types: tuple, line: int,
-             context: str) -> Any:
-    value = raw.get(key, _MISSING)
-    if value is _MISSING:
-        raise JournalFormatError(f"{context} record is missing {key!r}",
-                                 line=line)
-    if bool in types:
-        if not isinstance(value, bool):
-            raise JournalFormatError(
-                f"{context} record field {key!r} must be a boolean, "
-                f"got {value!r}", line=line)
-        return value
-    if isinstance(value, bool) or not isinstance(value, types):
-        expected = "/".join(t.__name__ for t in types)
-        raise JournalFormatError(
-            f"{context} record field {key!r} must be {expected}, "
-            f"got {value!r}", line=line)
-    return value
-
-
-def parse_header(raw: Mapping[str, Any], line: int = 1) -> JournalHeader:
-    if raw.get("rec") != "header":
-        raise JournalFormatError(
-            f"first record must be the journal header, got {raw.get('rec')!r}",
-            line=line)
-    if raw.get("format") != JOURNAL_FORMAT:
-        raise JournalFormatError(
-            f"not a {JOURNAL_FORMAT} file (format={raw.get('format')!r})",
-            line=line)
-    version = raw.get("version")
-    if version != JOURNAL_VERSION:
-        raise JournalFormatError(
-            f"unsupported journal version {version!r}; this reader "
-            f"understands version {JOURNAL_VERSION}", line=line)
-    scenario = raw.get("scenario")
-    if scenario is not None and not isinstance(scenario, str):
-        raise JournalFormatError(
-            f"header scenario must be a string or null, got {scenario!r}",
-            line=line)
-    params = raw.get("params")
-    if params is not None and not isinstance(params, Mapping):
-        raise JournalFormatError(
-            f"header params must be an object or null, got {params!r}",
-            line=line)
+def parse_journal_header(raw: Mapping[str, Any],
+                         line: int = 1) -> JournalHeader:
+    version, scenario, params = parse_header(raw, line, JOURNAL)
     return JournalHeader(
-        scenario=scenario,
-        params=dict(params) if params is not None else None,
-        snapshot_every=_require(raw, "snapshot_every", (int,), line, "header"),
-    )
-
-
-def parse_system(raw: Mapping[str, Any], line: int) -> JournalSystem:
-    space = _require(raw, "space", (list, tuple), line, "system")
-    if not space or not all(isinstance(name, str) for name in space):
-        raise JournalFormatError(
-            f"system record space must be a non-empty list of attribute "
-            f"names, got {space!r}", line=line)
-    config = raw.get("config", {})
-    if not isinstance(config, Mapping):
-        raise JournalFormatError(
-            f"system record config must be an object, got {config!r}",
-            line=line)
-    options = raw.get("engine_options")
-    if options is not None and not isinstance(options, Mapping):
-        raise JournalFormatError(
-            f"system record engine_options must be an object or null, "
-            f"got {options!r}", line=line)
-    return JournalSystem(
-        seg=_require(raw, "seg", (int,), line, "system"),
-        t=float(_require(raw, "t", (int, float), line, "system")),
-        space=tuple(space),
-        backend=str(_require(raw, "backend", (str,), line, "system")),
-        seed=_require(raw, "seed", (int,), line, "system"),
-        stabilize_rounds=_require(raw, "stabilize_rounds", (int,), line,
-                                  "system"),
-        config=dict(config),
-        engine_options=dict(options) if options else None,
-    )
-
-
-def parse_op(raw: Mapping[str, Any], line: int) -> JournalOp:
-    op = _require(raw, "op", (str,), line, "op")
-    if op not in TRACE_OPS:
-        raise JournalFormatError(
-            f"unknown journal op {op!r}; expected one of {TRACE_OPS}",
-            line=line)
-    data = {key: value for key, value in raw.items()
-            if key not in ("rec", "seg", "t", "op", "n", "auto",
-                           *CHAIN_FIELDS)}
-    missing = _OP_REQUIRED_FIELDS[op] - set(data)
-    if missing:
-        raise JournalFormatError(
-            f"op {op!r} is missing fields {sorted(missing)}", line=line)
-    auto = raw.get("auto", False)
-    if not isinstance(auto, bool):
-        raise JournalFormatError(
-            f"op record field 'auto' must be a boolean, got {auto!r}",
-            line=line)
-    return JournalOp(
-        seg=_require(raw, "seg", (int,), line, "op"),
-        n=_require(raw, "n", (int,), line, "op"),
-        t=float(_require(raw, "t", (int, float), line, "op")),
-        op=op,
-        data=data,
-        auto=auto,
-    )
+        scenario=scenario, params=params, version=version,
+        snapshot_every=_require(raw, "snapshot_every", (int,), line, "header",
+                                JournalFormatError))
 
 
 def parse_snapshot(raw: Mapping[str, Any], line: int) -> JournalSnapshot:
-    state = _require(raw, "state", (str,), line, "snapshot")
-    digest = _require(raw, "sha256", (str,), line, "snapshot")
+    error = JournalFormatError
+    state = _require(raw, "state", (str,), line, "snapshot", error)
+    digest = _require(raw, "sha256", (str,), line, "snapshot", error)
     return JournalSnapshot(
-        seg=_require(raw, "seg", (int,), line, "snapshot"),
-        ops=_require(raw, "ops", (int,), line, "snapshot"),
-        t=float(_require(raw, "t", (int, float), line, "snapshot")),
+        seg=_require(raw, "seg", (int,), line, "snapshot", error),
+        ops=_require(raw, "ops", (int,), line, "snapshot", error),
+        t=float(_require(raw, "t", (int, float), line, "snapshot", error)),
         blob=decode_state(state, digest, line=line),
     )
 
 
 def parse_final(raw: Mapping[str, Any], line: int) -> Tuple[int, Dict[str, Any]]:
-    row = _require(raw, "row", (dict,), line, "final")
-    return _require(raw, "seg", (int,), line, "final"), dict(row)
-
-
-#: Record kinds a journal body may contain, in the order they may appear.
-RECORD_KINDS = ("header", "system", "op", "snapshot", "final", "close")
+    row = _require(raw, "row", (dict,), line, "final", JournalFormatError)
+    return (_require(raw, "seg", (int,), line, "final", JournalFormatError),
+            dict(row))

@@ -26,22 +26,10 @@ from typing import TYPE_CHECKING, Any, Dict, Tuple, Union
 
 from repro.journal.errors import JournalResumeError
 from repro.journal.io import read_journal
-from repro.journal.recorder import journaling
+from repro.journal.recorder import SegmentResume, journaling
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runner import ScenarioOutcome
-
-
-@dataclass(frozen=True)
-class SegmentResume:
-    """Recovery accounting of one segment."""
-
-    #: Ops the journal held when the resume started.
-    journaled: int
-    #: Ops covered by the snapshot the broker was restored from (0 if none).
-    snapshot_ops: int
-    #: Ops re-executed for real — exactly the post-snapshot tail.
-    reexecuted: int
 
 
 @dataclass(frozen=True)
@@ -133,8 +121,6 @@ def resume_journal(path: Union[str, Path], fsync_every: int = 32
         scenario=scenario.name,
         params=params,
         torn_tail=journal.torn_tail,
-        segments={seg: SegmentResume(stats.journaled, stats.snapshot_ops,
-                                     stats.reexecuted)
-                  for seg, stats in recorder.segment_stats.items()},
+        segments=dict(recorder.segment_stats),
     )
     return outcome, report

@@ -33,12 +33,12 @@ import pickle
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
-from repro.journal.gate import EXECUTE, NULL_GATE
 from repro.overlay.config import DRTreeConfig
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
 from repro.pubsub.engines import get_engine
 from repro.spatial.filters import (AttributeSpace, Event, Subscription,
                                    ensure_same_space, ensure_unique_names)
+from repro.traces.oplog import EXECUTE, OpLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import SystemSpec
@@ -99,46 +99,15 @@ class PubSubSystem:
         # captured to the active trace; inside a repro.journal journaling()
         # context it is additionally appended durably to the journal.  Both
         # observers are purely observational, so observed and unobserved runs
-        # are bit-identical.  The no-op tape and gate must be in place
-        # *before* attaching: a resume-mode journal re-executes journaled ops
-        # through this facade while attach() runs.
-        from repro.traces.recorder import NULL_TAPE
-
-        self._gate = NULL_GATE
-        self._tape = NULL_TAPE
-        self._tape = self._attach_tape()
-
-    def _attach_tape(self):
-        from repro.journal.recorder import active_journal
-        from repro.traces.recorder import (NULL_TAPE, CompositeTape,
-                                           active_recorder)
-
-        tapes = []
-        recorder = active_recorder()
-        if recorder is not None:
-            tapes.append(recorder.attach(self))
-        journal = active_journal()
-        if journal is not None:
-            tapes.append(journal.attach(self))
-        if not tapes:
-            return NULL_TAPE
-        return tapes[0] if len(tapes) == 1 else CompositeTape(*tapes)
+        # are bit-identical.  The log must be in place *before* attaching: a
+        # resume-mode journal re-executes journaled ops through this facade
+        # while attach() runs.
+        self.oplog = OpLog(self)
+        self.oplog.attach()
 
     def detach_tape(self) -> None:
         """Stop taping; called when the enclosing recording context exits."""
-        from repro.traces.recorder import NULL_TAPE
-
-        self._tape = NULL_TAPE
-        self._gate = NULL_GATE
-
-    def install_gate(self, gate) -> None:
-        """Install a resume gate (see :mod:`repro.journal.gate`).
-
-        While the gate is active, facade operations it recognizes as the
-        already-restored journaled prefix are validated and skipped instead
-        of executed.
-        """
-        self._gate = gate
+        self.oplog.detach()
 
     def consume_event_id(self) -> str:
         """Draw the next facade-assigned event id.
@@ -178,21 +147,17 @@ class PubSubSystem:
     def subscribe(self, subscription: Subscription,
                   stabilize: bool = True) -> str:
         """Register a subscriber; returns its id (the subscription name)."""
-        # The resume gate intercepts *before* validation: a skipped op has
-        # already happened on the restored state, so validating would trip
-        # e.g. the duplicate-name check against its own prior effect.
-        handled = self._gate.subscribe(subscription, stabilize)
+        # Every op is bracketed by the op log the same way (see
+        # repro.traces.oplog): the resume gate first, before validation;
+        # the record last, only once the op has succeeded.
+        handled = self.oplog.replayed("subscribe", subscription, stabilize)
         if handled is not EXECUTE:
             return handled
         self._check_space(subscription)
         self._check_new_name(subscription)
-        # Ops are taped only after they succeed (with their issue-time
-        # timestamp), so a call that raises never leaves a phantom record
-        # for replay to trip over; outside a recording context the tape is
-        # the shared no-op NULL_TAPE.
-        issued = self._tape.now()
+        issued = self.oplog.now()
         subscriber_id = self._subscribe_core(subscription, stabilize)
-        self._tape.subscribe(issued, subscription, stabilize)
+        self.oplog.record("subscribe", issued, subscription, stabilize)
         return subscriber_id
 
     def _check_space(self, subscription: Subscription) -> None:
@@ -210,7 +175,7 @@ class PubSubSystem:
 
     def _subscribe_core(self, subscription: Subscription,
                         stabilize: bool) -> str:
-        """Register one subscriber without touching the trace tape."""
+        """Register one subscriber without touching the op log."""
         peer = self.simulation.add_peer(subscription)
         peer.delivery_listener = self.accounting.record_delivery
         self._subscriptions[peer.process_id] = subscription
@@ -234,7 +199,7 @@ class PubSubSystem:
         from repro.overlay.bootstrap import BULK_THRESHOLD
 
         subs = list(subscriptions)
-        handled = self._gate.subscribe_all(subs, stabilize, bulk)
+        handled = self.oplog.replayed("subscribe_all", subs, stabilize, bulk)
         if handled is not EXECUTE:
             return handled
         # _check_new_name sees only already-registered peers; duplicates
@@ -244,7 +209,7 @@ class PubSubSystem:
         for sub in subs:
             self._check_space(sub)
             self._check_new_name(sub)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         if bulk and self.simulation.peers:
             raise ValueError(
                 "bulk subscribe_all requires an empty system; pass the whole "
@@ -268,7 +233,7 @@ class PubSubSystem:
             ids = [self._subscribe_core(sub, stabilize=False) for sub in subs]
         if stabilize:
             self.simulation.stabilize(max_rounds=self.stabilize_rounds)
-        self._tape.subscribe_all(issued, subs, stabilize, bulk)
+        self.oplog.record("subscribe_all", issued, subs, stabilize, bulk)
         return ids
 
     def _check_known(self, subscriber_id: str) -> None:
@@ -280,28 +245,28 @@ class PubSubSystem:
 
     def unsubscribe(self, subscriber_id: str) -> None:
         """Controlled departure of a subscriber."""
-        handled = self._gate.unsubscribe(subscriber_id)
+        handled = self.oplog.replayed("unsubscribe", subscriber_id)
         if handled is not EXECUTE:
             return handled
         self._check_known(subscriber_id)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         self.simulation.leave(subscriber_id)
         self._subscriptions.pop(subscriber_id, None)
         self.simulation.stabilize(max_rounds=self.stabilize_rounds)
-        self._tape.unsubscribe(issued, subscriber_id)
+        self.oplog.record("unsubscribe", issued, subscriber_id)
 
     def fail(self, subscriber_id: str, stabilize: bool = True) -> None:
         """Uncontrolled departure (crash) of a subscriber."""
-        handled = self._gate.crash(subscriber_id, stabilize)
+        handled = self.oplog.replayed("crash", subscriber_id, stabilize)
         if handled is not EXECUTE:
             return handled
         self._check_known(subscriber_id)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         self.simulation.crash(subscriber_id)
         self._subscriptions.pop(subscriber_id, None)
         if stabilize:
             self.simulation.stabilize(max_rounds=self.stabilize_rounds)
-        self._tape.crash(issued, subscriber_id, stabilize)
+        self.oplog.record("crash", issued, subscriber_id, stabilize)
 
     def move_subscription(self, subscriber_id: str,
                           subscription: Subscription,
@@ -315,18 +280,20 @@ class PubSubSystem:
         simulator, and a duplicate name raises ``ValueError`` here, before
         the old subscriber has left.
         """
-        handled = self._gate.move(subscriber_id, subscription, stabilize)
+        handled = self.oplog.replayed("move", subscriber_id, subscription,
+                                      stabilize)
         if handled is not EXECUTE:
             return handled
         self._check_space(subscription)
         self._check_new_name(subscription)
         if subscriber_id not in self._subscriptions:
             raise KeyError(f"unknown subscriber {subscriber_id!r}")
-        issued = self._tape.now()
+        issued = self.oplog.now()
         self.simulation.leave(subscriber_id)
         self._subscriptions.pop(subscriber_id, None)
         new_id = self._subscribe_core(subscription, stabilize)
-        self._tape.move(issued, subscriber_id, subscription, stabilize)
+        self.oplog.record("move", issued, subscriber_id, subscription,
+                          stabilize)
         return new_id
 
     def subscribers(self) -> List[str]:
@@ -358,7 +325,7 @@ class PubSubSystem:
             event = Event(dict(event.attributes),
                           event_id=self.consume_event_id())
         publisher_id = publisher_id or self._default_publisher(event)
-        issued = self._tape.now()
+        issued = self.oplog.now()
         outcome = self.accounting.start_event(event, publisher_id,
                                               self._subscriptions)
         self.simulation.publish(publisher_id, event)
@@ -372,7 +339,7 @@ class PubSubSystem:
         (the paper's model: producers are nodes of the tree), falling back to
         the current root.
         """
-        handled = self._gate.publish(event)
+        handled = self.oplog.replayed("publish", event, publisher_id)
         if handled is not EXECUTE:
             return handled
         before = self.simulation.metrics.counter("network.messages_sent")
@@ -382,7 +349,7 @@ class PubSubSystem:
         self.accounting.record_messages(event.event_id, int(after - before))
         # Taped with the resolved id and publisher so a replay re-issues
         # exactly this publication, not the resolution inputs.
-        self._tape.publish(issued, event, publisher_id, auto_id=auto)
+        self.oplog.record("publish", issued, event, publisher_id, auto=auto)
         return outcome
 
     def publish_many(self, events: Iterable[Event],
@@ -396,7 +363,7 @@ class PubSubSystem:
         outcomes: List[EventOutcome] = []
         cursor = self.simulation.metrics.counter("network.messages_sent")
         for event in events:
-            handled = self._gate.publish(event)
+            handled = self.oplog.replayed("publish", event, publisher_id)
             if handled is not EXECUTE:
                 outcomes.append(handled)
                 continue
@@ -406,7 +373,7 @@ class PubSubSystem:
             self.accounting.record_messages(event.event_id,
                                             int(after - cursor))
             cursor = after
-            self._tape.publish(issued, event, resolved, auto_id=auto)
+            self.oplog.record("publish", issued, event, resolved, auto=auto)
             outcomes.append(outcome)
         return outcomes
 
@@ -425,14 +392,14 @@ class PubSubSystem:
 
     def stabilize(self, max_rounds: Optional[int] = None):
         """Run stabilization rounds until the overlay is legal again."""
-        handled = self._gate.stabilize(max_rounds)
+        handled = self.oplog.replayed("stabilize", max_rounds)
         if handled is not EXECUTE:
             return handled
-        issued = self._tape.now()
+        issued = self.oplog.now()
         report = self.simulation.stabilize(
             max_rounds=max_rounds or self.stabilize_rounds
         )
-        self._tape.stabilize(issued, max_rounds)
+        self.oplog.record("stabilize", issued, max_rounds)
         return report
 
     def summary(self) -> Dict[str, float]:

@@ -7,7 +7,7 @@ replayed bit-identically, on either dissemination engine:
 >>> from repro.traces import recording, replay_trace          # doctest: +SKIP
 >>> with recording("run.jsonl", scenario="hotspot"):          # doctest: +SKIP
 ...     some_scenario()                                       # doctest: +SKIP
->>> replay_trace("run.jsonl", engine="batched")               # doctest: +SKIP
+>>> replay_trace("run.jsonl", backend="drtree:batched")      # doctest: +SKIP
 
 From the command line::
 
@@ -24,7 +24,7 @@ from repro.traces.format import (TRACE_FORMAT, TRACE_OPS, TRACE_VERSION,
 from repro.traces.io import (dump_record, dumps_trace, loads_trace, read_trace,
                              write_trace)
 from repro.traces.recorder import TraceRecorder, active_recorder, recording
-from repro.traces.replay import (ENGINES, SUMMARY_KEYS, delivery_metrics_row,
+from repro.traces.replay import (SUMMARY_KEYS, delivery_metrics_row,
                                  dump_metrics, execute_trace, metrics_document,
                                  replay_trace)
 
@@ -32,7 +32,6 @@ __all__ = [
     "TRACE_FORMAT",
     "TRACE_OPS",
     "TRACE_VERSION",
-    "ENGINES",
     "SUMMARY_KEYS",
     "Trace",
     "TraceHeader",

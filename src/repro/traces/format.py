@@ -19,18 +19,28 @@ recording time (the replay engine re-derives and cross-checks them).
 All structural validation funnels through :func:`Trace.from_dicts`, which
 raises :class:`~repro.traces.errors.TraceFormatError` — never ``KeyError`` —
 on malformed input.
+
+:class:`SystemRecord` and :class:`OpRecord` are also the value types of the
+durable journal (:mod:`repro.journal`): a journal holds the same records in
+a hash-chained envelope, so the record parsers here take the
+:class:`Envelope` they are reading — :data:`TRACE` or
+:data:`repro.journal.records.JOURNAL` — and raise that file format's error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.spatial.filters import (AttributeSpace, Event, Predicate,
                                    Subscription, subscription_from_rect)
 from repro.spatial.rectangle import Rect
 from repro.traces.errors import TraceFormatError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.broker import Broker
 
 #: The trace format identifier written into every header.
 TRACE_FORMAT = "repro-trace"
@@ -42,16 +52,21 @@ TRACE_VERSION_ENGINE_OPTIONS = 2
 #: Every version this reader understands.
 TRACE_VERSIONS = (1, 2)
 
-#: The workload operations a trace may contain.
-TRACE_OPS = (
-    "subscribe",
-    "subscribe_all",
-    "unsubscribe",
-    "crash",
-    "move",
-    "publish",
-    "stabilize",
-)
+#: The op schema: each workload operation a trace or journal may contain,
+#: with its payload fields in the order the facade method takes them.  The
+#: one place the payload keys are spelled: :func:`op_payload` builds a
+#: payload from it and the op-record parser requires exactly these fields.
+OP_FIELDS = {
+    "subscribe": ("subscription", "stabilize"),
+    "subscribe_all": ("subscriptions", "stabilize", "bulk"),
+    "unsubscribe": ("id",),
+    "crash": ("id", "stabilize"),
+    "move": ("id", "subscription", "stabilize"),
+    "publish": ("event", "publisher"),
+    "stabilize": ("max_rounds",),
+}
+#: The op names, in schema order.
+TRACE_OPS = tuple(OP_FIELDS)
 
 
 # --------------------------------------------------------------------------- #
@@ -168,6 +183,28 @@ def event_from_json(data: Any) -> Event:
     return Event(values, event_id=event_id)
 
 
+#: How a facade argument becomes its payload field (the rest are stored
+#: as given: ids, the resolved publisher, the ``max_rounds`` budget).
+_FIELD_TO_JSON = {
+    "subscription": subscription_to_json,
+    "subscriptions": lambda subs: [subscription_to_json(sub) for sub in subs],
+    "event": event_to_json,
+    "stabilize": bool,
+    "bulk": lambda bulk: bulk if bulk is None else bool(bulk),
+}
+
+
+def op_payload(op: str, *args: Any) -> Dict[str, Any]:
+    """The canonical ``data`` payload of facade call ``op(*args)``.
+
+    ``args`` are the facade method's arguments in :data:`OP_FIELDS` order.
+    Trace recording, journaling and the resume gate's divergence check all
+    build their payload here, so the three cannot drift apart.
+    """
+    return {key: _FIELD_TO_JSON[key](value) if key in _FIELD_TO_JSON else value
+            for key, value in zip(OP_FIELDS[op], args)}
+
+
 # --------------------------------------------------------------------------- #
 # Records
 # --------------------------------------------------------------------------- #
@@ -198,16 +235,29 @@ class TraceHeader:
         }
 
 
+def _legacy_batch_flag(backend: str) -> bool:
+    """The trace envelope's legacy boolean for ``backend``.
+
+    Sourced from the engine registry (the single owner of the mapping) for
+    DR-tree backends; every baseline backend records ``false``.
+    """
+    if backend.startswith("drtree:"):
+        from repro.pubsub.engines import get_engine
+
+        return bool(get_engine(backend.split(":", 1)[1]).batch)
+    return False
+
+
 @dataclass(frozen=True)
 class SystemRecord:
-    """Creation of one pub/sub system (a trace *segment*).
+    """Creation of one pub/sub system (a trace or journal *segment*).
 
     ``backend`` is the broker backend name (``drtree:<engine>`` or a
-    baseline); ``batch`` is the legacy boolean older readers understand and
-    is kept in the serialized form, mirroring whether the backend is the
-    batched DR-tree engine.  Version-1 traces without a ``backend`` field
-    parse to the backend the boolean implies.  ``engine_options`` (the typed
-    construction knobs of :class:`~repro.api.spec.SystemSpec`) is the
+    baseline).  ``batch`` is the legacy boolean of the trace envelope: older
+    readers understand it, so :meth:`to_json` always writes it (derived from
+    the backend when unset), and version-1 traces without a ``backend``
+    field parse to the backend the boolean implies.  ``engine_options`` (the
+    typed construction knobs of :class:`~repro.api.spec.SystemSpec`) is the
     version-2 addition: it is serialized only when non-empty, so traces
     without options keep their version-1 bytes.
     """
@@ -215,18 +265,37 @@ class SystemRecord:
     seg: int
     space: Tuple[str, ...]
     seed: int
-    batch: bool
     stabilize_rounds: int
     config: Dict[str, Any] = field(default_factory=dict)
     t: float = 0.0
     backend: Optional[str] = None
     engine_options: Optional[Dict[str, Any]] = None
+    batch: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.backend is None:
             object.__setattr__(
                 self, "backend",
                 "drtree:batched" if self.batch else "drtree:classic")
+
+    @classmethod
+    def of(cls, system: "Broker", seg: int) -> "SystemRecord":
+        """The record of a live broker, from its :class:`SystemSpec`.
+
+        Any backend that can describe itself as a spec is recordable.
+        """
+        spec = system.spec
+        return cls(
+            seg=seg,
+            t=float(system.clock()),
+            space=tuple(spec.space.names),
+            seed=int(spec.seed),
+            backend=spec.backend,
+            stabilize_rounds=int(spec.stabilize_rounds),
+            config=asdict(spec.config) if spec.config is not None else {},
+            engine_options=(dict(spec.engine_options)
+                            if spec.engine_options else None),
+        )
 
     def to_json(self) -> Dict[str, Any]:
         record = {
@@ -235,7 +304,8 @@ class SystemRecord:
             "t": self.t,
             "space": list(self.space),
             "seed": self.seed,
-            "batch": self.batch,
+            "batch": (self.batch if self.batch is not None
+                      else _legacy_batch_flag(self.backend)),
             "backend": self.backend,
             "stabilize_rounds": self.stabilize_rounds,
             "config": dict(self.config),
@@ -250,23 +320,36 @@ class OpRecord:
     """One workload decision applied to the system of segment ``seg``.
 
     ``t`` is the simulated time at which the operation was issued; ``data``
-    holds the op-specific payload (see :data:`TRACE_OPS` and
-    ``docs/traces.md``).
+    holds the op-specific payload (see :data:`OP_FIELDS` and
+    ``docs/traces.md``).  ``n`` (the dense per-segment op index) and
+    ``auto`` (a ``publish`` whose event id the facade assigned from its
+    counter) are set only on journaled ops; the trace envelope carries
+    neither.
     """
 
     seg: int
     op: str
     data: Dict[str, Any] = field(default_factory=dict)
     t: float = 0.0
+    n: Optional[int] = None
+    auto: bool = False
 
     def __post_init__(self) -> None:
-        if self.op not in TRACE_OPS:
+        if self.op not in OP_FIELDS:
             raise TraceFormatError(
                 f"unknown trace op {self.op!r}; expected one of {TRACE_OPS}")
 
     def to_json(self) -> Dict[str, Any]:
         return {"record": "op", "seg": self.seg, "t": self.t, "op": self.op,
                 **self.data}
+
+
+def lowest_version(systems: Iterable[SystemRecord]) -> int:
+    """The lowest trace version that can carry ``systems`` (writers emit it,
+    so traces without engine options keep their version-1 bytes)."""
+    return (TRACE_VERSION_ENGINE_OPTIONS
+            if any(system.engine_options for system in systems)
+            else TRACE_VERSION)
 
 
 @dataclass(frozen=True)
@@ -334,7 +417,7 @@ class Trace:
             raise TraceFormatError("empty trace: expected a header record")
         if lines is None:
             lines = range(1, len(records) + 1)
-        header = _parse_header(records[0], line=lines[0])
+        header = _parse_trace_header(records[0], lines[0])
         trace = cls(header=header)
         segments: set = set()
         for raw, index in zip(records[1:], lines[1:]):
@@ -343,7 +426,7 @@ class Trace:
                     f"expected a record object, got {raw!r}", line=index)
             kind = raw.get("record")
             if kind == "system":
-                record = _parse_system(raw, index)
+                record = parse_system(raw, index)
                 if record.seg in segments:
                     raise TraceFormatError(
                         f"duplicate system record for segment {record.seg}",
@@ -351,7 +434,7 @@ class Trace:
                 segments.add(record.seg)
                 trace.body.append(record)
             elif kind == "op":
-                record = _parse_op(raw, index)
+                record = parse_op(raw, index)
                 if record.seg not in segments:
                     raise TraceFormatError(
                         f"op {record.op!r} references segment {record.seg} "
@@ -373,133 +456,171 @@ class Trace:
 
 
 # --------------------------------------------------------------------------- #
-# Record parsers (all failures -> TraceFormatError)
+# Record parsers (all failures -> the envelope's format error)
 # --------------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True)
+class Envelope:
+    """The on-disk form header/system/op records are read from.
+
+    Both logs hold the same records; what differs is what surrounds them,
+    and which error a malformed record raises.
+    """
+
+    #: ``"trace"`` or ``"journal"``, for diagnostics.
+    noun: str
+    #: The format error raised on any structural problem.
+    error: type
+    #: The field naming the record kind.
+    kind_key: str
+    #: The format identity headers must carry, and the versions understood.
+    format: str
+    versions: Tuple[int, ...]
+    #: Whether system records carry the legacy ``batch`` flag (and may
+    #: therefore omit ``backend``); otherwise they must name their backend.
+    legacy_batch: bool = False
+    #: Envelope-only op-record fields besides kind/seg/t/op: the journal's
+    #: ``n`` and ``auto`` (parsed when listed) and its chain fields.
+    op_extras: Tuple[str, ...] = ()
+
+
+#: The trace envelope (the journal's is :data:`repro.journal.records.JOURNAL`).
+TRACE = Envelope(noun="trace", error=TraceFormatError, kind_key="record",
+                 format=TRACE_FORMAT, versions=TRACE_VERSIONS,
+                 legacy_batch=True)
+
+_MISSING = object()
+
+
 def _require(raw: Mapping[str, Any], key: str, types: tuple, line: int,
-             context: str) -> Any:
+             context: str, error: type = TraceFormatError) -> Any:
     value = raw.get(key, _MISSING)
     if value is _MISSING:
-        raise TraceFormatError(f"{context} record is missing {key!r}",
-                               line=line)
+        raise error(f"{context} record is missing {key!r}", line=line)
     if bool in types:
         if not isinstance(value, bool):
-            raise TraceFormatError(
+            raise error(
                 f"{context} record field {key!r} must be a boolean, "
                 f"got {value!r}", line=line)
         return value
     if isinstance(value, bool) or not isinstance(value, types):
         expected = "/".join(t.__name__ for t in types)
-        raise TraceFormatError(
+        raise error(
             f"{context} record field {key!r} must be {expected}, "
             f"got {value!r}", line=line)
     return value
 
 
-_MISSING = object()
+def _optional(raw: Mapping[str, Any], key: str, kind: type, what: str,
+              context: str, line: int, error: type) -> Any:
+    value = raw.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise error(f"{context} {key} must be {what}, got {value!r}",
+                    line=line)
+    return value
 
 
-def _parse_header(raw: Mapping[str, Any], line: int = 1) -> TraceHeader:
-    if not isinstance(raw, Mapping) or raw.get("record") != "header":
-        raise TraceFormatError(
-            f"first record must be the trace header, got {raw!r}", line=line)
-    if raw.get("format") != TRACE_FORMAT:
-        raise TraceFormatError(
-            f"not a {TRACE_FORMAT} file (format={raw.get('format')!r})",
+def parse_header(raw: Mapping[str, Any], line: int = 1,
+                 fmt: Envelope = TRACE
+                 ) -> Tuple[int, Optional[str], Optional[Dict[str, Any]]]:
+    """Check a header's identity; returns ``(version, scenario, params)``."""
+    if not isinstance(raw, Mapping) or raw.get(fmt.kind_key) != "header":
+        raise fmt.error(
+            f"first record must be the {fmt.noun} header, got {raw!r}",
+            line=line)
+    if raw.get("format") != fmt.format:
+        raise fmt.error(
+            f"not a {fmt.format} file (format={raw.get('format')!r})",
             line=line)
     version = raw.get("version")
-    if version not in TRACE_VERSIONS:
-        raise TraceFormatError(
-            f"unsupported trace version {version!r}; this reader understands "
-            f"versions {TRACE_VERSIONS}", line=line)
-    scenario = raw.get("scenario")
-    if scenario is not None and not isinstance(scenario, str):
-        raise TraceFormatError(
-            f"header scenario must be a string or null, got {scenario!r}",
-            line=line)
-    params = raw.get("params")
-    if params is not None and not isinstance(params, Mapping):
-        raise TraceFormatError(
-            f"header params must be an object or null, got {params!r}",
-            line=line)
-    backend = raw.get("backend")
-    if backend is not None and not isinstance(backend, str):
-        raise TraceFormatError(
-            f"header backend must be a string or null, got {backend!r}",
-            line=line)
-    return TraceHeader(scenario=scenario,
-                       params=dict(params) if params is not None else None,
-                       backend=backend,
-                       version=version)
+    if version not in fmt.versions:
+        raise fmt.error(
+            f"unsupported {fmt.noun} version {version!r}; this reader "
+            f"understands versions {fmt.versions}", line=line)
+    scenario = _optional(raw, "scenario", str, "a string or null", "header",
+                         line, fmt.error)
+    params = _optional(raw, "params", Mapping, "an object or null", "header",
+                       line, fmt.error)
+    return version, scenario, dict(params) if params is not None else None
 
 
-def _parse_system(raw: Mapping[str, Any], line: int) -> SystemRecord:
-    space = _require(raw, "space", (list, tuple), line, "system")
+def _parse_trace_header(raw: Mapping[str, Any], line: int) -> TraceHeader:
+    version, scenario, params = parse_header(raw, line)
+    return TraceHeader(
+        scenario=scenario, params=params, version=version,
+        backend=_optional(raw, "backend", str, "a string or null", "header",
+                          line, TraceFormatError))
+
+
+def parse_system(raw: Mapping[str, Any], line: int,
+                 fmt: Envelope = TRACE) -> SystemRecord:
+    error = fmt.error
+    space = _require(raw, "space", (list, tuple), line, "system", error)
     if not space or not all(isinstance(name, str) for name in space):
-        raise TraceFormatError(
+        raise error(
             f"system record space must be a non-empty list of attribute "
             f"names, got {space!r}", line=line)
     config = raw.get("config", {})
     if not isinstance(config, Mapping):
-        raise TraceFormatError(
+        raise error(
             f"system record config must be an object, got {config!r}",
             line=line)
-    backend = raw.get("backend")
-    if backend is not None and not isinstance(backend, str):
-        raise TraceFormatError(
-            f"system record backend must be a string, got {backend!r}",
-            line=line)
-    engine_options = raw.get("engine_options")
-    if engine_options is not None and not isinstance(engine_options, Mapping):
-        raise TraceFormatError(
-            f"system record engine_options must be an object, "
-            f"got {engine_options!r}", line=line)
+    engine_options = _optional(raw, "engine_options", Mapping,
+                               "an object or null", "system record", line,
+                               error)
+    if fmt.legacy_batch:
+        backend = _optional(raw, "backend", str, "a string", "system record",
+                            line, error)
+        batch = _require(raw, "batch", (bool,), line, "system", error)
+    else:
+        backend = _require(raw, "backend", (str,), line, "system", error)
+        batch = None
     return SystemRecord(
-        seg=_require(raw, "seg", (int,), line, "system"),
-        t=float(_require(raw, "t", (int, float), line, "system")),
+        seg=_require(raw, "seg", (int,), line, "system", error),
+        t=float(_require(raw, "t", (int, float), line, "system", error)),
         space=tuple(space),
-        seed=_require(raw, "seed", (int,), line, "system"),
-        batch=_require(raw, "batch", (bool,), line, "system"),
+        seed=_require(raw, "seed", (int,), line, "system", error),
+        batch=batch,
         backend=backend,
         stabilize_rounds=_require(raw, "stabilize_rounds", (int,), line,
-                                  "system"),
+                                  "system", error),
         config=dict(config),
         engine_options=(dict(engine_options)
                         if engine_options is not None else None),
     )
 
 
-def _parse_op(raw: Mapping[str, Any], line: int) -> OpRecord:
-    op = _require(raw, "op", (str,), line, "op")
-    if op not in TRACE_OPS:
-        raise TraceFormatError(
-            f"unknown trace op {op!r}; expected one of {TRACE_OPS}", line=line)
-    data = {key: value for key, value in raw.items()
-            if key not in ("record", "seg", "t", "op")}
-    missing = _OP_REQUIRED_FIELDS[op] - set(data)
+def parse_op(raw: Mapping[str, Any], line: int,
+             fmt: Envelope = TRACE) -> OpRecord:
+    error = fmt.error
+    op = _require(raw, "op", (str,), line, "op", error)
+    if op not in OP_FIELDS:
+        raise error(
+            f"unknown {fmt.noun} op {op!r}; expected one of {TRACE_OPS}",
+            line=line)
+    envelope = (fmt.kind_key, "seg", "t", "op", *fmt.op_extras)
+    data = {key: value for key, value in raw.items() if key not in envelope}
+    # Checked at parse time so replay never trips over a KeyError
+    # mid-simulation.
+    missing = set(OP_FIELDS[op]) - set(data)
     if missing:
-        raise TraceFormatError(
-            f"op {op!r} is missing fields {sorted(missing)}", line=line)
+        raise error(f"op {op!r} is missing fields {sorted(missing)}",
+                    line=line)
+    auto = raw.get("auto", False) if "auto" in fmt.op_extras else False
+    if not isinstance(auto, bool):
+        raise error(
+            f"op record field 'auto' must be a boolean, got {auto!r}",
+            line=line)
     return OpRecord(
-        seg=_require(raw, "seg", (int,), line, "op"),
-        t=float(_require(raw, "t", (int, float), line, "op")),
+        seg=_require(raw, "seg", (int,), line, "op", error),
+        n=(_require(raw, "n", (int,), line, "op", error)
+           if "n" in fmt.op_extras else None),
+        t=float(_require(raw, "t", (int, float), line, "op", error)),
         op=op,
         data=data,
+        auto=auto,
     )
-
-
-#: Payload fields each op must carry (checked at parse time so replay never
-#: trips over a KeyError mid-simulation).
-_OP_REQUIRED_FIELDS = {
-    "subscribe": {"subscription", "stabilize"},
-    "subscribe_all": {"subscriptions", "stabilize", "bulk"},
-    "unsubscribe": {"id"},
-    "crash": {"id", "stabilize"},
-    "move": {"id", "subscription", "stabilize"},
-    "publish": {"event", "publisher"},
-    "stabilize": {"max_rounds"},
-}
 
 
 def _parse_expect(raw: Mapping[str, Any], line: int) -> ExpectRecord:

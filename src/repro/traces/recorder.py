@@ -4,8 +4,10 @@ The recorder observes the publish/subscribe facade: while a
 :func:`recording` context is active, every broker constructed in the
 process — the DR-tree :class:`~repro.pubsub.api.PubSubSystem` and the
 analytic :class:`~repro.baselines.broker.BaselineBroker` alike — attaches
-itself to the active :class:`TraceRecorder` and reports each facade
-operation (subscribe, unsubscribe, crash, move, publish, stabilize).  Which
+itself to the active :class:`TraceRecorder` through its op log
+(:class:`~repro.traces.oplog.OpLog`) and reports each facade operation
+(subscribe, unsubscribe, crash, move, publish, stabilize) as one
+:class:`~repro.traces.format.OpRecord`.  Which
 backend a system ran on comes from its
 :class:`~repro.api.spec.SystemSpec` and is written into the ``system``
 record (and, for the first system, the trace header).  Recording is purely
@@ -22,185 +24,23 @@ bit-identically" an enforced property rather than a hope.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.traces.format import (ExpectRecord, OpRecord, SystemRecord, Trace,
-                                 TraceHeader, event_to_json,
-                                 subscription_to_json)
+                                 TraceHeader, lowest_version)
 from repro.traces.io import write_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.broker import Broker
-    from repro.spatial.filters import Event, Subscription
 
 #: The process-wide active recorder (None outside a recording() context).
 _ACTIVE: Optional["TraceRecorder"] = None
 
 
-def _legacy_batch_flag(backend: str) -> bool:
-    """The trace format's legacy boolean for ``backend``.
-
-    Sourced from the engine registry (the single owner of the mapping) for
-    DR-tree backends; every baseline backend records ``false``.
-    """
-    if backend.startswith("drtree:"):
-        from repro.pubsub.engines import get_engine
-
-        return bool(get_engine(backend.split(":", 1)[1]).batch)
-    return False
-
-
 def active_recorder() -> Optional["TraceRecorder"]:
     """The recorder of the enclosing :func:`recording` context, if any."""
     return _ACTIVE
-
-
-class SystemTape:
-    """The per-system recording handle handed to a broker.
-
-    Each facade operation becomes one :class:`OpRecord` tagged with this
-    system's segment index and the logical time at which it was issued.
-    """
-
-    def __init__(self, recorder: "TraceRecorder", system: "Broker",
-                 seg: int) -> None:
-        self._recorder = recorder
-        self._system = system
-        self.seg = seg
-
-    def now(self) -> float:
-        """The system's current logical time (the op *issue* time).
-
-        The facade samples this before executing an operation and tapes the
-        op — with this timestamp — only after the operation succeeds, so
-        failed calls never leave phantom records.
-        """
-        return float(self._system.clock())
-
-    def _record(self, t: float, op: str, **data: Any) -> None:
-        self._recorder._add(OpRecord(seg=self.seg, op=op, data=data, t=t))
-
-    # -- one method per facade operation -------------------------------- #
-
-    def subscribe(self, t: float, subscription: "Subscription",
-                  stabilize: bool) -> None:
-        self._record(t, "subscribe",
-                     subscription=subscription_to_json(subscription),
-                     stabilize=bool(stabilize))
-
-    def subscribe_all(self, t: float, subscriptions: List["Subscription"],
-                      stabilize: bool, bulk: Optional[bool]) -> None:
-        self._record(t, "subscribe_all",
-                     subscriptions=[subscription_to_json(sub)
-                                    for sub in subscriptions],
-                     stabilize=bool(stabilize),
-                     bulk=bulk if bulk is None else bool(bulk))
-
-    def unsubscribe(self, t: float, subscriber_id: str) -> None:
-        self._record(t, "unsubscribe", id=subscriber_id)
-
-    def crash(self, t: float, subscriber_id: str, stabilize: bool) -> None:
-        self._record(t, "crash", id=subscriber_id, stabilize=bool(stabilize))
-
-    def move(self, t: float, subscriber_id: str,
-             subscription: "Subscription", stabilize: bool) -> None:
-        self._record(t, "move", id=subscriber_id,
-                     subscription=subscription_to_json(subscription),
-                     stabilize=bool(stabilize))
-
-    def publish(self, t: float, event: "Event", publisher_id: str,
-                auto_id: bool = False) -> None:
-        # auto_id (whether the facade assigned the event id) is journal-only
-        # bookkeeping; the trace format does not carry it.
-        self._record(t, "publish", event=event_to_json(event),
-                     publisher=publisher_id)
-
-    def stabilize(self, t: float, max_rounds: Optional[int]) -> None:
-        self._record(t, "stabilize", max_rounds=max_rounds)
-
-
-class NullTape:
-    """The no-op tape a broker holds outside recording contexts.
-
-    Mirrors :class:`SystemTape`'s surface so the facade can sample issue
-    times and tape operations unconditionally — the tape-after-success
-    invariant lives in one code path instead of per-method ``if`` guards.
-    """
-
-    def now(self) -> float:
-        return 0.0
-
-    def subscribe(self, t, subscription, stabilize) -> None:
-        pass
-
-    def subscribe_all(self, t, subscriptions, stabilize, bulk) -> None:
-        pass
-
-    def unsubscribe(self, t, subscriber_id) -> None:
-        pass
-
-    def crash(self, t, subscriber_id, stabilize) -> None:
-        pass
-
-    def move(self, t, subscriber_id, subscription, stabilize) -> None:
-        pass
-
-    def publish(self, t, event, publisher_id, auto_id=False) -> None:
-        pass
-
-    def stabilize(self, t, max_rounds) -> None:
-        pass
-
-
-#: Shared stateless instance handed to every unrecorded system.
-NULL_TAPE = NullTape()
-
-
-class CompositeTape:
-    """Fan one stream of facade operations out to several tapes.
-
-    Used when a broker is being trace-recorded and journaled at the same
-    time; issue times come from the first tape so both observers see the
-    same timestamps.
-    """
-
-    def __init__(self, *tapes: Any) -> None:
-        if not tapes:
-            raise ValueError("CompositeTape needs at least one tape")
-        self._tapes = tapes
-
-    def now(self) -> float:
-        return self._tapes[0].now()
-
-    def subscribe(self, t, subscription, stabilize) -> None:
-        for tape in self._tapes:
-            tape.subscribe(t, subscription, stabilize)
-
-    def subscribe_all(self, t, subscriptions, stabilize, bulk) -> None:
-        for tape in self._tapes:
-            tape.subscribe_all(t, subscriptions, stabilize, bulk)
-
-    def unsubscribe(self, t, subscriber_id) -> None:
-        for tape in self._tapes:
-            tape.unsubscribe(t, subscriber_id)
-
-    def crash(self, t, subscriber_id, stabilize) -> None:
-        for tape in self._tapes:
-            tape.crash(t, subscriber_id, stabilize)
-
-    def move(self, t, subscriber_id, subscription, stabilize) -> None:
-        for tape in self._tapes:
-            tape.move(t, subscriber_id, subscription, stabilize)
-
-    def publish(self, t, event, publisher_id, auto_id=False) -> None:
-        for tape in self._tapes:
-            tape.publish(t, event, publisher_id, auto_id=auto_id)
-
-    def stabilize(self, t, max_rounds) -> None:
-        for tape in self._tapes:
-            tape.stabilize(t, max_rounds)
 
 
 class TraceRecorder:
@@ -215,7 +55,7 @@ class TraceRecorder:
         self._closed = False
 
     def close(self) -> None:
-        """Detach every recorded system's tape and refuse new attachments.
+        """Detach every recorded system and refuse new attachments.
 
         Called by :func:`recording` on context exit so that facade ops issued
         *after* the context cannot silently append to a recorder whose trace
@@ -225,41 +65,25 @@ class TraceRecorder:
         for system in self._systems:
             system.detach_tape()
 
-    def attach(self, system: "Broker") -> SystemTape:
-        """Register a newly constructed broker; returns its tape.
-
-        Everything written into the ``system`` record comes from the
-        broker's :class:`~repro.api.spec.SystemSpec`, so any backend that
-        can describe itself as a spec is recordable.
-        """
+    def attach(self, system: "Broker") -> int:
+        """Register a newly constructed broker; returns its segment index."""
         if self._closed:
             raise RuntimeError("this recorder's recording() context has "
                                "already exited")
         seg = len(self._systems)
         self._systems.append(system)
-        spec = system.spec
-        self._add(SystemRecord(
-            seg=seg,
-            t=float(system.clock()),
-            space=tuple(spec.space.names),
-            seed=int(spec.seed),
-            batch=_legacy_batch_flag(spec.backend),
-            backend=spec.backend,
-            stabilize_rounds=int(spec.stabilize_rounds),
-            config=asdict(spec.config) if spec.config is not None else {},
-            engine_options=(dict(spec.engine_options)
-                            if spec.engine_options else None),
-        ))
-        return SystemTape(self, system, seg)
+        self._body.append(SystemRecord.of(system, seg))
+        return seg
+
+    def observe(self, record: OpRecord) -> None:
+        """Keep one succeeded facade operation of an attached broker."""
+        self._body.append(record)
 
     def set_provenance(self, scenario: Optional[str],
                        params: Optional[Dict[str, Any]]) -> None:
         """Record which scenario (with which bound parameters) produced this."""
         self.scenario = scenario
         self.params = params
-
-    def _add(self, record: Any) -> None:
-        self._body.append(record)
 
     @property
     def segments(self) -> int:
@@ -274,21 +98,13 @@ class TraceRecorder:
         the recorded run has finished mutating its systems (the
         :func:`recording` context does this on exit).
         """
-        from repro.traces.format import (TRACE_VERSION,
-                                         TRACE_VERSION_ENGINE_OPTIONS)
         from repro.traces.replay import delivery_metrics_row
 
         backend = self._systems[0].spec.backend if self._systems else None
-        version = (TRACE_VERSION_ENGINE_OPTIONS
-                   if any(isinstance(record, SystemRecord)
-                          and record.engine_options
-                          for record in self._body)
-                   else TRACE_VERSION)
-        trace = Trace(header=TraceHeader(scenario=self.scenario,
-                                         params=self.params,
-                                         backend=backend,
-                                         version=version))
-        trace.body = list(self._body)
+        trace = Trace(body=list(self._body))
+        trace.header = TraceHeader(scenario=self.scenario, params=self.params,
+                                   backend=backend,
+                                   version=lowest_version(trace.systems()))
         trace.expects = [
             ExpectRecord(seg=seg, row=delivery_metrics_row(system, seg))
             for seg, system in enumerate(self._systems)

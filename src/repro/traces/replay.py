@@ -15,9 +15,7 @@ Within the DR-tree family the engines are outcome-equivalent by
 construction, so the metrics must not change (the golden-trace tests pin
 this); overriding *across* families — say replaying a DR-tree trace on
 ``flooding`` — changes delivery accuracy by design, so the expect-row check
-is skipped for those segments and noted in the result.  The older
-``engine="classic"|"batched"`` spelling is kept as an alias for
-``backend="drtree:<engine>"``.
+is skipped for those segments and noted in the result.
 
 :func:`delivery_metrics_row` is shared with the trace-native scenarios
 (``hotspot``, ``adversarial-churn``, ``mobility``): they emit exactly this
@@ -38,6 +36,7 @@ from repro.traces.io import read_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.broker import Broker
+    from repro.api.spec import SystemSpec
     from repro.experiments.harness import ExperimentResult
 
 #: The accounting summary keys included in the canonical metrics row, in
@@ -53,10 +52,6 @@ SUMMARY_KEYS = (
     "mean_delivery_hops",
     "max_delivery_hops",
 )
-
-#: DR-tree engine-override names accepted by :func:`execute_trace`'s legacy
-#: ``engine=`` parameter (``backend=`` accepts any registered backend).
-ENGINES = ("classic", "batched")
 
 #: The DR-tree engine digest-fallback verification runs against when the
 #: recorded backend itself is not metrics-reproducible.
@@ -92,51 +87,51 @@ def dump_metrics(scenario: Optional[str], rows: List[Dict[str, Any]]) -> str:
                       separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _resolve_override(engine: Optional[str],
-                      backend: Optional[str]) -> Optional[str]:
-    """Collapse the legacy ``engine`` and new ``backend`` overrides."""
-    from repro.api.registry import normalize_backend
+def system_spec(record: SystemRecord, backend: Optional[str] = None,
+                error: type = TraceFormatError) -> "SystemSpec":
+    """The :class:`~repro.api.spec.SystemSpec` of a ``system`` record.
 
-    if engine is not None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if backend is not None:
-            raise ValueError("pass either engine= or backend=, not both")
-        backend = f"drtree:{engine}"
-    if backend is None:
-        return None
-    return normalize_backend(backend)
-
-
-def _build_system(record: SystemRecord,
-                  backend_override: Optional[str]) -> "Broker":
+    The one record → broker path: trace replay and the journal's bisect
+    ``.build()`` the result, its export only validates.  ``backend``
+    optionally overrides the recorded backend; ``error`` is the format
+    error of the file the record was read from.  A record that parsed but cannot describe a system — duplicate attribute
+    names, an unknown or illegal DR-tree config key, bad engine options —
+    raises ``error``, never a bare ``TypeError``/``ValueError``.  An unknown
+    backend name keeps its own
+    :class:`~repro.api.registry.UnknownBackendError`.
+    """
+    from repro.api.registry import UnknownBackendError, normalize_backend
     from repro.api.spec import SystemSpec
     from repro.overlay.config import DRTreeConfig
     from repro.spatial.filters import make_space
 
-    backend = backend_override or record.backend
-    config = None
-    if record.config:
-        try:
-            config = DRTreeConfig(**record.config)
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(
-                f"segment {record.seg}: bad DR-tree config {record.config!r}: "
-                f"{exc}") from exc
-    # Engine options are construction knobs of the recorded backend; when the
-    # replay overrides the backend they are dropped rather than misapplied.
+    backend = normalize_backend(backend) if backend else record.backend
+    # Engine options are construction knobs of the recorded backend: they
+    # never change delivery outcomes and rarely transfer across engines
+    # (shards= is sharded-only), so an overriding backend drops them.
     options = (dict(record.engine_options)
                if record.engine_options and backend == record.backend
                else None)
-    return SystemSpec(
-        space=make_space(*record.space),
-        backend=backend,
-        config=config,
-        seed=record.seed,
-        stabilize_rounds=record.stabilize_rounds,
-        engine_options=options,
-    ).build()
+    try:
+        space = make_space(*record.space)
+    except ValueError as exc:
+        raise error(f"segment {record.seg}: bad attribute space "
+                    f"{list(record.space)!r}: {exc}") from exc
+    try:
+        config = DRTreeConfig(**record.config) if record.config else None
+    except (TypeError, ValueError) as exc:
+        raise error(f"segment {record.seg}: bad DR-tree config "
+                    f"{record.config!r}: {exc}") from exc
+    try:
+        return SystemSpec(space=space, backend=backend, config=config,
+                          seed=record.seed,
+                          stabilize_rounds=record.stabilize_rounds,
+                          engine_options=options)
+    except UnknownBackendError:
+        raise
+    except ValueError as exc:
+        raise error(f"segment {record.seg}: bad engine options "
+                    f"{options!r}: {exc}") from exc
 
 
 def apply_op(system: "Broker", op: OpRecord) -> None:
@@ -180,19 +175,13 @@ def apply_op(system: "Broker", op: OpRecord) -> None:
             f"{exc!r}") from exc
 
 
-#: Backwards-compatible private alias (journal recovery imports it).
-_apply_op = apply_op
-
-
 def execute_trace(trace: Trace,
-                  engine: Optional[str] = None,
                   verify: bool = True,
                   backend: Optional[str] = None) -> "ExperimentResult":
     """Replay ``trace`` and return the per-segment metrics as a result.
 
     ``backend`` optionally overrides the recorded backend of every segment
-    (any name :func:`repro.api.normalize_backend` accepts); ``engine`` is
-    the legacy spelling for the two DR-tree engines.  ``verify=True`` (the
+    (any name :func:`repro.api.normalize_backend` accepts).  ``verify=True`` (the
     default) compares every re-derived segment row against the trace's
     ``expect`` records and raises :class:`TraceReplayError` on the first
     divergence — except for segments where the row comparison is unsound:
@@ -214,10 +203,12 @@ def execute_trace(trace: Trace,
     # Imported here: repro.experiments pulls in the scenario modules, which
     # themselves import this module for delivery_metrics_row.
     from repro.analysis.digests import delivered_digest
-    from repro.api.registry import backend_family, backend_metrics_identical
+    from repro.api.registry import (backend_family,
+                                    backend_metrics_identical,
+                                    normalize_backend)
     from repro.experiments.harness import ExperimentResult
 
-    override = _resolve_override(engine, backend)
+    override = normalize_backend(backend) if backend is not None else None
     systems: Dict[int, "Broker"] = {}
     recorded_backends: Dict[int, str] = {}
     ops_by_seg: Dict[int, List[OpRecord]] = {}
@@ -226,7 +217,7 @@ def execute_trace(trace: Trace,
     try:
         for record in trace.body:
             if isinstance(record, SystemRecord):
-                systems[record.seg] = _build_system(record, override)
+                systems[record.seg] = system_spec(record, override).build()
                 recorded_backends[record.seg] = record.backend
             else:
                 system = systems.get(record.seg)
@@ -234,7 +225,7 @@ def execute_trace(trace: Trace,
                     raise TraceReplayError(
                         f"op {record.op!r} references segment {record.seg} "
                         "with no system record")
-                _apply_op(system, record)
+                apply_op(system, record)
                 ops_by_seg.setdefault(record.seg, []).append(record)
                 applied += 1
 
@@ -289,11 +280,11 @@ def execute_trace(trace: Trace,
                     record for record in trace.body
                     if isinstance(record, SystemRecord)
                     and record.seg == seg)
-                references[seg] = _build_system(
+                references[seg] = system_spec(
                     system_record,
-                    reference if reference != recorded else None)
+                    reference if reference != recorded else None).build()
                 for op in ops_by_seg.get(seg, []):
-                    _apply_op(references[seg], op)
+                    apply_op(references[seg], op)
                 got = delivered_digest(systems[seg])
                 want = delivered_digest(references[seg])
                 if got != want:
@@ -317,9 +308,7 @@ def execute_trace(trace: Trace,
 
 
 def replay_trace(path: Union[str, Path],
-                 engine: Optional[str] = None,
                  verify: bool = True,
                  backend: Optional[str] = None) -> "ExperimentResult":
     """Read the trace at ``path`` and :func:`execute_trace` it."""
-    return execute_trace(read_trace(path), engine=engine, verify=verify,
-                         backend=backend)
+    return execute_trace(read_trace(path), verify=verify, backend=backend)

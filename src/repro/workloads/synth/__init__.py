@@ -18,8 +18,8 @@ from repro.workloads.synth.spec import (FAMILY_NAMES, FAMILY_PRESETS,
                                         WorkloadFamily,
                                         coerce_spec_override)
 from repro.workloads.synth.stream import (SYNTH_STREAMS, SynthReport,
-                                          apply_ops, base_population,
-                                          delivered_digest, hotspot_centres,
+                                          base_population, delivered_digest,
+                                          hotspot_centres,
                                           iter_events, iter_ops,
                                           iter_records, run_workload,
                                           stream_signature, trace_header,
@@ -34,7 +34,6 @@ __all__ = [
     "SyntheticWorkload",
     "SynthReport",
     "WorkloadFamily",
-    "apply_ops",
     "base_population",
     "coerce_spec_override",
     "delivered_digest",

@@ -19,17 +19,18 @@ the regression tests.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 # Shared with the backend matrix and the trace replay's digest-verification
 # fallback; re-exported here so existing imports keep working.
 from repro.analysis.digests import delivered_digest, stream_signature  # noqa: F401
 from repro.sim.rng import RandomStreams
-from repro.spatial.filters import Event
+from repro.spatial.filters import (Event, Subscription, make_space,
+                                   subscription_from_rect)
+from repro.spatial.rectangle import Rect
 from repro.traces.format import (OpRecord, SystemRecord, TraceHeader,
-                                 event_from_json, event_to_json,
-                                 subscription_to_json)
+                                 event_from_json, op_payload)
 from repro.traces.io import dump_record
 from repro.workloads.subscriptions import (SubscriptionWorkload,
                                            WORKLOAD_GENERATORS)
@@ -106,6 +107,16 @@ def iter_ops(spec: SyntheticWorkload) -> Iterator[OpRecord]:
 
     population = base_population(spec)
     names = list(spec.space_names)
+    space = make_space(*names)
+
+    def op(t: float, name: str, *args: Any) -> OpRecord:
+        # Payloads come from the one schema the facade's op log writes with.
+        return OpRecord(seg=0, t=t, op=name, data=op_payload(name, *args))
+
+    def filter_of(name: str, lower: Any, upper: Any) -> Subscription:
+        return subscription_from_rect(name, space,
+                                      Rect(tuple(lower), tuple(upper)))
+
     centres = hotspot_centres(spec, population)
     cumulative = zipf_cumulative(len(centres), spec.exponent)
     counts = diurnal_counts(spec.events, spec.bins, spec.amplitude)
@@ -114,7 +125,7 @@ def iter_ops(spec: SyntheticWorkload) -> Iterator[OpRecord]:
     # -- flash crowds: windows, target hot-spots and member rectangles,
     # all drawn up front from the flash stream alone ---------------------- #
     windows = flash_windows(flash, spec.flash_crowds, spec.bins)
-    joins_at: Dict[int, List[Dict[str, Any]]] = {}
+    joins_at: Dict[int, List[Subscription]] = {}
     leaves_at: Dict[int, List[str]] = {}
     for crowd, (start, end) in enumerate(windows):
         centre = centres[zipf_rank(flash, cumulative)]
@@ -122,16 +133,11 @@ def iter_ops(spec: SyntheticWorkload) -> Iterator[OpRecord]:
         for member in range(spec.crowd_size):
             coords = correlated_point(flash, centre, spec.crowd_spread, 0.0)
             half = spec.crowd_spread / 2.0
-            name = f"flash{crowd}_{member}"
-            members.append({
-                "name": name,
-                "rect": {
-                    "lower": [clip01(c - half) for c in coords],
-                    "upper": [clip01(c + half) for c in coords],
-                },
-            })
+            members.append(filter_of(f"flash{crowd}_{member}",
+                                     [clip01(c - half) for c in coords],
+                                     [clip01(c + half) for c in coords]))
         joins_at.setdefault(start, []).extend(members)
-        leaves_at.setdefault(end, []).extend(m["name"] for m in members)
+        leaves_at.setdefault(end, []).extend(m.name for m in members)
 
     # -- mobility: which base subscribers walk ---------------------------- #
     walkers: List[Dict[str, Any]] = []
@@ -162,11 +168,7 @@ def iter_ops(spec: SyntheticWorkload) -> Iterator[OpRecord]:
             live[index] = last
             index_of[last] = index
 
-    yield OpRecord(seg=0, t=0.0, op="subscribe_all", data={
-        "subscriptions": [subscription_to_json(sub) for sub in population],
-        "stabilize": True,
-        "bulk": None,
-    })
+    yield op(0.0, "subscribe_all", population, True, None)
 
     published = 0
     for bin_index in range(spec.bins):
@@ -174,15 +176,10 @@ def iter_ops(spec: SyntheticWorkload) -> Iterator[OpRecord]:
 
         joining = joins_at.get(bin_index, ())
         for member in joining:
-            yield OpRecord(seg=0, t=t, op="subscribe", data={
-                "subscription": {"name": member["name"],
-                                 "rect": member["rect"]},
-                "stabilize": False,
-            })
-            add_live(member["name"])
+            yield op(t, "subscribe", member, False)
+            add_live(member.name)
         if joining:
-            yield OpRecord(seg=0, t=t, op="stabilize",
-                           data={"max_rounds": SYNTH_STABILIZE_ROUNDS})
+            yield op(t, "stabilize", SYNTH_STABILIZE_ROUNDS)
 
         if walkers and spec.move_every and bin_index \
                 and bin_index % spec.move_every == 0:
@@ -192,15 +189,9 @@ def iter_ops(spec: SyntheticWorkload) -> Iterator[OpRecord]:
                 walker["moves"] += 1
                 old_name = walker["name"]
                 new_name = f"{old_name}~m{walker['moves']}"
-                yield OpRecord(seg=0, t=t, op="move", data={
-                    "id": old_name,
-                    "subscription": {
-                        "name": new_name,
-                        "rect": {"lower": list(walker["lower"]),
-                                 "upper": list(walker["upper"])},
-                    },
-                    "stabilize": True,
-                })
+                yield op(t, "move", old_name,
+                         filter_of(new_name, walker["lower"], walker["upper"]),
+                         True)
                 drop_live(old_name)
                 add_live(new_name)
                 walker["name"] = new_name
@@ -215,15 +206,12 @@ def iter_ops(spec: SyntheticWorkload) -> Iterator[OpRecord]:
             event = Event(dict(zip(names, coords)),
                           event_id=f"{EVENT_PREFIX}{published}")
             published += 1
-            publisher = live[publishers.randrange(len(live))]
-            yield OpRecord(seg=0, t=t, op="publish", data={
-                "event": event_to_json(event),
-                "publisher": publisher,
-            })
+            yield op(t, "publish", event,
+                     live[publishers.randrange(len(live))])
 
         for name in leaves_at.get(bin_index + 1, ()):
-            yield OpRecord(seg=0, t=round((bin_index + 1) * bin_width, 6),
-                           op="unsubscribe", data={"id": name})
+            yield op(round((bin_index + 1) * bin_width, 6), "unsubscribe",
+                     name)
             drop_live(name)
 
 
@@ -251,11 +239,8 @@ def trace_header(spec: SyntheticWorkload,
 def system_record(spec: SyntheticWorkload,
                   backend: str = "drtree:classic") -> SystemRecord:
     """The single segment's system record."""
-    from repro.traces.recorder import _legacy_batch_flag
-
     return SystemRecord(seg=0, t=0.0, space=spec.space_names,
-                        seed=spec.seed, batch=_legacy_batch_flag(backend),
-                        backend=backend,
+                        seed=spec.seed, backend=backend,
                         stabilize_rounds=SYNTH_STABILIZE_ROUNDS, config={})
 
 
@@ -314,7 +299,8 @@ def write_synth_journal(path: Any, spec: SyntheticWorkload,
     """
     from repro.api.registry import normalize_backend
     from repro.journal.io import JournalWriter
-    from repro.journal.records import JournalHeader, JournalOp, JournalSystem
+    from repro.journal.records import (JournalHeader, op_to_json,
+                                       system_to_json)
 
     backend = normalize_backend(backend)
     ops = 0
@@ -322,27 +308,13 @@ def write_synth_journal(path: Any, spec: SyntheticWorkload,
         writer.append(JournalHeader(scenario=SYNTH_SCENARIO,
                                     params={"workload": spec.to_json()},
                                     snapshot_every=0).to_json())
-        writer.append(JournalSystem(
-            seg=0, space=spec.space_names, backend=backend, seed=spec.seed,
-            stabilize_rounds=SYNTH_STABILIZE_ROUNDS).to_json())
+        writer.append(system_to_json(system_record(spec, backend)))
         for op in iter_ops(spec):
-            writer.append(JournalOp(seg=0, n=ops, op=op.op, data=op.data,
-                                    t=op.t).to_json())
+            writer.append(op_to_json(replace(op, n=ops)))
             ops += 1
         records = writer.records_written
     return SynthReport(path=str(path), records=records, ops=ops,
                        bytes=os.path.getsize(path))
-
-
-def apply_ops(broker: "Broker", ops: Iterable[OpRecord]) -> int:
-    """Apply an op stream to a live broker; returns the op count."""
-    from repro.traces.replay import apply_op
-
-    count = 0
-    for op in ops:
-        apply_op(broker, op)
-        count += 1
-    return count
 
 
 def run_workload(spec: SyntheticWorkload,
@@ -355,14 +327,15 @@ def run_workload(spec: SyntheticWorkload,
     """
     from repro.api.registry import normalize_backend
     from repro.api.spec import SystemSpec
-    from repro.spatial.filters import make_space
+    from repro.traces.replay import apply_op
 
     broker = SystemSpec(space=make_space(*spec.space_names),
                         backend=normalize_backend(backend),
                         config=config,
                         seed=spec.seed,
                         stabilize_rounds=SYNTH_STABILIZE_ROUNDS).build()
-    apply_ops(broker, iter_ops(spec))
+    for op in iter_ops(spec):
+        apply_op(broker, op)
     return broker
 
 

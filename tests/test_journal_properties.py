@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 from repro.journal import (JournalCorruptError, JournalFormatError,
                            JournalWriter, read_journal, resume_journal,
                            verify_journal)
-from repro.journal.records import JournalHeader, JournalOp, JournalSystem
+from repro.journal.records import JournalHeader, op_to_json, system_to_json
 from repro.runtime.runner import run_one
+from repro.traces.format import OpRecord, SystemRecord
 from repro.traces.replay import dump_metrics
 
 # --------------------------------------------------------------------------- #
@@ -62,12 +63,12 @@ def write_journal(directory: str, ops) -> Path:
     path = Path(directory) / "prop.journal"
     with JournalWriter(path) as writer:
         writer.append(JournalHeader(snapshot_every=0).to_json())
-        writer.append(JournalSystem(seg=0, space=("x", "y"),
-                                    backend="drtree:classic", seed=0,
-                                    stabilize_rounds=8).to_json())
+        writer.append(system_to_json(SystemRecord(
+            seg=0, space=("x", "y"), backend="drtree:classic", seed=0,
+            stabilize_rounds=8)))
         for index, (kind, data) in enumerate(ops):
-            writer.append(JournalOp(seg=0, n=index, op=kind, data=data,
-                                    t=float(index)).to_json())
+            writer.append(op_to_json(OpRecord(seg=0, n=index, op=kind,
+                                              data=data, t=float(index))))
     return path
 
 

@@ -73,8 +73,8 @@ def test_replay_reproduces_recorded_metrics(recorded):
 
 def test_replay_is_engine_independent(recorded):
     trace, row = recorded
-    classic = execute_trace(trace, engine="classic")
-    batched = execute_trace(trace, engine="batched")
+    classic = execute_trace(trace, backend="drtree:classic")
+    batched = execute_trace(trace, backend="drtree:batched")
     assert classic.rows == batched.rows == [row]
     assert (dump_metrics("unit", classic.rows)
             == dump_metrics("unit", batched.rows))
@@ -84,14 +84,14 @@ def test_replay_survives_serialization(recorded, tmp_path):
     trace, row = recorded
     path = write_trace(tmp_path / "run.jsonl", trace)
     assert replay_trace(path).rows == [row]
-    assert replay_trace(path, engine="batched").rows == [row]
+    assert replay_trace(path, backend="drtree:batched").rows == [row]
 
 
 def test_replay_backend_override_is_the_engine_override(recorded):
     trace, row = recorded
     assert execute_trace(trace, backend="drtree:batched").rows == [row]
-    with pytest.raises(ValueError, match="not both"):
-        execute_trace(trace, engine="classic", backend="drtree:batched")
+    with pytest.raises(TypeError):  # the engine= alias is gone, not ignored
+        execute_trace(trace, engine="classic")
     with pytest.raises(Exception, match="unknown backend"):
         execute_trace(trace, backend="gossip")
 
@@ -118,7 +118,7 @@ def test_legacy_batch_flag_follows_the_engine_registry(monkeypatch):
     """The trace format's batch boolean mirrors EngineSpec.batch, so a
     future batch-built engine records batch=true for old readers."""
     from repro.pubsub import engines
-    from repro.traces.recorder import _legacy_batch_flag
+    from repro.traces.format import _legacy_batch_flag
 
     monkeypatch.setitem(
         engines._ENGINES, "sharded",
@@ -183,7 +183,7 @@ def test_replay_of_unknown_subscriber_is_typed(recorded):
 
 def test_unknown_engine_rejected(recorded):
     with pytest.raises(ValueError):
-        execute_trace(recorded[0], engine="warp")
+        execute_trace(recorded[0], backend="drtree:warp")
 
 
 def test_multi_system_runs_record_one_segment_each():
