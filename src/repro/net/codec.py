@@ -1,60 +1,43 @@
 """Frame codec of the real-network backend.
 
-The wire format is the one the shared-memory shard transport already
-speaks (:mod:`repro.sim.sharded.shm`): a 12-byte ``<III`` header —
-
-    magic (0x44525452, "DRTR") | payload length | CRC-32
-
-— followed by ``length`` bytes of pickled payload (here: one
-:class:`~repro.sim.messages.Message` envelope).  A header whose magic does
-not match, an implausible length, or a CRC mismatch means the byte stream
-is torn and raises a typed :class:`~repro.net.faults.NetProtocolError`;
-the codec never resynchronizes silently.
+The wire format is :mod:`repro.wire`'s — the 12-byte ``<III`` header
+(magic "DRTR" | payload length | CRC-32) the shared-memory shard transport
+speaks too — carrying one pickled :class:`~repro.sim.messages.Message`
+envelope per frame.  A torn stream (bad magic, implausible length, CRC
+mismatch) or a payload that is not a ``Message`` raises a typed
+:class:`~repro.net.faults.NetProtocolError`; the codec never
+resynchronizes silently.
 
 :class:`FrameDecoder` is incremental: feed it whatever chunk the socket
 produced and it yields every complete message parsed out of its pending
-buffer, keeping the remainder for the next chunk.  This is the same
-"batched frame drain" idiom as the shm ring reader, and it is what the
+buffer, keeping the remainder for the next chunk.  This is what the
 tamper-detection property tests drive byte by byte.
 """
 
 from __future__ import annotations
 
 import pickle
-import struct
-import zlib
 from typing import List
 
 from repro.net.faults import NetProtocolError
 from repro.sim.messages import Message
-
-#: ``magic | payload length | CRC-32`` — identical to the shm transport.
-FRAME_HEADER = struct.Struct("<III")
-
-#: "DRTR" — shared with :data:`repro.sim.sharded.shm.FRAME_MAGIC`.
-FRAME_MAGIC = 0x44525452
-
-#: Upper bound on a single frame's payload; anything larger is a torn
-#: stream, not a legitimate overlay message.
-MAX_FRAME_BYTES = 1 << 30
+from repro.wire import FrameSplitter, frame
 
 
 def encode_frame(message: Message) -> bytes:
     """Serialize one message envelope into a framed byte string."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return FRAME_HEADER.pack(FRAME_MAGIC, len(payload),
-                             zlib.crc32(payload)) + payload
+    return frame(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class FrameDecoder:
-    """Incremental frame parser over an unbounded byte stream."""
+    """Incremental message decoder over an unbounded byte stream."""
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._splitter = FrameSplitter(NetProtocolError)
 
     def pending(self) -> int:
         """Bytes buffered but not yet parsed into a complete frame."""
-        return len(self._buffer)
+        return self._splitter.pending()
 
     def feed(self, chunk: bytes) -> List[Message]:
         """Absorb ``chunk`` and return every message it completed.
@@ -63,28 +46,8 @@ class FrameDecoder:
         implausible length, CRC mismatch, or an unpicklable / non-Message
         payload); the caller must drop the connection.
         """
-        self._buffer.extend(chunk)
         messages: List[Message] = []
-        while True:
-            if len(self._buffer) < FRAME_HEADER.size:
-                return messages
-            magic, length, crc = FRAME_HEADER.unpack_from(self._buffer)
-            if magic != FRAME_MAGIC:
-                raise NetProtocolError(
-                    f"bad frame magic 0x{magic:08x} "
-                    f"(expected 0x{FRAME_MAGIC:08x})")
-            if length > MAX_FRAME_BYTES:
-                raise NetProtocolError(
-                    f"implausible frame length {length} "
-                    f"(cap {MAX_FRAME_BYTES})")
-            end = FRAME_HEADER.size + length
-            if len(self._buffer) < end:
-                return messages
-            payload = bytes(self._buffer[FRAME_HEADER.size:end])
-            del self._buffer[:end]
-            if zlib.crc32(payload) != crc:
-                raise NetProtocolError(
-                    f"frame CRC mismatch for {length}-byte payload")
+        for payload in self._splitter.feed(chunk):
             try:
                 message = pickle.loads(payload)
             except Exception as exc:  # noqa: BLE001 - any unpickle failure
@@ -95,6 +58,7 @@ class FrameDecoder:
                     f"frame payload is {type(message).__name__}, "
                     "expected Message")
             messages.append(message)
+        return messages
 
 
 def decode_frames(data: bytes) -> List[Message]:

@@ -43,10 +43,9 @@ class DRTreeSimulation:
         self.streams = RandomStreams(seed)
         self.engine = SimulationEngine()
         self.metrics = MetricsRegistry()
-        #: Batched dissemination: PUBLISH_DOWN fan-outs go through the
-        #: network's vectorized ``send_many`` path (identical outcomes,
-        #: one scheduling operation per hop instead of one per message).
-        self.batch = batch
+        # ``batch``: PUBLISH_DOWN fan-outs go through the network's
+        # vectorized ``send_many`` path (identical outcomes, one scheduling
+        # operation per hop instead of one per message).
         self.network = Network(
             self.engine,
             latency=FixedLatency(self.config.message_latency),
@@ -263,7 +262,6 @@ def build_stable_tree(
     seed: int = 0,
     max_rounds: int = 50,
     bulk: Optional[bool] = None,
-    batch: bool = False,
 ) -> DRTreeSimulation:
     """Build a DR-tree over ``subscriptions`` and stabilize it.
 
@@ -280,14 +278,10 @@ def build_stable_tree(
       (:func:`repro.overlay.bootstrap.bootstrap_overlay`) in ``O(n log n)``,
       then run stabilization as a refresh.  This is what makes 5k-10k peer
       scenarios practical.
-
-    ``batch=True`` additionally enables the vectorized dissemination engine
-    (see :class:`DRTreeSimulation`); construction and stabilization are
-    unaffected by the flag.
     """
     from repro.overlay.bootstrap import BULK_THRESHOLD, bootstrap_overlay
 
-    sim = DRTreeSimulation(config=config, seed=seed, batch=batch)
+    sim = DRTreeSimulation(config=config, seed=seed)
     use_bulk = bulk if bulk is not None else len(subscriptions) >= BULK_THRESHOLD
     if use_bulk:
         bootstrap_overlay(sim, subscriptions)

@@ -15,9 +15,9 @@ simulation.  Three engines ship with the reproduction:
   per shard) with cross-shard messages exchanged at round barriers over
   pickled pipes or shared-memory frame rings; delivery metrics are
   byte-identical to ``classic`` on the same seed.  Takes the engine
-  options ``shards`` (worker count, default 2), ``transport``
-  (``process``/``pipe``/``shm``/``inline``/``auto``) and ``batch``
-  (batched dissemination inside each worker; defaults on for ``shm``).
+  options ``shards`` (worker count, default 2) and ``transport``
+  (``process``/``pipe``/``shm``/``inline``/``auto``); every shard worker
+  runs the batched dissemination path.
 
 The registry is the extension point further engines plug into:
 :func:`register_engine` a factory, and every consumer — the
@@ -100,15 +100,10 @@ class ShardedOptions(EngineOptions):
     #: (synchronous in-process execution, used where children are
     #: forbidden, e.g. daemonic pool workers), or ``auto``.
     transport: str = "auto"
-    #: Run the batched dissemination engine *inside* each shard worker.
-    #: ``None`` picks the transport default (batched on ``shm``).
-    batch: Optional[bool] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shards", int(self.shards))
         object.__setattr__(self, "transport", str(self.transport))
-        if self.batch is not None:
-            object.__setattr__(self, "batch", bool(self.batch))
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.transport not in ("auto", "process", "pipe", "shm",
@@ -284,8 +279,7 @@ def _build_sharded(config: Optional["DRTreeConfig"], seed: int,
     from repro.sim.sharded import ShardedSimulation
 
     return ShardedSimulation(config=config, seed=seed, shards=options.shards,
-                             transport=options.transport,
-                             batch=options.batch)
+                             transport=options.transport)
 
 
 register_engine(EngineSpec(
@@ -313,7 +307,7 @@ register_engine(EngineSpec(
     description="multi-process simulator: one DR-tree subtree per shard, "
                 "cross-shard messages over pipes or shared-memory rings "
                 "with a round-barrier merge; delivery metrics identical to "
-                "classic (options: shards, transport, batch)",
+                "classic (options: shards, transport)",
     factory=_build_sharded,
     batch=False,
     options_type=ShardedOptions,

@@ -3,9 +3,12 @@
 Partitions the peer set across worker processes — one DR-tree subtree per
 shard, chosen at bulk-load time from the STR tiling — and exchanges
 cross-shard messages at round barriers over pickled pipes or shared-memory
-frame rings (:mod:`repro.sim.sharded.shm`), so delivery metrics stay
-deterministic and byte-identical to the single-process ``drtree:classic``
-engine on the same seed.
+frame rings (:mod:`repro.sim.sharded.shm`, framed by :mod:`repro.wire`), so
+delivery metrics stay deterministic and byte-identical to the
+single-process ``drtree:classic`` engine on the same seed.  The transport
+is the only execution choice (engine options ``shards`` and ``transport``):
+one coordinator-side worker proxy drives whichever channel it is given, and
+every shard worker runs the batched dissemination path.
 
 Registered as the ``sharded`` dissemination engine
 (:mod:`repro.pubsub.engines`), which makes it the ``drtree:sharded`` backend

@@ -40,7 +40,8 @@ import logging
 import multiprocessing
 import os
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import (compute_layout, partition_layout,
@@ -179,10 +180,10 @@ class _InlineShard:
     """
 
     def __init__(self, shard_id: int, config: Optional[DRTreeConfig],
-                 seed: int, batch: bool = False) -> None:
+                 seed: int) -> None:
         self.shard_id = shard_id
         self.runtime = ShardRuntime(shard_id, config, seed,
-                                    capture_logs=False, batch=batch)
+                                    capture_logs=False)
         self._reply: Optional[Dict[str, Any]] = None
 
     def request(self, command: Tuple[Any, ...]) -> None:
@@ -196,178 +197,104 @@ class _InlineShard:
     def close(self) -> None:
         self.runtime.close()
 
-    def terminate(self) -> None:
-        """Inline shards have no process to kill; same as :meth:`close`."""
-        self.close()
+    #: Inline shards have no process to kill; hard teardown is the same.
+    terminate = close
+
+
+#: What a dead worker or a torn byte stream raises out of a channel: pipe
+#: EOF / errno failures and every shared-memory transport fault.
+_CHANNEL_ERRORS = (EOFError, OSError, shm.ShmTransportError)
 
 
 class _ProcessShard:
-    """A shard running in its own worker process, spoken to over one pipe."""
+    """A shard running in its own worker process, spoken to over ``conn``.
 
-    def __init__(self, shard_id: int, config: Optional[DRTreeConfig],
-                 seed: int, context, batch: bool = False) -> None:
+    ``conn`` is the coordinator end of the channel the worker was handed —
+    a ``multiprocessing`` pipe end or the
+    :class:`~repro.sim.sharded.shm.FrameChannel` of a segment pair.  The
+    command/reply semantics are the same on both, and every channel
+    failure (torn frame, backpressure timeout, a peer that died
+    mid-transfer) is mapped onto
+    :class:`~repro.sim.sharded.errors.ShardFailedError`, so the
+    coordinator's error handling is transport-blind.  ``release`` frees the
+    channel (``conn.close`` for a pipe, the pair's ``unlink`` for shm): it
+    runs on *both* teardown paths, polite and hard, and when the worker
+    fails to start, so abnormal exits leave nothing behind in ``/dev/shm``.
+    """
+
+    def __init__(self, shard_id: int, context, target, args: Tuple[Any, ...],
+                 conn, release: Callable[[], None]) -> None:
         self.shard_id = shard_id
-        parent_conn, child_conn = context.Pipe()
+        self.conn = conn
+        self._release = release
         self.process = context.Process(
-            target=shard_worker_main,
-            args=(child_conn, shard_id, config, seed, batch),
-            name=f"drtree-shard-{shard_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
+            target=target, args=args, name=f"drtree-shard-{shard_id}",
+            daemon=True)
+        try:
+            self.process.start()
+        except BaseException:
+            release()
+            raise
+
+    def _failed(self, what: str) -> ShardFailedError:
+        return ShardFailedError(
+            self.shard_id,
+            f"{what} (worker exit code {self.process.exitcode})")
 
     def request(self, command: Tuple[Any, ...]) -> None:
         try:
             self.conn.send(command)
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardFailedError(
-                self.shard_id, f"pipe to worker is gone ({exc})") from exc
+        except _CHANNEL_ERRORS as exc:
+            raise self._failed(f"channel to worker is gone: {exc}") from exc
 
     def collect(self) -> Dict[str, Any]:
-        while not self.conn.poll(_POLL_INTERVAL):
-            if not self.process.is_alive():
-                raise ShardFailedError(
-                    self.shard_id,
-                    f"worker process exited with code {self.process.exitcode} "
-                    "while a command was outstanding")
         try:
+            while not self.conn.poll(_POLL_INTERVAL):
+                if not self.process.is_alive():
+                    raise self._failed("worker process exited while a "
+                                       "command was outstanding")
             return self.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise ShardFailedError(
-                self.shard_id, f"worker reply unreadable ({exc})") from exc
+        except _CHANNEL_ERRORS as exc:
+            raise self._failed(f"worker reply unreadable: {exc}") from exc
 
     def close(self) -> None:
         try:
             if self.process.is_alive():
                 self.conn.send(("close",))
                 self.conn.poll(1.0)
-        except (BrokenPipeError, OSError):
+        except _CHANNEL_ERRORS:
             pass
         self.process.join(timeout=2.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        self.terminate()
 
     def terminate(self) -> None:
         """Hard teardown: no close handshake, just kill and join the worker.
 
         Used on KeyboardInterrupt and at interpreter exit, where a worker
         may be mid-command and the request/response protocol (which
-        :meth:`close` relies on) can no longer be trusted.
+        :meth:`close` relies on) can no longer be trusted; :meth:`close`
+        ends here too, by which time the worker has normally exited.
         """
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=1.0)
             if self.process.is_alive():  # pragma: no cover - stuck worker
                 self.process.kill()
                 self.process.join(timeout=1.0)
+        self._release()
 
 
-class _ShmShard:
-    """A shard worker process spoken to over shared-memory frame rings.
+def _stop_shards(shards: List[Any], hard: bool = False) -> None:
+    """Finalizer target: shut every worker down (idempotent).
 
-    Command/reply semantics are identical to :class:`_ProcessShard`; only
-    the byte path differs — requests and replies move through the
-    :class:`~repro.sim.sharded.shm.FrameChannel` of a coordinator-owned
-    segment pair instead of a pickled pipe.  Transport failures (torn
-    frames, backpressure timeouts, a peer that died mid-transfer) are
-    mapped onto :class:`~repro.sim.sharded.errors.ShardFailedError`, so the
-    coordinator's error handling is transport-blind.  The coordinator owns
-    the segments and unlinks them in *both* teardown paths, polite and
-    hard, so abnormal exits leave nothing behind in ``/dev/shm``.
+    Politely by default; ``hard`` kills and joins without the handshake.
     """
-
-    def __init__(self, shard_id: int, config: Optional[DRTreeConfig],
-                 seed: int, context, batch: bool = False) -> None:
-        self.shard_id = shard_id
-        self._pair = shm.ShmTransportPair(shard_id)
-        shared_tracker = context.get_start_method() == "fork"
-        try:
-            self.process = context.Process(
-                target=shm_shard_worker_main,
-                args=(self._pair.names, shard_id, config, seed, batch,
-                      shared_tracker),
-                name=f"drtree-shard-{shard_id}",
-                daemon=True,
-            )
-            self.process.start()
-        except BaseException:
-            self._pair.unlink()
-            raise
-        self.conn = self._pair.channel
-        self.conn.set_peer_alive(self.process.is_alive)
-
-    def request(self, command: Tuple[Any, ...]) -> None:
-        try:
-            self.conn.send(command)
-        except (shm.ShmTransportError, OSError) as exc:
-            raise ShardFailedError(
-                self.shard_id, f"shm channel send failed ({exc})") from exc
-
-    def collect(self) -> Dict[str, Any]:
-        try:
-            while not self.conn.poll(_POLL_INTERVAL):
-                if not self.process.is_alive():
-                    raise ShardFailedError(
-                        self.shard_id,
-                        f"worker process exited with code "
-                        f"{self.process.exitcode} while a command was "
-                        "outstanding")
-            return self.conn.recv()
-        except shm.ShmTransportError as exc:
-            raise ShardFailedError(
-                self.shard_id, f"shm channel reply unreadable ({exc})"
-            ) from exc
-
-    def close(self) -> None:
-        try:
-            if self.process.is_alive():
-                self.conn.send(("close",))
-                self.conn.poll(1.0)
-        except (shm.ShmTransportError, OSError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-        self._pair.unlink()
-
-    def terminate(self) -> None:
-        """Hard teardown: kill the worker, then unlink the segments."""
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-            if self.process.is_alive():  # pragma: no cover - stuck worker
-                self.process.kill()
-                self.process.join(timeout=1.0)
-        self._pair.unlink()
-
-
-def _close_shards(shards: List[Any]) -> None:
-    """Finalizer target: shut every worker down (idempotent)."""
     for shard in shards:
         try:
-            shard.close()
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            pass
-    shards.clear()
-
-
-def _terminate_shards(shards: List[Any]) -> None:
-    """Hard finalizer: kill and join every worker without a handshake."""
-    for shard in shards:
-        try:
-            shard.terminate()
+            if hard:
+                shard.terminate()
+            else:
+                shard.close()
         except Exception:  # noqa: BLE001 - best-effort teardown
             pass
     shards.clear()
@@ -400,25 +327,14 @@ class ShardedSimulation:
         seed: int = 0,
         shards: int = 2,
         transport: str = "auto",
-        batch: Optional[bool] = None,
     ) -> None:
         """``shards`` is the target worker count applied at bulk-load time.
 
         ``transport`` selects how shards execute and talk to the
-        coordinator: ``"process"`` (one worker process per shard over a
-        pickled pipe; ``"pipe"`` is an alias), ``"shm"`` (worker processes
-        over shared-memory frame rings, falling back to ``process`` where
-        ``shared_memory`` is unavailable), ``"inline"`` (same command set
-        run synchronously in-process — used for tests and automatically
-        where child processes are forbidden), or ``"auto"`` (the
-        ``REPRO_SHARD_TRANSPORT`` environment variable, else inline inside
-        daemonic processes, else process).
-
-        ``batch`` turns on the batched dissemination engine *inside* each
-        shard worker (PR 2's per-round delivery queues); the two
-        optimizations are orthogonal and multiply.  ``None`` resolves to
-        the transport's default: batched on ``shm``, unbatched elsewhere
-        (matching the historical behavior of those transports).
+        coordinator — one of :data:`TRANSPORTS`, normalized by
+        :func:`resolve_transport`.  On every transport the shard workers
+        run the batched dissemination engine (per-round delivery queues),
+        which is output-identical to the per-message one.
         """
         if shards < 1:
             raise ValueError("shards must be at least 1")
@@ -430,7 +346,6 @@ class ShardedSimulation:
         self.streams = RandomStreams(seed)
         self.metrics = MetricsRegistry()
         self.engine = _GlobalClock()
-        self.batch = (transport == "shm") if batch is None else bool(batch)
         #: peer id -> parent-side handle (never removed, like classic peers).
         self.peers: Dict[str, ShardPeerHandle] = {}
         #: Per-shard mirrors of the metric deltas (the load-balance report).
@@ -448,7 +363,7 @@ class ShardedSimulation:
         self._height = 0
         self._plan = None
         self._closed = False
-        self._finalizer = weakref.finalize(self, _close_shards, self._shards)
+        self._finalizer = weakref.finalize(self, _stop_shards, self._shards)
         _LIVE_SIMULATIONS.add(self)
 
     # ------------------------------------------------------------------ #
@@ -456,23 +371,33 @@ class ShardedSimulation:
     # ------------------------------------------------------------------ #
 
     def _spawn(self, shard_id: int) -> None:
+        context = self._context
         if self.transport == "inline":
-            shard = _InlineShard(shard_id, self.config, self.seed,
-                                 batch=self.batch)
+            shard = _InlineShard(shard_id, self.config, self.seed)
         elif self.transport == "shm":
-            shard = _ShmShard(shard_id, self.config, self.seed,
-                              self._context, batch=self.batch)
+            pair = shm.ShmTransportPair(shard_id)
+            shard = _ProcessShard(
+                shard_id, context, shm_shard_worker_main,
+                (pair.names, shard_id, self.config, self.seed,
+                 context.get_start_method() == "fork"),
+                pair.channel, pair.unlink)
+            pair.channel.set_peer_alive(shard.process.is_alive)
         else:
-            shard = _ProcessShard(shard_id, self.config, self.seed,
-                                  self._context, batch=self.batch)
+            parent_conn, child_conn = context.Pipe()
+            try:
+                shard = _ProcessShard(
+                    shard_id, context, shard_worker_main,
+                    (child_conn, shard_id, self.config, self.seed),
+                    parent_conn, parent_conn.close)
+            finally:
+                child_conn.close()
         self._shards.append(shard)
         self.shard_metrics[shard_id] = MetricsRegistry()
         self.shard_deliveries[shard_id] = 0
         self._next_times[shard_id] = None
 
     def _ensure_shards(self, count: int) -> None:
-        if self._closed:
-            raise ShardFailedError(-1, "simulation already closed")
+        self._check_open()
         while len(self._shards) < count:
             self._spawn(len(self._shards))
 
@@ -509,58 +434,75 @@ class ShardedSimulation:
         if self._closed:
             raise ShardFailedError(-1, "simulation already closed")
 
-    def _rpc(self, shard_id: int, command: Tuple[Any, ...]) -> Any:
-        self._check_open()
-        shard = self._shards[shard_id]
-        shard.request(command)
-        ((_, reply),) = self._collect_from([shard])
-        return self._apply(shard_id, reply)
-
-    def _collect_from(self, shards: List[Any]
+    def _collect_from(self, shards: List[Any],
+                      failure: Optional[ShardFailedError] = None
                       ) -> List[Tuple[int, Dict[str, Any]]]:
         """Collect one pending reply from each of ``shards``.
 
         A dead worker means the request/response protocol can no longer be
         trusted on *any* pipe (other shards' unread replies would answer the
-        wrong future command), so a :class:`ShardFailedError` during
-        collection attempts every remaining shard first — keeping their
-        pipes drained — then tears the whole simulation down and re-raises.
+        wrong future command), so a :class:`ShardFailedError` — raised here,
+        or by the send that preceded and passed in as ``failure`` —
+        attempts every remaining shard first, keeping their pipes drained,
+        then tears the whole simulation down and re-raises.
         """
         replies: List[Tuple[int, Dict[str, Any]]] = []
-        failure: Optional[ShardFailedError] = None
         for shard in shards:
             try:
                 replies.append((shard.shard_id, shard.collect()))
             except ShardFailedError as exc:
-                if failure is None:
-                    failure = exc
+                failure = failure or exc
         if failure is not None:
             self.close()
             raise failure
         return replies
 
-    def _broadcast(self, command: Tuple[Any, ...]) -> List[Any]:
-        """Send one command to every shard, collect all, then apply all.
+    def _exchange(self, requests: Sequence[Tuple[int, Tuple[Any, ...]]]
+                  ) -> List[Any]:
+        """Send ``(shard id, command)`` pairs; return their results in order.
 
-        Collecting every reply before applying any keeps the pipes drained
-        even when one shard reports an error — the first routed error is
-        raised only after all flushes are merged.
+        Every command goes through here: send all, collect every reply,
+        apply every flush, and only then raise the first routed error — so
+        the pipes stay drained and no shard's deltas are lost because
+        another shard reported a failure.
         """
         self._check_open()
-        for shard in self._shards:
-            shard.request(command)
-        replies = self._collect_from(list(self._shards))
-        results = []
-        first_error: Optional[BaseException] = None
-        for shard_id, reply in replies:
+        sent: List[Any] = []
+        failure = None
+        for shard_id, command in requests:
+            shard = self._shards[shard_id]
+            try:
+                shard.request(command)
+            except ShardFailedError as exc:
+                failure = exc
+                break
+            sent.append(shard)
+        results: List[Any] = []
+        errors: List[BaseException] = []
+        for shard_id, reply in self._collect_from(sent, failure):
             try:
                 results.append(self._apply(shard_id, reply))
             except (ShardFailedError, ShardStalledError) as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
+                errors.append(exc)
+        if errors:
+            raise errors[0]
         return results
+
+    def _rpc(self, shard_id: int, command: Tuple[Any, ...]) -> Any:
+        (result,) = self._exchange([(shard_id, command)])
+        return result
+
+    def _broadcast(self, command: Tuple[Any, ...]) -> List[Any]:
+        """Run one command on every shard; results in shard order."""
+        return self._exchange([(shard.shard_id, command)
+                               for shard in self._shards])
+
+    def _advance(self, shards: List[Any], until: float) -> int:
+        """Run ``shards`` to ``until`` with their mail; deliveries processed."""
+        return sum(self._exchange([
+            (shard.shard_id,
+             ("advance", until, self._mailbox.pop(shard.shard_id, [])))
+            for shard in shards]))
 
     # ------------------------------------------------------------------ #
     # The round barrier
@@ -577,20 +519,18 @@ class ShardedSimulation:
         single-process simulator would have used.
         """
         now = self.engine.now
-        lagging = [shard for shard in self._shards
-                   if self._shard_now.get(shard.shard_id, 0.0) < now]
-        for shard in lagging:
-            incoming = self._mailbox.pop(shard.shard_id, [])
-            shard.request(("advance", now, incoming))
-        for shard_id, reply in self._collect_from(lagging):
-            self._apply(shard_id, reply)
+        self._advance([shard for shard in self._shards
+                       if self._shard_now.get(shard.shard_id, 0.0) < now],
+                      now)
 
-    def _settle(self, max_events: Optional[int] = None) -> None:
+    def _settle(self, max_events: int = 200_000) -> None:
         """Advance all shards in lockstep until no work remains anywhere.
 
         ``max_events`` bounds the total deliveries processed across all
         shards, mirroring the single-process ``settle``/``run_until_idle``
-        cap: hitting it with work still queued raises a routed
+        cap (the default is the drain bound ``DRTreeSimulation.settle``
+        uses after a join, leave, publish or stabilization round): hitting
+        it with work still queued raises a routed
         :class:`ShardStalledError` (like a batch, a barrier executes
         atomically, so the count may overshoot by at most one barrier).
         """
@@ -603,7 +543,7 @@ class ShardedSimulation:
                               for time, _ in box)
             if not candidates:
                 break
-            if max_events is not None and processed_total >= max_events:
+            if processed_total >= max_events:
                 raise ShardStalledError(
                     -1, f"simulation did not become idle within "
                         f"{max_events} deliveries")
@@ -614,19 +554,7 @@ class ShardedSimulation:
                 or (self._next_times.get(shard.shard_id) is not None
                     and self._next_times[shard.shard_id] <= target)
             ]
-            for shard in active:
-                incoming = self._mailbox.pop(shard.shard_id, [])
-                shard.request(("advance", target, incoming))
-            replies = self._collect_from(active)
-            first_error: Optional[BaseException] = None
-            for shard_id, reply in replies:
-                try:
-                    processed_total += int(self._apply(shard_id, reply) or 0)
-                except (ShardFailedError, ShardStalledError) as exc:
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
+            processed_total += self._advance(active, target)
             self.engine.now = max(self.engine.now, target)
             barriers += 1
             if barriers > MAX_SETTLE_BARRIERS:  # pragma: no cover - valve
@@ -668,14 +596,12 @@ class ShardedSimulation:
         members = partition_members(layout, plan)
         subs_by_name = {sub.name: sub for sub in subs}
         member_ids = [sub.name for sub in subs]
-        for shard in self._shards:
-            local = [subs_by_name[name]
-                     for name in members.get(shard.shard_id, [])]
-            shard.request(("bulk_wire", local, layout, plan.owner,
-                           member_ids, layout.root_id))
-        replies = [(shard.shard_id, shard.collect()) for shard in self._shards]
-        for shard_id, reply in replies:
-            self._apply(shard_id, reply)
+        self._exchange([
+            (shard.shard_id,
+             ("bulk_wire",
+              [subs_by_name[name] for name in members.get(shard.shard_id, [])],
+              layout, plan.owner, member_ids, layout.root_id))
+            for shard in self._shards])
         for sub in subs:
             self.peers[sub.name] = ShardPeerHandle(sub.name,
                                                    plan.owner[sub.name])
@@ -733,8 +659,7 @@ class ShardedSimulation:
         handle = ShardPeerHandle(name, target)
         self.peers[name] = handle
         self._owner[name] = target
-        # The same post-join drain bound DRTreeSimulation.settle uses.
-        self._settle(max_events=200_000)
+        self._settle()
         self._broadcast(("mirror_member", name))
         return handle
 
@@ -755,8 +680,7 @@ class ShardedSimulation:
         self._rpc(owner, ("leave_peer", peer_id))
         self._broadcast(("mirror_leave", peer_id))
         if settle:
-            # The same post-leave drain bound DRTreeSimulation.settle uses.
-            self._settle(max_events=200_000)
+            self._settle()
 
     def crash(self, peer_id: str) -> None:
         """Uncontrolled departure: the owning shard crashes the peer.
@@ -783,8 +707,7 @@ class ShardedSimulation:
         owner = self._owner[publisher_id]
         self._rpc(owner, ("peer_publish", publisher_id, event))
         if settle:
-            # The same post-publish drain bound DRTreeSimulation.settle uses.
-            self._settle(max_events=200_000)
+            self._settle()
 
     def settle(self, max_events: int = 200_000) -> None:
         """Deliver every in-flight message across all shards."""
@@ -828,8 +751,7 @@ class ShardedSimulation:
             previous_signature = signature
             self._sync_clocks()
             self._broadcast(("stab_round",))
-            # One round drains under the same bound as classic's run_round.
-            self._settle(max_events=200_000)
+            self._settle()
             rounds += 1
         self.metrics.observe("stabilize.rounds", rounds)
         # Repairs can re-elect the root; keep the coordinator's view (used
@@ -910,11 +832,14 @@ class ShardedSimulation:
 
     def close(self) -> None:
         """Shut every worker down; the simulation is unusable afterwards."""
+        self._shutdown(hard=False)
+
+    def _shutdown(self, hard: bool) -> None:
         if not self._closed:
             self._closed = True
             self._finalizer.detach()
             _LIVE_SIMULATIONS.discard(self)
-            _close_shards(self._shards)
+            _stop_shards(self._shards, hard)
 
     def terminate(self) -> None:
         """Hard teardown: kill and join every worker, skipping the handshake.
@@ -923,11 +848,7 @@ class ShardedSimulation:
         polite shutdown assumes the request/response protocol is intact) —
         this is the KeyboardInterrupt and interpreter-exit path.
         """
-        if not self._closed:
-            self._closed = True
-            self._finalizer.detach()
-            _LIVE_SIMULATIONS.discard(self)
-            _terminate_shards(self._shards)
+        self._shutdown(hard=True)
 
     def __enter__(self) -> "ShardedSimulation":
         return self

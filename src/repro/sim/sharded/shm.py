@@ -1,4 +1,4 @@
-"""Shared-memory shard transport: struct-framed rings over ``shared_memory``.
+"""Shared-memory shard transport: framed rings over ``shared_memory``.
 
 The pipe transport of :mod:`repro.sim.sharded.coordinator` pays one syscall
 plus a pickle copy through the kernel for every request/reply.  This module
@@ -19,17 +19,14 @@ its own cursor, and reads the peer's cursor twice until two consecutive
 reads agree, so a torn 8-byte read can never be mistaken for a valid
 position.
 
-On top of the byte stream, :class:`FrameChannel` speaks length-prefixed
-frames::
-
-    <III  =  magic (0x44525452, "DRTR") | payload length | CRC-32
-
-followed by ``length`` bytes of pickled payload.  Frames may wrap around the
+On top of the byte stream, :class:`FrameChannel` speaks the length-prefixed
+``<III`` frames of :mod:`repro.wire` (magic "DRTR" | payload length |
+CRC-32), each carrying one pickled object.  Frames may wrap around the
 ring and may be *larger than the ring*: the writer streams chunks as space
-frees up and the reader drains whatever bytes are available into a pending
-buffer per poll (the "batched frame drain"), parsing every complete frame
-out of it.  A header whose magic does not match, an implausible length, or a
-CRC mismatch means the stream is torn and raises a typed
+frees up and the reader drains whatever bytes are available per poll (the
+"batched frame drain") into the shared frame splitter, which returns every
+complete frame.  A header whose magic does not match, an implausible length,
+or a CRC mismatch means the stream is torn and raises a typed
 :class:`ShmProtocolError` — the channel never resynchronizes silently.
 
 Backpressure and failure
@@ -54,23 +51,18 @@ from __future__ import annotations
 
 import os
 import pickle
-import struct
 import time
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
-from zlib import crc32
+
+from repro import wire
+from repro.wire import (FRAME_HEADER, FRAME_MAGIC,  # noqa: F401 - re-exported
+                        MAX_FRAME_BYTES)
 
 try:  # pragma: no cover - import probe
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platforms without shm
     _shared_memory = None
-
-#: Frame header: magic, payload length, CRC-32 of the payload.
-FRAME_HEADER = struct.Struct("<III")
-FRAME_MAGIC = 0x44525452  # "DRTR"
-#: Sanity bound on a single frame's payload; anything larger is a torn
-#: stream, not a real command (bulk_wire at 1M peers stays far below this).
-MAX_FRAME_BYTES = 1 << 30
 
 #: Ring header: two little-endian uint64 cursors (write, read).
 RING_HEADER_BYTES = 16
@@ -226,7 +218,7 @@ class FrameChannel:
         self._peer_alive = peer_alive
         self._send_timeout = send_timeout
         self._segments = segments
-        self._pending = bytearray()
+        self._splitter = wire.FrameSplitter(ShmProtocolError)
         self._inbox: Deque[Any] = deque()
         self._closed = False
 
@@ -247,10 +239,8 @@ class FrameChannel:
         """Frame, checksum and stream one pickled object into the tx ring."""
         if self._closed:
             raise OSError("shm channel is closed")
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         frame = memoryview(
-            FRAME_HEADER.pack(FRAME_MAGIC, len(payload), crc32(payload))
-            + payload)
+            wire.frame(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)))
         sent = 0
         deadline = None
         next_liveness = 0.0
@@ -281,41 +271,15 @@ class FrameChannel:
     # Receiving
     # ------------------------------------------------------------------ #
 
-    def _drain_frames(self) -> None:
-        """One batched drain: pull all readable bytes, parse whole frames."""
-        chunk = self._rx.read_some()
-        if chunk:
-            self._pending += chunk
-        pending = self._pending
-        offset = 0
-        while len(pending) - offset >= FRAME_HEADER.size:
-            magic, length, checksum = FRAME_HEADER.unpack_from(pending, offset)
-            if magic != FRAME_MAGIC:
-                raise ShmProtocolError(
-                    f"torn frame: bad magic 0x{magic:08x} at stream "
-                    f"offset {offset}")
-            if length > MAX_FRAME_BYTES:
-                raise ShmProtocolError(
-                    f"torn frame: implausible payload length {length}")
-            if len(pending) - offset - FRAME_HEADER.size < length:
-                break  # incomplete frame; wait for more bytes
-            start = offset + FRAME_HEADER.size
-            payload = bytes(pending[start:start + length])
-            if crc32(payload) != checksum:
-                raise ShmProtocolError(
-                    f"corrupt frame: CRC mismatch on a {length}-byte payload")
-            self._inbox.append(pickle.loads(payload))
-            offset = start + length
-        if offset:
-            del pending[:offset]
-
     def poll(self, timeout: float = 0.0) -> bool:
         """True when a complete frame is ready within ``timeout`` seconds."""
         if self._inbox:
             return True
         deadline = time.monotonic() + timeout
         while True:
-            self._drain_frames()
+            # One batched drain: pull all readable bytes, decode whole frames.
+            for payload in self._splitter.feed(self._rx.read_some()):
+                self._inbox.append(pickle.loads(payload))
             if self._inbox:
                 return True
             if time.monotonic() >= deadline:
@@ -324,16 +288,8 @@ class FrameChannel:
 
     def recv(self) -> Any:
         """Next decoded frame; blocks (with liveness checks) until one lands."""
-        next_liveness = 0.0
-        while not self._inbox:
-            self._drain_frames()
-            if self._inbox:
-                break
-            now = time.monotonic()
-            if now >= next_liveness:
-                self._check_peer()
-                next_liveness = now + _LIVENESS_INTERVAL
-            time.sleep(_SPIN_SLEEP)
+        while not self.poll(_LIVENESS_INTERVAL):
+            self._check_peer()
         return self._inbox.popleft()
 
     # ------------------------------------------------------------------ #

@@ -139,10 +139,12 @@ class ShardRuntime:
     """
 
     def __init__(self, shard_id: int, config: Optional[DRTreeConfig],
-                 seed: int, capture_logs: bool = True,
-                 batch: bool = False) -> None:
+                 seed: int, capture_logs: bool = True) -> None:
         self.shard_id = shard_id
-        self.sim = DRTreeSimulation(config=config, seed=seed, batch=batch)
+        # Shards always run the batched dissemination engine: it is
+        # output-identical to the per-message one and faster on every
+        # transport.
+        self.sim = DRTreeSimulation(config=config, seed=seed, batch=True)
         # Swap in the shard-aware transport before any peer exists; peers
         # bind to ``sim.network`` at creation time.
         self.net = ShardNetwork(
@@ -151,7 +153,7 @@ class ShardRuntime:
             latency=FixedLatency(self.sim.config.message_latency),
             metrics=self.sim.metrics,
             streams=self.sim.streams,
-            batch=batch,
+            batch=True,
         )
         self.sim.network = self.net
         self.sim.corruptor = MemoryCorruptor(self.net, self.sim.streams)
@@ -371,9 +373,6 @@ class ShardRuntime:
                 f"at t<={until}")
         return processed
 
-    def cmd_ping(self) -> str:
-        return "pong"
-
     # ------------------------------------------------------------------ #
     # Snapshot / restore (crash recovery)
     # ------------------------------------------------------------------ #
@@ -427,7 +426,7 @@ class ShardRuntime:
 
 
 def shard_worker_main(conn, shard_id: int, config: Optional[DRTreeConfig],
-                      seed: int, batch: bool = False) -> None:
+                      seed: int) -> None:
     """Entry point of a shard worker process: serve commands until close.
 
     ``conn`` is anything with the pipe-connection surface (``poll`` /
@@ -435,7 +434,7 @@ def shard_worker_main(conn, shard_id: int, config: Optional[DRTreeConfig],
     shared-memory :class:`~repro.sim.sharded.shm.FrameChannel`; the loop is
     transport-agnostic.
     """
-    runtime = ShardRuntime(shard_id, config, seed, batch=batch)
+    runtime = ShardRuntime(shard_id, config, seed)
     parent = os.getppid()
     try:
         while True:
@@ -463,7 +462,6 @@ def shard_worker_main(conn, shard_id: int, config: Optional[DRTreeConfig],
 
 def shm_shard_worker_main(segment_names: Tuple[str, str], shard_id: int,
                           config: Optional[DRTreeConfig], seed: int,
-                          batch: bool = False,
                           shared_tracker: bool = False) -> None:
     """Entry point of a shard worker speaking the shared-memory transport.
 
@@ -480,4 +478,4 @@ def shm_shard_worker_main(segment_names: Tuple[str, str], shard_id: int,
     channel = attach_worker_channel(segment_names,
                                     shared_tracker=shared_tracker)
     channel.set_peer_alive(lambda: os.getppid() == parent)
-    shard_worker_main(channel, shard_id, config, seed, batch=batch)
+    shard_worker_main(channel, shard_id, config, seed)

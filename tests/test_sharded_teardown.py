@@ -1,0 +1,124 @@
+"""Worker-proxy teardown and failure containment, on every transport.
+
+One table over ``inline`` / ``pipe`` / ``shm``: the coordinator's single
+worker proxy must tear down identically whichever channel it was given —
+idempotent polite close, a hard terminate that is safe with a command
+outstanding, no surviving worker process and no ``/dev/shm`` segment — and
+a worker that dies under *any* exchange (``bulk_load`` included) must close
+the whole simulation instead of leaving stale replies on the other pipes.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+
+import pytest
+
+from repro.api.spec import SystemSpec
+from repro.overlay.config import DRTreeConfig
+from repro.sim.sharded import (ShardedSimulation, ShardFailedError,
+                               shm_available)
+from repro.sim.sharded.shm import leaked_segments
+from repro.workloads.subscriptions import uniform_subscriptions
+
+CONFIG = DRTreeConfig(min_children=4, max_children=8)
+
+needs_shm = pytest.mark.skipif(not shm_available(),
+                               reason="multiprocessing.shared_memory "
+                                      "unavailable on this platform")
+PROCESS_TRANSPORTS = ["pipe", pytest.param("shm", marks=needs_shm)]
+TRANSPORTS = ["inline"] + PROCESS_TRANSPORTS
+
+
+@pytest.fixture(scope="module")
+def workload():
+    workload = uniform_subscriptions(600, seed=3)
+    return workload.space, list(workload)
+
+
+def _workers(sim):
+    return [shard.process for shard in sim._shards
+            if hasattr(shard, "process")]
+
+
+def _assert_nothing_left(workers):
+    for process in workers:
+        process.join(timeout=5)
+        assert not process.is_alive()
+    assert leaked_segments(os.getpid()) == []
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_close_twice_is_a_noop(workload, transport):
+    _space, subs = workload
+    sim = ShardedSimulation(config=CONFIG, seed=3, shards=2,
+                            transport=transport)
+    sim.bulk_load(subs)
+    workers = _workers(sim)
+    assert len(workers) == (0 if transport == "inline" else 2)
+    sim.close()
+    sim.close()
+    _assert_nothing_left(workers)
+    with pytest.raises(ShardFailedError, match="already closed"):
+        sim.stabilize()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_terminate_with_a_command_outstanding(workload, transport):
+    _space, subs = workload
+    sim = ShardedSimulation(config=CONFIG, seed=3, shards=2,
+                            transport=transport)
+    sim.bulk_load(subs)
+    workers = _workers(sim)
+    for shard in sim._shards:
+        shard.request(("peer_views",))  # never collected
+    sim.terminate()
+    sim.terminate()
+    _assert_nothing_left(workers)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_shard_workers_always_run_the_batched_network(transport):
+    """The sharded ``batch`` option is gone: batched is a constant."""
+    with ShardedSimulation(config=CONFIG, seed=3, shards=2,
+                           transport=transport) as sim:
+        sim._ensure_shards(1)
+        if transport == "inline":
+            assert sim._shards[0].runtime.net.batch is True
+        # Any transport: the worker's own pickled simulation says so.
+        worker_sim = pickle.loads(sim._rpc(0, ("snapshot",)))
+        assert worker_sim.network.batch is True
+        assert not hasattr(sim, "batch")
+
+
+def test_sharded_batch_engine_option_is_rejected(workload):
+    space, _subs = workload
+    with pytest.raises(ValueError) as excinfo:
+        SystemSpec(space, backend="drtree:sharded",
+                   engine_options={"batch": True})
+    assert "known: ['shards', 'transport']" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
+def test_worker_killed_before_bulk_load_closes_the_simulation(workload,
+                                                              transport):
+    """Regression: ``bulk_load`` used to collect replies on its own, so a
+    dead worker raised but left the simulation open with the surviving
+    shard's ``bulk_wire`` reply unread — answering the *next* command."""
+    _space, subs = workload
+    sim = ShardedSimulation(config=CONFIG, seed=3, shards=2,
+                            transport=transport)
+    try:
+        sim._ensure_shards(2)
+        workers = _workers(sim)
+        workers[0].kill()
+        workers[0].join(timeout=5)
+        with pytest.raises(ShardFailedError, match="shard 0"):
+            sim.bulk_load(subs)
+        assert sim._closed
+        with pytest.raises(ShardFailedError, match="already closed"):
+            sim.stabilize()
+        _assert_nothing_left(workers)
+    finally:
+        sim.close()

@@ -9,13 +9,14 @@ counter, the surviving subscriber set) must be byte-identical to
 transport.  This suite enforces that property *differentially*: hypothesis
 generates random op sequences, an interpreter replays each sequence through
 the classic engine once and then through sharded engines across
-{pipe, shm} × {1, 2, 8 shards}, and any divergence anywhere fails with the
-op sequence minimized by hypothesis.
+{inline, pipe, shm} × {1, 2, 8 shards}, and any divergence anywhere fails
+with the op sequence minimized by hypothesis.
 
-The inline transport is covered by ``tests/test_sim_sharded.py``; here the
-interesting targets are the two *real* inter-process transports — pickled
-pipes and the shared-memory frame rings of :mod:`repro.sim.sharded.shm` —
-whose framing, batching and barrier behavior must be invisible.
+``inline`` runs the shard command set with no channel at all, so it
+separates a barrier/partition bug from a transport one; the two *real*
+inter-process transports — pickled pipes and the shared-memory frame rings
+of :mod:`repro.sim.sharded.shm` — add the framing, batching and barrier
+behavior that must be invisible.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.workloads.subscriptions import uniform_subscriptions
 CONFIG = DRTreeConfig(min_children=2, max_children=4)
 
 #: The bulk-loaded base population every sequence starts from.  Small
-#: enough that one hypothesis example (1 classic + 6 sharded runs) stays
+#: enough that one hypothesis example (1 classic + 9 sharded runs) stays
 #: fast; large enough that 8 requested shards are all effective.
 _WORKLOAD = uniform_subscriptions(120, seed=13)
 SPACE = _WORKLOAD.space
@@ -46,7 +47,8 @@ EVENTS = targeted_events(SPACE, BASE_SUBS, 40, seed=29)
 MIN_POPULATION = 100
 
 #: (shards, transport) grid the classic outcome is checked against.
-TRANSPORT_GRID = [(1, "pipe"), (2, "pipe"), (8, "pipe")]
+TRANSPORT_GRID = [(1, "inline"), (2, "inline"), (8, "inline"),
+                  (1, "pipe"), (2, "pipe"), (8, "pipe")]
 if shm_available():
     TRANSPORT_GRID += [(1, "shm"), (2, "shm"), (8, "shm")]
 
