@@ -36,6 +36,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
 from repro.overlay.config import DRTreeConfig
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
 from repro.pubsub.engines import get_engine
+from repro.pubsub.matching import SubscriptionIndex
 from repro.spatial.filters import (AttributeSpace, Event, Subscription,
                                    ensure_same_space, ensure_unique_names)
 from repro.traces.oplog import EXECUTE, OpLog
@@ -94,7 +95,9 @@ class PubSubSystem:
         self.accounting = DeliveryAccounting()
         self.stabilize_rounds = stabilize_rounds
         self._event_counter = itertools.count()
-        self._subscriptions: Dict[str, Subscription] = {}
+        # The live membership *and* the ground-truth oracle: one mapping,
+        # kept current by the membership ops below and by nothing else.
+        self._subscriptions = SubscriptionIndex(space)
         # Inside a repro.traces recording() context every facade operation is
         # captured to the active trace; inside a repro.journal journaling()
         # context it is additionally appended durably to the journal.  Both
@@ -320,14 +323,25 @@ class PubSubSystem:
         """
         if not self._subscriptions:
             raise RuntimeError("cannot publish into an empty system")
+        # Everything that can reject the call comes first: a publish that
+        # raises must not draw an event id or register an outcome.
+        if publisher_id and publisher_id not in self.simulation.peers:
+            raise KeyError(f"unknown publisher {publisher_id!r}")
+        event.to_point(self.space)
         auto = not event.event_id
         if auto:
             event = Event(dict(event.attributes),
                           event_id=self.consume_event_id())
-        publisher_id = publisher_id or self._default_publisher(event)
         issued = self.oplog.now()
         outcome = self.accounting.start_event(event, publisher_id,
                                               self._subscriptions)
+        if not publisher_id:
+            # The ground truth was just computed; the default producer is
+            # its smallest id.  Set before dissemination: the publisher is
+            # excused from false-positive accounting.
+            publisher_id = outcome.publisher_id = (
+                min(outcome.intended) if outcome.intended
+                else self._fallback_publisher())
         self.simulation.publish(publisher_id, event)
         return issued, event, publisher_id, outcome, auto
 
@@ -335,9 +349,9 @@ class PubSubSystem:
                 publisher_id: Optional[str] = None) -> EventOutcome:
         """Publish ``event`` and return its delivery outcome.
 
-        ``publisher_id`` defaults to a matching subscriber when one exists
-        (the paper's model: producers are nodes of the tree), falling back to
-        the current root.
+        ``publisher_id`` defaults to the lexicographically smallest matching
+        subscriber id when one exists (the paper's model: producers are nodes
+        of the tree), falling back to the current root.
         """
         handled = self.oplog.replayed("publish", event, publisher_id)
         if handled is not EXECUTE:
@@ -377,14 +391,12 @@ class PubSubSystem:
             outcomes.append(outcome)
         return outcomes
 
-    def _default_publisher(self, event: Event) -> str:
-        for subscriber_id, subscription in sorted(self._subscriptions.items()):
-            if subscription.matches(event):
-                return subscriber_id
+    def _fallback_publisher(self) -> str:
+        """The producer of an event no subscriber matches: the root."""
         root = self.simulation.root()
         if root is not None:
             return root.process_id
-        return sorted(self._subscriptions)[0]
+        return min(self._subscriptions)
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -461,7 +473,7 @@ class PubSubSystem:
         payload = {
             "kind": "pubsub",
             "backend": self.backend,
-            "subscriptions": self._subscriptions,
+            "subscriptions": dict(self._subscriptions),
             "accounting": self.accounting,
             "event_counter": self._event_counter,
             "sim": self.simulation.snapshot_state(),
@@ -484,7 +496,8 @@ class PubSubSystem:
             raise SnapshotStateError(
                 f"snapshot was taken on backend {payload.get('backend')!r}; "
                 f"this broker is {self.backend!r}")
-        self._subscriptions = payload["subscriptions"]
+        self._subscriptions = SubscriptionIndex(self.space,
+                                                payload["subscriptions"])
         self.accounting = payload["accounting"]
         self._event_counter = payload["event_counter"]
         self.simulation = self.simulation.restore_state(payload["sim"])

@@ -95,6 +95,46 @@ def test_publish_into_empty_system_raises(space):
         system.publish(Event({"x": 0.1, "y": 0.2}))
 
 
+@pytest.mark.parametrize("engine, options", [
+    ("classic", None), ("batched", None),
+    ("sharded", {"shards": 2, "transport": "inline"})])
+def test_a_publish_that_raises_leaves_no_phantom_outcome(space, engine,
+                                                         options):
+    """Regression: a rejected publish used to register its outcome first.
+
+    ``summary()`` then counted an event that was never sent — its intended
+    subscribers as false negatives, delivery rate 0.0 — and the drawn event
+    id left the journal's id counter out of step.
+    """
+    from repro.traces import recording
+
+    with recording() as recorder:
+        system = PubSubSystem(space, seed=1, engine=engine,
+                              engine_options=options)
+        system.subscribe_all(random_subscriptions(space, 10, seed=3))
+        hit = system.subscription_of("S0").rect.center.coords
+        good = Event({"x": hit[0], "y": hit[1]})
+        with pytest.raises(KeyError, match="nope"):
+            system.publish(good, publisher_id="nope")
+        with pytest.raises(KeyError, match="y"):
+            system.publish(Event({"x": hit[0]}))
+        with pytest.raises(KeyError, match="y"):
+            system.publish_many([good, Event({"x": hit[0]}, event_id="bad"),
+                                 good])
+        # Only the first element of the batch happened.
+        assert list(system.accounting.outcomes) == ["event-0"]
+        assert {r.event_id for r in system.accounting.records} == {"event-0"}
+        summary = system.summary()
+        assert summary["events"] == 1
+        assert summary["false_negatives"] == 0
+        assert summary["delivery_rate"] == 1.0
+        # No event id was drawn by the calls that raised.
+        assert system.publish(good).event_id == "event-1"
+        system.close()
+    assert [op.data["event"]["id"] for op in recorder.build().ops()
+            if op.op == "publish"] == ["event-0", "event-1"]
+
+
 def test_subscribe_rejects_wrong_space(space):
     system = PubSubSystem(space)
     other_space = make_space("a", "b")

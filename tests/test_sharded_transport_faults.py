@@ -172,6 +172,65 @@ def test_frames_larger_than_the_ring_stream_through():
     assert received == [big]
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module inside ``repro.sim.sharded.shm``."""
+
+    def __init__(self, on_sleep=None):
+        self.now = 100.0
+        self.sleeps = []
+        self._on_sleep = on_sleep
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+        if self._on_sleep is not None:
+            self._on_sleep(len(self.sleeps))
+
+
+def test_idle_reader_backs_off_and_never_oversleeps_its_deadline(monkeypatch):
+    """A reader waits in short sleeps first (a reply is usually a moment
+    away), then — idle — in long ones, so an idle worker costs ~1 % of a CPU
+    instead of 7 %; the last sleep is cut to what is left of the timeout."""
+    from repro.sim.sharded import shm
+
+    clock = _FakeClock()
+    monkeypatch.setattr(shm, "time", clock)
+    _left, right = make_pair()
+    assert not right.poll(0.05)
+    short, long_ = shm._SPIN_SLEEP, shm._IDLE_SLEEP
+    assert clock.sleeps[:shm._IDLE_AFTER] == [short] * shm._IDLE_AFTER
+    assert set(clock.sleeps[shm._IDLE_AFTER:-1]) == {long_}
+    assert 0 < clock.sleeps[-1] <= long_
+    assert clock.now - 100.0 == pytest.approx(0.05)
+    assert len(clock.sleeps) < 0.05 / short / 4
+
+
+def test_bytes_of_a_streaming_frame_reset_the_idle_backoff(monkeypatch):
+    from repro.sim.sharded import shm
+
+    payload = pickle.dumps("late")
+    frame = FRAME_HEADER.pack(FRAME_MAGIC, len(payload),
+                              crc32(payload)) + payload
+    arrives = shm._IDLE_AFTER + 3   # well into the long sleeps
+
+    def on_sleep(count):
+        if count == arrives:
+            _write_raw(left, frame[:5])
+        elif count == arrives + 4:
+            _write_raw(left, frame[5:])
+
+    clock = _FakeClock(on_sleep)
+    monkeypatch.setattr(shm, "time", clock)
+    left, right = make_pair()
+    assert right.poll(1.0)
+    assert right.recv() == "late"
+    assert clock.sleeps[arrives - 1] == shm._IDLE_SLEEP
+    assert clock.sleeps[arrives:] == [shm._SPIN_SLEEP] * 4
+
+
 def test_send_on_closed_channel_raises():
     left, _right = make_pair()
     left.close()
