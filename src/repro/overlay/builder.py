@@ -156,25 +156,31 @@ class DRTreeSimulation:
         periodic PARENT_QUERY refresh runs at least once even when the
         configuration is already structurally legal — the refresh is what
         keeps the parents' cached child MBRs up to date for dissemination.
+
+        The verifier is an omniscient full pass, so it runs only where its
+        answer is read: when a round changed nothing structurally, and once
+        for the report returned.
         """
-        report = self.verify()
+        report = None  # the verification of the current state, once asked for
         rounds = 0
         previous_signature = None
         while rounds < max_rounds:
             signature = self._structure_signature()
-            if (rounds >= min_rounds and require_legal and report.is_legal
+            if (rounds >= min_rounds and require_legal
                     and signature == previous_signature):
-                # Legal, and the last round changed nothing structurally: that
-                # round acted as a pure refresh, so every parent's cached view
-                # of its children (MBRs, counts) is up to date and
-                # dissemination is immediately loss-free.
-                break
+                report = self.verify()
+                if report.is_legal:
+                    # Legal, and the last round changed nothing structurally:
+                    # that round acted as a pure refresh, so every parent's
+                    # cached view of its children (MBRs, counts) is up to date
+                    # and dissemination is immediately loss-free.
+                    break
             previous_signature = signature
             self.run_round()
             rounds += 1
-            report = self.verify()
+            report = None
         self.metrics.observe("stabilize.rounds", rounds)
-        return report
+        return report if report is not None else self.verify()
 
     def _structure_signature(self) -> tuple:
         """A hashable snapshot of the overlay's logical structure.

@@ -22,10 +22,20 @@ flag.  The observable repairs are the same.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 from repro.overlay import messages as msg
 from repro.overlay.election import is_better_cover
 from repro.overlay.state import serialize_children
 from repro.sim.messages import Message
+from repro.spatial.rectangle import Rect
+
+
+@lru_cache(maxsize=None)
+def _distance_bound_for(population: int) -> int:
+    """:meth:`StabilizationMixin._root_distance_bound` of a population size."""
+    return max(16, 6 + 2 * int(math.ceil(math.log2(population))))
 
 
 class StabilizationMixin:
@@ -52,19 +62,21 @@ class StabilizationMixin:
             self._join_retries = 0
             self.start_join()
             return
-        for level in sorted(self.instances):
-            if level not in self.instances:
+        instances = self.instances
+        levels = sorted(instances)
+        for level in levels:
+            if level not in instances:
                 continue  # dissolved by a check run earlier in this round
             self.check_mbr(level)
             self.check_children(level)
-        for level in sorted(self.instances):
-            if level not in self.instances:
-                continue
-            self.check_cover(level)
-        for level in sorted(self.instances):
-            if level not in self.instances:
-                continue
-            self.check_parent(level)
+        for check in (self.check_cover, self.check_parent):
+            if list(instances) != levels:
+                # A check above created or dissolved an instance: the next
+                # module runs over the levels that exist now.
+                levels = sorted(instances)
+            for level in levels:
+                if level in instances:
+                    check(level)
         self.check_structure()
 
     def start_periodic_stabilization(self, period: float | None = None) -> None:
@@ -166,10 +178,7 @@ class StabilizationMixin:
         link individually coherent but none of them leading to the root), a
         configuration ordinary parent/children checks cannot detect.
         """
-        import math
-
-        population = max(len(self.oracle), 2)
-        return max(16, 6 + 2 * int(math.ceil(math.log2(population))))
+        return _distance_bound_for(max(len(self.oracle), 2))
 
     def check_parent(self, level: int) -> None:
         """Verify this instance is still a child of its parent; re-join if not."""
@@ -264,17 +273,18 @@ class StabilizationMixin:
         if instance is None or child not in instance.children:
             self.send(child, msg.PARENT_NACK, level=child_level)
             return
-        from repro.spatial.rectangle import Rect
-
-        child_mbr = Rect(tuple(message.payload["lower"]),
-                         tuple(message.payload["upper"]))
+        info = instance.children[child]
+        bounds = (tuple(message.payload["lower"]),
+                  tuple(message.payload["upper"]))
+        # A refresh usually repeats what is cached: keep that (validated)
+        # object, so the union memo below hits on identity.
+        child_mbr = info.mbr if bounds == info.mbr.as_tuple() else Rect(*bounds)
         instance.add_child(
             child,
             child_mbr,
             int(message.payload.get("child_count", 0)),
             self.round_number,
         )
-        info = instance.children[child]
         info.underloaded = bool(message.payload.get("underloaded", False))
         instance.mbr = instance.computed_mbr(self.filter_rect)
         self.send(child, msg.PARENT_ACK, level=child_level,
@@ -404,8 +414,6 @@ class StabilizationMixin:
             return
         old = message.payload["old"]
         new = message.payload["new"]
-        from repro.spatial.rectangle import Rect
-
         new_mbr = Rect(tuple(message.payload["lower"]),
                        tuple(message.payload["upper"]))
         instance.remove_child(old)

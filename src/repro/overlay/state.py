@@ -56,6 +56,16 @@ class LevelState:
     #: cycle rather than the real root, and triggers a re-join.
     root_distance: int = 0
 
+    #: ``(child MBRs, their union)`` of the last :meth:`computed_mbr` that had
+    #: to fold.  Not a dataclass field (no annotation): it is derived state,
+    #: left out of ``==``, ``repr`` and — via ``__getstate__`` — of pickles.
+    _union_memo = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_union_memo", None)
+        return state
+
     @property
     def is_leaf(self) -> bool:
         """True for level-0 instances."""
@@ -75,10 +85,20 @@ class LevelState:
         Leaves return the peer's filter rectangle; internal instances return
         the union of the cached children MBRs (falling back to the filter when
         the children set is empty, which only happens transiently).
+
+        The union is memoized on the *values* of the children's cached MBRs:
+        every PARENT_QUERY a parent receives asks for it again, and between
+        repairs the answer does not change.  The key is compared with ``==``,
+        so no way of editing ``children`` — the protocol's, a test's or a
+        memory corruptor's — can leave a stale union behind.
         """
         if self.is_leaf or not self.children:
             return own_filter_rect
-        return Rect.union_of(info.mbr for info in self.children.values())
+        rects = tuple([info.mbr for info in self.children.values()])
+        memo = self._union_memo
+        if memo is None or memo[0] != rects:
+            memo = self._union_memo = (rects, Rect.union_of(rects))
+        return memo[1]
 
     def add_child(self, child_id: str, mbr: Rect, child_count: int = 0,
                   round_number: int = 0) -> None:

@@ -1,8 +1,8 @@
 """Event-queue scheduler with a simulated clock.
 
-The engine maintains a priority queue of ``(time, sequence, callback)``
-entries.  Running the engine pops events in time order and invokes their
-callbacks; callbacks typically schedule further events (message deliveries,
+The engine maintains a priority queue of ``(time, sequence, event)`` tuples.
+Running the engine pops events in time order and invokes their callbacks;
+callbacks typically schedule further events (message deliveries,
 timer expirations).  Time does not advance between events, so the simulation
 is fully deterministic given a deterministic set of callbacks.
 
@@ -30,8 +30,8 @@ import heapq
 import itertools
 import logging
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -63,19 +63,22 @@ class BatchEntry:
         self.count = count
 
 
-@dataclass(order=True)
+@dataclass
 class ScheduledEvent:
     """An event waiting in the simulation queue.
 
-    Events are ordered by ``(time, sequence)``; the sequence number makes the
+    Events run in ``(time, sequence)`` order; the sequence number makes the
     ordering total and FIFO among events scheduled for the same instant.
+    The queue orders ``(time, sequence, event)`` tuples — a C comparison that
+    the unique sequence always decides — so events themselves are never
+    compared.
     """
 
     time: float
     sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    label: str = ""
 
     def cancel(self) -> None:
         """Prevent the event's callback from running."""
@@ -86,7 +89,7 @@ class SimulationEngine:
     """A minimal, deterministic discrete-event simulation engine."""
 
     def __init__(self) -> None:
-        self._queue: List[ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self.events_processed = 0
@@ -114,13 +117,10 @@ class SimulationEngine:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        event = ScheduledEvent(
-            time=self._now + delay,
-            sequence=next(self._sequence),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        sequence = next(self._sequence)
+        event = ScheduledEvent(time, sequence, callback, label=label)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def schedule_at(
@@ -336,13 +336,14 @@ class SimulationEngine:
         return min(event.time, batch_time)
 
     def _peek(self) -> Optional[ScheduledEvent]:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][2] if queue else None
 
     def pending(self) -> int:
         """Number of live deliveries still queued (heap events and batches)."""
-        live = sum(1 for event in self._queue if not event.cancelled)
+        live = sum(1 for _, _, event in self._queue if not event.cancelled)
         return live + self._batch_pending
 
     def has_pending(self) -> bool:

@@ -189,9 +189,7 @@ class Network:
         bookkeeping rule — taps, crash/loss/partition filtering, counters —
         from the base class unchanged.
         """
-        self.engine.schedule(
-            delay, lambda: self._deliver(message), label=f"deliver:{message.kind}"
-        )
+        self.engine.schedule(delay, lambda: self._deliver(message))
 
     def send_many(self, messages: Sequence[Message]) -> None:
         """Send a batch of messages put in flight by one protocol step.

@@ -116,15 +116,22 @@ class Rect:
 
         This is the paper's MBR computation (``Compute_MBR`` in Figure 7):
         the per-dimension minimum of the lower bounds and maximum of the
-        upper bounds of the children.
+        upper bounds of the children, taken in one pass so that only the
+        result is constructed (and validated).
         """
         rects = list(rects)
         if not rects:
             raise ValueError("cannot build the union of no rectangles")
-        result = rects[0]
-        for rect in rects[1:]:
-            result = result.union(rect)
-        return result
+        if len(rects) == 1:
+            return rects[0]
+        lowers = [rect.lower for rect in rects]
+        dimensions = set(map(len, lowers))
+        if len(dimensions) != 1:
+            raise ValueError(f"dimension mismatch: {sorted(dimensions)}")
+        return cls(
+            tuple(map(min, zip(*lowers))),
+            tuple(map(max, zip(*[rect.upper for rect in rects]))),
+        )
 
     # ------------------------------------------------------------------ #
     # Basic properties

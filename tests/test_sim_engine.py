@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationEngine
 
@@ -293,3 +295,91 @@ def test_grow_batch_rejects_executed_entries():
     with pytest.raises(ValueError):
         engine.grow_batch(entry, 3)
     assert engine.pending() == 0  # accounting unharmed by the rejected call
+
+
+# --------------------------------------------------------------------------- #
+# Ordering is (time, sequence) and nothing else — property test
+# --------------------------------------------------------------------------- #
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
+_ENGINE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("schedule_at"), _DELAYS),
+    st.tuples(st.just("batch"), _DELAYS, st.integers(1, 3)),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("grow"), st.integers(0, 40), st.integers(0, 3)),
+    st.tuples(st.just("step")),
+), max_size=40)
+
+
+class _Unorderable:
+    """A callback that raises if the heap ever falls through to comparing it."""
+
+    def __init__(self, ran, key):
+        self.ran, self.key = ran, key
+
+    def __call__(self):
+        self.ran.append(self.key)
+
+    def __lt__(self, other):
+        raise AssertionError("the queue compared two callbacks")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+@given(_ENGINE_OPS)
+@settings(max_examples=300, deadline=None)
+def test_interleaved_scheduling_runs_in_time_sequence_order(ops):
+    engine = SimulationEngine()
+    ran = []
+    #: key -> [time, deliveries]; key is the op's sequence number, which is
+    #: also the engine's (heap events and batch entries share one counter).
+    live = {}
+    handles = {}
+
+    def check_counts():
+        assert engine.pending() == sum(count for _, count in live.values())
+        assert engine.has_pending() == bool(live)
+
+    def step():
+        assert engine.step() == bool(live)
+        if live:
+            key = min(live, key=lambda k: (live[k][0], k))
+            assert ran[-1] == key
+            assert engine.now == live.pop(key)[0]
+
+    for op in ops:
+        key = len(handles)
+        if op[0] in ("schedule", "schedule_at"):
+            time = engine.now + op[1]
+            handles[key] = (engine.schedule(op[1], _Unorderable(ran, key))
+                            if op[0] == "schedule" else
+                            engine.schedule_at(time, _Unorderable(ran, key)))
+            assert (handles[key].time, handles[key].sequence) == (time, key)
+            live[key] = [time, 1]
+        elif op[0] == "batch":
+            handles[key] = engine.schedule_batch(
+                op[1], _Unorderable(ran, key), count=op[2])
+            live[key] = [engine.now + op[1], op[2]]
+        elif op[0] == "cancel":
+            event = handles.get(op[1])
+            if hasattr(event, "cancel"):
+                event.cancel()
+                live.pop(op[1], None)
+        elif op[0] == "grow":
+            entry = handles.get(op[1])
+            if entry is not None and not hasattr(entry, "cancel"):
+                if op[1] in live:
+                    engine.grow_batch(entry, op[2])
+                    live[op[1]][1] += op[2]
+                else:
+                    with pytest.raises(ValueError):
+                        engine.grow_batch(entry, op[2])
+        else:
+            step()
+        check_counts()
+    while live:
+        step()
+        check_counts()
+    assert not engine.step()
+    assert len(ran) == len(set(ran))

@@ -169,6 +169,32 @@ def test_union_of_many():
 def test_union_of_empty_raises():
     with pytest.raises(ValueError):
         Rect.union_of([])
+    with pytest.raises(ValueError):
+        Rect.union_of(iter(()))
+
+
+def test_union_of_mixed_dimensions_raises():
+    flat, solid = Rect((0, 0), (1, 1)), Rect((0, 0, 0), (1, 1, 1))
+    for mixed in ([flat, solid], [solid, flat], [flat, flat, solid]):
+        with pytest.raises(ValueError):
+            Rect.union_of(mixed)
+
+
+def test_union_of_single_rect_is_that_rect():
+    rect = Rect((0, -math.inf), (2, 3))
+    assert Rect.union_of([rect]) == rect
+
+
+def test_union_of_consumes_a_generator_once():
+    pulled = []
+
+    def source():
+        for i in range(4):
+            pulled.append(i)
+            yield Rect((i, -i), (i + 1, 0))
+
+    assert Rect.union_of(source()) == Rect((0, -3), (4, 0))
+    assert pulled == [0, 1, 2, 3]
 
 
 def test_intersection():
@@ -279,3 +305,29 @@ def test_union_is_associative(a, b, c):
 @settings(max_examples=100, deadline=None)
 def test_center_is_inside(a):
     assert a.contains_point(a.center)
+
+
+#: Bounds as MBRs really have them: finite, unbounded on either side, and
+#: repeated values (so degenerate rectangles and ties are drawn often).
+wide_coords = st.one_of(
+    coords, st.sampled_from([-math.inf, math.inf, 0.0, -0.0, 1.0]))
+
+
+@st.composite
+def wide_rects(draw, dims):
+    lows = [draw(wide_coords) for _ in range(dims)]
+    highs = [draw(st.one_of(st.just(low), wide_coords)) for low in lows]
+    return Rect(tuple(map(min, lows, highs)), tuple(map(max, lows, highs)))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda dims: st.lists(wide_rects(dims), min_size=1, max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_union_of_equals_the_left_fold_of_union(group):
+    folded = group[0]
+    for rect in group[1:]:
+        folded = folded.union(rect)
+    union = Rect.union_of(group)
+    assert union == folded
+    # ``==`` cannot tell -0.0 from 0.0; the bounds are the same floats too.
+    assert repr(union.as_tuple()) == repr(folded.as_tuple())
