@@ -18,15 +18,16 @@ Run with::
 from __future__ import annotations
 
 from repro.baselines import CentralizedBrokerOverlay
-from repro.experiments.exp_split_methods import run as run_split_comparison
 from repro.rtree import RTree
+from repro.runtime import load_scenarios
 from repro.workloads.subscriptions import clustered_subscriptions
 
 
 def main() -> None:
     print("Comparing DR-tree split methods on a clustered workload "
           "(60 subscribers, 40 probe events)...\n")
-    result = run_split_comparison(subscribers=60, events=40, seed=2)
+    scenario = load_scenarios().get("split_methods")
+    result = scenario.run(peers=60, events=40, seed=2)
     print(result.to_table())
 
     print("\nSequential R-tree reference (centralized broker):")

@@ -1,21 +1,25 @@
 """Experiment harness regenerating every figure, lemma and quantitative claim.
 
-Each experiment module exposes a ``run(...)`` function returning an
-:class:`~repro.experiments.harness.ExperimentResult` whose rows can be printed
-as the table the paper (or its companion technical report) would show.  The
-mapping from experiment id to paper artefact lives in ``DESIGN.md`` and the
-measured-vs-paper comparison in ``EXPERIMENTS.md``.
+Each experiment module registers one scenario in the runtime registry
+(:mod:`repro.runtime`) when this package is imported: a single function
+whose parameters and defaults are declared once, in its ``Param`` tuple,
+returning an :class:`~repro.experiments.harness.ExperimentResult` whose
+rows print as the table the paper would show.  The mapping from scenario
+to paper artefact is the scenario table in ``docs/scenarios.md``, and the
+claims ledger ``tests/test_paper_claims.py`` checks each claim against a
+default run.
 
-Every experiment registers itself as a scenario in the runtime registry
-(:mod:`repro.runtime`) when this package is imported.  Run scenarios from
-the command line with::
+Run scenarios from the command line::
 
     python -m repro list
     python -m repro run height --peers 512
     python -m repro run-all --jobs 4
 
-(``python -m repro.experiments.run_all`` remains as a thin alias), or
-regenerate a single experiment through its benchmark under ``benchmarks/``.
+or from Python through the registry, which binds and coerces overrides the
+same way::
+
+    from repro.runtime import load_scenarios
+    result = load_scenarios().get("height").run(peers=512)
 """
 
 import importlib

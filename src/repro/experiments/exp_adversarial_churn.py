@@ -26,61 +26,6 @@ from repro.workloads.events import targeted_events
 from repro.workloads.subscriptions import clustered_subscriptions
 
 
-def run(subscribers: int = 96,
-        rounds: int = 4,
-        events_per_round: int = 15,
-        crashes_per_round: int = 1,
-        surge: int = 1,
-        target: str = "root",
-        min_children: int = 2,
-        max_children: int = 5,
-        seed: int = 0,
-        backend: str = "drtree:classic") -> ExperimentResult:
-    """Alternate targeted crashes and publications over ``rounds`` rounds.
-
-    The crash plan is built from two overlapping failure windows: a baseline
-    of ``crashes_per_round`` victims in every round, plus ``surge`` extra
-    victims in the middle round (overlap adds up, per
-    :func:`~repro.sim.failures.victims_per_round`).  Stabilization runs after
-    every crash, so false negatives measure what slips through *between*
-    repairs, not a permanently broken tree.
-    """
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    result = ExperimentResult(
-        "W2", f"Adversarial churn (targeted {target} crashes)")
-    config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    workload = clustered_subscriptions(subscribers, seed=seed)
-    stream = targeted_events(workload.space, list(workload),
-                             rounds * events_per_round, seed=seed + 7)
-    windows = []
-    if crashes_per_round > 0:
-        windows.append(FailureWindow(0, rounds, crashes_per_round))
-    if surge > 0:
-        windows.append(FailureWindow(rounds // 2, rounds // 2 + 1, surge))
-    plan = victims_per_round(windows)
-
-    system = build_pubsub_system(workload, config, seed=seed, backend=backend)
-    crashed = []
-    for round_index in range(rounds):
-        victims = targeted_victims(system.simulation, target=target,
-                                   count=plan.get(round_index, 0))
-        for victim in victims:
-            system.fail(victim)
-            crashed.append(victim)
-        base = round_index * events_per_round
-        system.publish_many(stream[base:base + events_per_round])
-    result.add_row(**delivery_metrics_row(system))
-    result.add_note(
-        f"crashed {len(crashed)} {target}-targeted peers over {rounds} "
-        f"rounds (surge round {rounds // 2}: "
-        f"{plan.get(rounds // 2, 0)} victims): {crashed}")
-    result.add_note("events addressed to crashed subscribers are lost with "
-                    "them; the delivery_rate column reports the survivors' "
-                    "view")
-    return result
-
-
 @register_scenario(
     "adversarial-churn",
     "Adversarial churn (targeted root/parent crashes)",
@@ -113,16 +58,50 @@ def run(subscribers: int = 96,
     ),
     replayable=True,
 )
-def _scenario(peers: int, rounds: int, events_per_round: int,
-              crashes_per_round: int, surge: int, target: str,
-              min_children: int, max_children: int, seed: int,
-              backend: str) -> ExperimentResult:
-    return run(subscribers=peers, rounds=rounds,
-               events_per_round=events_per_round,
-               crashes_per_round=crashes_per_round, surge=surge,
-               target=target, min_children=min_children,
-               max_children=max_children, seed=seed, backend=backend)
+def adversarial_churn(peers: int, rounds: int, events_per_round: int,
+                      crashes_per_round: int, surge: int, target: str,
+                      min_children: int, max_children: int, seed: int,
+                      backend: str) -> ExperimentResult:
+    """Alternate targeted crashes and publications over ``rounds`` rounds.
 
+    The crash plan is built from two overlapping failure windows: a baseline
+    of ``crashes_per_round`` victims in every round, plus ``surge`` extra
+    victims in the middle round (overlap adds up, per
+    :func:`~repro.sim.failures.victims_per_round`).  Stabilization runs after
+    every crash, so false negatives measure what slips through *between*
+    repairs, not a permanently broken tree.
+    """
+    if rounds < 1:
+        raise ValueError("need at least one round")
+    result = ExperimentResult(
+        "W2", f"Adversarial churn (targeted {target} crashes)")
+    config = DRTreeConfig(min_children=min_children, max_children=max_children)
+    workload = clustered_subscriptions(peers, seed=seed)
+    stream = targeted_events(workload.space, list(workload),
+                             rounds * events_per_round, seed=seed + 7)
+    windows = []
+    if crashes_per_round > 0:
+        windows.append(FailureWindow(0, rounds, crashes_per_round))
+    if surge > 0:
+        windows.append(FailureWindow(rounds // 2, rounds // 2 + 1, surge))
+    plan = victims_per_round(windows)
 
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+    system = build_pubsub_system(workload, config, seed=seed, backend=backend)
+    crashed = []
+    for round_index in range(rounds):
+        victims = targeted_victims(system.simulation, target=target,
+                                   count=plan.get(round_index, 0))
+        for victim in victims:
+            system.fail(victim)
+            crashed.append(victim)
+        base = round_index * events_per_round
+        system.publish_many(stream[base:base + events_per_round])
+    result.add_row(**delivery_metrics_row(system))
+    result.add_note(
+        f"crashed {len(crashed)} {target}-targeted peers over {rounds} "
+        f"rounds (surge round {rounds // 2}: "
+        f"{plan.get(rounds // 2, 0)} victims): {crashed}")
+    result.add_note("events addressed to crashed subscribers are lost with "
+                    "them; the delivery_rate column reports the survivors' "
+                    "view")
+    return result

@@ -162,50 +162,6 @@ def _run_synthesized(result: ExperimentResult, workload: str,
         f"crowd(s) x {spec.crowd_size}, {spec.walkers} walker(s)")
 
 
-def run(subscribers: int = 60,
-        events_count: int = 40,
-        min_children: int = 2,
-        max_children: int = 5,
-        seed: int = 0,
-        workload: str = "none",
-        backends: str = "all") -> ExperimentResult:
-    """Run the one workload across every registered backend."""
-    result = ExperimentResult(
-        "BM", "Backend matrix: delivery accuracy vs message cost")
-    config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    selected = _selected_backends(backends)
-
-    if workload != "none":
-        _run_synthesized(result, workload, subscribers, events_count,
-                         config, seed, selected)
-        return result
-
-    workload_set = mixed_subscriptions(subscribers, seed=seed)
-    subscriptions = list(workload_set)
-    events = _comparison_events(workload_set, events_count, seed)
-    spec = SystemSpec(space=workload_set.space, config=config, seed=seed)
-
-    for backend in selected:
-        broker = spec.with_backend(backend).build()
-        try:
-            broker.subscribe_all(subscriptions)
-            broker.publish_many(events)
-            _row_for(result, backend, broker)
-        finally:
-            close = getattr(broker, "close", None)
-            if close is not None:
-                close()
-    result.add_note(
-        f"{len(result.rows)} backends x {len(subscriptions)} subscribers x "
-        f"{len(events)} events, all through the one Broker protocol "
-        "(see docs/api.md)")
-    result.add_note("the drtree:* rows must agree on every delivery column: "
-                    "the engines are outcome-equivalent by construction "
-                    "(drtree:net's message counts may include background-"
-                    "stabilizer traffic)")
-    return result
-
-
 @register_scenario(
     "backend_matrix",
     "Backend matrix (all brokers, one workload)",
@@ -230,12 +186,41 @@ def run(subscribers: int = 60,
     ),
     replayable=True,
 )
-def _scenario(peers: int, events: int, min_children: int, max_children: int,
-              seed: int, workload: str, backends: str) -> ExperimentResult:
-    return run(subscribers=peers, events_count=events,
-               min_children=min_children, max_children=max_children,
-               seed=seed, workload=workload, backends=backends)
+def backend_matrix(peers: int, events: int, min_children: int,
+                   max_children: int, seed: int, workload: str,
+                   backends: str) -> ExperimentResult:
+    """Run the one workload across every registered backend."""
+    result = ExperimentResult(
+        "BM", "Backend matrix: delivery accuracy vs message cost")
+    config = DRTreeConfig(min_children=min_children, max_children=max_children)
+    selected = _selected_backends(backends)
 
+    if workload != "none":
+        _run_synthesized(result, workload, peers, events, config, seed,
+                         selected)
+        return result
 
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+    workload_set = mixed_subscriptions(peers, seed=seed)
+    subscriptions = list(workload_set)
+    stream = _comparison_events(workload_set, events, seed)
+    spec = SystemSpec(space=workload_set.space, config=config, seed=seed)
+
+    for backend in selected:
+        broker = spec.with_backend(backend).build()
+        try:
+            broker.subscribe_all(subscriptions)
+            broker.publish_many(stream)
+            _row_for(result, backend, broker)
+        finally:
+            close = getattr(broker, "close", None)
+            if close is not None:
+                close()
+    result.add_note(
+        f"{len(result.rows)} backends x {len(subscriptions)} subscribers x "
+        f"{len(stream)} events, all through the one Broker protocol "
+        "(see docs/api.md)")
+    result.add_note("the drtree:* rows must agree on every delivery column: "
+                    "the engines are outcome-equivalent by construction "
+                    "(drtree:net's message counts may include background-"
+                    "stabilizer traffic)")
+    return result

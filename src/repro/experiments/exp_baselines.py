@@ -60,57 +60,6 @@ def _broker_row(system_name: str, broker, events: List[Event],
     }
 
 
-def run(subscribers: int = 60,
-        events_count: int = 40,
-        min_children: int = 2,
-        max_children: int = 5,
-        seed: int = 0) -> ExperimentResult:
-    """Compare accuracy/cost/structure across all five systems."""
-    result = ExperimentResult("E10", "DR-tree vs baselines")
-    workload = mixed_subscriptions(subscribers, seed=seed)
-    subscriptions: List[Subscription] = list(workload)
-    events = _comparison_events(workload, events_count, seed)
-    config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    spec = SystemSpec(space=workload.space, config=config, seed=seed)
-
-    dr_tree = spec.with_backend("drtree:classic").build()
-    dr_tree.subscribe_all(subscriptions)
-    result.add_row(**_broker_row(
-        "dr_tree", dr_tree, events,
-        f"height={dr_tree.overlay_height()}"))
-
-    containment = spec.with_backend("containment-tree").build()
-    containment.subscribe_all(subscriptions)
-    result.add_row(**_broker_row(
-        "containment_tree", containment, events,
-        f"root_fanout={containment.overlay.root_fanout()}"))
-
-    per_dimension = spec.with_backend("per-dimension").build()
-    per_dimension.subscribe_all(subscriptions)
-    fanouts = per_dimension.overlay.tree_fanouts()
-    result.add_row(**_broker_row(
-        "per_dimension", per_dimension, events,
-        f"max_tree_fanout={max(fanouts.values()) if fanouts else 0}"))
-
-    flooding = spec.with_backend("flooding").build()
-    flooding.subscribe_all(subscriptions)
-    result.add_row(**_broker_row(
-        "flooding", flooding, events,
-        f"random overlay, degree {flooding.overlay.degree}"))
-
-    centralized = spec.with_backend("centralized").build()
-    centralized.subscribe_all(subscriptions)
-    result.add_row(**_broker_row(
-        "centralized", centralized, events,
-        f"broker_rtree_height={centralized.overlay.index_height()}"))
-
-    result.add_note("fp_rate_pct = average fraction of uninterested subscribers "
-                    "reached per event")
-    result.add_note("all five systems run behind the unified Broker protocol "
-                    "with shared delivery accounting")
-    return result
-
-
 @register_scenario(
     "baselines",
     "DR-tree vs baselines",
@@ -127,11 +76,49 @@ def run(subscribers: int = 60,
     replayable=True,
     experiment_id="E10",
 )
-def _scenario(peers: int, events: int, min_children: int, max_children: int,
+def baselines(peers: int, events: int, min_children: int, max_children: int,
               seed: int) -> ExperimentResult:
-    return run(subscribers=peers, events_count=events,
-               min_children=min_children, max_children=max_children, seed=seed)
+    """Compare accuracy/cost/structure across all five systems."""
+    result = ExperimentResult("E10", "DR-tree vs baselines")
+    workload = mixed_subscriptions(peers, seed=seed)
+    subscriptions: List[Subscription] = list(workload)
+    stream = _comparison_events(workload, events, seed)
+    config = DRTreeConfig(min_children=min_children, max_children=max_children)
+    spec = SystemSpec(space=workload.space, config=config, seed=seed)
 
+    dr_tree = spec.with_backend("drtree:classic").build()
+    dr_tree.subscribe_all(subscriptions)
+    result.add_row(**_broker_row(
+        "dr_tree", dr_tree, stream,
+        f"height={dr_tree.overlay_height()}"))
 
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+    containment = spec.with_backend("containment-tree").build()
+    containment.subscribe_all(subscriptions)
+    result.add_row(**_broker_row(
+        "containment_tree", containment, stream,
+        f"root_fanout={containment.overlay.root_fanout()}"))
+
+    per_dimension = spec.with_backend("per-dimension").build()
+    per_dimension.subscribe_all(subscriptions)
+    fanouts = per_dimension.overlay.tree_fanouts()
+    result.add_row(**_broker_row(
+        "per_dimension", per_dimension, stream,
+        f"max_tree_fanout={max(fanouts.values()) if fanouts else 0}"))
+
+    flooding = spec.with_backend("flooding").build()
+    flooding.subscribe_all(subscriptions)
+    result.add_row(**_broker_row(
+        "flooding", flooding, stream,
+        f"random overlay, degree {flooding.overlay.degree}"))
+
+    centralized = spec.with_backend("centralized").build()
+    centralized.subscribe_all(subscriptions)
+    result.add_row(**_broker_row(
+        "centralized", centralized, stream,
+        f"broker_rtree_height={centralized.overlay.index_height()}"))
+
+    result.add_note("fp_rate_pct = average fraction of uninterested subscribers "
+                    "reached per event")
+    result.add_note("all five systems run behind the unified Broker protocol "
+                    "with shared delivery accounting")
+    return result

@@ -19,7 +19,7 @@ very fast as ``λ`` grows and collapses to roughly one repair interval once
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.churn_model import expected_disconnection_time
 from repro.analysis.stats import describe
@@ -31,7 +31,8 @@ from repro.sim.churn import PoissonChurnGenerator
 from repro.sim.rng import RandomStreams
 from repro.workloads.subscriptions import uniform_subscriptions
 
-DEFAULT_RATES = (0.5, 1.0, 2.0, 4.0)
+#: The departure rates swept when no single ``rate`` is requested.
+RATES = (0.5, 1.0, 2.0, 4.0)
 
 
 def _is_connected(sim: DRTreeSimulation) -> bool:
@@ -84,42 +85,6 @@ def _simulate_disconnection(n_peers: int, rate: float, delta: float,
     return None
 
 
-def run(n_peers: int = 40,
-        rates: Sequence[float] = DEFAULT_RATES,
-        delta: float = 10.0,
-        trials: int = 5,
-        seed: int = 0) -> ExperimentResult:
-    """Compare simulated and analytic expected disconnection times."""
-    result = ExperimentResult("E9", "Churn resistance (Lemma 3.7)")
-    for rate in rates:
-        times: List[float] = []
-        censored = 0
-        for trial in range(trials):
-            observed = _simulate_disconnection(n_peers, rate, delta,
-                                               seed + trial)
-            if observed is None:
-                censored += 1
-            else:
-                times.append(observed)
-        stats = describe(times)
-        analytic = expected_disconnection_time(n_peers, delta, rate)
-        result.add_row(
-            N=n_peers,
-            rate=rate,
-            delta=delta,
-            simulated_mean=round(stats.mean, 2) if times else float("inf"),
-            trials=trials,
-            survived_trials=censored,
-            analytic_expectation=(round(analytic, 2)
-                                  if analytic != float("inf") else "inf"),
-        )
-    result.add_note("stabilization is suspended during the departure trace, "
-                    "as in the lemma's hypothesis")
-    result.add_note("analytic values are loose upper-tail expectations; the "
-                    "reproduced shape is the sharp decrease with rate")
-    return result
-
-
 @register_scenario(
     "churn",
     "Churn resistance (Lemma 3.7)",
@@ -135,12 +100,34 @@ def run(n_peers: int = 40,
     ),
     experiment_id="E9",
 )
-def _scenario(peers: int, rate: float, delta: float, trials: int,
-              seed: int) -> ExperimentResult:
-    rates = DEFAULT_RATES if rate <= 0 else (rate,)
-    return run(n_peers=peers, rates=rates, delta=delta, trials=trials,
-               seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+def churn(peers: int, rate: float, delta: float, trials: int,
+          seed: int) -> ExperimentResult:
+    """Compare simulated and analytic expected disconnection times."""
+    result = ExperimentResult("E9", "Churn resistance (Lemma 3.7)")
+    for departure_rate in RATES if rate <= 0 else (rate,):
+        times: List[float] = []
+        censored = 0
+        for trial in range(trials):
+            observed = _simulate_disconnection(peers, departure_rate, delta,
+                                               seed + trial)
+            if observed is None:
+                censored += 1
+            else:
+                times.append(observed)
+        stats = describe(times)
+        analytic = expected_disconnection_time(peers, delta, departure_rate)
+        result.add_row(
+            N=peers,
+            rate=departure_rate,
+            delta=delta,
+            simulated_mean=round(stats.mean, 2) if times else float("inf"),
+            trials=trials,
+            survived_trials=censored,
+            analytic_expectation=(round(analytic, 2)
+                                  if analytic != float("inf") else "inf"),
+        )
+    result.add_note("stabilization is suspended during the departure trace, "
+                    "as in the lemma's hypothesis")
+    result.add_note("analytic values are loose upper-tail expectations; the "
+                    "reproduced shape is the sharp decrease with rate")
+    return result

@@ -37,8 +37,7 @@ from pathlib import Path
 from typing import Iterator
 
 import repro
-from repro.experiments.exp_throughput import (_transport_name
-                                              as _scenario_transport)
+from repro.experiments.exp_throughput import _transport_name
 from repro.experiments.harness import ExperimentResult
 from repro.runtime.registry import Param, backend_param, register_scenario
 
@@ -101,113 +100,6 @@ def _spawn_journaled_run(journal: Path, peers: int, events: int, seed: int,
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
-def run(peers: int = 200,
-        events: int = 60,
-        seed: int = 3,
-        kill_after_ops: int = 25,
-        snapshot_interval: int = 10,
-        backend: str = "drtree:classic",
-        transport: str = "auto") -> ExperimentResult:
-    """Kill a journaled ``hotspot`` run mid-flight, resume, compare bytes."""
-    with _transport_env(transport):
-        return _run(peers=peers, events=events, seed=seed,
-                    kill_after_ops=kill_after_ops,
-                    snapshot_interval=snapshot_interval, backend=backend,
-                    transport=transport)
-
-
-def _run(peers: int, events: int, seed: int, kill_after_ops: int,
-         snapshot_interval: int, backend: str,
-         transport: str) -> ExperimentResult:
-    from repro.journal import read_journal, resume_journal, verify_journal
-    from repro.runtime.runner import run_one
-    from repro.traces.replay import dump_metrics
-
-    result = ExperimentResult(
-        "J1", "Crash recovery via the durable op journal")
-    params = {"peers": peers, "events": events, "seed": seed,
-              "backend": backend}
-    total_ops = 1 + events  # one subscribe_all + one op per publication
-    if not 0 < kill_after_ops < total_ops:
-        raise ValueError(
-            f"kill_after_ops must be in (0, {total_ops}) so the kill lands "
-            f"mid-run, got {kill_after_ops}")
-
-    # 1. The uninterrupted reference, in-process.
-    reference = run_one("hotspot", dict(params))
-    if not reference.ok:
-        raise RuntimeError(f"reference run failed: {reference.error}")
-    reference_doc = dump_metrics(reference.scenario, reference.rows)
-
-    with tempfile.TemporaryDirectory(prefix="repro-crash-") as tmp:
-        journal = Path(tmp) / "run.journal"
-
-        # 2. The victim, in a subprocess, SIGKILLed once enough ops are
-        # durable.  SIGKILL is the point: no handler runs, no buffer is
-        # flushed — only what the journal already forced to disk survives.
-        proc = _spawn_journaled_run(journal, peers, events, seed, backend,
-                                    snapshot_interval)
-        deadline = time.monotonic() + KILL_DEADLINE_S
-        durable = 0
-        while time.monotonic() < deadline:
-            durable = _count_journaled_ops(journal)
-            if durable >= kill_after_ops:
-                break
-            if proc.poll() is not None:
-                raise RuntimeError(
-                    f"journaled run exited (rc={proc.returncode}) before "
-                    f"reaching {kill_after_ops} ops; it journaled {durable}")
-            time.sleep(0.005)
-        else:
-            proc.kill()
-            proc.wait()
-            raise RuntimeError(
-                f"journaled run reached only {durable}/{kill_after_ops} ops "
-                f"within {KILL_DEADLINE_S}s")
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
-
-        # 3+4. What must the resume re-execute?  Derived from the file, not
-        # from the resume machinery being tested.
-        surviving = read_journal(journal)
-        if surviving.sealed:
-            raise RuntimeError("journal sealed before the kill landed; "
-                               "raise kill_after_ops")
-        snapshot = surviving.snapshot_for(0)
-        expected_tail = len(surviving.ops) - (snapshot.ops if snapshot else 0)
-
-        outcome, report = resume_journal(journal)
-        if not outcome.ok:
-            raise RuntimeError(f"resumed run failed: {outcome.error}")
-        resumed_doc = dump_metrics(outcome.scenario, outcome.rows)
-        identical = resumed_doc == reference_doc
-        if not identical:
-            raise RuntimeError(
-                "resumed metrics differ from the uninterrupted run:\n"
-                f"reference: {reference_doc}\nresumed:  {resumed_doc}")
-        stats = report.segments[0]
-        if stats.reexecuted != expected_tail:
-            raise RuntimeError(
-                f"resume re-executed {stats.reexecuted} ops but the journal "
-                f"holds {expected_tail} ops after its last snapshot")
-        verify_journal(journal)  # sealed, chain-intact, canonical bytes
-
-        result.add_row(
-            backend=backend,
-            transport=transport,
-            ops_journaled=stats.journaled,
-            snapshot_ops=stats.snapshot_ops,
-            ops_reexecuted=stats.reexecuted,
-            torn_tail=int(report.torn_tail),
-            byte_identical=int(identical),
-        )
-    result.add_note(
-        f"SIGKILLed after {kill_after_ops}+ durable ops; resume replayed "
-        f"only the {stats.reexecuted}-op tail after the last snapshot and "
-        "reproduced the uninterrupted metrics document byte for byte")
-    return result
-
-
 @register_scenario(
     "crash-recovery",
     "Crash recovery via the durable op journal",
@@ -224,18 +116,100 @@ def _run(peers: int, events: int, seed: int, kill_after_ops: int,
         Param("snapshot_interval", int, 10,
               "journal snapshot cadence (ops per segment)"),
         backend_param(),
-        Param("transport", _scenario_transport, "auto",
+        Param("transport", _transport_name, "auto",
               "shard transport pinned for all phases via "
               "REPRO_SHARD_TRANSPORT (sharded backend only)"),
     ),
 )
-def _scenario(peers: int, events: int, seed: int, kill_after_ops: int,
-              snapshot_interval: int, backend: str,
-              transport: str) -> ExperimentResult:
-    return run(peers=peers, events=events, seed=seed,
-               kill_after_ops=kill_after_ops, snapshot_interval=snapshot_interval,
-               backend=backend, transport=transport)
+def crash_recovery(peers: int, events: int, seed: int, kill_after_ops: int,
+                   snapshot_interval: int, backend: str,
+                   transport: str) -> ExperimentResult:
+    """Kill a journaled ``hotspot`` run mid-flight, resume, compare bytes."""
+    from repro.journal import read_journal, resume_journal, verify_journal
+    from repro.runtime.runner import run_one
+    from repro.traces.replay import dump_metrics
 
+    result = ExperimentResult(
+        "J1", "Crash recovery via the durable op journal")
+    params = {"peers": peers, "events": events, "seed": seed,
+              "backend": backend}
+    total_ops = 1 + events  # one subscribe_all + one op per publication
+    if not 0 < kill_after_ops < total_ops:
+        raise ValueError(
+            f"kill_after_ops must be in (0, {total_ops}) so the kill lands "
+            f"mid-run, got {kill_after_ops}")
 
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+    with _transport_env(transport):
+        # 1. The uninterrupted reference, in-process.
+        reference = run_one("hotspot", dict(params))
+        if not reference.ok:
+            raise RuntimeError(f"reference run failed: {reference.error}")
+        reference_doc = dump_metrics(reference.scenario, reference.rows)
+
+        with tempfile.TemporaryDirectory(prefix="repro-crash-") as tmp:
+            journal = Path(tmp) / "run.journal"
+
+            # 2. The victim, in a subprocess, SIGKILLed once enough ops are
+            # durable.  SIGKILL is the point: no handler runs, no buffer is
+            # flushed — only what the journal already forced to disk survives.
+            proc = _spawn_journaled_run(journal, peers, events, seed, backend,
+                                        snapshot_interval)
+            deadline = time.monotonic() + KILL_DEADLINE_S
+            durable = 0
+            while time.monotonic() < deadline:
+                durable = _count_journaled_ops(journal)
+                if durable >= kill_after_ops:
+                    break
+                if proc.poll() is not None:
+                    raise RuntimeError(
+                        f"journaled run exited (rc={proc.returncode}) before "
+                        f"reaching {kill_after_ops} ops; it journaled {durable}")
+                time.sleep(0.005)
+            else:
+                proc.kill()
+                proc.wait()
+                raise RuntimeError(
+                    f"journaled run reached only {durable}/{kill_after_ops} ops "
+                    f"within {KILL_DEADLINE_S}s")
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+
+            # 3+4. What must the resume re-execute?  Derived from the file, not
+            # from the resume machinery being tested.
+            surviving = read_journal(journal)
+            if surviving.sealed:
+                raise RuntimeError("journal sealed before the kill landed; "
+                                   "raise kill_after_ops")
+            snapshot = surviving.snapshot_for(0)
+            expected_tail = len(surviving.ops) - (snapshot.ops if snapshot else 0)
+
+            outcome, report = resume_journal(journal)
+            if not outcome.ok:
+                raise RuntimeError(f"resumed run failed: {outcome.error}")
+            resumed_doc = dump_metrics(outcome.scenario, outcome.rows)
+            identical = resumed_doc == reference_doc
+            if not identical:
+                raise RuntimeError(
+                    "resumed metrics differ from the uninterrupted run:\n"
+                    f"reference: {reference_doc}\nresumed:  {resumed_doc}")
+            stats = report.segments[0]
+            if stats.reexecuted != expected_tail:
+                raise RuntimeError(
+                    f"resume re-executed {stats.reexecuted} ops but the journal "
+                    f"holds {expected_tail} ops after its last snapshot")
+            verify_journal(journal)  # sealed, chain-intact, canonical bytes
+
+            result.add_row(
+                backend=backend,
+                transport=transport,
+                ops_journaled=stats.journaled,
+                snapshot_ops=stats.snapshot_ops,
+                ops_reexecuted=stats.reexecuted,
+                torn_tail=int(report.torn_tail),
+                byte_identical=int(identical),
+            )
+    result.add_note(
+        f"SIGKILLed after {kill_after_ops}+ durable ops; resume replayed "
+        f"only the {stats.reexecuted}-op tail after the last snapshot and "
+        "reproduced the uninterrupted metrics document byte for byte")
+    return result

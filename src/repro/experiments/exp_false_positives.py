@@ -13,8 +13,6 @@ negatives (expected: zero) and the message cost.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 from repro.experiments.harness import ExperimentResult
 from repro.overlay.config import DRTreeConfig
 from repro.pubsub.api import PubSubSystem
@@ -29,8 +27,8 @@ from repro.workloads.subscriptions import (
     zipf_subscriptions,
 )
 
-DEFAULT_WORKLOADS = ("uniform", "clustered", "zipf", "containment_chain", "mixed")
-DEFAULT_EVENT_KINDS = ("uniform", "biased", "targeted")
+WORKLOADS = ("uniform", "clustered", "zipf", "containment_chain", "mixed")
+EVENT_KINDS = ("uniform", "biased", "targeted")
 
 
 def _make_workload(kind: str, size: int, seed: int) -> SubscriptionWorkload:
@@ -56,28 +54,42 @@ def _make_events(kind: str, workload: SubscriptionWorkload, count: int,
                            prefix=prefix)
 
 
-def run(subscribers: int = 80,
-        events_per_cell: int = 40,
-        workloads: Sequence[str] = DEFAULT_WORKLOADS,
-        event_kinds: Sequence[str] = DEFAULT_EVENT_KINDS,
-        min_children: int = 2,
-        max_children: int = 5,
-        seed: int = 0) -> ExperimentResult:
+@register_scenario(
+    "false_positives",
+    "False positives / negatives across workloads",
+    description="Accuracy for every subscription-workload x event-"
+                "distribution cell (paper claim: ~2-3% false positives, "
+                "zero false negatives).",
+    params=(
+        Param("peers", int, 80, "subscribers per workload"),
+        Param("events", int, 40, "events published per cell"),
+        Param("workload", str, "all",
+              "restrict to one subscription workload family",
+              choices=("all",) + WORKLOADS),
+        Param("min_children", int, 2, "the paper's m bound"),
+        Param("max_children", int, 5, "the paper's M bound"),
+        Param("seed", int, 0, "RNG seed"),
+    ),
+    replayable=True,
+    experiment_id="E6",
+)
+def false_positives(peers: int, events: int, workload: str, min_children: int,
+                    max_children: int, seed: int) -> ExperimentResult:
     """Measure accuracy for every workload × event-distribution cell."""
     result = ExperimentResult(
         "E6", "False positives / negatives across workloads"
     )
     config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    for workload_kind in workloads:
-        workload = _make_workload(workload_kind, subscribers, seed)
-        system = PubSubSystem(workload.space, config, seed=seed)
-        system.subscribe_all(workload)
-        for event_kind in event_kinds:
-            events = _make_events(event_kind, workload, events_per_cell,
+    for workload_kind in WORKLOADS if workload == "all" else (workload,):
+        subscriptions = _make_workload(workload_kind, peers, seed)
+        system = PubSubSystem(subscriptions.space, config, seed=seed)
+        system.subscribe_all(subscriptions)
+        for event_kind in EVENT_KINDS:
+            stream = _make_events(event_kind, subscriptions, events,
                                   seed=seed + 13,
                                   prefix=f"{workload_kind}-{event_kind}-")
             before = len(system.accounting.outcomes)
-            system.publish_many(events)
+            system.publish_many(stream)
             outcomes = list(system.accounting.outcomes.values())[before:]
             population = len(system.subscribers())
             fp_rates = []
@@ -100,33 +112,3 @@ def run(subscribers: int = 80,
                     "reached per event, in percent (paper reports 2-3 %)")
     result.add_note("false_negatives must be 0 for every cell")
     return result
-
-
-@register_scenario(
-    "false_positives",
-    "False positives / negatives across workloads",
-    description="Accuracy for every subscription-workload x event-"
-                "distribution cell (paper claim: ~2-3% false positives, "
-                "zero false negatives).",
-    params=(
-        Param("peers", int, 80, "subscribers per workload"),
-        Param("events", int, 40, "events published per cell"),
-        Param("workload", str, "all",
-              "restrict to one subscription workload family",
-              choices=("all",) + DEFAULT_WORKLOADS),
-        Param("min_children", int, 2, "the paper's m bound"),
-        Param("max_children", int, 5, "the paper's M bound"),
-        Param("seed", int, 0, "RNG seed"),
-    ),
-    replayable=True,
-    experiment_id="E6",
-)
-def _scenario(peers: int, events: int, workload: str, min_children: int,
-              max_children: int, seed: int) -> ExperimentResult:
-    workloads = DEFAULT_WORKLOADS if workload == "all" else (workload,)
-    return run(subscribers=peers, events_per_cell=events, workloads=workloads,
-               min_children=min_children, max_children=max_children, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

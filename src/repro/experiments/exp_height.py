@@ -7,7 +7,7 @@ measured height against the ``O(log_m N)`` bound.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.analysis.complexity import height_bound, within_height_bound
 from repro.experiments.harness import ExperimentResult, size_ladder
@@ -16,17 +16,26 @@ from repro.overlay.config import DRTreeConfig
 from repro.runtime.registry import Param, register_scenario
 from repro.workloads.subscriptions import uniform_subscriptions
 
-DEFAULT_SIZES: Tuple[int, ...] = (16, 32, 64, 128, 256)
-DEFAULT_CONFIGS: Tuple[Tuple[int, int], ...] = ((2, 4), (3, 6), (4, 8))
+#: The (m, M) node-capacity configurations every size is measured under.
+CONFIGS: Tuple[Tuple[int, int], ...] = ((2, 4), (3, 6), (4, 8))
 
 
-def run(sizes: Sequence[int] = DEFAULT_SIZES,
-        configs: Sequence[Tuple[int, int]] = DEFAULT_CONFIGS,
-        seed: int = 0) -> ExperimentResult:
+@register_scenario(
+    "height",
+    "Tree height vs N (Lemma 3.1)",
+    description="Measured DR-tree heights against the O(log_m N) bound over "
+                "a geometric size sweep and several (m, M) configurations.",
+    params=(
+        Param("peers", int, 256, "largest network size of the sweep"),
+        Param("seed", int, 0, "RNG seed"),
+    ),
+    experiment_id="E2",
+)
+def height(peers: int, seed: int) -> ExperimentResult:
     """Measure tree heights across sizes and (m, M) configurations."""
     result = ExperimentResult("E2", "Tree height vs N (Lemma 3.1)")
-    for min_children, max_children in configs:
-        for size in sizes:
+    for min_children, max_children in CONFIGS:
+        for size in size_ladder(peers):
             workload = uniform_subscriptions(size, seed=seed)
             sim = build_stable_tree(
                 list(workload),
@@ -49,22 +58,3 @@ def run(sizes: Sequence[int] = DEFAULT_SIZES,
     result.add_note("bound column shows log_m(N) + 2 (Lemma 3.1 with explicit "
                     "constants); within_bound uses a 1.5x constant")
     return result
-
-
-@register_scenario(
-    "height",
-    "Tree height vs N (Lemma 3.1)",
-    description="Measured DR-tree heights against the O(log_m N) bound over "
-                "a geometric size sweep and several (m, M) configurations.",
-    params=(
-        Param("peers", int, 256, "largest network size of the sweep"),
-        Param("seed", int, 0, "RNG seed"),
-    ),
-    experiment_id="E2",
-)
-def _scenario(peers: int, seed: int) -> ExperimentResult:
-    return run(sizes=size_ladder(peers), seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

@@ -30,50 +30,6 @@ from repro.workloads.events import zipf_events
 from repro.workloads.subscriptions import clustered_subscriptions
 
 
-def run(subscribers: int = 120,
-        events: int = 200,
-        hotspots: int = 3,
-        hot_fraction: float = 0.9,
-        exponent: float = 1.2,
-        spread: float = 0.04,
-        min_children: int = 2,
-        max_children: int = 5,
-        seed: int = 0,
-        backend: str = "drtree:classic") -> ExperimentResult:
-    """Publish a Zipf-skewed hot-spot stream into a clustered overlay.
-
-    The result's single row is the canonical trace metrics row
-    (:func:`~repro.traces.replay.delivery_metrics_row`), which is what makes
-    a recorded run and its replay byte-comparable.
-    """
-    result = ExperimentResult("W1", "Hot-spot event streams (Zipf-skewed)")
-    config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    # One subscription cluster per hotspot; the stream's hotspot centres are
-    # pinned to the clusters' first members, so the hot traffic hammers
-    # *subscribed* regions — the regime where false-positive MBR area hurts.
-    workload = clustered_subscriptions(subscribers, seed=seed,
-                                       clusters=hotspots)
-    space = workload.space
-    centres = [
-        dict(zip(space.names, sub.rect.center.coords))
-        for sub in workload.subscriptions[:hotspots]
-    ]
-    stream = zipf_events(space, events, seed=seed + 7,
-                         hotspots=hotspots, exponent=exponent, spread=spread,
-                         hot_fraction=hot_fraction, centres=centres)
-    system = build_pubsub_system(workload, config, seed=seed, backend=backend)
-    outcomes = system.publish_many(stream)
-    result.add_row(**delivery_metrics_row(system))
-    matched = sum(1 for outcome in outcomes if outcome.intended)
-    result.add_note(
-        f"{hotspots} hotspots, exponent {exponent}: {matched}/{events} events "
-        f"had at least one interested subscriber")
-    result.add_note("the row is the canonical trace metrics row; record with "
-                    "--record and replay with --trace for a byte-identical "
-                    "metrics document")
-    return result
-
-
 @register_scenario(
     "hotspot",
     "Hot-spot event streams (Zipf-skewed)",
@@ -96,14 +52,37 @@ def run(subscribers: int = 120,
     ),
     replayable=True,
 )
-def _scenario(peers: int, events: int, hotspots: int, hot_fraction: float,
-              exponent: float, spread: float, min_children: int,
-              max_children: int, seed: int, backend: str) -> ExperimentResult:
-    return run(subscribers=peers, events=events, hotspots=hotspots,
-               hot_fraction=hot_fraction, exponent=exponent, spread=spread,
-               min_children=min_children, max_children=max_children,
-               seed=seed, backend=backend)
+def hotspot(peers: int, events: int, hotspots: int, hot_fraction: float,
+            exponent: float, spread: float, min_children: int,
+            max_children: int, seed: int, backend: str) -> ExperimentResult:
+    """Publish a Zipf-skewed hot-spot stream into a clustered overlay.
 
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+    The result's single row is the canonical trace metrics row
+    (:func:`~repro.traces.replay.delivery_metrics_row`), which is what makes
+    a recorded run and its replay byte-comparable.
+    """
+    result = ExperimentResult("W1", "Hot-spot event streams (Zipf-skewed)")
+    config = DRTreeConfig(min_children=min_children, max_children=max_children)
+    # One subscription cluster per hotspot; the stream's hotspot centres are
+    # pinned to the clusters' first members, so the hot traffic hammers
+    # *subscribed* regions — the regime where false-positive MBR area hurts.
+    workload = clustered_subscriptions(peers, seed=seed, clusters=hotspots)
+    space = workload.space
+    centres = [
+        dict(zip(space.names, sub.rect.center.coords))
+        for sub in workload.subscriptions[:hotspots]
+    ]
+    stream = zipf_events(space, events, seed=seed + 7,
+                         hotspots=hotspots, exponent=exponent, spread=spread,
+                         hot_fraction=hot_fraction, centres=centres)
+    system = build_pubsub_system(workload, config, seed=seed, backend=backend)
+    outcomes = system.publish_many(stream)
+    result.add_row(**delivery_metrics_row(system))
+    matched = sum(1 for outcome in outcomes if outcome.intended)
+    result.add_note(
+        f"{hotspots} hotspots, exponent {exponent}: {matched}/{events} events "
+        f"had at least one interested subscriber")
+    result.add_note("the row is the canonical trace metrics row; record with "
+                    "--record and replay with --trace for a byte-identical "
+                    "metrics document")
+    return result

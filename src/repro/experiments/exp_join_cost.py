@@ -9,8 +9,6 @@ rounds needed to return to a legal configuration.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.analysis.complexity import logarithmic_latency_bound
 from repro.analysis.stats import describe
 from repro.experiments.harness import ExperimentResult, size_ladder
@@ -19,18 +17,27 @@ from repro.overlay.config import DRTreeConfig
 from repro.runtime.registry import Param, register_scenario
 from repro.workloads.subscriptions import uniform_subscriptions
 
-DEFAULT_SIZES: Tuple[int, ...] = (16, 32, 64, 128, 256)
 
-
-def run(sizes: Sequence[int] = DEFAULT_SIZES,
-        probes: int = 10,
-        min_children: int = 2,
-        max_children: int = 4,
-        seed: int = 0) -> ExperimentResult:
+@register_scenario(
+    "join_cost",
+    "Join cost vs N (Lemma 3.2)",
+    description="Routing hops of probe joins into stabilized trees of "
+                "increasing size, against the O(log_m N) bound.",
+    params=(
+        Param("peers", int, 256, "largest network size of the sweep"),
+        Param("probes", int, 10, "probe joins measured per size"),
+        Param("min_children", int, 2, "the paper's m bound"),
+        Param("max_children", int, 4, "the paper's M bound"),
+        Param("seed", int, 0, "RNG seed"),
+    ),
+    experiment_id="E4",
+)
+def join_cost(peers: int, probes: int, min_children: int, max_children: int,
+              seed: int) -> ExperimentResult:
     """Measure join hop counts and post-join stabilization rounds."""
     result = ExperimentResult("E4", "Join cost vs N (Lemma 3.2)")
     config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    for size in sizes:
+    for size in size_ladder(peers):
         base = uniform_subscriptions(size, seed=seed)
         probe_subs = uniform_subscriptions(probes, seed=seed + 1,
                                            prefix="probe")
@@ -52,27 +59,3 @@ def run(sizes: Sequence[int] = DEFAULT_SIZES,
         )
     result.add_note("hops counts JOIN/ADD_CHILD forwarding steps per probe join")
     return result
-
-
-@register_scenario(
-    "join_cost",
-    "Join cost vs N (Lemma 3.2)",
-    description="Routing hops of probe joins into stabilized trees of "
-                "increasing size, against the O(log_m N) bound.",
-    params=(
-        Param("peers", int, 256, "largest network size of the sweep"),
-        Param("probes", int, 10, "probe joins measured per size"),
-        Param("min_children", int, 2, "the paper's m bound"),
-        Param("max_children", int, 4, "the paper's M bound"),
-        Param("seed", int, 0, "RNG seed"),
-    ),
-    experiment_id="E4",
-)
-def _scenario(peers: int, probes: int, min_children: int, max_children: int,
-              seed: int) -> ExperimentResult:
-    return run(sizes=size_ladder(peers), probes=probes,
-               min_children=min_children, max_children=max_children, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

@@ -8,8 +8,6 @@ maximum hop counts of true deliveries together with the logarithmic bound.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.analysis.complexity import logarithmic_latency_bound
 from repro.experiments.harness import (ExperimentResult, build_pubsub_system,
                                        size_ladder)
@@ -17,45 +15,6 @@ from repro.overlay.config import DRTreeConfig
 from repro.runtime.registry import Param, backend_param, register_scenario
 from repro.workloads.events import targeted_events
 from repro.workloads.subscriptions import uniform_subscriptions
-
-DEFAULT_SIZES: Tuple[int, ...] = (16, 32, 64, 128, 256)
-
-
-def run(sizes: Sequence[int] = DEFAULT_SIZES,
-        events_per_size: int = 30,
-        min_children: int = 2,
-        max_children: int = 4,
-        seed: int = 0,
-        backend: str = "drtree:classic") -> ExperimentResult:
-    """Measure delivery hop counts across network sizes.
-
-    ``backend="drtree:batched"`` runs the same workload on the batched
-    dissemination engine; hop counts and delivery sets are identical by
-    construction, so the option exists for cross-checking and for timing
-    comparisons.  Baseline backends report their own hop profiles against
-    the same logarithmic bound column.
-    """
-    result = ExperimentResult("E5", "Publication latency vs N")
-    config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    for size in sizes:
-        workload = uniform_subscriptions(size, seed=seed)
-        system = build_pubsub_system(workload, config, seed=seed,
-                                     backend=backend)
-        events = targeted_events(workload.space, list(workload),
-                                 events_per_size, seed=seed + 7)
-        system.publish_many(events)
-        summary = system.summary()
-        result.add_row(
-            N=size,
-            events=events_per_size,
-            mean_hops=round(summary["mean_delivery_hops"], 2),
-            max_hops=summary["max_delivery_hops"],
-            bound=round(logarithmic_latency_bound(size, min_children), 2),
-            mean_messages=round(summary["mean_messages_per_event"], 2),
-            false_negatives=summary["false_negatives"],
-        )
-    result.add_note("hops counted over true deliveries; bound = 2·log_m(N) + 3")
-    return result
 
 
 @register_scenario(
@@ -74,12 +33,34 @@ def run(sizes: Sequence[int] = DEFAULT_SIZES,
     replayable=True,
     experiment_id="E5",
 )
-def _scenario(peers: int, events: int, min_children: int, max_children: int,
-              seed: int, backend: str) -> ExperimentResult:
-    return run(sizes=size_ladder(peers), events_per_size=events,
-               min_children=min_children, max_children=max_children, seed=seed,
-               backend=backend)
+def latency(peers: int, events: int, min_children: int, max_children: int,
+            seed: int, backend: str) -> ExperimentResult:
+    """Measure delivery hop counts across network sizes.
 
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+    ``backend="drtree:batched"`` runs the same workload on the batched
+    dissemination engine; hop counts and delivery sets are identical by
+    construction, so the option exists for cross-checking and for timing
+    comparisons.  Baseline backends report their own hop profiles against
+    the same logarithmic bound column.
+    """
+    result = ExperimentResult("E5", "Publication latency vs N")
+    config = DRTreeConfig(min_children=min_children, max_children=max_children)
+    for size in size_ladder(peers):
+        workload = uniform_subscriptions(size, seed=seed)
+        system = build_pubsub_system(workload, config, seed=seed,
+                                     backend=backend)
+        stream = targeted_events(workload.space, list(workload), events,
+                                 seed=seed + 7)
+        system.publish_many(stream)
+        summary = system.summary()
+        result.add_row(
+            N=size,
+            events=events,
+            mean_hops=round(summary["mean_delivery_hops"], 2),
+            max_hops=summary["max_delivery_hops"],
+            bound=round(logarithmic_latency_bound(size, min_children), 2),
+            mean_messages=round(summary["mean_messages_per_event"], 2),
+            false_negatives=summary["false_negatives"],
+        )
+    result.add_note("hops counted over true deliveries; bound = 2·log_m(N) + 3")
+    return result

@@ -7,8 +7,6 @@ and MBRs over every level where a peer is active) and compares it against the
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.analysis.complexity import memory_bound, within_memory_bound
 from repro.experiments.harness import ExperimentResult, size_ladder
 from repro.overlay.builder import build_stable_tree
@@ -16,17 +14,26 @@ from repro.overlay.config import DRTreeConfig
 from repro.runtime.registry import Param, register_scenario
 from repro.workloads.subscriptions import uniform_subscriptions
 
-DEFAULT_SIZES: Tuple[int, ...] = (16, 32, 64, 128, 256)
 
-
-def run(sizes: Sequence[int] = DEFAULT_SIZES,
-        min_children: int = 2,
-        max_children: int = 4,
-        seed: int = 0) -> ExperimentResult:
+@register_scenario(
+    "memory",
+    "Per-peer memory vs N (Lemma 3.1)",
+    description="Mean/max routing-state sizes against the O(M log_m N) bound "
+                "over a geometric size sweep.",
+    params=(
+        Param("peers", int, 256, "largest network size of the sweep"),
+        Param("min_children", int, 2, "the paper's m bound"),
+        Param("max_children", int, 4, "the paper's M bound"),
+        Param("seed", int, 0, "RNG seed"),
+    ),
+    experiment_id="E3",
+)
+def memory(peers: int, min_children: int, max_children: int,
+           seed: int) -> ExperimentResult:
     """Measure mean and maximum per-peer state sizes."""
     result = ExperimentResult("E3", "Per-peer memory vs N (Lemma 3.1)")
     config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    for size in sizes:
+    for size in size_ladder(peers):
         workload = uniform_subscriptions(size, seed=seed)
         sim = build_stable_tree(list(workload), config, seed=seed)
         report = sim.verify()
@@ -43,26 +50,3 @@ def run(sizes: Sequence[int] = DEFAULT_SIZES,
     result.add_note("entries = children references + parent pointer + MBR "
                     "summed over all levels where the peer is active")
     return result
-
-
-@register_scenario(
-    "memory",
-    "Per-peer memory vs N (Lemma 3.1)",
-    description="Mean/max routing-state sizes against the O(M log_m N) bound "
-                "over a geometric size sweep.",
-    params=(
-        Param("peers", int, 256, "largest network size of the sweep"),
-        Param("min_children", int, 2, "the paper's m bound"),
-        Param("max_children", int, 4, "the paper's M bound"),
-        Param("seed", int, 0, "RNG seed"),
-    ),
-    experiment_id="E3",
-)
-def _scenario(peers: int, min_children: int, max_children: int,
-              seed: int) -> ExperimentResult:
-    return run(sizes=size_ladder(peers), min_children=min_children,
-               max_children=max_children, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

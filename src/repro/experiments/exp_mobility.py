@@ -40,15 +40,28 @@ def _translate(rect: Rect, deltas, lo: float = 0.0, hi: float = 1.0) -> Rect:
     return Rect(tuple(lower), tuple(upper))
 
 
-def run(subscribers: int = 80,
-        walkers: int = 8,
-        steps: int = 4,
-        events_per_step: int = 12,
-        step_size: float = 0.08,
-        min_children: int = 2,
-        max_children: int = 5,
-        seed: int = 0,
-        backend: str = "drtree:classic") -> ExperimentResult:
+@register_scenario(
+    "mobility",
+    "Moving-range subscriptions (mobility)",
+    description="A set of walker subscriptions re-subscribes along a random "
+                "walk while targeted publications keep flowing; reports the "
+                "canonical replayable delivery-metrics row.",
+    params=(
+        Param("peers", int, 80, "number of subscribers"),
+        Param("walkers", int, 8, "subscriptions performing the random walk"),
+        Param("steps", int, 4, "random-walk steps"),
+        Param("events_per_step", int, 12, "publications after each step"),
+        Param("step_size", float, 0.08, "gaussian step size of the walk"),
+        Param("min_children", int, 2, "node capacity lower bound m"),
+        Param("max_children", int, 5, "node capacity upper bound M"),
+        Param("seed", int, 0, "RNG seed"),
+        backend_param(),
+    ),
+    replayable=True,
+)
+def mobility(peers: int, walkers: int, steps: int, events_per_step: int,
+             step_size: float, min_children: int, max_children: int,
+             seed: int, backend: str) -> ExperimentResult:
     """Walk ``walkers`` subscriptions for ``steps`` steps, publishing between.
 
     Walkers are the lexicographically first subscriber ids; each step every
@@ -61,11 +74,11 @@ def run(subscribers: int = 80,
         raise ValueError("need at least one walker")
     if steps < 1:
         raise ValueError("need at least one step")
-    if subscribers < walkers:
+    if peers < walkers:
         raise ValueError("need at least as many subscribers as walkers")
     result = ExperimentResult("W3", "Moving-range subscriptions (mobility)")
     config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    workload = uniform_subscriptions(subscribers, seed=seed)
+    workload = uniform_subscriptions(peers, seed=seed)
     space = workload.space
     rng = RandomStreams(seed).stream("workload.mobility")
 
@@ -94,35 +107,3 @@ def run(subscribers: int = 80,
         f"(gaussian step {step_size}); events re-targeted at the moved "
         "filters each step")
     return result
-
-
-@register_scenario(
-    "mobility",
-    "Moving-range subscriptions (mobility)",
-    description="A set of walker subscriptions re-subscribes along a random "
-                "walk while targeted publications keep flowing; reports the "
-                "canonical replayable delivery-metrics row.",
-    params=(
-        Param("peers", int, 80, "number of subscribers"),
-        Param("walkers", int, 8, "subscriptions performing the random walk"),
-        Param("steps", int, 4, "random-walk steps"),
-        Param("events_per_step", int, 12, "publications after each step"),
-        Param("step_size", float, 0.08, "gaussian step size of the walk"),
-        Param("min_children", int, 2, "node capacity lower bound m"),
-        Param("max_children", int, 5, "node capacity upper bound M"),
-        Param("seed", int, 0, "RNG seed"),
-        backend_param(),
-    ),
-    replayable=True,
-)
-def _scenario(peers: int, walkers: int, steps: int, events_per_step: int,
-              step_size: float, min_children: int, max_children: int,
-              seed: int, backend: str) -> ExperimentResult:
-    return run(subscribers=peers, walkers=walkers, steps=steps,
-               events_per_step=events_per_step, step_size=step_size,
-               min_children=min_children, max_children=max_children,
-               seed=seed, backend=backend)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

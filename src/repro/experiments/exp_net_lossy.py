@@ -111,16 +111,68 @@ def _row_conditions(base: NetConditions, loss: float = 0.0,
     return NetConditions.from_mapping(data)
 
 
-def run(subscribers: int = 150,
-        events_count: int = 10,
-        crash_fraction: float = 0.1,
-        losses: str = "0,0.01,0.05,0.2",
-        partition: str = "0:25:2",
-        conditions: str = "",
-        timeout: float = 60.0,
-        seed: int = 0,
-        reference: str = "drtree:classic",
-        staleness: int = 0) -> ExperimentResult:
+def _laggard_note(rows: List[Dict[str, object]], timeout: float
+                  ) -> Optional[str]:
+    """The warning for rows past the convergence deadline, if any.
+
+    Whether the driven post_rounds fixpoint recovered every delivery is
+    read from the laggard rows' ``missed`` column, never assumed.
+    """
+    laggards = [row for row in rows if not row["converged"]]
+    if not laggards:
+        return None
+    lost = [f"{row['condition']} missed {row['missed']}"
+            for row in laggards if row["missed"]]
+    outcome = (f"the driven post_rounds fixpoint did not recover every "
+               f"matching delivery: {', '.join(lost)}" if lost else
+               "the driven post_rounds fixpoint still recovered every "
+               "delivery")
+    return (f"WARNING: {', '.join(row['condition'] for row in laggards)} "
+            f"missed the {timeout:.0f}s convergence deadline (sustained "
+            f"loss can expire children faster than repairs land; {outcome})")
+
+
+@register_scenario(
+    "net-lossy",
+    "Real-network stabilization under injected loss/latency/partitions",
+    description="Sweep deterministic network conditions (Bernoulli loss "
+                "rates plus a timed partition-heal window) over the same "
+                "crash wave on drtree:net: background stabilizers must "
+                "restore a legal overlay while repair frames are being "
+                "dropped, delayed or partitioned away. Reports cycles-to-"
+                "convergence, condition counters and probe false negatives "
+                "per condition, and pins the delivered-event digest "
+                "against a condition-free simulated reference (the loss=0 "
+                "row must match byte-for-byte).",
+    params=(
+        Param("peers", int, 150, "subscriber count"),
+        Param("events", int, 10, "events in the post-convergence burst"),
+        Param("crash_fraction", float, 0.1,
+              "fraction of subscribers crashed under conditions"),
+        Param("losses", str, "0,0.01,0.05,0.2",
+              "comma-separated Bernoulli loss rates to sweep"),
+        Param("partition", str, "0:25:2",
+              "partition-heal window start:duration:groups in simulated "
+              "units ('' disables the partition row)"),
+        Param("conditions", str, "",
+              "extra condition spec merged into every row "
+              "(e.g. 'latency=uniform:0.5:2', see docs/net.md)"),
+        Param("timeout", float, 60.0,
+              "hard per-row convergence deadline, real seconds"),
+        Param("seed", int, 0, "RNG seed"),
+        Param("reference", str, "drtree:classic",
+              "condition-free simulated backend providing the digest "
+              "reference",
+              choices=("drtree:classic", "drtree:batched")),
+        Param("staleness", int, 0,
+              "silence-budget override (child_staleness_rounds and "
+              "parent_silence_rounds) on both sides (0 = protocol defaults; "
+              "raise at scale so sustained loss cannot out-churn repairs)"),
+    ),
+)
+def net_lossy(peers: int, events: int, crash_fraction: float, losses: str,
+              partition: str, conditions: str, timeout: float, seed: int,
+              reference: str, staleness: int) -> ExperimentResult:
     """Loss/partition sweep on ``drtree:net`` against a clean reference.
 
     ``staleness`` overrides both silence budgets — the parent-side
@@ -138,9 +190,9 @@ def run(subscribers: int = 150,
     result = ExperimentResult(
         "NET-LOSSY", "Background stabilizer convergence under injected "
                      "loss, latency and partitions (drtree:net)")
-    workload = mixed_subscriptions(subscribers, seed=seed)
+    workload = mixed_subscriptions(peers, seed=seed)
     subscriptions = list(workload)
-    events = _comparison_events(workload, events_count, seed)
+    stream = _comparison_events(workload, events, seed)
     config = DRTreeConfig(child_staleness_rounds=staleness,
                           parent_silence_rounds=staleness) if staleness \
         else DRTreeConfig()
@@ -149,8 +201,8 @@ def run(subscribers: int = 150,
     window = _parse_partition(partition)
     rng = RandomStreams(seed).stream("net.lossy.crashes")
 
-    count = max(1, int(subscribers * crash_fraction))
-    count = min(count, max(0, subscribers - config.max_children))
+    count = max(1, int(peers * crash_fraction))
+    count = min(count, max(0, peers - config.max_children))
     victims = rng.sample(sorted(sub.name for sub in subscriptions),
                          count) if count else []
 
@@ -160,16 +212,16 @@ def run(subscribers: int = 150,
         Returns ``(probe_missed, false_negatives, false_positives,
         matching digest)`` over everything published.
         """
-        for event in events:
+        for event in stream:
             broker.publish(event)
-        probe = Event(dict(events[0].attributes), event_id="probe")
+        probe = Event(dict(stream[0].attributes), event_id="probe")
         outcome = broker.publish(probe)
         received = set(outcome.received)
         probe_missed = sum(
             1 for subscriber in broker.subscribers()
             if broker.subscription_of(subscriber).matches(probe)
             and subscriber not in received)
-        events_by_id = {event.event_id: event for event in events}
+        events_by_id = {event.event_id: event for event in stream}
         events_by_id[probe.event_id] = probe
         digest, negatives, positives = _matching_digest(broker, events_by_id)
         return probe_missed, negatives, positives, digest
@@ -234,7 +286,7 @@ def run(subscribers: int = 150,
             net.close()
 
     result.add_note(
-        f"{len(victims)} shared victim(s) out of {subscribers} subscribers; "
+        f"{len(victims)} shared victim(s) out of {peers} subscribers; "
         f"net repaired by background stabilizers under injected conditions, "
         f"reference {reference} clean + driven stabilize() "
         f"(missed {ref_negatives}, fp {ref_positives}, "
@@ -246,63 +298,8 @@ def run(subscribers: int = 150,
     if zero_rows and not zero_rows[0]["digest_match"]:
         result.add_note("WARNING: loss=0 delivered digest diverged from "
                         "the condition-free reference")
-    laggards = [row["condition"] for row in result.rows
-                if not row["converged"]]
-    if laggards:
-        result.add_note(
-            f"WARNING: {', '.join(laggards)} missed the {timeout:.0f}s "
-            "convergence deadline (sustained loss can expire children "
-            "faster than repairs land; the driven post_rounds fixpoint "
-            "still recovered every delivery)")
+    laggard_note = _laggard_note(result.rows, timeout)
+    if laggard_note:
+        result.add_note(laggard_note)
     return result
 
-
-@register_scenario(
-    "net-lossy",
-    "Real-network stabilization under injected loss/latency/partitions",
-    description="Sweep deterministic network conditions (Bernoulli loss "
-                "rates plus a timed partition-heal window) over the same "
-                "crash wave on drtree:net: background stabilizers must "
-                "restore a legal overlay while repair frames are being "
-                "dropped, delayed or partitioned away. Reports cycles-to-"
-                "convergence, condition counters and probe false negatives "
-                "per condition, and pins the delivered-event digest "
-                "against a condition-free simulated reference (the loss=0 "
-                "row must match byte-for-byte).",
-    params=(
-        Param("peers", int, 150, "subscriber count"),
-        Param("events", int, 10, "events in the post-convergence burst"),
-        Param("crash_fraction", float, 0.1,
-              "fraction of subscribers crashed under conditions"),
-        Param("losses", str, "0,0.01,0.05,0.2",
-              "comma-separated Bernoulli loss rates to sweep"),
-        Param("partition", str, "0:25:2",
-              "partition-heal window start:duration:groups in simulated "
-              "units ('' disables the partition row)"),
-        Param("conditions", str, "",
-              "extra condition spec merged into every row "
-              "(e.g. 'latency=uniform:0.5:2', see docs/net.md)"),
-        Param("timeout", float, 60.0,
-              "hard per-row convergence deadline, real seconds"),
-        Param("seed", int, 0, "RNG seed"),
-        Param("reference", str, "drtree:classic",
-              "condition-free simulated backend providing the digest "
-              "reference",
-              choices=("drtree:classic", "drtree:batched")),
-        Param("staleness", int, 0,
-              "silence-budget override (child_staleness_rounds and "
-              "parent_silence_rounds) on both sides (0 = protocol defaults; "
-              "raise at scale so sustained loss cannot out-churn repairs)"),
-    ),
-)
-def _scenario(peers: int, events: int, crash_fraction: float, losses: str,
-              partition: str, conditions: str, timeout: float, seed: int,
-              reference: str, staleness: int) -> ExperimentResult:
-    return run(subscribers=peers, events_count=events,
-               crash_fraction=crash_fraction, losses=losses,
-               partition=partition, conditions=conditions, timeout=timeout,
-               seed=seed, reference=reference, staleness=staleness)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

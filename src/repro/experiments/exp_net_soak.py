@@ -27,7 +27,6 @@ paper's Section 4 recovery claim, re-measured under real asynchrony.
 from __future__ import annotations
 
 import os
-from typing import List
 
 from repro.api.spec import SystemSpec
 from repro.experiments.exp_baselines import _comparison_events
@@ -50,96 +49,6 @@ def _missed(broker, event) -> int:
         1 for subscriber in broker.subscribers()
         if broker.subscription_of(subscriber).matches(event)
         and subscriber not in received)
-
-
-def run(subscribers: int = 200,
-        events_count: int = 12,
-        waves: int = 3,
-        crash_fraction: float = 0.05,
-        timeout: float = 60.0,
-        seed: int = 0,
-        reference: str = "drtree:classic",
-        conditions: str = "") -> ExperimentResult:
-    """Crash-churn soak on ``drtree:net`` with a simulated reference run."""
-    result = ExperimentResult(
-        "NET-SOAK", "Background stabilizer convergence under crash churn "
-                    "(drtree:net vs driven simulation)")
-    workload = mixed_subscriptions(subscribers, seed=seed)
-    subscriptions = list(workload)
-    events = _comparison_events(workload, max(waves * 2, events_count), seed)
-    config = DRTreeConfig()
-    spec = SystemSpec(space=workload.space, config=config, seed=seed)
-    rng = RandomStreams(seed).stream("net.soak.crashes")
-
-    net_spec = spec.with_backend("drtree:net")
-    if conditions:
-        # Injected network conditions (see docs/net.md) apply to the whole
-        # run, joins included; the reference side stays perfect.
-        net_spec = net_spec.with_engine_options({"conditions": conditions})
-    net = net_spec.build()
-    sim = spec.with_backend(reference).build()
-    try:
-        net.subscribe_all(subscriptions)
-        sim.subscribe_all(subscriptions)
-        per_wave = max(1, len(events) // max(waves, 1))
-        cursor = 0
-        for wave in range(waves):
-            live = net.subscribers()
-            count = max(1, int(len(live) * crash_fraction))
-            # Never crash below a viable tree; both brokers see the same
-            # victim set because both hold the same live population.
-            count = min(count, max(0, len(live) - config.max_children))
-            victims = rng.sample(sorted(live), count) if count else []
-            for victim in victims:
-                net.fail(victim, stabilize=False)
-                sim.fail(victim, stabilize=False)
-            # Mid-churn publications: both sides may miss orphaned
-            # subtrees — the point is that the system keeps operating.
-            burst = events[cursor:cursor + per_wave]
-            cursor += len(burst)
-            for event in burst:
-                net.publish(event)
-                sim.publish(event)
-            # Recovery: background-only on net, driven on the reference.
-            report = net.simulation.await_convergence(timeout=timeout)
-            sim.stabilize()
-            sim_rounds = int(
-                sim.simulation.metrics.histogram("stabilize.rounds")
-                .values[-1])
-            # A fresh id per wave: the base event may still be published in
-            # a later burst, and event ids are unique within one broker.
-            probe = Event(dict(events[cursor % len(events)].attributes),
-                          event_id=f"probe-{wave}")
-            result.add_row(
-                wave=wave,
-                crashed=len(victims),
-                live=len(net.subscribers()),
-                published=len(burst),
-                net_cycles_mean=round(float(report["cycles_mean"]), 1),
-                net_cycles_max=int(report["cycles_max"]),
-                net_legal=bool(report["legal"]),
-                net_seconds=round(float(report["seconds"]), 2),
-                sim_rounds=sim_rounds,
-                net_missed=_missed(net, probe),
-                sim_missed=_missed(sim, probe),
-            )
-        legal_everywhere = all(row["net_legal"] for row in result.rows)
-        result.add_note(
-            f"{waves} crash wave(s) x {crash_fraction:.0%} of live peers on "
-            f"{subscribers} subscribers; net repaired by background "
-            f"stabilizers only (period {config.stabilization_period} units, "
-            f"jittered), reference {reference} by driven stabilize()")
-        result.add_note(
-            "overlay legal after every wave"
-            if legal_everywhere else
-            f"WARNING: background stabilizers missed the {timeout:.0f}s "
-            "convergence deadline in at least one wave")
-        if os.environ.get(BIG_NET_ENV):
-            result.add_note(f"{BIG_NET_ENV} set: big-net leg")
-    finally:
-        net.close()
-        sim.close()
-    return result
 
 
 @register_scenario(
@@ -169,13 +78,86 @@ def run(subscribers: int = 200,
               "(e.g. 'loss=0.01', see docs/net.md; '' = perfect network)"),
     ),
 )
-def _scenario(peers: int, events: int, waves: int, crash_fraction: float,
-              timeout: float, seed: int, reference: str,
-              conditions: str) -> ExperimentResult:
-    return run(subscribers=peers, events_count=events, waves=waves,
-               crash_fraction=crash_fraction, timeout=timeout, seed=seed,
-               reference=reference, conditions=conditions)
+def net_soak(peers: int, events: int, waves: int, crash_fraction: float,
+             timeout: float, seed: int, reference: str,
+             conditions: str) -> ExperimentResult:
+    """Crash-churn soak on ``drtree:net`` with a simulated reference run."""
+    result = ExperimentResult(
+        "NET-SOAK", "Background stabilizer convergence under crash churn "
+                    "(drtree:net vs driven simulation)")
+    workload = mixed_subscriptions(peers, seed=seed)
+    subscriptions = list(workload)
+    stream = _comparison_events(workload, max(waves * 2, events), seed)
+    config = DRTreeConfig()
+    spec = SystemSpec(space=workload.space, config=config, seed=seed)
+    rng = RandomStreams(seed).stream("net.soak.crashes")
 
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())
+    net_spec = spec.with_backend("drtree:net")
+    if conditions:
+        # Injected network conditions (see docs/net.md) apply to the whole
+        # run, joins included; the reference side stays perfect.
+        net_spec = net_spec.with_engine_options({"conditions": conditions})
+    net = net_spec.build()
+    sim = spec.with_backend(reference).build()
+    try:
+        net.subscribe_all(subscriptions)
+        sim.subscribe_all(subscriptions)
+        per_wave = max(1, len(stream) // max(waves, 1))
+        cursor = 0
+        for wave in range(waves):
+            live = net.subscribers()
+            count = max(1, int(len(live) * crash_fraction))
+            # Never crash below a viable tree; both brokers see the same
+            # victim set because both hold the same live population.
+            count = min(count, max(0, len(live) - config.max_children))
+            victims = rng.sample(sorted(live), count) if count else []
+            for victim in victims:
+                net.fail(victim, stabilize=False)
+                sim.fail(victim, stabilize=False)
+            # Mid-churn publications: both sides may miss orphaned
+            # subtrees — the point is that the system keeps operating.
+            burst = stream[cursor:cursor + per_wave]
+            cursor += len(burst)
+            for event in burst:
+                net.publish(event)
+                sim.publish(event)
+            # Recovery: background-only on net, driven on the reference.
+            report = net.simulation.await_convergence(timeout=timeout)
+            sim.stabilize()
+            sim_rounds = int(
+                sim.simulation.metrics.histogram("stabilize.rounds")
+                .values[-1])
+            # A fresh id per wave: the base event may still be published in
+            # a later burst, and event ids are unique within one broker.
+            probe = Event(dict(stream[cursor % len(stream)].attributes),
+                          event_id=f"probe-{wave}")
+            result.add_row(
+                wave=wave,
+                crashed=len(victims),
+                live=len(net.subscribers()),
+                published=len(burst),
+                net_cycles_mean=round(float(report["cycles_mean"]), 1),
+                net_cycles_max=int(report["cycles_max"]),
+                net_legal=bool(report["legal"]),
+                net_seconds=round(float(report["seconds"]), 2),
+                sim_rounds=sim_rounds,
+                net_missed=_missed(net, probe),
+                sim_missed=_missed(sim, probe),
+            )
+        legal_everywhere = all(row["net_legal"] for row in result.rows)
+        result.add_note(
+            f"{waves} crash wave(s) x {crash_fraction:.0%} of live peers on "
+            f"{peers} subscribers; net repaired by background "
+            f"stabilizers only (period {config.stabilization_period} units, "
+            f"jittered), reference {reference} by driven stabilize()")
+        result.add_note(
+            "overlay legal after every wave"
+            if legal_everywhere else
+            f"WARNING: background stabilizers missed the {timeout:.0f}s "
+            "convergence deadline in at least one wave")
+        if os.environ.get(BIG_NET_ENV):
+            result.add_note(f"{BIG_NET_ENV} set: big-net leg")
+    finally:
+        net.close()
+        sim.close()
+    return result

@@ -17,15 +17,12 @@ grows at most logarithmically with ``N``.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.experiments.harness import ExperimentResult, size_ladder
 from repro.overlay.builder import build_stable_tree
 from repro.overlay.config import DRTreeConfig
 from repro.runtime.registry import Param, register_scenario
 from repro.workloads.subscriptions import uniform_subscriptions
 
-DEFAULT_SIZES: Tuple[int, ...] = (32, 64, 128)
 FAULTS = ("controlled_leave", "crash", "corruption", "combined")
 
 
@@ -55,18 +52,28 @@ def _inject(sim, fault: str, fraction: float, seed: int) -> int:
     return len(half) + len(set(report.corrupted_peers))
 
 
-def run(sizes: Sequence[int] = DEFAULT_SIZES,
-        faults: Sequence[str] = FAULTS,
-        fraction: float = 0.15,
-        max_rounds: int = 80,
-        min_children: int = 2,
-        max_children: int = 5,
-        seed: int = 0) -> ExperimentResult:
+@register_scenario(
+    "recovery",
+    "Recovery after faults (Lemmas 3.3-3.6)",
+    description="Stabilization rounds back to legality after controlled "
+                "departures, crashes, memory corruption and all at once.",
+    params=(
+        Param("peers", int, 128, "largest network size of the sweep"),
+        Param("fraction", float, 0.15, "fraction of live peers hit per fault"),
+        Param("max_rounds", int, 80, "stabilization round budget"),
+        Param("min_children", int, 2, "the paper's m bound"),
+        Param("max_children", int, 5, "the paper's M bound"),
+        Param("seed", int, 0, "RNG seed"),
+    ),
+    experiment_id="E8",
+)
+def recovery(peers: int, fraction: float, max_rounds: int, min_children: int,
+             max_children: int, seed: int) -> ExperimentResult:
     """Measure rounds-to-legal for every fault class and network size."""
     result = ExperimentResult("E8", "Recovery after faults (Lemmas 3.3-3.6)")
     config = DRTreeConfig(min_children=min_children, max_children=max_children)
-    for size in sizes:
-        for fault in faults:
+    for size in size_ladder(peers, steps=3, floor=32):
+        for fault in FAULTS:
             workload = uniform_subscriptions(size, seed=seed)
             sim = build_stable_tree(list(workload), config, seed=seed)
             affected = _inject(sim, fault, fraction, seed + size)
@@ -86,29 +93,3 @@ def run(sizes: Sequence[int] = DEFAULT_SIZES,
     result.add_note(f"fault fraction = {fraction:.0%} of live peers per injection")
     result.add_note("recovered must be True in every row (self-stabilization)")
     return result
-
-
-@register_scenario(
-    "recovery",
-    "Recovery after faults (Lemmas 3.3-3.6)",
-    description="Stabilization rounds back to legality after controlled "
-                "departures, crashes, memory corruption and all at once.",
-    params=(
-        Param("peers", int, 128, "largest network size of the sweep"),
-        Param("fraction", float, 0.15, "fraction of live peers hit per fault"),
-        Param("max_rounds", int, 80, "stabilization round budget"),
-        Param("min_children", int, 2, "the paper's m bound"),
-        Param("max_children", int, 5, "the paper's M bound"),
-        Param("seed", int, 0, "RNG seed"),
-    ),
-    experiment_id="E8",
-)
-def _scenario(peers: int, fraction: float, max_rounds: int, min_children: int,
-              max_children: int, seed: int) -> ExperimentResult:
-    return run(sizes=size_ladder(peers, steps=3, floor=32), fraction=fraction,
-               max_rounds=max_rounds, min_children=min_children,
-               max_children=max_children, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

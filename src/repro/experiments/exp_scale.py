@@ -26,7 +26,6 @@ This is the scenario behind the CI ``scale`` job::
 from __future__ import annotations
 
 import gc
-import time
 from typing import List, Tuple
 
 from repro.experiments.exp_throughput import (DeliveryRecord, _drive,
@@ -59,17 +58,35 @@ def _run_engine(backend: str, peers: int, events: int, window: int,
     return deliveries, elapsed, messages, shard_rows
 
 
-def run(peers: int = 20000,
-        events: int = 300,
-        window: int = 100,
-        shards: int = 4,
-        parity_peers: int = 1500,
-        parity_events: int = 100,
-        min_children: int = 4,
-        max_children: int = 8,
-        seed: int = 0,
-        transport: str = "auto",
-        workload: str = "none") -> ExperimentResult:
+@register_scenario(
+    "scale",
+    "Sharded scale (classic parity + load balance)",
+    description="Drive one workload through drtree:classic and "
+                "drtree:sharded at a parity size and assert byte-identical "
+                "delivery records and message counts; then run the sharded "
+                "engine alone at the full population and tabulate per-shard "
+                "load balance and cross-shard pipe traffic.",
+    params=(
+        Param("peers", int, 20000, "population of the scale phase"),
+        Param("events", int, 300, "events published in the scale phase"),
+        Param("window", int, 100, "publications in flight together"),
+        Param("shards", int, 4, "worker processes for the sharded engine"),
+        Param("parity_peers", int, 1500, "population of the parity phase"),
+        Param("parity_events", int, 100, "events of the parity phase"),
+        Param("min_children", int, 4, "node capacity lower bound m"),
+        Param("max_children", int, 8, "node capacity upper bound M"),
+        Param("seed", int, 0, "RNG seed"),
+        Param("transport", _transport_name, "auto",
+              "shard transport (auto/inline/pipe/shm)"),
+        Param("workload", str, "none",
+              "synthesized workload family for the population/event stream",
+              choices=("none", *FAMILY_NAMES)),
+    ),
+)
+def scale(peers: int, events: int, window: int, shards: int,
+          parity_peers: int, parity_events: int, min_children: int,
+          max_children: int, seed: int, transport: str,
+          workload: str) -> ExperimentResult:
     """Assert sharded/classic metric parity, then report the scale run."""
     result = ExperimentResult(
         "S1", "Sharded scale: classic parity + per-shard load balance")
@@ -128,42 +145,3 @@ def run(peers: int = 20000,
             f"synthesized workload {workload!r} drove both phases "
             "(see docs/workloads.md)")
     return result
-
-
-@register_scenario(
-    "scale",
-    "Sharded scale (classic parity + load balance)",
-    description="Drive one workload through drtree:classic and "
-                "drtree:sharded at a parity size and assert byte-identical "
-                "delivery records and message counts; then run the sharded "
-                "engine alone at the full population and tabulate per-shard "
-                "load balance and cross-shard pipe traffic.",
-    params=(
-        Param("peers", int, 20000, "population of the scale phase"),
-        Param("events", int, 300, "events published in the scale phase"),
-        Param("window", int, 100, "publications in flight together"),
-        Param("shards", int, 4, "worker processes for the sharded engine"),
-        Param("parity_peers", int, 1500, "population of the parity phase"),
-        Param("parity_events", int, 100, "events of the parity phase"),
-        Param("min_children", int, 4, "node capacity lower bound m"),
-        Param("max_children", int, 8, "node capacity upper bound M"),
-        Param("seed", int, 0, "RNG seed"),
-        Param("transport", _transport_name, "auto",
-              "shard transport (auto/inline/pipe/shm)"),
-        Param("workload", str, "none",
-              "synthesized workload family for the population/event stream",
-              choices=("none", *FAMILY_NAMES)),
-    ),
-)
-def _scenario(peers: int, events: int, window: int, shards: int,
-              parity_peers: int, parity_events: int, min_children: int,
-              max_children: int, seed: int, transport: str,
-              workload: str) -> ExperimentResult:
-    return run(peers=peers, events=events, window=window, shards=shards,
-               parity_peers=parity_peers, parity_events=parity_events,
-               min_children=min_children, max_children=max_children,
-               seed=seed, transport=transport, workload=workload)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

@@ -12,7 +12,6 @@ split, with R* the best of the three.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
 from repro.overlay.builder import DRTreeSimulation
@@ -47,15 +46,28 @@ def _total_coverage(simulation: DRTreeSimulation) -> float:
     return total
 
 
-def run(subscribers: int = 60,
-        events: int = 40,
-        methods: Sequence[str] = SPLIT_METHODS,
-        seed: int = 0) -> ExperimentResult:
+@register_scenario(
+    "split_methods",
+    "Split methods (linear / quadratic / R*)",
+    description="Structural quality and accuracy of the three node-splitting "
+                "policies on the same clustered workload.",
+    params=(
+        Param("peers", int, 60, "subscriber count"),
+        Param("events", int, 40, "probe events published per method"),
+        Param("split_method", str, "all", "one split method, or 'all'",
+              choices=("all",) + tuple(SPLIT_METHODS)),
+        Param("seed", int, 0, "RNG seed"),
+    ),
+    replayable=True,
+    experiment_id="E7",
+)
+def split_methods(peers: int, events: int, split_method: str,
+                  seed: int) -> ExperimentResult:
     """Compare structural quality and accuracy per split method."""
     result = ExperimentResult("E7", "Split methods (linear / quadratic / R*)")
-    workload = clustered_subscriptions(subscribers, seed=seed)
+    workload = clustered_subscriptions(peers, seed=seed)
     probe_events = uniform_events(workload.space, events, seed=seed + 3)
-    for method in methods:
+    for method in SPLIT_METHODS if split_method == "all" else (split_method,):
         config = DRTreeConfig(min_children=2, max_children=5,
                               split_method=method)
         system = PubSubSystem(workload.space, config, seed=seed)
@@ -74,28 +86,3 @@ def run(subscribers: int = 60,
         )
     result.add_note("coverage = sum of internal MBR areas; lower is tighter")
     return result
-
-
-@register_scenario(
-    "split_methods",
-    "Split methods (linear / quadratic / R*)",
-    description="Structural quality and accuracy of the three node-splitting "
-                "policies on the same clustered workload.",
-    params=(
-        Param("peers", int, 60, "subscriber count"),
-        Param("events", int, 40, "probe events published per method"),
-        Param("split_method", str, "all", "one split method, or 'all'",
-              choices=("all",) + tuple(SPLIT_METHODS)),
-        Param("seed", int, 0, "RNG seed"),
-    ),
-    replayable=True,
-    experiment_id="E7",
-)
-def _scenario(peers: int, events: int, split_method: str,
-              seed: int) -> ExperimentResult:
-    methods = SPLIT_METHODS if split_method == "all" else (split_method,)
-    return run(subscribers=peers, events=events, methods=methods, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

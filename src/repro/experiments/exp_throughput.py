@@ -169,18 +169,70 @@ def _drive(sim, events: Sequence[Event],
     return deliveries, elapsed
 
 
-def run(peers: int = 1000,
-        events: int = 300,
-        window: int = 50,
-        min_children: int = 4,
-        max_children: int = 8,
-        seed: int = 0,
-        backend: str = "drtree:batched",
-        baseline: str = "drtree:classic",
-        shards: int = 2,
-        transport: str = "auto",
-        baseline_transport: str = "auto",
-        workload: str = "none") -> ExperimentResult:
+def _baseline_engine(value: Any) -> str:
+    """Coerce the ``baseline`` parameter: a drtree backend or ``none``."""
+    from repro.api.registry import backend_family, normalize_backend
+
+    name = str(value).strip().lower()
+    if name == "none":
+        return "none"
+    normalized = normalize_backend(name)
+    if backend_family(normalized) != "drtree":
+        raise ValueError(
+            f"baseline {value!r} is outside the drtree family this scenario "
+            "compares")
+    return normalized
+
+
+def _transport_name(value: Any) -> str:
+    """Coerce a shard transport name (``auto``/``inline``/``pipe``/``shm``)."""
+    from repro.sim.sharded import TRANSPORTS
+
+    name = str(value).strip().lower()
+    if name not in TRANSPORTS:
+        raise ValueError(
+            f"transport {value!r} is not one of {', '.join(TRANSPORTS)}")
+    return name
+
+
+@register_scenario(
+    "throughput",
+    "Sustained publish throughput across dissemination engines",
+    description="Publish a targeted event stream through a baseline and a "
+                "target dissemination engine over the same bulk-loaded "
+                "overlay, assert identical delivery outcomes, and report "
+                "events/second plus the speedup.  --backend drtree:sharded "
+                "--shards N measures the multi-process simulator; "
+                "--baseline none skips the comparison run for populations "
+                "too large for a single process.",
+    params=(
+        Param("peers", int, 1000, "number of subscribers in the overlay"),
+        Param("events", int, 300, "events published per engine"),
+        Param("window", int, 50, "publications in flight together"),
+        Param("min_children", int, 4, "node capacity lower bound m"),
+        Param("max_children", int, 8, "node capacity upper bound M"),
+        Param("seed", int, 0, "RNG seed"),
+        backend_param(default="drtree:batched", family="drtree",
+                      help="target dissemination engine (drtree family)"),
+        Param("baseline", _baseline_engine, "drtree:classic",
+              "comparison engine, or 'none' to run the target alone"),
+        Param("shards", int, 2,
+              "worker processes for the sharded engine (ignored otherwise)"),
+        Param("transport", _transport_name, "auto",
+              "shard transport for the target engine "
+              "(auto/inline/pipe/shm; ignored unless sharded)"),
+        Param("baseline_transport", _transport_name, "auto",
+              "shard transport for the baseline engine, enabling "
+              "shm-vs-pipe comparisons of drtree:sharded"),
+        Param("workload", str, "none",
+              "synthesized workload family for the population/event stream",
+              choices=("none", *FAMILY_NAMES)),
+    ),
+)
+def throughput(peers: int, events: int, window: int, min_children: int,
+               max_children: int, seed: int, backend: str, baseline: str,
+               shards: int, transport: str, baseline_transport: str,
+               workload: str) -> ExperimentResult:
     """Compare sustained events/second between two dissemination engines.
 
     The default node capacity is ``m=4, M=8`` — wider than the paper's
@@ -266,78 +318,3 @@ def run(peers: int = 1000,
         result.add_note(f"single-engine run ({target_label}); no baseline "
                         "comparison requested")
     return result
-
-
-def _baseline_engine(value: Any) -> str:
-    """Coerce the ``baseline`` parameter: a drtree backend or ``none``."""
-    from repro.api.registry import backend_family, normalize_backend
-
-    name = str(value).strip().lower()
-    if name == "none":
-        return "none"
-    normalized = normalize_backend(name)
-    if backend_family(normalized) != "drtree":
-        raise ValueError(
-            f"baseline {value!r} is outside the drtree family this scenario "
-            "compares")
-    return normalized
-
-
-def _transport_name(value: Any) -> str:
-    """Coerce a shard transport name (``auto``/``inline``/``pipe``/``shm``)."""
-    from repro.sim.sharded import TRANSPORTS
-
-    name = str(value).strip().lower()
-    if name not in TRANSPORTS:
-        raise ValueError(
-            f"transport {value!r} is not one of {', '.join(TRANSPORTS)}")
-    return name
-
-
-@register_scenario(
-    "throughput",
-    "Sustained publish throughput across dissemination engines",
-    description="Publish a targeted event stream through a baseline and a "
-                "target dissemination engine over the same bulk-loaded "
-                "overlay, assert identical delivery outcomes, and report "
-                "events/second plus the speedup.  --backend drtree:sharded "
-                "--shards N measures the multi-process simulator; "
-                "--baseline none skips the comparison run for populations "
-                "too large for a single process.",
-    params=(
-        Param("peers", int, 1000, "number of subscribers in the overlay"),
-        Param("events", int, 300, "events published per engine"),
-        Param("window", int, 50, "publications in flight together"),
-        Param("min_children", int, 4, "node capacity lower bound m"),
-        Param("max_children", int, 8, "node capacity upper bound M"),
-        Param("seed", int, 0, "RNG seed"),
-        backend_param(default="drtree:batched", family="drtree",
-                      help="target dissemination engine (drtree family)"),
-        Param("baseline", _baseline_engine, "drtree:classic",
-              "comparison engine, or 'none' to run the target alone"),
-        Param("shards", int, 2,
-              "worker processes for the sharded engine (ignored otherwise)"),
-        Param("transport", _transport_name, "auto",
-              "shard transport for the target engine "
-              "(auto/inline/pipe/shm; ignored unless sharded)"),
-        Param("baseline_transport", _transport_name, "auto",
-              "shard transport for the baseline engine, enabling "
-              "shm-vs-pipe comparisons of drtree:sharded"),
-        Param("workload", str, "none",
-              "synthesized workload family for the population/event stream",
-              choices=("none", *FAMILY_NAMES)),
-    ),
-)
-def _scenario(peers: int, events: int, window: int, min_children: int,
-              max_children: int, seed: int, backend: str, baseline: str,
-              shards: int, transport: str, baseline_transport: str,
-              workload: str) -> ExperimentResult:
-    return run(peers=peers, events=events, window=window,
-               min_children=min_children, max_children=max_children,
-               seed=seed, backend=backend, baseline=baseline, shards=shards,
-               transport=transport, baseline_transport=baseline_transport,
-               workload=workload)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual usage
-    print(run().to_table())

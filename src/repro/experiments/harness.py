@@ -42,7 +42,6 @@ def build_pubsub_system(
     seed: int = 0,
     backend: str = "drtree:classic",
     stabilize_rounds: int = 30,
-    batch: Optional[bool] = None,
 ) -> "Broker":
     """Build a populated broker over a subscription workload.
 
@@ -52,16 +51,9 @@ def build_pubsub_system(
     fast path past the bulk threshold, followed by one stabilization).  The
     two DR-tree engines (``drtree:classic``/``drtree:batched``) produce
     identical tree shapes, subscriber ids and delivery outcomes.
-
-    The ``batch=`` boolean alias (deprecated through two releases) has been
-    removed; passing it is now a hard error.
     """
     from repro.api.spec import SystemSpec
 
-    if batch is not None:
-        raise TypeError(
-            "build_pubsub_system(batch=...) was removed; pass "
-            "backend='drtree:batched' or backend='drtree:classic' instead")
     system = SystemSpec(space=workload.space, backend=backend, config=config,
                         seed=seed, stabilize_rounds=stabilize_rounds).build()
     system.subscribe_all(workload)

@@ -83,10 +83,6 @@ class ContactOracle:
             key=lambda pid: (-self._advertised_roots[pid], pid),
         )
 
-    def advertised_roots(self) -> Dict[str, float]:
-        """A copy of the advertised-roots registry (for tests/diagnostics)."""
-        return dict(self._advertised_roots)
-
     def members(self) -> List[str]:
         """Sorted list of known members."""
         return sorted(self._members)

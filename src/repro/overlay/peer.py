@@ -140,11 +140,6 @@ class DRTreePeer(JoinMixin, LeaveMixin, StabilizationMixin, StructureMixin,
         instance = self.instances.get(level)
         return instance.child_ids() if instance else []
 
-    def parent_at(self, level: int) -> Optional[str]:
-        """Parent id of the instance at ``level`` (``None`` if absent)."""
-        instance = self.instances.get(level)
-        return instance.parent if instance else None
-
     def mbr_at(self, level: int) -> Optional[Rect]:
         """MBR of the instance at ``level`` (``None`` if absent)."""
         instance = self.instances.get(level)

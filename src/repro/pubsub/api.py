@@ -56,7 +56,6 @@ class PubSubSystem:
         stabilize_rounds: int = 30,
         engine: str = "classic",
         engine_options: Optional[Mapping[str, object]] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         """``engine`` names a registered dissemination engine.
 
@@ -69,15 +68,7 @@ class PubSubSystem:
         validated against the engine's typed option set
         (:class:`~repro.pubsub.engines.EngineOptions`); unknown names and
         invalid values raise ``ValueError`` naming the allowed keys.
-
-        The ``batch=`` boolean alias (deprecated through two releases) has
-        been removed; passing it is now a hard error.
         """
-        if batch is not None:
-            raise TypeError(
-                "PubSubSystem(batch=...) was removed; pass engine='batched' "
-                "or engine='classic' (backends drtree:batched / "
-                "drtree:classic) instead")
         engine_spec = get_engine(engine)
         resolved_options = engine_spec.resolve_options(engine_options)
         self.space = space

@@ -12,7 +12,7 @@ the next level, up to a single root.
 Two consumers share this module:
 
 * :func:`bulk_load` packs a sequential :class:`~repro.rtree.rtree.RTree`
-  (used by the centralized baseline and the benchmarks),
+  in one pass,
 * :func:`str_groups` exposes the raw tiling, which the overlay bootstrap
   (:mod:`repro.overlay.bootstrap`) uses to lay out a legal DR-tree directly
   for large scenarios instead of replaying thousands of join protocols.

@@ -30,11 +30,6 @@ class Entry:
         """True when the entry points at a spatial object rather than a node."""
         return self.child is None
 
-    def refresh_rect(self) -> None:
-        """Recompute the rectangle of a branch entry from its child's MBR."""
-        if self.child is not None:
-            self.rect = self.child.mbr()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         kind = "leaf" if self.is_leaf_entry else "branch"
         return f"Entry({kind}, {self.rect!r}, payload={self.payload!r})"

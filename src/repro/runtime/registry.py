@@ -2,10 +2,11 @@
 
 A *scenario* is a named, deterministic, parameterized unit of work — an
 experiment over the DR-tree overlay, a workload sweep, a baseline comparison.
-Each scenario declares its parameters with types and defaults so that every
-consumer (the CLI, the parallel runner, the benchmarks) can validate and
-coerce overrides the same way, instead of each ``exp_*`` module growing its
-own copy of the driver code.
+Each scenario declares its parameters with types and defaults once, in its
+``Param`` tuple, so that every consumer (the CLI, the parallel runner, the
+tests, Python callers) validates and coerces overrides the same way.  The
+registered function is the scenario's only body: it takes exactly the
+declared parameters and carries no defaults of its own.
 
 Scenarios register themselves at import time through
 :func:`register_scenario`; :func:`load_scenarios` imports the experiment
@@ -16,7 +17,7 @@ Example — register, then run with validated overrides::
     @register_scenario("demo", "A demo sweep", params=(
         Param("peers", int, 64, "network size"),
     ))
-    def _runner(peers):
+    def demo(peers):
         return some_experiment(peers)
 
     REGISTRY.get("demo").run(peers="128")   # "128" is coerced to int
@@ -260,8 +261,11 @@ def register_scenario(
             Param("peers", int, 256, "largest network size"),
             Param("seed", int, 0, "RNG seed"),
         ), experiment_id="E2")
-        def _scenario(peers, seed):
-            return run(sizes=size_ladder(peers), seed=seed)
+        def height(peers, seed):
+            ...
+
+    The decorated name is bound to the returned :class:`Scenario`; call it
+    through :meth:`Scenario.run`, which fills in the declared defaults.
     """
 
     def decorator(runner: Callable[..., Any]) -> Scenario:

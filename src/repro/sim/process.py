@@ -9,7 +9,7 @@ decorating methods via :meth:`Process.on` or by overriding
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.sim.engine import ScheduledEvent, SimulationEngine
 from repro.sim.messages import Message
@@ -81,12 +81,6 @@ class Process:
         )
         self.network.send(message)
 
-    def send_message(self, message: Message) -> None:
-        """Send a pre-built message envelope."""
-        if not self._alive:
-            return
-        self.network.send(message)
-
     def on(self, kind: str, handler: Callable[[Message], None]) -> None:
         """Register ``handler`` for messages of type ``kind``."""
         self._handlers[kind] = handler
@@ -150,10 +144,6 @@ class Process:
             task.active = False
             if task.event is not None:
                 task.event.cancel()
-
-    def periodic_tasks(self) -> List[str]:
-        """Names of the currently active periodic timers."""
-        return sorted(name for name, task in self._periodic.items() if task.active)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"{type(self).__name__}({self.process_id!r})"

@@ -4,7 +4,7 @@ Covers the `repro.api` package (SystemSpec + backend registry), the
 BaselineBroker adapter family, the upfront validation added to the facade
 (duplicate subscription names, mismatched attribute spaces), the
 single-pass `publish_many` accounting, the typed per-engine option sets,
-and the removed `batch=` alias (now a hard error).
+and the removed `batch=` alias (now an unknown keyword).
 """
 
 from __future__ import annotations
@@ -329,14 +329,14 @@ def test_publish_many_message_accounting_matches_per_publish_path():
 
 
 # --------------------------------------------------------------------------- #
-# The removed batch= alias (hard error with a migration hint)
+# The removed batch= alias (an unknown keyword)
 # --------------------------------------------------------------------------- #
 
 
 def test_batch_alias_is_a_hard_error(space):
-    with pytest.raises(TypeError, match="engine='batched'"):
+    with pytest.raises(TypeError, match="batch"):
         PubSubSystem(space, batch=True)
-    with pytest.raises(TypeError, match="was removed"):
+    with pytest.raises(TypeError, match="batch"):
         PubSubSystem(space, batch=False)
 
 
@@ -347,7 +347,7 @@ def test_engine_parameter_keeps_the_legacy_mirror(space):
 
 def test_build_pubsub_system_batch_alias_is_a_hard_error():
     workload = uniform_subscriptions(6, seed=1)
-    with pytest.raises(TypeError, match="drtree:batched"):
+    with pytest.raises(TypeError, match="batch"):
         build_pubsub_system(workload, seed=1, batch=True)
 
 

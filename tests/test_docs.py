@@ -114,6 +114,18 @@ def test_every_scenario_has_a_table_row():
     )
 
 
+def test_every_ledger_claim_is_documented():
+    """docs/scenarios.md renders the claims ledger row for row."""
+    from tests.test_paper_claims import CLAIMS
+
+    lines = set((REPO_ROOT / "docs" / "scenarios.md")
+                .read_text(encoding="utf-8").splitlines())
+    missing = [claim.claim for claim in CLAIMS if claim.doc_row not in lines]
+    assert not missing, (
+        f"docs/scenarios.md does not carry the ledger rows of: {missing}"
+    )
+
+
 def test_cli_doc_mentions_every_parameter():
     text = (REPO_ROOT / "docs" / "cli.md").read_text(encoding="utf-8")
     missing = []

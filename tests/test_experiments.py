@@ -1,25 +1,20 @@
-"""Smoke and shape tests for the experiment harness (small-scale runs)."""
+"""Smoke and shape tests for the experiment harness (small-scale runs).
+
+Every scenario runs through the registry (``Scenario.run``), the same
+bind-and-coerce path the CLI and the runner take.  The claims each default
+run reproduces are pinned separately, in ``tests/test_paper_claims.py``.
+"""
 
 from __future__ import annotations
 
-from repro.experiments import (
-    exp_adversarial_churn,
-    exp_backend_matrix,
-    exp_baselines,
-    exp_churn,
-    exp_false_positives,
-    exp_height,
-    exp_hotspot,
-    exp_join_cost,
-    exp_latency,
-    exp_memory,
-    exp_mobility,
-    exp_paper_example,
-    exp_recovery,
-    exp_split_methods,
-)
+import pytest
+
 from repro.experiments.harness import ExperimentResult, format_table
-from repro.experiments.run_all import EXPERIMENTS, main as run_all_main
+from repro.runtime.registry import load_scenarios
+
+
+def _run(name: str, **overrides) -> ExperimentResult:
+    return load_scenarios().get(name).run(**overrides)
 
 
 # --------------------------------------------------------------------------- #
@@ -42,18 +37,13 @@ def test_format_table_empty():
     assert "(no rows)" in format_table([])
 
 
-def test_run_all_registry_and_unknown():
-    assert set(EXPERIMENTS) == {f"E{i}" for i in range(1, 11)}
-    assert run_all_main(["BOGUS"]) == 2
-
-
 # --------------------------------------------------------------------------- #
 # E1 — running example
 # --------------------------------------------------------------------------- #
 
 
 def test_e1_paper_example_reproduces_claims():
-    result = exp_paper_example.run()
+    result = _run("paper_example")
     rows = {row["event"]: row for row in result.rows}
     assert set(rows) == {"a", "b", "c", "d"}
     assert all(row["false_negatives"] == 0 for row in result.rows)
@@ -69,26 +59,28 @@ def test_e1_paper_example_reproduces_claims():
 
 
 def test_e2_height_within_bounds():
-    result = exp_height.run(sizes=(16, 48), configs=((2, 4),))
-    assert len(result.rows) == 2
+    result = _run("height", peers=48)
+    assert [(row["m"], row["N"]) for row in result.rows] == [
+        (m, n) for m in (2, 3, 4) for n in (16, 24, 48)]
     assert all(row["legal"] and row["within_bound"] for row in result.rows)
-    heights = result.column("height")
-    assert heights[0] <= heights[1] + 1  # no shrinking with N
+    for m in (2, 3, 4):
+        heights = [row["height"] for row in result.rows if row["m"] == m]
+        assert heights[0] <= heights[-1] + 1  # no shrinking with N
 
 
 def test_e3_memory_within_bounds():
-    result = exp_memory.run(sizes=(16, 48))
+    result = _run("memory", peers=48)
     assert all(row["legal"] and row["within_bound"] for row in result.rows)
 
 
 def test_e4_join_cost_logarithmic():
-    result = exp_join_cost.run(sizes=(16, 48), probes=5)
+    result = _run("join_cost", peers=48, probes=5)
     assert all(row["legal"] for row in result.rows)
     assert all(row["mean_hops"] <= row["bound"] for row in result.rows)
 
 
 def test_e5_latency_bounded_and_lossless():
-    result = exp_latency.run(sizes=(16, 48), events_per_size=10)
+    result = _run("latency", peers=48, events=10)
     assert all(row["false_negatives"] == 0 for row in result.rows)
     assert all(row["mean_hops"] <= row["bound"] for row in result.rows)
 
@@ -99,18 +91,16 @@ def test_e5_latency_bounded_and_lossless():
 
 
 def test_e6_accuracy_cells():
-    result = exp_false_positives.run(
-        subscribers=30, events_per_cell=10,
-        workloads=("uniform", "containment_chain"),
-        event_kinds=("targeted",),
-    )
-    assert len(result.rows) == 2
+    result = _run("false_positives", peers=30, events=10,
+                  workload="containment_chain")
+    assert [row["events"] for row in result.rows] == [
+        "uniform", "biased", "targeted"]
     assert all(row["false_negatives"] == 0 for row in result.rows)
     assert all(row["fp_rate_pct"] < 50.0 for row in result.rows)
 
 
 def test_e7_split_methods_rows():
-    result = exp_split_methods.run(subscribers=25, events=10)
+    result = _run("split_methods", peers=25, events=10)
     methods = {row["method"] for row in result.rows}
     assert methods == {"linear", "quadratic", "rstar"}
     assert all(row["false_negatives"] == 0 for row in result.rows)
@@ -122,7 +112,7 @@ def test_e7_split_methods_rows():
 
 
 def test_e8_recovery_all_fault_classes():
-    result = exp_recovery.run(sizes=(24,), fraction=0.15, max_rounds=80)
+    result = _run("recovery", peers=32)
     assert {row["fault"] for row in result.rows} == {
         "controlled_leave", "crash", "corruption", "combined"
     }
@@ -130,8 +120,8 @@ def test_e8_recovery_all_fault_classes():
 
 
 def test_e9_churn_shape():
-    result = exp_churn.run(n_peers=20, rates=(1.0, 4.0), trials=2)
-    assert len(result.rows) == 2
+    result = _run("churn", peers=20, trials=2)
+    assert result.column("rate") == [0.5, 1.0, 2.0, 4.0]
     finite = [row["simulated_mean"] for row in result.rows
               if row["simulated_mean"] != float("inf")]
     assert finite == sorted(finite, reverse=True)
@@ -143,7 +133,7 @@ def test_e9_churn_shape():
 
 
 def test_w1_hotspot_delivers_losslessly():
-    result = exp_hotspot.run(subscribers=30, events=20, seed=1)
+    result = _run("hotspot", peers=30, events=20, seed=1)
     (row,) = result.rows
     assert row["false_negatives"] == 0.0
     assert row["delivery_rate"] == 1.0
@@ -152,16 +142,16 @@ def test_w1_hotspot_delivers_losslessly():
 
 
 def test_w1_hotspot_engine_equivalence():
-    classic = exp_hotspot.run(subscribers=30, events=20, seed=1,
-                              backend="drtree:classic")
-    batched = exp_hotspot.run(subscribers=30, events=20, seed=1,
-                              backend="drtree:batched")
+    classic = _run("hotspot", peers=30, events=20, seed=1,
+                   backend="drtree:classic")
+    batched = _run("hotspot", peers=30, events=20, seed=1,
+                   backend="drtree:batched")
     assert classic.rows == batched.rows
 
 
 def test_w2_adversarial_churn_crashes_targets_and_recovers():
-    result = exp_adversarial_churn.run(subscribers=30, rounds=3,
-                                       events_per_round=6, seed=1)
+    result = _run("adversarial-churn", peers=30, rounds=3,
+                  events_per_round=6, seed=1)
     (row,) = result.rows
     # 3 baseline crashes + 1 surge victim in the middle round.
     assert row["subscribers"] == 30 - 4
@@ -173,28 +163,25 @@ def test_w2_adversarial_churn_crashes_targets_and_recovers():
 
 
 def test_w2_adversarial_churn_parent_target():
-    result = exp_adversarial_churn.run(subscribers=30, rounds=2,
-                                       events_per_round=5, surge=0,
-                                       target="parent", seed=1)
+    overrides = dict(peers=30, rounds=2, events_per_round=5, surge=0,
+                     target="parent", seed=1)
+    result = _run("adversarial-churn", **overrides)
     (row,) = result.rows
     assert row["subscribers"] == 28
-    assert result.rows == exp_adversarial_churn.run(
-        subscribers=30, rounds=2, events_per_round=5, surge=0,
-        target="parent", seed=1).rows  # deterministic
+    assert result.rows == _run("adversarial-churn", **overrides).rows  # deterministic
 
 
 def test_w2_adversarial_churn_surge_only_configuration():
     # crashes_per_round=0 disables the baseline window, like surge=0 does.
-    result = exp_adversarial_churn.run(subscribers=24, rounds=2,
-                                       events_per_round=5,
-                                       crashes_per_round=0, surge=1, seed=1)
+    result = _run("adversarial-churn", peers=24, rounds=2, events_per_round=5,
+                  crashes_per_round=0, surge=1, seed=1)
     (row,) = result.rows
     assert row["subscribers"] == 23  # only the single surge victim crashed
 
 
 def test_w3_mobility_moves_walkers_without_losses():
-    result = exp_mobility.run(subscribers=24, walkers=3, steps=2,
-                              events_per_step=6, seed=1)
+    result = _run("mobility", peers=24, walkers=3, steps=2,
+                  events_per_step=6, seed=1)
     (row,) = result.rows
     assert row["subscribers"] == 24  # moves preserve the population
     assert row["false_negatives"] == 0.0
@@ -204,18 +191,16 @@ def test_w3_mobility_moves_walkers_without_losses():
 
 
 def test_w3_mobility_validation():
-    import pytest
-
     with pytest.raises(ValueError):
-        exp_mobility.run(subscribers=2, walkers=5)
+        _run("mobility", peers=2, walkers=5)
     with pytest.raises(ValueError):
-        exp_mobility.run(walkers=0)
+        _run("mobility", walkers=0)
     with pytest.raises(ValueError):
-        exp_mobility.run(steps=0)
+        _run("mobility", steps=0)
 
 
 def test_e10_baselines_comparison():
-    result = exp_baselines.run(subscribers=30, events_count=12)
+    result = _run("baselines", peers=30, events=12)
     systems = {row["system"] for row in result.rows}
     assert systems == {"dr_tree", "containment_tree", "per_dimension",
                        "flooding", "centralized"}
@@ -233,14 +218,14 @@ def test_e10_baselines_comparison():
 def test_backend_matrix_covers_every_registered_backend():
     from repro.api import backend_names
 
-    result = exp_backend_matrix.run(subscribers=24, events_count=10, seed=2)
+    result = _run("backend_matrix", peers=24, events=10, seed=2)
     assert [row["backend"] for row in result.rows] == backend_names()
     assert all(row["false_negatives"] == 0 for row in result.rows)
     assert all(row["subscribers"] == 24 for row in result.rows)
 
 
 def test_backend_matrix_drtree_engines_agree():
-    result = exp_backend_matrix.run(subscribers=24, events_count=10, seed=2)
+    result = _run("backend_matrix", peers=24, events=10, seed=2)
     by_backend = {row["backend"]: dict(row) for row in result.rows}
     classic = by_backend.pop("drtree:classic")
     batched = by_backend.pop("drtree:batched")

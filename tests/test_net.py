@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro.analysis import digests
 from repro.api import SystemSpec, backend_metrics_identical
 from repro.api.capabilities import SnapshotUnsupportedError, capabilities_of
-from repro.experiments import exp_net_soak
 from repro.net import (FRAME_HEADER, FrameDecoder, NetError, NetProtocolError,
                        NetTimeoutError, PeerUnreachableError, encode_frame)
 from repro.net.codec import decode_frames
+from repro.runtime.registry import load_scenarios
 from repro.sim.messages import Message
 from repro.traces import replay_trace
 from repro.workloads import synth
@@ -234,8 +234,8 @@ def test_orphan_reattaches_within_k_driven_cycles(space):
 
 
 def test_net_soak_converges_and_delivers():
-    result = exp_net_soak.run(subscribers=36, events_count=4, waves=1,
-                              crash_fraction=0.1, timeout=30.0, seed=1)
+    result = load_scenarios().get("net-soak").run(
+        peers=36, events=4, waves=1, crash_fraction=0.1, timeout=30.0, seed=1)
     assert len(result.rows) == 1
     row = result.rows[0]
     assert row["crashed"] >= 1

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from repro.analysis import digests
 from repro.api import SystemSpec
-from repro.experiments import exp_net_lossy
 from repro.net import (ConditionPipeline, ConditionSpecError, NetConditions,
                        NetError, NetTimeoutError, PartitionWindow)
 from repro.net.conditions import LATENCY_MODELS, LOSS_MODELS
+from repro.runtime.registry import load_scenarios
 from repro.sim.rng import RandomStreams
 from repro.workloads.events import targeted_events
 from repro.workloads.subscriptions import uniform_subscriptions
@@ -328,12 +328,42 @@ def test_net_lossy_scenario_meets_acceptance():
     """The acceptance row: at 5% loss the background stabilizers restore a
     legal overlay with zero probe false negatives, and the loss=0 row's
     matching digest equals the condition-free reference."""
-    result = exp_net_lossy.run(subscribers=24, events_count=3,
-                               crash_fraction=0.1, losses="0,0.05",
-                               partition="", timeout=30.0, seed=3)
+    result = load_scenarios().get("net-lossy").run(
+        peers=24, events=3, crash_fraction=0.1, losses="0,0.05",
+        partition="", timeout=30.0, seed=3)
     rows = {row["condition"]: row for row in result.rows}
     zero, lossy = rows["loss=0"], rows["loss=0.05"]
     assert zero["digest_match"] is True and zero["missed"] == 0
     assert lossy["converged"] and lossy["legal"]
     assert lossy["probe_missed"] == 0 and lossy["missed"] == 0
     assert lossy["frames_lost"] > 0
+
+
+def test_net_lossy_laggard_note_reads_the_missed_column():
+    """A zero deadline forces a laggard row; its warning says the driven
+    fixpoint recovered every delivery only when the row missed none."""
+    result = load_scenarios().get("net-lossy").run(
+        peers=24, events=3, crash_fraction=0.1, losses="0.2",
+        partition="", timeout=0.0, seed=3)
+    (row,) = result.rows
+    assert row["converged"] is False
+    (note,) = [note for note in result.notes
+               if "convergence deadline" in note]
+    assert note.startswith("WARNING: loss=0.2 missed the 0s")
+    assert ("still recovered every delivery" in note) == (row["missed"] == 0)
+
+
+def test_net_lossy_laggard_note_names_the_lost_deliveries():
+    from repro.experiments.exp_net_lossy import _laggard_note
+
+    rows = [{"condition": "loss=0", "converged": True, "missed": 0},
+            {"condition": "loss=0.2", "converged": False, "missed": 1}]
+    assert _laggard_note(rows[:1], 60.0) is None
+    note = _laggard_note(rows, 60.0)
+    assert note.startswith("WARNING: loss=0.2 missed the 60s")
+    assert "still recovered every delivery" not in note
+    assert note.endswith("did not recover every matching delivery: "
+                         "loss=0.2 missed 1)")
+    rows[1]["missed"] = 0
+    assert _laggard_note(rows, 60.0).endswith(
+        "still recovered every delivery)")

@@ -118,6 +118,14 @@ def test_build_stable_tree_bulk_equivalent_legality():
     assert len(bulk.live_peers()) == len(joined.live_peers())
 
 
+def test_build_stable_tree_bulk_2000_peers_is_legal():
+    subs = list(uniform_subscriptions(2000, seed=0))
+    sim = build_stable_tree(subs, DRTreeConfig(2, 4), seed=0, bulk=True)
+    report = sim.verify()
+    assert report.is_legal, report.violations
+    assert report.peer_count == 2000
+
+
 def test_bulk_threshold_selects_fast_path_automatically():
     subs = list(uniform_subscriptions(BULK_THRESHOLD, seed=4))
     sim = build_stable_tree(subs, DRTreeConfig(2, 4), seed=4)

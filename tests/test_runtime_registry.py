@@ -140,6 +140,20 @@ def test_registered_scenarios_declare_typed_seeds():
         assert "peers" in names, scenario.name
 
 
+def test_scenario_functions_take_exactly_their_params_without_defaults():
+    """One signature per scenario: the registered function's parameters are
+    its declared ``Param``s, and their defaults live only there."""
+    import inspect
+
+    load_scenarios()
+    for scenario in REGISTRY.scenarios():
+        signature = inspect.signature(scenario.runner).parameters
+        assert set(signature) == {p.name for p in scenario.params}, \
+            scenario.name
+        assert all(parameter.default is inspect.Parameter.empty
+                   for parameter in signature.values()), scenario.name
+
+
 def test_backend_param_coerces_and_normalizes():
     from repro.runtime.registry import backend_param
 

@@ -422,10 +422,10 @@ def test_adversarial_churn_rejects_sharded_with_a_reason():
 
 
 def test_throughput_scenario_sharded_backend_asserts_parity():
-    from repro.experiments import exp_throughput
+    from repro.runtime.registry import load_scenarios
 
-    result = exp_throughput.run(peers=560, events=20, window=10,
-                                backend="drtree:sharded", shards=2)
+    result = load_scenarios().get("throughput").run(
+        peers=560, events=20, window=10, backend="drtree:sharded", shards=2)
     by_mode = {row["mode"]: row for row in result.rows}
     assert set(by_mode) == {"drtree:classic", "drtree:sharded"}
     classic, sharded = (by_mode["drtree:classic"], by_mode["drtree:sharded"])
@@ -435,19 +435,20 @@ def test_throughput_scenario_sharded_backend_asserts_parity():
 
 
 def test_throughput_scenario_baseline_none_runs_target_alone():
-    from repro.experiments import exp_throughput
+    from repro.runtime.registry import load_scenarios
 
-    result = exp_throughput.run(peers=560, events=10, window=10,
-                                backend="drtree:sharded", baseline="none",
-                                shards=2)
+    result = load_scenarios().get("throughput").run(
+        peers=560, events=10, window=10, backend="drtree:sharded",
+        baseline="none", shards=2)
     assert [row["mode"] for row in result.rows] == ["drtree:sharded"]
 
 
 def test_scale_scenario_reports_per_shard_balance():
-    from repro.experiments import exp_scale
+    from repro.runtime.registry import load_scenarios
 
-    result = exp_scale.run(peers=1200, events=20, window=20, shards=3,
-                           parity_peers=560, parity_events=15)
+    result = load_scenarios().get("scale").run(
+        peers=1200, events=20, window=20, shards=3, parity_peers=560,
+        parity_events=15)
     shard_rows = [row for row in result.rows if row["shard"] != "all"]
     total = next(row for row in result.rows if row["shard"] == "all")
     assert len(shard_rows) == 3
