@@ -2,20 +2,22 @@
 
 This is the ``drtree:net`` counterpart of
 :class:`~repro.overlay.builder.DRTreeSimulation` — same peers, same oracle,
-same verifier, same driving surface for the pub/sub facade — but every
-message crosses a real loopback TCP stream and every peer additionally runs
-a jittered background stabilizer task.  The synchronous facade methods
-bridge onto the runtime's event loop and block on the result, so callers
-never see the asyncio machinery.
+same verifier, same driving surface for the pub/sub facade, and one shared
+read-only :class:`~repro.overlay.builder.DeploymentView` (not the simulator
+itself: its ``run_round`` / ``corrupt`` must not run off the loop thread) —
+but every message crosses a real loopback TCP stream and every peer
+additionally runs a jittered background stabilizer task.  The synchronous
+facade methods bridge onto the runtime's event loop and block on the
+result, so callers never see the asyncio machinery.
 
 Determinism contract (what keeps the delivered-event digest byte-identical
 to ``drtree:classic``): every facade operation (a) holds the runtime's op
 gate, deferring background stabilizer ticks, (b) drains the in-flight
-ledger before returning, and (c) drives :meth:`stabilize` with exactly the
-simulator's round model — trigger *every* live peer's round back-to-back on
-the loop thread (no deliveries interleave, because the single-threaded loop
-cannot run a reader task until the driver awaits), then wait for
-quiescence, then verify, until the legality + structure-signature fixpoint.
+ledger before returning, and (c) drives :meth:`stabilize` through the
+simulator's own :class:`~repro.overlay.verifier.StabilizeFixpoint` on the
+loop thread — each round triggers *every* live peer's round back-to-back
+(no deliveries interleave, because the single-threaded loop cannot run a
+reader task until the driver awaits), then waits for quiescence.
 Delivered sets on a legal, refreshed tree depend only on the subscriptions,
 not on TCP arrival order, which is why real-network nondeterminism never
 reaches the digest.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.api.capabilities import SnapshotUnsupportedError
 from repro.net.conditions import ConditionPipeline, NetConditions
@@ -39,10 +41,12 @@ from repro.net.faults import NetTimeoutError
 from repro.net.peer import PeerEndpoint
 from repro.net.runtime import NetRuntime
 from repro.net.stabilizer import PeerStabilizer
+from repro.overlay.builder import DeploymentView
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.oracle import ContactOracle
 from repro.overlay.peer import DRTreePeer
-from repro.overlay.verifier import OverlayVerifier, VerificationReport
+from repro.overlay.verifier import (OverlayVerifier, StabilizeFixpoint,
+                                   VerificationReport, structure_signature)
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import FixedLatency, Network
 from repro.sim.rng import RandomStreams
@@ -87,7 +91,7 @@ class NetNetwork(Network):
         self.runtime.enqueue(message)
 
 
-class NetSimulation:
+class NetSimulation(DeploymentView):
     """A DR-tree deployment where peers exchange frames over loopback TCP."""
 
     def __init__(self, config: Optional[DRTreeConfig] = None, seed: int = 0,
@@ -105,7 +109,7 @@ class NetSimulation:
         #: that is real monotonic time in simulated units.
         self.engine = self.runtime.clock
         self.network = NetNetwork(self.runtime, self.metrics, self.streams)
-        self.oracle = ContactOracle(policy="root", streams=self.streams)
+        self.oracle = ContactOracle(streams=self.streams)
         self.verifier = OverlayVerifier(
             self.config.min_children, self.config.max_children)
         self.peers: Dict[str, DRTreePeer] = {}
@@ -236,8 +240,6 @@ class NetSimulation:
         self.runtime.call(self._bulk_load(subscriptions))
 
     async def _bulk_load(self, subscriptions: Sequence[Subscription]) -> None:
-        import asyncio
-
         from repro.overlay.bootstrap import bootstrap_overlay
 
         # The bootstrap runs synchronously on the loop thread: it only
@@ -248,12 +250,6 @@ class NetSimulation:
                                for endpoint in self.endpoints.values()
                                if endpoint.server is None))
         await self.runtime.wait_idle()
-
-    def join_all(self, subscriptions, settle_each: bool = True
-                 ) -> List[DRTreePeer]:
-        """Create and join one peer per subscription, in order."""
-        return [self.add_peer(subscription, settle=settle_each)
-                for subscription in subscriptions]
 
     def leave(self, peer_id: str, settle: bool = True) -> None:
         """Controlled departure of ``peer_id``."""
@@ -287,9 +283,7 @@ class NetSimulation:
 
     async def _crash(self, peer: DRTreePeer) -> None:
         peer.crash()  # NetNetwork.crash marks the runtime too
-        self.oracle.remove_member(peer.process_id)
-        if self.oracle.contact(exclude=peer.process_id) is None:
-            self.oracle.set_root_hint(None)
+        self.oracle.forget(peer.process_id)
         await self._retire_endpoint(peer.process_id)
 
     # ------------------------------------------------------------------ #
@@ -300,9 +294,7 @@ class NetSimulation:
         """Wait until no frame is in flight anywhere."""
         self.runtime.call(self.runtime.wait_idle())
 
-    def stabilize(self, max_rounds: int = 50,
-                  require_legal: bool = True,
-                  min_rounds: int = 1) -> VerificationReport:
+    def stabilize(self, max_rounds: int = 50) -> VerificationReport:
         """Driven stabilization: the simulator's round/fixpoint model.
 
         Used by every facade operation; the free-running background
@@ -310,22 +302,12 @@ class NetSimulation:
         :meth:`await_convergence`) and are paused for the duration by the
         op gate.
         """
-        return self.runtime.call(
-            self._stabilize(max_rounds, require_legal, min_rounds))
+        return self.runtime.call(self._stabilize(max_rounds))
 
-    async def _stabilize(self, max_rounds: int, require_legal: bool,
-                         min_rounds: int) -> VerificationReport:
-        report = None  # verified on demand, as in DRTreeSimulation.stabilize
-        rounds = 0
-        previous_signature = None
-        while rounds < max_rounds:
-            signature = self._structure_signature()
-            if (rounds >= min_rounds and require_legal
-                    and signature == previous_signature):
-                report = self.verify()
-                if report.is_legal:
-                    break
-            previous_signature = signature
+    async def _stabilize(self, max_rounds: int) -> VerificationReport:
+        fixpoint = StabilizeFixpoint(self.live_peers, self.verifier,
+                                     max_rounds, self.metrics)
+        for _ in fixpoint:
             # All rounds trigger back-to-back with no await between them:
             # the single-threaded loop cannot deliver a frame until this
             # coroutine suspends, which reproduces the simulator's
@@ -333,19 +315,7 @@ class NetSimulation:
             for peer in self.live_peers():
                 peer.run_stabilization_round()
             await self.runtime.wait_idle()
-            rounds += 1
-            report = None
-        self.metrics.observe("stabilize.rounds", rounds)
-        return report if report is not None else self.verify()
-
-    def _structure_signature(self) -> tuple:
-        """Hashable overlay structure (same shape as the simulator's)."""
-        entries = []
-        for peer in self.live_peers():
-            for level, instance in sorted(peer.instances.items()):
-                entries.append((peer.process_id, level, instance.parent,
-                                tuple(instance.child_ids())))
-        return tuple(sorted(entries))
+        return fixpoint.report
 
     def await_convergence(self, timeout: float = 30.0,
                           poll: float = 0.05,
@@ -371,8 +341,6 @@ class NetSimulation:
 
     async def _await_convergence(self, timeout: float, poll: float,
                                  stable_polls: int) -> Dict[str, object]:
-        import asyncio
-
         start = time.monotonic()
         start_cycles = {pid: endpoint.stabilizer.cycles
                         for pid, endpoint in self.endpoints.items()
@@ -382,7 +350,7 @@ class NetSimulation:
         legal = stable = False
         while True:
             report = self.verify()
-            signature = self._structure_signature()
+            signature = structure_signature(self.live_peers())
             legal = report.is_legal
             if signature == previous_signature:
                 stable_run += 1
@@ -420,31 +388,6 @@ class NetSimulation:
         peer.publish(event)
         if settle:
             await self.runtime.wait_idle()
-
-    def live_peers(self) -> List[DRTreePeer]:
-        """All peers that have not crashed or left."""
-        return [peer for peer in self.peers.values() if peer.alive]
-
-    def peer(self, peer_id: str) -> DRTreePeer:
-        """Look up a peer by id."""
-        return self.peers[peer_id]
-
-    def root(self) -> Optional[DRTreePeer]:
-        """The current root peer, if a unique one exists."""
-        roots = [peer for peer in self.live_peers() if peer.is_overlay_root()]
-        if len(roots) == 1:
-            return roots[0]
-        return None
-
-    def height(self) -> int:
-        """Height of the DR-tree (number of levels)."""
-        root = self.root()
-        return root.top_level() + 1 if root else 0
-
-    def verify(self, check_containment: bool = False) -> VerificationReport:
-        """Run the omniscient legality checker on the live peers."""
-        return self.verifier.verify(self.live_peers(),
-                                    check_containment=check_containment)
 
     def transport_summary(self) -> Dict[str, float]:
         """Transport/condition counters the facade merges into ``summary()``.

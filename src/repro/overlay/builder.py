@@ -9,7 +9,9 @@ examples and every experiment:
   reports a legal configuration (or a round budget is exhausted),
 * ``crash`` / ``leave`` / ``corrupt`` — inject the paper's fault model,
 * ``publish`` — disseminate an event from a given peer,
-* ``verify`` — run the omniscient legality checker.
+* ``verify`` / ``root`` / ``height`` — the read-only
+  :class:`DeploymentView` it shares with ``drtree:net``'s
+  :class:`~repro.net.broker.NetSimulation`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.oracle import ContactOracle
 from repro.overlay.peer import DRTreePeer
-from repro.overlay.verifier import OverlayVerifier, VerificationReport
+from repro.overlay.verifier import (OverlayVerifier, StabilizeFixpoint,
+                                   VerificationReport)
 from repro.sim.engine import SimulationEngine
 from repro.sim.failures import MemoryCorruptor, CorruptionReport
 from repro.sim.metrics import MetricsRegistry
@@ -28,14 +31,50 @@ from repro.sim.rng import RandomStreams
 from repro.spatial.filters import Event, Subscription
 
 
-class DRTreeSimulation:
+class DeploymentView:
+    """The read-only surface of a deployment that holds its peers in-process.
+
+    Shared by :class:`DRTreeSimulation` and
+    :class:`~repro.net.broker.NetSimulation`, which set ``peers`` and
+    ``verifier``; nothing here mutates a peer, so it is safe from any thread.
+    """
+
+    peers: Dict[str, DRTreePeer]
+    verifier: OverlayVerifier
+
+    def live_peers(self) -> List[DRTreePeer]:
+        """All peers that have not crashed or left."""
+        return [peer for peer in self.peers.values() if peer.alive]
+
+    def peer(self, peer_id: str) -> DRTreePeer:
+        """Look up a peer by id."""
+        return self.peers[peer_id]
+
+    def root(self) -> Optional[DRTreePeer]:
+        """The current root peer, if a unique one exists."""
+        roots = [peer for peer in self.live_peers() if peer.is_overlay_root()]
+        if len(roots) == 1:
+            return roots[0]
+        return None
+
+    def height(self) -> int:
+        """Height of the DR-tree (number of levels)."""
+        root = self.root()
+        return root.top_level() + 1 if root else 0
+
+    def verify(self, check_containment: bool = False) -> VerificationReport:
+        """Run the omniscient legality checker on the live peers."""
+        return self.verifier.verify(self.live_peers(),
+                                    check_containment=check_containment)
+
+
+class DRTreeSimulation(DeploymentView):
     """A complete simulated DR-tree deployment."""
 
     def __init__(
         self,
         config: Optional[DRTreeConfig] = None,
         seed: int = 0,
-        oracle_policy: str = "root",
         loss_rate: float = 0.0,
         batch: bool = False,
     ) -> None:
@@ -54,7 +93,7 @@ class DRTreeSimulation:
             streams=self.streams,
             batch=batch,
         )
-        self.oracle = ContactOracle(policy=oracle_policy, streams=self.streams)
+        self.oracle = ContactOracle(streams=self.streams)
         self.verifier = OverlayVerifier(
             self.config.min_children, self.config.max_children
         )
@@ -96,13 +135,10 @@ class DRTreeSimulation:
 
         bootstrap_overlay(self, subscriptions)
 
-    def join_all(self, subscriptions: Iterable[Subscription],
-                 settle_each: bool = True) -> List[DRTreePeer]:
+    def join_all(self, subscriptions: Iterable[Subscription]
+                 ) -> List[DRTreePeer]:
         """Create and join one peer per subscription, in order."""
-        return [
-            self.add_peer(subscription, settle=settle_each)
-            for subscription in subscriptions
-        ]
+        return [self.add_peer(subscription) for subscription in subscriptions]
 
     def leave(self, peer_id: str, settle: bool = True) -> None:
         """Controlled departure of ``peer_id``."""
@@ -113,11 +149,8 @@ class DRTreeSimulation:
 
     def crash(self, peer_id: str) -> None:
         """Uncontrolled departure (failure) of ``peer_id``."""
-        peer = self.peers[peer_id]
-        peer.crash()
-        self.oracle.remove_member(peer_id)
-        if self.oracle.contact(exclude=peer_id) is None:
-            self.oracle.set_root_hint(None)
+        self.peers[peer_id].crash()
+        self.oracle.forget(peer_id)
 
     def corrupt(self, fraction: float = 0.2,
                 fields: Optional[Sequence[str]] = None) -> CorruptionReport:
@@ -142,64 +175,18 @@ class DRTreeSimulation:
             peer.run_stabilization_round()
         self.settle()
 
-    def stabilize(self, max_rounds: int = 50,
-                  require_legal: bool = True,
-                  min_rounds: int = 1) -> VerificationReport:
-        """Run stabilization rounds until the configuration is legal.
-
-        Returns the final verification report; ``report.is_legal`` tells the
-        caller whether convergence was reached within ``max_rounds``.  The
-        number of rounds actually used is recorded in the ``stabilize.rounds``
-        histogram of the metrics registry.
-
-        ``min_rounds`` rounds are always executed (default: one) so that the
-        periodic PARENT_QUERY refresh runs at least once even when the
-        configuration is already structurally legal — the refresh is what
-        keeps the parents' cached child MBRs up to date for dissemination.
-
-        The verifier is an omniscient full pass, so it runs only where its
-        answer is read: when a round changed nothing structurally, and once
-        for the report returned.
-        """
-        report = None  # the verification of the current state, once asked for
-        rounds = 0
-        previous_signature = None
-        while rounds < max_rounds:
-            signature = self._structure_signature()
-            if (rounds >= min_rounds and require_legal
-                    and signature == previous_signature):
-                report = self.verify()
-                if report.is_legal:
-                    # Legal, and the last round changed nothing structurally:
-                    # that round acted as a pure refresh, so every parent's
-                    # cached view of its children (MBRs, counts) is up to date
-                    # and dissemination is immediately loss-free.
-                    break
-            previous_signature = signature
+    def stabilize(self, max_rounds: int = 50) -> VerificationReport:
+        """Run the rounds :class:`~repro.overlay.verifier.StabilizeFixpoint`
+        asks for; return the report of the state they leave (``is_legal``
+        says whether ``max_rounds`` sufficed)."""
+        fixpoint = StabilizeFixpoint(self.live_peers, self.verifier,
+                                     max_rounds, self.metrics)
+        for _ in fixpoint:
             self.run_round()
-            rounds += 1
-            report = None
-        self.metrics.observe("stabilize.rounds", rounds)
-        return report if report is not None else self.verify()
-
-    def _structure_signature(self) -> tuple:
-        """A hashable snapshot of the overlay's logical structure.
-
-        Used by :meth:`stabilize` to detect quiescence: two identical
-        consecutive signatures mean the intervening round performed no
-        structural repair (only cache refreshes).
-        """
-        entries = []
-        for peer in self.live_peers():
-            for level, instance in sorted(peer.instances.items()):
-                entries.append(
-                    (peer.process_id, level, instance.parent,
-                     tuple(instance.child_ids()))
-                )
-        return tuple(sorted(entries))
+        return fixpoint.report
 
     # ------------------------------------------------------------------ #
-    # Publish/subscribe and inspection
+    # Publish/subscribe
     # ------------------------------------------------------------------ #
 
     def publish(self, publisher_id: str, event: Event,
@@ -208,31 +195,6 @@ class DRTreeSimulation:
         self.peers[publisher_id].publish(event)
         if settle:
             self.settle()
-
-    def live_peers(self) -> List[DRTreePeer]:
-        """All peers that have not crashed or left."""
-        return [peer for peer in self.peers.values() if peer.alive]
-
-    def peer(self, peer_id: str) -> DRTreePeer:
-        """Look up a peer by id."""
-        return self.peers[peer_id]
-
-    def root(self) -> Optional[DRTreePeer]:
-        """The current root peer, if a unique one exists."""
-        roots = [peer for peer in self.live_peers() if peer.is_overlay_root()]
-        if len(roots) == 1:
-            return roots[0]
-        return None
-
-    def height(self) -> int:
-        """Height of the DR-tree (number of levels)."""
-        root = self.root()
-        return root.top_level() + 1 if root else 0
-
-    def verify(self, check_containment: bool = False) -> VerificationReport:
-        """Run the omniscient legality checker on the live peers."""
-        return self.verifier.verify(self.live_peers(),
-                                    check_containment=check_containment)
 
     # ------------------------------------------------------------------ #
     # Snapshot capability (picklable state for Broker.snapshot)

@@ -28,9 +28,7 @@ class LeaveMixin:
             if parent and parent != self.process_id:
                 self.send(parent, msg.LEAVE,
                           child=self.process_id, child_level=top)
-        self.oracle.remove_member(self.process_id)
-        if self.oracle.contact(exclude=self.process_id) is None:
-            self.oracle.set_root_hint(None)
+        self.oracle.forget(self.process_id)
         self.shutdown()
 
     def handle_leave(self, message: Message) -> None:

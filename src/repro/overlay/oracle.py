@@ -52,6 +52,19 @@ class ContactOracle:
         if self._root_hint == peer_id:
             self._root_hint = None
 
+    def forget(self, peer_id: str) -> None:
+        """Record a departure (crash or leave) of ``peer_id``.
+
+        Drops the membership, any advertisement and a matching root hint;
+        when nobody else is left to contact, the hint goes too.  The
+        emptiness test is a ``contact`` probe on purpose: under the
+        ``"random"`` policy it draws from the ``oracle`` stream, and every
+        departure has always paid that draw.
+        """
+        self.remove_member(peer_id)
+        if self.contact(exclude=peer_id) is None:
+            self.set_root_hint(None)
+
     def set_root_hint(self, peer_id: Optional[str]) -> None:
         """Update the oracle's belief about the current root."""
         self._root_hint = peer_id

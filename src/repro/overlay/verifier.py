@@ -7,16 +7,20 @@ containment-awareness properties (3.1 and 3.2) and collects structural
 statistics (height, degree distribution, state size) used by the experiments.
 
 The verifier is an omniscient observer — it reads peer state directly and is
-never part of the protocol.
+never part of the protocol.  The stabilize fixpoint every DR-tree engine runs
+(:class:`StabilizeFixpoint`, over :func:`structure_signature`) lives here
+too, because deciding "converged" is the verifier's question.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.overlay.peer import DRTreePeer
+from repro.sim.metrics import MetricsRegistry
 from repro.spatial.containment import ContainmentGraph
 from repro.spatial.rectangle import Rect
 
@@ -360,3 +364,66 @@ class OverlayVerifier:
             sum(state_sizes) / len(state_sizes) if state_sizes else 0.0
         )
         report.max_state_size = max(state_sizes) if state_sizes else 0
+
+
+def structure_signature(peers: Iterable[DRTreePeer]) -> tuple:
+    """A hashable snapshot of the overlay's logical structure.
+
+    One entry per peer instance: its parent pointer and its children.  Two
+    equal consecutive signatures mean the round between them performed no
+    structural repair (only cache refreshes).  Reads ``process_id`` and
+    ``instances`` only, so live peers and the sharded coordinator's merged
+    peer views give the same answer for the same structure.
+    """
+    return tuple(sorted(
+        (peer.process_id, level, instance.parent, tuple(instance.child_ids()))
+        for peer in peers
+        for level, instance in peer.instances.items()))
+
+
+class StabilizeFixpoint:
+    """The stabilize loop of every DR-tree engine, minus the round itself.
+
+    Iterating yields once per synchronized round the caller must run (every
+    live peer's stabilization round, then settle), until a round leaves
+    :func:`structure_signature` unchanged on a legal configuration — a pure
+    refresh, after which every parent's cached view of its children is
+    current and dissemination is loss-free — or ``max_rounds`` have run.
+    A repeated signature alone is not convergence: orphans of a crashed
+    parent count missed PARENT_ACKs over quiet rounds before re-joining.
+    The first signature has nothing to repeat, so even a legal tree gets
+    one refresh round.
+
+    ``peers()`` is read once per iteration.  The verifier, a full pass, runs
+    only where its answer is read: when the signature repeats, and at the
+    round cap.  Afterwards :attr:`report` verifies the state the loop
+    leaves, and ``stabilize.rounds`` in ``metrics`` holds the rounds run.
+    """
+
+    def __init__(self, peers: Callable[[], Sequence[DRTreePeer]],
+                 verifier: OverlayVerifier, max_rounds: int,
+                 metrics: MetricsRegistry) -> None:
+        self._peers = peers
+        self._verifier = verifier
+        self._max_rounds = max_rounds
+        self._metrics = metrics
+        self.report: Optional[VerificationReport] = None
+
+    def __iter__(self) -> Iterator[None]:
+        rounds = 0
+        previous_signature = None
+        while True:
+            peers = self._peers()
+            if rounds >= self._max_rounds:
+                self.report = self._verifier.verify(peers)
+                break
+            signature = structure_signature(peers)
+            if signature == previous_signature:
+                report = self._verifier.verify(peers)
+                if report.is_legal:
+                    self.report = report
+                    break
+            previous_signature = signature
+            yield
+            rounds += 1
+        self._metrics.observe("stabilize.rounds", rounds)

@@ -24,7 +24,8 @@ Two regimes, one determinism story:
   across shards cannot change any delivery record, hop count or message
   counter.  Delivery *metrics* are therefore byte-identical to
   ``drtree:classic`` on the same seed — the property the ``scale`` scenario
-  and the shard-parity tests assert end to end.
+  and the shard-parity tests assert end to end.  ``stabilize`` runs the
+  single-process fixpoint itself over the merged peer views of all shards.
 
 Worker failures surface as typed errors instead of hangs:
 :class:`~repro.sim.sharded.errors.ShardFailedError` for dead workers,
@@ -46,7 +47,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import (compute_layout, partition_layout,
                                   partition_members)
-from repro.overlay.verifier import OverlayVerifier, VerificationReport
+from repro.overlay.verifier import (OverlayVerifier, StabilizeFixpoint,
+                                   VerificationReport)
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
 from repro.sim.sharded import shm
@@ -134,10 +136,10 @@ class _PeerView:
     """Parent-side stand-in for a live worker peer, for the verifier.
 
     Exposes exactly the surface :class:`~repro.overlay.verifier.
-    OverlayVerifier` reads — id, joined flag, filter rect, the per-level
-    instances (shipped as pickled copies) and the derived helpers — so the
-    coordinator can run the *real* legality check over the merged global
-    structure between stabilization rounds.
+    OverlayVerifier` and :func:`~repro.overlay.verifier.structure_signature`
+    read — id, joined flag, filter rect, the per-level instances (shipped as
+    pickled copies) and the derived helpers — so the coordinator can run the
+    *real* stabilize fixpoint over the merged global structure.
     """
 
     __slots__ = ("process_id", "joined", "filter_rect", "instances")
@@ -679,6 +681,7 @@ class ShardedSimulation:
         self._sync_clocks()
         self._rpc(owner, ("leave_peer", peer_id))
         self._broadcast(("mirror_leave", peer_id))
+        self._note_departure(peer_id)
         if settle:
             self._settle()
 
@@ -692,6 +695,16 @@ class ShardedSimulation:
         if peer_id not in self.peers:
             raise KeyError(peer_id)
         self._broadcast(("crash", peer_id))
+        self._note_departure(peer_id)
+
+    def _note_departure(self, peer_id: str) -> None:
+        """A departed root leaves no root (``height()`` 0) until a stabilize.
+
+        As on classic.  ``_root_id`` stays: joins are still routed to its
+        shard, whose oracle resolves the contact as the classic one does.
+        """
+        if peer_id == self._root_id:
+            self._height = 0
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -717,43 +730,27 @@ class ShardedSimulation:
             return
         self._settle(max_events=max_events)
 
-    def stabilize(self, max_rounds: int = 50, require_legal: bool = True,
-                  min_rounds: int = 1) -> VerificationReport:
+    def stabilize(self, max_rounds: int = 50) -> VerificationReport:
         """Run synchronized stabilization rounds until the overlay is legal.
 
         Single-shard populations delegate to the worker's unmodified
-        ``DRTreeSimulation.stabilize`` (verifier and all).  Multi-shard
-        populations mirror the single-process loop exactly: between rounds
-        the coordinator merges every shard's peer snapshots and runs the
-        real :class:`~repro.overlay.verifier.OverlayVerifier` over the
-        global structure, breaking only when the configuration is legal
-        *and* the structure signature repeats — which is what lets repairs
-        that need consecutive quiet rounds (orphan re-joins after an
-        internal peer's crash count ``missed_parent_acks`` across rounds)
-        run to completion, just as they do on ``drtree:classic``.
+        ``DRTreeSimulation.stabilize``.  Multi-shard populations run the
+        same :class:`~repro.overlay.verifier.StabilizeFixpoint` over the
+        merged peer snapshots of every shard (one ``peer_views`` exchange
+        per iteration), so the real verifier judges the global structure.
         """
         if not self._multi:
             self._ensure_shards(1)
-            return self._rpc(0, ("stabilize", max_rounds, min_rounds))
+            return self._rpc(0, ("stabilize", max_rounds))
         verifier = OverlayVerifier(self.config.min_children,
                                    self.config.max_children)
-        rounds = 0
-        previous_signature = None
-        while True:
-            views = self._peer_views()
-            signature = self._signature_of(views)
-            report = verifier.verify(views)
-            if rounds >= max_rounds:
-                break
-            if (rounds >= min_rounds and require_legal and report.is_legal
-                    and signature == previous_signature):
-                break
-            previous_signature = signature
+        fixpoint = StabilizeFixpoint(self._peer_views, verifier, max_rounds,
+                                     self.metrics)
+        for _ in fixpoint:
             self._sync_clocks()
             self._broadcast(("stab_round",))
             self._settle()
-            rounds += 1
-        self.metrics.observe("stabilize.rounds", rounds)
+        report = fixpoint.report
         # Repairs can re-elect the root; keep the coordinator's view (used
         # by root()/height()) in sync with the verified structure, and align
         # every shard's oracle hint with it — the classic global oracle's
@@ -775,16 +772,6 @@ class ShardedSimulation:
                                               filter_rect, instances)
         return [by_id[peer_id] for peer_id in self.peers if peer_id in by_id]
 
-    @staticmethod
-    def _signature_of(views: List[_PeerView]) -> tuple:
-        """The classic structure signature, computed from merged snapshots."""
-        entries: List[tuple] = []
-        for view in views:
-            for level, instance in sorted(view.instances.items()):
-                entries.append((view.process_id, level, instance.parent,
-                                tuple(instance.child_ids())))
-        return tuple(sorted(entries))
-
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
@@ -800,7 +787,7 @@ class ShardedSimulation:
     def root(self) -> Optional[ShardPeerHandle]:
         """The current root peer's handle, if one exists."""
         if self._multi:
-            return self.peers.get(self._root_id or "")
+            return self.peers.get(self._root_id) if self._height else None
         if not self._shards:
             return None
         root_id = self._rpc(0, ("root",))

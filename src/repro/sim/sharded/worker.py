@@ -241,9 +241,7 @@ class ShardRuntime:
         if peer_id in self.sim.peers:
             self.sim.crash(peer_id)
             return
-        self.sim.oracle.remove_member(peer_id)
-        if self.sim.oracle.contact(exclude=peer_id) is None:
-            self.sim.oracle.set_root_hint(None)
+        self.sim.oracle.forget(peer_id)
 
     def cmd_publish(self, peer_id: str, event: Event, settle: bool) -> None:
         self.sim.publish(peer_id, event, settle=settle)
@@ -251,8 +249,8 @@ class ShardRuntime:
     def cmd_settle(self, max_events: int) -> None:
         self.sim.settle(max_events=max_events)
 
-    def cmd_stabilize(self, max_rounds: int, min_rounds: int):
-        return self.sim.stabilize(max_rounds=max_rounds, min_rounds=min_rounds)
+    def cmd_stabilize(self, max_rounds: int):
+        return self.sim.stabilize(max_rounds=max_rounds)
 
     def cmd_root(self) -> Optional[str]:
         root = self.sim.root()
@@ -318,16 +316,12 @@ class ShardRuntime:
     def cmd_mirror_leave(self, peer_id: str) -> None:
         """Mirror a remote controlled departure into this shard's oracle.
 
-        Replays exactly the oracle half of ``LeaveMixin.leave``: drop the
-        membership (which also clears a matching root hint and any
-        advertisement) and, when nobody remains to contact, forget the hint
-        entirely.
+        Replays exactly the oracle half of ``LeaveMixin.leave``:
+        :meth:`~repro.overlay.oracle.ContactOracle.forget`.
         """
         if peer_id in self.sim.peers:
             return  # the owning shard already applied it via leave()
-        self.sim.oracle.remove_member(peer_id)
-        if self.sim.oracle.contact(exclude=peer_id) is None:
-            self.sim.oracle.set_root_hint(None)
+        self.sim.oracle.forget(peer_id)
 
     def cmd_sync_root(self, root_id: str) -> None:
         """Align this shard's root hint with the globally verified root.

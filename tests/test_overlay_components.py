@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.election import (
@@ -14,6 +16,7 @@ from repro.overlay.election import (
 )
 from repro.overlay.oracle import ContactOracle
 from repro.overlay.state import ChildInfo, LevelState, deserialize_children, serialize_children
+from repro.sim.rng import RandomStreams
 from repro.spatial.rectangle import Rect
 
 
@@ -220,6 +223,46 @@ def test_oracle_remove_member_clears_advertisement():
     assert oracle.best_root() is None
     assert oracle.contact() is None
     assert len(oracle) == 0
+
+
+_oracle_ids = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@given(policy=st.sampled_from(["root", "random"]),
+       members=st.sets(_oracle_ids),
+       hint=st.none() | _oracle_ids,
+       advertised=st.dictionaries(_oracle_ids,
+                                  st.floats(0.0, 4.0, allow_nan=False)),
+       draws=st.integers(0, 3),
+       departed=_oracle_ids,
+       seed=st.integers(0, 2**32))
+def test_oracle_forget_is_the_three_step_departure(policy, members, hint,
+                                                   advertised, draws,
+                                                   departed, seed):
+    def oracle_in_state():
+        oracle = ContactOracle(policy=policy, streams=RandomStreams(seed))
+        for member in sorted(members):
+            oracle.add_member(member)
+        oracle.set_root_hint(hint)
+        for peer_id, area in advertised.items():
+            oracle.advertise_root(peer_id, area)
+        for _ in range(draws):
+            oracle.contact()
+        return oracle
+
+    # The sequence every departure used to spell out by hand.
+    reference = oracle_in_state()
+    reference.remove_member(departed)
+    if reference.contact(exclude=departed) is None:
+        reference.set_root_hint(None)
+
+    oracle = oracle_in_state()
+    oracle.forget(departed)
+
+    assert oracle.members() == reference.members()
+    assert oracle._root_hint == reference._root_hint
+    assert oracle._advertised_roots == reference._advertised_roots
+    assert oracle._rng.getstate() == reference._rng.getstate()
 
 
 def test_oracle_random_policy_returns_member():

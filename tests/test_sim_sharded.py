@@ -36,7 +36,8 @@ from repro.sim.sharded import (ShardedSimulation, ShardedUnsupportedError,
 needs_shm = pytest.mark.skipif(not shm_available(),
                                reason="multiprocessing.shared_memory "
                                       "unavailable on this platform")
-from repro.spatial.filters import subscription_from_intervals
+from repro.analysis.digests import delivered_digest
+from repro.spatial.filters import Event, subscription_from_intervals
 from repro.workloads.events import targeted_events
 from repro.workloads.subscriptions import (mixed_subscriptions,
                                            uniform_subscriptions)
@@ -285,6 +286,51 @@ def test_multi_shard_membership_churn_matches_classic(bulk_workload,
     classic = drive("drtree:classic")
     sharded = drive("drtree:sharded",
                     {"shards": shards, "transport": transport})
+    assert sharded == classic
+
+
+def _after_a_root_crash(backend, engine_options=None):
+    """Crash the root without repair, publish into no audience, then join.
+
+    Between the crash and the next stabilize classic has no live root:
+    ``root()`` is ``None``, ``height()`` 0, and an event nobody matches is
+    published from the smallest live id.  The join is routed as before the
+    crash and repairs the tree on the way.
+    """
+    population = uniform_subscriptions(1200, seed=3)
+    broker = SystemSpec(space=population.space, backend=backend, seed=3,
+                        engine_options=engine_options).build()
+    try:
+        broker.subscribe_all(list(population))
+        broker.fail(broker.simulation.root().process_id, stabilize=False)
+        lost_root = (broker.simulation.root(), broker.overlay_height())
+        unmatched = broker.publish(Event({"attr0": 0.255, "attr1": 0.0}))
+        (joiner,) = uniform_subscriptions(1, seed=7, prefix="J")
+        broker.subscribe(joiner)
+        broker.publish_many(targeted_events(population.space,
+                                            list(population)[:40], 20,
+                                            seed=5))
+        return (lost_root, unmatched.intended, unmatched.publisher_id,
+                unmatched.messages, sorted(unmatched.received),
+                broker.simulation.metrics.histogram("stabilize.rounds").values,
+                delivered_digest(broker), broker.summary())
+    finally:
+        broker.close()
+
+
+@pytest.fixture(scope="module")
+def classic_after_a_root_crash():
+    return _after_a_root_crash("drtree:classic")
+
+
+@pytest.mark.parametrize("transport", [
+    "inline", "pipe", pytest.param("shm", marks=needs_shm)])
+def test_a_crashed_root_is_not_the_root(classic_after_a_root_crash,
+                                        transport):
+    classic = classic_after_a_root_crash
+    assert classic[:3] == ((None, 0), set(), "S0")
+    sharded = _after_a_root_crash("drtree:sharded",
+                                  {"shards": 2, "transport": transport})
     assert sharded == classic
 
 

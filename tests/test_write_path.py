@@ -2,22 +2,21 @@
 
 A membership op pays for stabilization rounds.  These tests pin what a round
 may cost the *host* without touching what it computes: ``Compute_MBR``
-(Figure 7) is memoized per instance on the values it folds, and
-``stabilize`` runs the omniscient verifier only where it reads the answer.
+(Figure 7) is memoized per instance on the values it folds.  That
+``stabilize`` runs the omniscient verifier only where it reads the answer is
+part of the engine-wide contract in ``tests/test_stabilize_contract.py``.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SystemSpec
 from repro.overlay import DRTreeConfig, build_stable_tree
 from repro.overlay.state import ChildInfo, LevelState
-from repro.overlay.verifier import OverlayVerifier
 from repro.spatial.filters import make_space
 from repro.spatial.rectangle import Rect
 from repro.workloads import uniform_subscriptions
@@ -164,67 +163,3 @@ def test_a_refresh_round_on_a_legal_tree_never_folds_an_mbr(monkeypatch):
     # The verifier is outside the protocol and folds on its own account.
     assert sim.verify().is_legal
     assert unions
-
-
-# --------------------------------------------------------------------------- #
-# stabilize() verifies on demand and returns the report of the final state
-# --------------------------------------------------------------------------- #
-
-
-def count_verifies(monkeypatch) -> list:
-    calls = []
-    real_verify = OverlayVerifier.verify
-
-    def verify(self, peers, check_containment=False):
-        calls.append(1)
-        return real_verify(self, peers, check_containment=check_containment)
-
-    monkeypatch.setattr(OverlayVerifier, "verify", verify)
-    return calls
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"max_rounds": 0},
-    {"min_rounds": 0},
-    {"min_rounds": 3},
-    {"require_legal": False, "max_rounds": 4},
-])
-def test_stabilize_returns_the_report_of_the_state_it_leaves(kwargs):
-    sim = legal_tree(60, seed=2)
-    victim = next(peer for peer in sim.live_peers() if peer.top_level() >= 1)
-    sim.crash(victim.process_id)
-    report = sim.stabilize(**kwargs)
-    assert report == sim.verify()
-    rounds = sim.metrics.histogram("stabilize.rounds").values[-1]
-    if "max_rounds" in kwargs:
-        # require_legal=False never breaks early; max_rounds=0 never starts.
-        assert rounds == kwargs["max_rounds"]
-    else:
-        assert report.is_legal and rounds >= kwargs["min_rounds"]
-
-
-def test_stabilize_reports_an_illegal_tree_at_the_round_cap(monkeypatch):
-    sim = legal_tree(60, seed=2)
-    root = sim.root()
-    sim.crash(root.process_id)
-    calls = count_verifies(monkeypatch)
-    report = sim.stabilize(max_rounds=1)
-    assert not report.is_legal
-    assert sim.metrics.histogram("stabilize.rounds").values[-1] == 1
-    assert len(calls) == 1  # the one behind the returned report
-    assert report == sim.verify()
-
-
-def test_a_leaf_join_costs_one_verifier_pass(monkeypatch):
-    population = uniform_subscriptions(600, seed=6)
-    broker = SystemSpec(population.space, backend="drtree:batched",
-                        seed=6).build()
-    broker.subscribe_all(list(population))
-    (joiner,) = uniform_subscriptions(1, seed=7, prefix="J")
-    calls = count_verifies(monkeypatch)
-    broker.subscribe(joiner)
-    rounds = broker.simulation.metrics.histogram("stabilize.rounds").values
-    # One refresh round, then one pass behind the returned report; verifying
-    # before and after every round would have been ``rounds + 1`` passes.
-    assert rounds[-1] == 1 and len(calls) == 1
-    assert broker.stabilize().is_legal
