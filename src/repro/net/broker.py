@@ -109,7 +109,7 @@ class NetSimulation(DeploymentView):
         #: that is real monotonic time in simulated units.
         self.engine = self.runtime.clock
         self.network = NetNetwork(self.runtime, self.metrics, self.streams)
-        self.oracle = ContactOracle(streams=self.streams)
+        self.oracle = ContactOracle()
         self.verifier = OverlayVerifier(
             self.config.min_children, self.config.max_children)
         self.peers: Dict[str, DRTreePeer] = {}

@@ -93,7 +93,7 @@ class DRTreeSimulation(DeploymentView):
             streams=self.streams,
             batch=batch,
         )
-        self.oracle = ContactOracle(streams=self.streams)
+        self.oracle = ContactOracle()
         self.verifier = OverlayVerifier(
             self.config.min_children, self.config.max_children
         )

@@ -21,11 +21,29 @@ Two regimes, one determinism story:
   network latency, so no shard can observe an effect before its cause; and
   because a legal DR-tree delivers each event to each peer exactly once and
   stabilization refreshes are commutative, the per-instant interleaving
-  across shards cannot change any delivery record, hop count or message
-  counter.  Delivery *metrics* are therefore byte-identical to
-  ``drtree:classic`` on the same seed — the property the ``scale`` scenario
-  and the shard-parity tests assert end to end.  ``stabilize`` runs the
-  single-process fixpoint itself over the merged peer views of all shards.
+  across shards changes no delivery record, hop count or message counter of
+  a bulk load, a publish or a join — byte-identical to ``drtree:classic``
+  on the same seed, as the ``scale`` scenario and the shard-parity tests
+  assert.  A repair after a crash or a departure is the exception: orphans
+  re-joining in one instant on several shards may be ordered differently
+  than in classic's single queue, so the repaired tree, though legal and
+  without false negatives, can be shaped differently (see
+  ``docs/architecture.md``, "Determinism argument").  ``stabilize`` runs
+  the single-process fixpoint itself over the merged peer views of all
+  shards.
+
+**One contact oracle.**  Each shard holds a replica of the oracle
+(:class:`~repro.sim.sharded.worker.ShardOracle`).  A reply's flush carries
+the oracle changes that shard's peers made since its last reply; the
+coordinator merges them into a mailbox per other shard, and each shard
+applies its mailbox at the start of its next request, before any of its
+peers runs again.  Membership and root advertisements are per peer and only
+the peer's owning shard writes them, so they cannot conflict.  The root
+hint is the one shared entry: replies are merged in shard order, and the
+hint written by the highest shard id in an exchange wins (a shard that
+wrote the hint drops any hint already waiting in its own mailbox).  A
+remote change is visible one barrier later than on ``drtree:classic``,
+whose peers share one oracle object.
 
 Worker failures surface as typed errors instead of hangs:
 :class:`~repro.sim.sharded.errors.ShardFailedError` for dead workers,
@@ -54,7 +72,8 @@ from repro.sim.rng import RandomStreams
 from repro.sim.sharded import shm
 from repro.sim.sharded.errors import (ShardFailedError, ShardStalledError,
                                       ShardedUnsupportedError)
-from repro.sim.sharded.worker import (ShardRuntime, shard_worker_main,
+from repro.sim.sharded.worker import (HINT, OracleChanges, ShardRuntime,
+                                      shard_worker_main,
                                       shm_shard_worker_main)
 from repro.spatial.filters import Event, Subscription
 
@@ -358,6 +377,8 @@ class ShardedSimulation:
                          else None)
         self._owner: Dict[str, int] = {}
         self._mailbox: Dict[int, List[Tuple[float, Any]]] = {}
+        #: shard id -> other shards' oracle changes it has not applied yet.
+        self._oracle_mail: Dict[int, OracleChanges] = {}
         self._next_times: Dict[int, Optional[float]] = {}
         self._shard_now: Dict[int, float] = {}
         self._multi = False
@@ -414,6 +435,14 @@ class ShardedSimulation:
                 self.shard_metrics[shard_id].observe(name, value)
         for time, destination, message in reply["out"]:
             self._mailbox.setdefault(destination, []).append((time, message))
+        changes = reply.get("oracle")
+        if changes:
+            for shard in self._shards:
+                if shard.shard_id != shard_id:
+                    self._oracle_mail.setdefault(shard.shard_id,
+                                                 {}).update(changes)
+                elif HINT in changes:
+                    self._oracle_mail.get(shard_id, {}).pop(HINT, None)
         for peer_id, event, matched, hops in reply["deliveries"]:
             self.shard_deliveries[shard_id] += 1
             handle = self.peers.get(peer_id)
@@ -466,12 +495,16 @@ class ShardedSimulation:
         Every command goes through here: send all, collect every reply,
         apply every flush, and only then raise the first routed error — so
         the pipes stay drained and no shard's deltas are lost because
-        another shard reported a failure.
+        another shard reported a failure.  A shard's pending oracle changes
+        ride on its command.
         """
         self._check_open()
         sent: List[Any] = []
         failure = None
         for shard_id, command in requests:
+            mail = self._oracle_mail.pop(shard_id, None)
+            if mail:
+                command = ("oracle", mail) + command
             shard = self._shards[shard_id]
             try:
                 shard.request(command)
@@ -626,14 +659,11 @@ class ShardedSimulation:
 
         Single-shard populations delegate to worker 0's unmodified
         ``DRTreeSimulation.add_peer``.  In the multi-shard regime the joiner
-        is routed to the shard owning the current root: that shard's oracle
-        holds the root's advertisement, so the join contact resolves exactly
-        as the single global oracle of ``drtree:classic`` would, and the
-        join protocol runs unmodified from there (descents that cross
-        shards travel like any other cross-shard message).  Once the join
-        has settled globally, the new membership is mirrored into every
-        other shard's oracle — the point at which the classic oracle learns
-        about the peer, too.
+        is created on the shard owning the current root (so it lives next
+        to the top of the tree) and the join protocol runs unmodified from
+        there; descents that cross shards travel like any other cross-shard
+        message, and the new membership reaches the other oracle replicas
+        with the join's flush.
         """
         if peer_id is not None and peer_id != subscription.name:
             raise ShardedUnsupportedError(
@@ -657,21 +687,15 @@ class ShardedSimulation:
         # Every shard must route messages to the joiner before any join
         # traffic can cross a shard boundary.
         self._broadcast(("set_owner", name, target))
-        self._rpc(target, ("join_peer", subscription))
+        self._rpc(target, ("add_peer", subscription, False))
         handle = ShardPeerHandle(name, target)
         self.peers[name] = handle
         self._owner[name] = target
         self._settle()
-        self._broadcast(("mirror_member", name))
         return handle
 
     def leave(self, peer_id: str, settle: bool = True) -> None:
-        """Controlled departure, routed to the owning shard.
-
-        The owner runs the unmodified leave protocol (LEAVE to the parent,
-        oracle removal); every other shard mirrors the oracle-side update,
-        exactly as :meth:`crash` mirrors uncontrolled departures.
-        """
+        """Controlled departure: the owning shard runs the leave protocol."""
         if not self._multi:
             self._rpc(0, ("leave", peer_id))
             return
@@ -679,29 +703,23 @@ class ShardedSimulation:
             raise KeyError(peer_id)
         owner = self._owner[peer_id]
         self._sync_clocks()
-        self._rpc(owner, ("leave_peer", peer_id))
-        self._broadcast(("mirror_leave", peer_id))
+        self._rpc(owner, ("leave", peer_id, False))
         self._note_departure(peer_id)
         if settle:
             self._settle()
 
     def crash(self, peer_id: str) -> None:
-        """Uncontrolled departure: the owning shard crashes the peer.
-
-        Every other shard mirrors the oracle-side membership update so that
-        later repairs resolve contacts exactly as the single-process oracle
-        would.
-        """
+        """Uncontrolled departure: the owning shard crashes the peer."""
         if peer_id not in self.peers:
             raise KeyError(peer_id)
-        self._broadcast(("crash", peer_id))
+        self._rpc(self._owner[peer_id], ("crash", peer_id))
         self._note_departure(peer_id)
 
     def _note_departure(self, peer_id: str) -> None:
         """A departed root leaves no root (``height()`` 0) until a stabilize.
 
         As on classic.  ``_root_id`` stays: joins are still routed to its
-        shard, whose oracle resolves the contact as the classic one does.
+        shard.
         """
         if peer_id == self._root_id:
             self._height = 0
@@ -752,13 +770,10 @@ class ShardedSimulation:
             self._settle()
         report = fixpoint.report
         # Repairs can re-elect the root; keep the coordinator's view (used
-        # by root()/height()) in sync with the verified structure, and align
-        # every shard's oracle hint with it — the classic global oracle's
-        # hint always names the verified root after a stabilize, and joins
-        # are routed by the coordinator to the root's shard.
+        # by root()/height() and to route joins) in sync with the verified
+        # structure.
         if report.root is not None:
             self._root_id = report.root
-            self._broadcast(("sync_root", report.root))
         if report.height:
             self._height = report.height
         return report
@@ -860,9 +875,11 @@ class ShardedSimulation:
     def snapshot_state(self) -> Dict[str, Any]:
         """The picklable snapshot payload: parent state + per-shard blobs.
 
-        Each worker pickles its whole local simulation (`cmd_snapshot`);
-        the coordinator adds everything it owns — handles, owner map,
-        per-shard metric mirrors, the partition plan and the global clock.
+        Each worker pickles its whole local simulation (`cmd_snapshot`)
+        after applying its pending oracle changes, so no oracle mail is
+        left to save; the coordinator adds everything it owns — handles,
+        owner map, per-shard metric mirrors, the partition plan and the
+        global clock.
         """
         blobs = self._broadcast(("snapshot",))
         return {
@@ -915,6 +932,8 @@ class ShardedSimulation:
         # the restored ones must replace.
         self.shard_metrics = state["shard_metrics"]
         self.shard_deliveries = dict(state["shard_deliveries"])
-        for shard_id, blob in enumerate(blobs):
-            self._rpc(shard_id, ("restore", blob))
+        # One exchange: every replica's re-announced oracle entries reach
+        # the others with their next command, after all have restored.
+        self._exchange([(shard_id, ("restore", blob))
+                        for shard_id, blob in enumerate(blobs)])
         return self

@@ -9,12 +9,20 @@ locally.  The coordinator collects those captured messages at each round
 barrier and injects them into their destination shard, where they are
 delivered at the stamped instant by the destination's own event loop.
 
+Each worker's oracle is a :class:`ShardOracle`, one replica of the single
+contact oracle: it records the changes its peers make, and the flush ships
+them to the coordinator, which hands every other shard the merged changes
+with its next request.
+
 The command protocol is a strict request/response loop over one pipe: the
-parent sends ``(command, *args)`` tuples, the worker replies with a dict
-that always carries, besides the command's result, the *flush* — metric
-deltas since the previous reply, captured cross-shard messages, delivery
-records, forwarded log records, and the local engine's next pending event
-time.  Errors never escape the loop: a
+parent sends ``(command, *args)`` tuples — prefixed with
+``("oracle", changes)`` when other shards changed the oracle since this
+shard's last request — and the worker replies with a dict that always
+carries, besides the command's result, the *flush* — metric deltas since
+the previous reply, captured cross-shard messages, delivery records,
+forwarded log records, the local engine's next pending event time, and
+(under ``oracle``, only when there are any) this shard's oracle changes.
+Errors never escape the loop: a
 :class:`~repro.sim.engine.SimulationStalledError` or any other exception is
 reported in the reply (with the flush of everything that happened up to the
 failure) and re-raised parent-side with the shard id attached.
@@ -32,6 +40,7 @@ from repro.overlay.bootstrap import bootstrap_overlay, wire_layout
 from repro.overlay.builder import DRTreeSimulation
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import TreeLayout
+from repro.overlay.oracle import ContactOracle
 from repro.sim.engine import SimulationStalledError
 from repro.sim.failures import MemoryCorruptor
 from repro.sim.messages import Message
@@ -48,6 +57,95 @@ RemoteSend = Tuple[float, int, Message]
 
 #: One forwarded delivery: (peer id, event, matched flag, hop count).
 DeliveryRecord = Tuple[str, Event, bool, int]
+
+#: Oracle changes, one final value per entry: ``("member", id)`` → present,
+#: ``("root", id)`` → advertised area or ``None``, :data:`HINT` → root hint.
+OracleChanges = Dict[Tuple[str, Optional[str]], Any]
+
+#: The one entry that is not per peer, so not written by one shard only.
+HINT = ("hint", None)
+
+
+class ShardOracle(ContactOracle):
+    """One shard's replica of the single contact oracle.
+
+    Every mutator records its *effective* change in :attr:`changes` (most
+    ``withdraw_root`` calls change nothing and record nothing); the flush
+    ships and clears them.  :meth:`apply` installs changes another shard
+    recorded, without recording them again.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.changes: OracleChanges = {}
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self.changes = {}
+
+    def add_member(self, peer_id: str) -> None:
+        if peer_id not in self._members:
+            self.changes["member", peer_id] = True
+        super().add_member(peer_id)
+
+    def remove_member(self, peer_id: str) -> None:
+        if peer_id in self._members:
+            self.changes["member", peer_id] = False
+        self.withdraw_root(peer_id)
+        if self._root_hint == peer_id:
+            self.set_root_hint(None)
+        super().remove_member(peer_id)
+
+    def set_root_hint(self, peer_id: Optional[str]) -> None:
+        if peer_id != self._root_hint:
+            self.changes[HINT] = peer_id
+        super().set_root_hint(peer_id)
+
+    def advertise_root(self, peer_id: str, area: float) -> None:
+        if self._advertised_roots.get(peer_id) != area:
+            self.changes["root", peer_id] = area
+        super().advertise_root(peer_id, area)
+
+    def withdraw_root(self, peer_id: str) -> None:
+        if peer_id in self._advertised_roots:
+            self.changes["root", peer_id] = None
+        super().withdraw_root(peer_id)
+
+    def apply(self, changes: OracleChanges) -> None:
+        """Install another shard's changes (each entry is a final value)."""
+        for (kind, peer_id), value in changes.items():
+            if kind == "member":
+                if value:
+                    super().add_member(peer_id)
+                else:
+                    self._discard(peer_id)
+            elif kind == "root":
+                if value is None:
+                    super().withdraw_root(peer_id)
+                else:
+                    super().advertise_root(peer_id, value)
+            else:
+                super().set_root_hint(value)
+
+    def owned_state(self, peer_ids) -> OracleChanges:
+        """Every entry of ``peer_ids`` plus the hint, as changes to ship."""
+        state: OracleChanges = {}
+        for peer_id in peer_ids:
+            state["member", peer_id] = peer_id in self._members
+            state["root", peer_id] = self._advertised_roots.get(peer_id)
+        state[HINT] = self._root_hint
+        return state
+
+
+def _replicate_oracle(sim: DRTreeSimulation) -> ShardOracle:
+    """Make ``sim``'s oracle a :class:`ShardOracle`, rebinding its peers."""
+    if not isinstance(sim.oracle, ShardOracle):
+        replica = ShardOracle()
+        replica.__setstate__(sim.oracle.__getstate__())
+        sim.oracle = replica
+        for peer in sim.peers.values():
+            peer.oracle = replica
+    return sim.oracle
 
 
 class ShardNetwork(Network):
@@ -157,6 +255,7 @@ class ShardRuntime:
         )
         self.sim.network = self.net
         self.sim.corruptor = MemoryCorruptor(self.net, self.sim.streams)
+        _replicate_oracle(self.sim)
         self.deliveries: List[DeliveryRecord] = []
         self._last_counters: Dict[str, float] = {}
         self._last_histograms: Dict[str, int] = {}
@@ -171,6 +270,10 @@ class ShardRuntime:
 
     def execute(self, command: Tuple[Any, ...]) -> Dict[str, Any]:
         """Run one command; the reply always carries the flush."""
+        if command[0] == "oracle":
+            # Other shards' oracle changes, applied before any peer runs.
+            self.sim.oracle.apply(command[1])
+            command = command[2:]
         name, args = command[0], command[1:]
         try:
             result = getattr(self, f"cmd_{name}")(*args)
@@ -210,6 +313,9 @@ class ShardRuntime:
             now=self.sim.engine.now,
         )
         self.deliveries = []
+        oracle = self.sim.oracle
+        if oracle.changes:
+            reply["oracle"], oracle.changes = oracle.changes, {}
 
     def _collect_delivery(self, peer_id: str, event: Event, matched: bool,
                           hops: int) -> None:
@@ -222,26 +328,31 @@ class ShardRuntime:
                 peer.delivery_listener = self._collect_delivery
 
     # ------------------------------------------------------------------ #
-    # Single-shard delegation commands (the whole facade surface)
+    # The facade surface (single-shard delegation; ``add_peer``, ``leave``
+    # and ``crash`` also run a multi-shard peer on its owning shard)
     # ------------------------------------------------------------------ #
 
     def cmd_bootstrap_local(self, subscriptions: List[Subscription]) -> None:
         bootstrap_overlay(self.sim, subscriptions)
         self._watch_new_peers()
 
-    def cmd_add_peer(self, subscription: Subscription) -> None:
-        self.sim.add_peer(subscription)
+    def cmd_add_peer(self, subscription: Subscription,
+                     settle: bool = True) -> None:
+        """Create and join one peer on this shard.
+
+        A multi-shard join passes ``settle=False``: its descents cross
+        shards, so settling is the coordinator's.  The join protocol runs
+        unmodified against this shard's oracle replica, which holds every
+        other shard's changes up to this request.
+        """
+        self.sim.add_peer(subscription, settle=settle)
         self._watch_new_peers()
 
-    def cmd_leave(self, peer_id: str) -> None:
-        self.sim.leave(peer_id)
+    def cmd_leave(self, peer_id: str, settle: bool = True) -> None:
+        self.sim.leave(peer_id, settle=settle)
 
     def cmd_crash(self, peer_id: str) -> None:
-        """Crash a local peer, or mirror a remote crash into the oracle."""
-        if peer_id in self.sim.peers:
-            self.sim.crash(peer_id)
-            return
-        self.sim.oracle.forget(peer_id)
+        self.sim.crash(peer_id)
 
     def cmd_publish(self, peer_id: str, event: Event, settle: bool) -> None:
         self.sim.publish(peer_id, event, settle=settle)
@@ -277,61 +388,19 @@ class ShardRuntime:
                     only={peer.process_id for peer in peers})
         for peer in peers:
             peer.joined = True
-        # Mirror the oracle state of the single-process bootstrap: the
-        # membership covers the whole population, not just this shard.
+        # The oracle state of the single-process bootstrap: the membership
+        # covers the whole population, not just this shard.  Every shard
+        # starts from it, so it is not a change to replicate.
         for member_id in member_ids:
             self.sim.oracle.add_member(member_id)
         self.sim.oracle.set_root_hint(root_id)
+        self.sim.oracle.changes.clear()
         self.net.owner.update(owner)
         self._watch_new_peers()
 
     def cmd_set_owner(self, peer_id: str, shard: int) -> None:
         """Route future sends to ``peer_id`` toward its owning shard."""
         self.net.owner[peer_id] = shard
-
-    def cmd_join_peer(self, subscription: Subscription) -> None:
-        """Create and start joining one peer on this (owning) shard.
-
-        The join protocol runs unmodified: the peer asks this shard's
-        oracle for a contact — the coordinator routes joiners to the shard
-        owning the current root, whose oracle holds the root's advertisement,
-        so the contact resolves exactly as the single global oracle would —
-        and registers itself as an oracle member when the join completes.
-        Settling is global (cross-shard descents), so it stays with the
-        coordinator.
-        """
-        self.sim.add_peer(subscription, settle=False)
-        self._watch_new_peers()
-
-    def cmd_mirror_member(self, peer_id: str) -> None:
-        """Mirror a completed remote join into this shard's oracle."""
-        if peer_id in self.sim.peers:
-            return  # the owning shard: the peer registered itself on join
-        self.sim.oracle.add_member(peer_id)
-
-    def cmd_leave_peer(self, peer_id: str) -> None:
-        """Controlled departure of a local peer; settling stays global."""
-        self.sim.leave(peer_id, settle=False)
-
-    def cmd_mirror_leave(self, peer_id: str) -> None:
-        """Mirror a remote controlled departure into this shard's oracle.
-
-        Replays exactly the oracle half of ``LeaveMixin.leave``:
-        :meth:`~repro.overlay.oracle.ContactOracle.forget`.
-        """
-        if peer_id in self.sim.peers:
-            return  # the owning shard already applied it via leave()
-        self.sim.oracle.forget(peer_id)
-
-    def cmd_sync_root(self, root_id: str) -> None:
-        """Align this shard's root hint with the globally verified root.
-
-        After a multi-shard stabilization the root's own shard already holds
-        the right hint (root arbitration ran there); the broadcast makes the
-        other shards match the single global oracle of the classic
-        simulator, whose hint always names the verified root post-stabilize.
-        """
-        self.sim.oracle.set_root_hint(root_id)
 
     def cmd_peer_publish(self, peer_id: str, event: Event) -> None:
         self.sim.peers[peer_id].publish(event)
@@ -396,10 +465,17 @@ class ShardRuntime:
                 self.sim.peers[peer_id].delivery_listener = listener
 
     def cmd_restore(self, blob: bytes) -> None:
-        """Replace the local simulation with a :meth:`cmd_snapshot` payload."""
+        """Replace the local simulation with a :meth:`cmd_snapshot` payload.
+
+        The restored replica re-announces the oracle entries of its own
+        peers and its hint, so replicas restored from blobs written before
+        the oracle was replicated agree again after one exchange.
+        """
         sim = pickle.loads(blob)
         if not isinstance(sim, DRTreeSimulation):
             raise RuntimeError("snapshot blob is not a shard simulation")
+        oracle = _replicate_oracle(sim)
+        oracle.changes = oracle.owned_state(sim.peers)
         self.sim = sim
         self.net = sim.network
         self.deliveries = []

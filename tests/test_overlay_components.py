@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +19,6 @@ from repro.overlay.election import (
 )
 from repro.overlay.oracle import ContactOracle
 from repro.overlay.state import ChildInfo, LevelState, deserialize_children, serialize_children
-from repro.sim.rng import RandomStreams
 from repro.spatial.rectangle import Rect
 
 
@@ -193,7 +195,7 @@ def test_oracle_contact_excludes_requester():
 
 
 def test_oracle_root_policy_prefers_advertised_root():
-    oracle = ContactOracle(policy="root")
+    oracle = ContactOracle()
     oracle.add_member("a")
     oracle.add_member("b")
     oracle.advertise_root("b", area=2.0)
@@ -228,26 +230,20 @@ def test_oracle_remove_member_clears_advertisement():
 _oracle_ids = st.sampled_from(["a", "b", "c", "d", "e"])
 
 
-@given(policy=st.sampled_from(["root", "random"]),
-       members=st.sets(_oracle_ids),
+@given(members=st.sets(_oracle_ids),
        hint=st.none() | _oracle_ids,
        advertised=st.dictionaries(_oracle_ids,
                                   st.floats(0.0, 4.0, allow_nan=False)),
-       draws=st.integers(0, 3),
-       departed=_oracle_ids,
-       seed=st.integers(0, 2**32))
-def test_oracle_forget_is_the_three_step_departure(policy, members, hint,
-                                                   advertised, draws,
-                                                   departed, seed):
+       departed=_oracle_ids)
+def test_oracle_forget_is_the_three_step_departure(members, hint, advertised,
+                                                   departed):
     def oracle_in_state():
-        oracle = ContactOracle(policy=policy, streams=RandomStreams(seed))
+        oracle = ContactOracle()
         for member in sorted(members):
             oracle.add_member(member)
         oracle.set_root_hint(hint)
         for peer_id, area in advertised.items():
             oracle.advertise_root(peer_id, area)
-        for _ in range(draws):
-            oracle.contact()
         return oracle
 
     # The sequence every departure used to spell out by hand.
@@ -262,17 +258,131 @@ def test_oracle_forget_is_the_three_step_departure(policy, members, hint,
     assert oracle.members() == reference.members()
     assert oracle._root_hint == reference._root_hint
     assert oracle._advertised_roots == reference._advertised_roots
-    assert oracle._rng.getstate() == reference._rng.getstate()
 
 
-def test_oracle_random_policy_returns_member():
-    oracle = ContactOracle(policy="random")
-    for name in ("a", "b", "c"):
+class SortedListOracle:
+    """The contact rule spelled out over a sorted member list."""
+
+    def __init__(self):
+        self.members, self.hint, self.roots = set(), None, {}
+
+    def remove_member(self, peer_id):
+        self.members.discard(peer_id)
+        self.roots.pop(peer_id, None)
+        if self.hint == peer_id:
+            self.hint = None
+
+    def best_root(self):
+        if not self.roots:
+            return self.hint
+        return min(self.roots, key=lambda pid: (-self.roots[pid], pid))
+
+    def contact(self, exclude):
+        candidates = [pid for pid in sorted(self.members) if pid != exclude]
+        if not candidates:
+            return None
+        for candidate in (self.best_root(), self.hint):
+            if candidate in candidates:
+                return candidate
+        return candidates[0]
+
+
+_many_ids = st.integers(0, 5).map(lambda n: f"p{n}")
+_oracle_op = st.one_of(
+    st.tuples(st.just("add"), _many_ids),
+    st.tuples(st.just("remove"), _many_ids),
+    st.tuples(st.just("forget"), _many_ids),
+    st.tuples(st.just("advertise"), _many_ids,
+              st.sampled_from([0.5, 1.0, 2.0])),
+    st.tuples(st.just("withdraw"), _many_ids),
+    st.tuples(st.just("hint"), st.none() | _many_ids),
+)
+
+
+@given(ops=st.lists(_oracle_op, max_size=60))
+def test_oracle_answers_like_a_sorted_list_after_any_op_sequence(ops):
+    oracle, reference = ContactOracle(), SortedListOracle()
+    for op in ops:
+        kind, peer_id = op[0], op[1]
+        if kind == "add":
+            oracle.add_member(peer_id)
+            reference.members.add(peer_id)
+        elif kind == "remove":
+            oracle.remove_member(peer_id)
+            reference.remove_member(peer_id)
+        elif kind == "forget":
+            oracle.forget(peer_id)
+            reference.remove_member(peer_id)
+            if not reference.members:
+                reference.hint = None
+        elif kind == "advertise":
+            oracle.advertise_root(peer_id, op[2])
+            reference.roots[peer_id] = op[2]
+        elif kind == "withdraw":
+            oracle.withdraw_root(peer_id)
+            reference.roots.pop(peer_id, None)
+        else:
+            oracle.set_root_hint(peer_id)
+            reference.hint = peer_id
+        assert oracle.best_root() == reference.best_root()
+        for exclude in [None, *sorted(reference.members)[:2], peer_id]:
+            assert oracle.contact(exclude) == reference.contact(exclude)
+        assert oracle.members() == sorted(reference.members)
+
+
+class _NoIteration(dict):
+    def __iter__(self):
+        raise AssertionError("contact iterated the membership")
+
+    keys = values = items = __iter__
+
+
+def test_oracle_contact_never_iterates_the_membership():
+    oracle = ContactOracle()
+    for name in ("d", "b", "a", "c"):
         oracle.add_member(name)
-    for _ in range(10):
-        assert oracle.contact(exclude="a") in {"b", "c"}
+    for name in ("a", "b"):
+        oracle.remove_member(name)
+        oracle.add_member(name)  # a re-added id sits in the heap twice
+    oracle._members = _NoIteration(oracle._members)
+    assert oracle.contact() == "a"
+    assert oracle.contact(exclude="a") == "b"
+    oracle.set_root_hint("c")
+    assert oracle.contact(exclude="a") == "c"
+    oracle.advertise_root("d", 1.0)
+    assert oracle.contact() == "d"
+    assert oracle.contact(exclude="d") == "c"
 
 
-def test_oracle_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        ContactOracle(policy="bogus")
+def test_oracle_heap_does_not_grow_with_churn():
+    oracle = ContactOracle()
+    oracle.add_member("anchor")
+    for cycle in range(1000):
+        oracle.add_member(f"p{cycle % 7}")
+        oracle.remove_member(f"p{cycle % 7}")
+    assert len(oracle._heap) <= 2 * len(oracle) + 64
+    assert oracle.contact() == "anchor"
+
+
+def test_an_oracle_pickled_with_the_random_contact_mode_restores(monkeypatch):
+    """Blobs written before the mode went carry ``policy`` and ``_rng``."""
+    old = ContactOracle.__new__(ContactOracle)
+    old.__dict__.update(policy="root", _rng=random.Random(3),
+                        _members={"c": True, "a": True, "b": True},
+                        _root_hint="b", _advertised_roots={"c": 2.0})
+    monkeypatch.setattr(ContactOracle, "__getstate__",
+                        lambda self: dict(self.__dict__))
+    blob = pickle.dumps(old)
+    monkeypatch.undo()
+
+    restored = pickle.loads(blob)
+    assert not hasattr(restored, "policy") and not hasattr(restored, "_rng")
+    assert restored.members() == ["a", "b", "c"]
+    assert restored.best_root() == "c"
+    assert [restored.contact(x) for x in (None, "c", "b")] == ["c", "b", "c"]
+    restored.forget("c")
+    restored.forget("b")
+    assert restored.contact() == "a" and restored.contact("a") is None
+    # And a restored oracle pickles without the retired fields.
+    assert set(pickle.loads(pickle.dumps(restored)).__dict__) == {
+        "_members", "_heap", "_root_hint", "_advertised_roots"}

@@ -254,10 +254,8 @@ def test_multi_shard_membership_churn_matches_classic(bulk_workload,
                                                       transport, shards):
     """Post-bulk-load joins and controlled leaves reproduce classic metrics.
 
-    The joiner is routed to the shard owning the current root (whose oracle
-    resolves the join contact exactly like the classic global oracle) and
-    its membership is mirrored to the other shards only once the join has
-    settled — the same instant the classic oracle learns about the peer.
+    The joiner is created on the shard owning the current root, and every
+    oracle change reaches the other shards' replicas at the next barrier.
     """
     space, subs, stream = bulk_workload
 

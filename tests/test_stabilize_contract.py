@@ -5,8 +5,9 @@
 the same :class:`~repro.overlay.verifier.StabilizeFixpoint`.  This table pins
 what that loop promises through each of them: the report it returns is the
 verification of the state it leaves, the rounds it records are the same on
-every engine, ``max_rounds=0`` only verifies, and the omniscient verifier
-runs only where the loop reads its answer.
+every engine, ``max_rounds=0`` only verifies, the omniscient verifier
+runs only where the loop reads its answer, and a deep crash whose fragment
+roots land on different shards still repairs to one legal root.
 
 The sharded leg runs ``inline`` here; with ``REPRO_SHARD_TRANSPORT`` set
 (the CI transport matrix) it runs on that transport instead.
@@ -14,21 +15,35 @@ The sharded leg runs ``inline`` here; with ``REPRO_SHARD_TRANSPORT`` set
 
 from __future__ import annotations
 
+import gzip
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.digests import delivered_digest
 from repro.api import SystemSpec
 from repro.overlay.verifier import OverlayVerifier
 from repro.sim.sharded import TRANSPORT_ENV_VAR
 from repro.workloads import uniform_subscriptions
+from repro.workloads.events import targeted_events
 
 SEED = 6
 POPULATION = uniform_subscriptions(600, seed=SEED)
 SUBSCRIPTIONS = list(POPULATION)
 (JOINER,) = uniform_subscriptions(1, seed=7, prefix="J")
+PROBES = targeted_events(POPULATION.space, SUBSCRIPTIONS, 30, seed=SEED)
+
+#: Level-≥2 peers whose crash leaves fragment roots on both shards.  While
+#: each shard's oracle kept its root advertisements to itself, the sharded
+#: repair of each stopped at the round cap with two roots and missed
+#: subscribers.  ``True``: the repaired tree also delivers exactly what
+#: classic's does; under ``S289`` the rounds agree but the re-joined
+#: fragments sit elsewhere, so the false-positive sets differ.
+DEEP_CRASHES = {"S51": True, "S165": True, "S289": False}
 
 SHARD_TRANSPORT = "auto" if os.environ.get(TRANSPORT_ENV_VAR) else "inline"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 ENGINES = {
     "classic": ("drtree:classic", None),
@@ -129,6 +144,62 @@ def test_the_round_cap_reports_an_illegal_tree_after_one_pass(broker, victims,
     assert rounds_of(broker)[-1] == 1
     assert len(calls) == 1  # the one behind the returned report
     assert report == fresh_verify(broker)
+
+
+@pytest.fixture(scope="module")
+def classic_digests():
+    """Classic's delivered digest of the probes after each deep crash."""
+    digests = {}
+    for victim in DEEP_CRASHES:
+        reference = SystemSpec(POPULATION.space, backend="drtree:classic",
+                               seed=SEED).build()
+        reference.subscribe_all(SUBSCRIPTIONS)
+        reference.fail(victim)
+        reference.publish_many(PROBES)
+        digests[victim] = delivered_digest(reference)
+    return digests
+
+
+@pytest.mark.parametrize("victim", list(DEEP_CRASHES))
+def test_a_deep_crash_repairs_to_one_legal_root(broker, victim,
+                                                classic_digests):
+    broker.fail(victim, stabilize=False)
+    report = broker.stabilize()
+    assert report.is_legal and report.root is not None, report.summary()
+    assert rounds_of(broker) == [1, 6]
+    outcomes = broker.publish_many(PROBES)
+    assert [o.event_id for o in outcomes if o.false_negatives] == []
+    if DEEP_CRASHES[victim]:
+        assert delivered_digest(broker) == classic_digests[victim]
+
+
+#: ``Broker.snapshot()`` blobs of this population after ``subscribe_all``,
+#: written by commit fc2d28c: its oracle still pickled the random-contact
+#: mode and an RNG, and each shard kept its root advertisements to itself.
+#: ``tests/golden/README.md`` has the command that wrote them.
+GOLDEN_SNAPSHOTS = {
+    "classic": "snapshot-classic.pickle.gz",
+    "sharded": "snapshot-sharded-2.pickle.gz",
+}
+
+
+@pytest.mark.parametrize("engine", list(GOLDEN_SNAPSHOTS))
+def test_an_old_snapshot_restores_and_repairs_a_deep_crash(engine,
+                                                           classic_digests):
+    backend, options = ENGINES[engine]
+    broker = SystemSpec(POPULATION.space, backend=backend, seed=SEED,
+                        engine_options=options).build()
+    try:
+        blob = (GOLDEN_DIR / GOLDEN_SNAPSHOTS[engine]).read_bytes()
+        broker.restore(gzip.decompress(blob))
+        broker.fail("S51", stabilize=False)
+        report = broker.stabilize()
+        assert report.is_legal and report.root is not None, report.summary()
+        assert rounds_of(broker) == [1, 6]
+        broker.publish_many(PROBES)
+        assert delivered_digest(broker) == classic_digests["S51"]
+    finally:
+        broker.close()
 
 
 def test_a_leaf_join_costs_one_verifier_pass(broker, monkeypatch):
