@@ -2,9 +2,9 @@
 
 Unlike E1–E10 this scenario measures the *simulator*, not the paper: it
 quantifies how many events per second the DR-tree can disseminate under
-sustained load, and how much a target engine — the vectorized ``batched``
-engine or the multi-process ``sharded`` engine — gains over a baseline
-(``drtree:classic`` by default).
+sustained load, and how much a target engine — the per-round-queue
+``batched`` engine or the multi-process ``sharded`` engine — gains over a
+baseline (``drtree:classic`` by default).
 
 The same bulk-loaded overlay and the same targeted event stream are driven
 through both engines; the scenario *asserts* that the runs produce identical

@@ -13,17 +13,17 @@ on the path from the root to a matching leaf contains the event.  A **false
 positive** occurs when a peer receives an event (because one of its instances
 had to consider it) whose own filter does not match.
 
-Batched mode
-------------
-When the network runs with ``batch=True`` the PUBLISH_DOWN fan-out is
-vectorized: the children whose MBR contains the event are selected in one
-containment pass (:func:`repro.spatial.containment.child_ids_containing_point`),
-their envelopes come from the network's :class:`~repro.sim.messages.MessagePool`
-and share a single payload dictionary, and the whole hop is handed to
-:meth:`~repro.sim.network.Network.send_many` as one per-round batch.  The
-payload additionally carries the event object and its point so receivers skip
-re-deserialization.  Delivery outcomes (who receives which event, at what hop
-count) are identical to the unbatched mode; only the scheduling cost differs.
+One fan-out
+-----------
+Every engine runs the same fan-out: the children whose MBR contains the
+event are selected in one containment pass
+(:func:`repro.spatial.containment.child_ids_containing_point`), and a hop's
+remote children share one payload — the event object, its point, the
+receiving level and the hop count — handed to
+:meth:`~repro.sim.network.Network.send_many`.  How the network schedules
+those envelopes (one engine entry per message, or per-round queues) is the
+network's choice and never changes who receives which event at what hop
+count.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class DisseminationMixin:
         if not self.alive:
             return
         self.metrics.increment("pubsub.published")
-        point = self._event_point(event)
+        point = event.to_point(self.subscription.space)
         self._record_event_reception(event, hops=0, point=point)
         # Down every subtree this peer roots.
         for level in sorted(self.instances, reverse=True):
@@ -69,32 +69,22 @@ class DisseminationMixin:
     def handle_publish_up(self, message: Message) -> None:
         """An event bubbling up from a child: serve the siblings, keep climbing."""
         payload = message.payload
-        fast_point = None
-        event = payload.get("event_obj")
-        if event is None:
-            event = self._deserialize_event(payload["event"])
-        if event.event_id in self.seen_events:
+        event = payload["event_obj"]
+        point = payload["point"]
+        hops = payload["hops"]
+        if not self._record_event_reception(event, hops, point):
             # A corrupted structure (a child listed under two parents) can
             # route the same event here twice; do not amplify it further.
             self.metrics.increment("pubsub.duplicates")
             return
-        from_child = payload["from_child"]
-        child_level = int(payload["child_level"])
-        hops = int(payload.get("hops", 0))
-        level = child_level + 1
-        point = fast_point = payload.get("point")
-        if point is None:
-            point = self._event_point(event)
-        self._record_event_reception(event, hops, fast_point)
-        instance = self.instances.get(level)
-        if instance is None:
+        level = payload["child_level"] + 1
+        if level not in self.instances:
             # Stale routing; fall back to our topmost instance.
             if not self.instances:
                 return
             level = self.top_level()
-            instance = self.instances[level]
         self._forward_down_from(level, event, point, hops,
-                                exclude_child=from_child)
+                                exclude_child=payload["from_child"])
         # Also serve the levels where this peer is active above `level`
         # locally and keep climbing if a parent exists.
         for higher in sorted(lvl for lvl in self.instances if lvl > level):
@@ -109,56 +99,16 @@ class DisseminationMixin:
     def handle_publish_down(self, message: Message) -> None:
         """An event flowing down a subtree whose MBR contains it."""
         payload = message.payload
-        event = payload.get("event_obj")
-        if event is not None:
-            # Batched fast path: the event object and its point travel with
-            # the message, so nothing is re-derived per reception, and the
-            # reception bookkeeping of ``_record_event_reception`` is inlined
-            # below to avoid a call and a second seen_events lookup in the
-            # hottest loop of the simulator.  Keep the two sites in lockstep
-            # — the batched/unbatched equivalence property tests fail on any
-            # drift between them.
-            seen = self.seen_events
-            event_id = event.event_id
-            if event_id in seen:
-                self.metrics.increment("pubsub.duplicates")
-                return
-            hops = payload["hops"]
-            point = payload["point"]
-            matched = self.subscription.matches_point(event, point)
-            seen[event_id] = matched
-            metrics = self.metrics
-            metrics.increment("pubsub.receptions")
-            if matched:
-                metrics.observe("pubsub.delivery_hops", hops)
-            else:
-                metrics.increment("pubsub.false_positives")
-            listener = self.delivery_listener
-            if listener is not None:
-                listener(self.process_id, event, matched, hops)
-            level = payload["level"]
-            if level <= 0:
-                return
-            instance = self.instances.get(level)
-            if instance is None or instance.level == 0:
-                return
-            self._forward_down_batched(instance, level, event, point, hops,
-                                       exclude_child=None)
-            return
-        event = self._deserialize_event(payload["event"])
-        if event.event_id in self.seen_events:
+        event = payload["event_obj"]
+        point = payload["point"]
+        hops = payload["hops"]
+        if not self._record_event_reception(event, hops, point):
             self.metrics.increment("pubsub.duplicates")
             return
-        level = int(payload["level"])
-        hops = int(payload.get("hops", 0))
-        point = self._event_point(event)
-        self._record_event_reception(event, hops)
-        if level <= 0:
-            return
-        instance = self.instances.get(level)
-        if instance is None:
-            return
-        self._forward_down_from(level, event, point, hops, exclude_child=None)
+        level = payload["level"]
+        if level > 0:  # most receptions are leaves: skip the call
+            self._forward_down_from(level, event, point, hops,
+                                    exclude_child=None)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -166,49 +116,21 @@ class DisseminationMixin:
 
     def _forward_down_from(self, level: int, event: Event, point: Point,
                            hops: int, exclude_child: Optional[str]) -> None:
-        """Forward ``event`` to every child at ``level`` whose MBR contains it."""
+        """Forward ``event`` to every child at ``level`` whose MBR contains it.
+
+        One containment pass selects the children.  The pending remote sends
+        are flushed whenever the local-descent child comes up, so the network
+        sees sends (and consumes its loss/latency RNG streams) in child
+        order.  A hop without a local step costs one ``send_many``.
+        """
         instance = self.instances.get(level)
         if instance is None or instance.is_leaf:
             return
-        if self.network.batch:
-            self._forward_down_batched(instance, level, event, point, hops,
-                                       exclude_child)
-            return
-        for child_id, info in instance.children.items():
-            if child_id == exclude_child:
-                continue
-            if not info.mbr.contains_point(point):
-                continue
-            if child_id == self.process_id:
-                # Local step: descend our own chain without a network message.
-                self._forward_down_from(level - 1, event, point, hops,
-                                        exclude_child=None)
-                continue
-            self.metrics.increment("pubsub.messages")
-            self.send(child_id, msg.PUBLISH_DOWN,
-                      event=self._serialize_event(event),
-                      level=level - 1,
-                      hops=hops + 1)
-
-    def _forward_down_batched(self, instance, level: int, event: Event,
-                              point: Point, hops: int,
-                              exclude_child: Optional[str]) -> None:
-        """Vectorized fan-out: one containment pass, bulk sends.
-
-        The pending remote batch is flushed whenever the local-descent child
-        comes up, so the network sees sends (and consumes its loss/latency
-        RNG streams) in exactly the per-child order of the unbatched loop —
-        this is what keeps the two modes' outcomes identical even on lossy
-        networks.  A hop without a local step still costs one bulk send.
-        """
         targets = child_ids_containing_point(instance.children, point,
                                              exclude=exclude_child)
         if not targets:
             return
-        # One payload for the whole hop: receivers treat it as read-only and
-        # the pool never mutates it, so sharing is safe.  The event travels
-        # as the object itself (plus its precomputed point) — batch mode is
-        # an in-process fast path, so no wire form is produced.
+        # One payload for the whole hop: receivers treat it as read-only.
         payload = {
             "event_obj": event,
             "point": point,
@@ -216,73 +138,47 @@ class DisseminationMixin:
             "hops": hops + 1,
         }
         me = self.process_id
-        network = self.network
         pending: list = []
         for child_id in targets:
             if child_id != me:
                 pending.append(child_id)
                 continue
-            if pending:
-                self.metrics.increment("pubsub.messages", len(pending))
-                network.send_many(network.pool.acquire_many(
-                    me, pending, msg.PUBLISH_DOWN, payload))
-                pending = []
+            self._send_down(pending, payload)
+            pending = []
+            # Local step: descend our own chain without a network message.
             self._forward_down_from(level - 1, event, point, hops,
                                     exclude_child=None)
-        if pending:
-            self.metrics.increment("pubsub.messages", len(pending))
-            network.send_many(network.pool.acquire_many(
-                me, pending, msg.PUBLISH_DOWN, payload))
+        self._send_down(pending, payload)
+
+    def _send_down(self, recipients: list, payload: dict) -> None:
+        """Send one hop's PUBLISH_DOWN to ``recipients`` (may be empty)."""
+        if recipients:
+            self.metrics.increment("pubsub.messages", len(recipients))
+            self.network.send_many(self.process_id, recipients,
+                                   msg.PUBLISH_DOWN, payload)
 
     def _send_up(self, parent_id: str, event: Event, point: Point,
                  child_level: int, hops: int) -> None:
-        """Send PUBLISH_UP to ``parent_id`` (event object in batch mode)."""
-        if self.network.batch:
-            self.send(parent_id, msg.PUBLISH_UP,
-                      event_obj=event, point=point,
-                      from_child=self.process_id,
-                      child_level=child_level, hops=hops)
-            return
+        """Send PUBLISH_UP to ``parent_id``."""
         self.send(parent_id, msg.PUBLISH_UP,
-                  event=self._serialize_event(event),
+                  event_obj=event, point=point,
                   from_child=self.process_id,
                   child_level=child_level, hops=hops)
 
     def _record_event_reception(self, event: Event, hops: int,
-                                point: Optional[Point] = None) -> None:
-        """Record that this peer saw ``event`` (exactly once per event).
-
-        When the caller already holds the event's point, the match test takes
-        :meth:`~repro.spatial.filters.Subscription.matches_point` — the
-        exact-equivalent fast path — instead of re-deriving the point.
-
-        NOTE: ``handle_publish_down``'s batched branch inlines a copy of
-        this bookkeeping for speed; any change here must be mirrored there
-        (the equivalence property tests catch divergence).
-        """
-        if event.event_id in self.seen_events:
-            return
-        if point is not None:
-            matched = self.subscription.matches_point(event, point)
-        else:
-            matched = self.subscription.matches(event)
-        self.seen_events[event.event_id] = matched
-        self.metrics.increment("pubsub.receptions")
+                                point: Point) -> bool:
+        """Record that this peer saw ``event``; False if it already had."""
+        seen = self.seen_events
+        if event.event_id in seen:
+            return False
+        matched = self.subscription.matches_point(event, point)
+        seen[event.event_id] = matched
+        metrics = self.metrics
+        metrics.increment("pubsub.receptions")
         if matched:
-            self.metrics.observe("pubsub.delivery_hops", hops)
+            metrics.observe("pubsub.delivery_hops", hops)
         else:
-            self.metrics.increment("pubsub.false_positives")
+            metrics.increment("pubsub.false_positives")
         if self.delivery_listener is not None:
             self.delivery_listener(self.process_id, event, matched, hops)
-
-    def _event_point(self, event: Event) -> Point:
-        return event.to_point(self.subscription.space)
-
-    @staticmethod
-    def _serialize_event(event: Event) -> dict:
-        return {"attributes": dict(event.attributes), "event_id": event.event_id}
-
-    @staticmethod
-    def _deserialize_event(payload: dict) -> Event:
-        return Event(attributes=payload["attributes"],
-                     event_id=payload.get("event_id", ""))
+        return True

@@ -8,8 +8,8 @@ the operations of a content-based publish/subscribe service — ``subscribe``,
 delivery accounting.
 
 The dissemination engine is pluggable: ``engine="classic"`` (one scheduling
-operation per message) or ``engine="batched"`` (vectorized fan-out, same
-outcomes) select a registered :class:`~repro.pubsub.engines.EngineSpec`;
+operation per message) or ``engine="batched"`` (per-round delivery queues,
+same outcomes) select a registered :class:`~repro.pubsub.engines.EngineSpec`;
 future engines plug into that registry without touching this facade.
 
 Example
@@ -62,10 +62,10 @@ class PubSubSystem:
         ``"classic"``, ``"batched"`` and ``"sharded"`` produce identical
         delivery outcomes (received sets, hop counts, message counts); the
         engine only changes how the simulator schedules the PUBLISH fan-out
-        — vectorized in-process for ``batched``, partitioned across worker
-        processes for ``sharded``.  ``engine_options`` passes engine-specific
-        construction knobs (e.g. ``{"shards": 4}`` for the sharded engine),
-        validated against the engine's typed option set
+        — per-round delivery queues for ``batched``, partitioned across
+        worker processes for ``sharded``.  ``engine_options`` passes
+        engine-specific construction knobs (e.g. ``{"shards": 4}`` for the
+        sharded engine), validated against the engine's typed option set
         (:class:`~repro.pubsub.engines.EngineOptions`); unknown names and
         invalid values raise ``ValueError`` naming the allowed keys.
         """
@@ -75,8 +75,6 @@ class PubSubSystem:
         self.config = config if config is not None else DRTreeConfig()
         self.engine_name = engine_spec.name
         self.engine_options = dict(engine_options or {})
-        #: Legacy mirror of the engine choice (trace format v1, old callers).
-        self.batch = engine_spec.batch
         # Instance-level override of the class default: the engine decides
         # what this broker genuinely supports (the real-network engine has
         # no snapshot capability).

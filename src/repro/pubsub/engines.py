@@ -7,9 +7,9 @@ simulation.  Three engines ship with the reproduction:
 
 * ``classic`` — one scheduling operation per message (the paper's model,
   unchanged),
-* ``batched`` — per-round delivery queues and a vectorized PUBLISH_DOWN
-  fan-out; identical delivery outcomes, several times faster under
-  sustained load (see ``docs/architecture.md``),
+* ``batched`` — per-round delivery queues and pooled envelopes; identical
+  delivery outcomes, faster under sustained load (see
+  ``docs/architecture.md``),
 * ``sharded`` — the multi-process simulator of :mod:`repro.sim.sharded`:
   the peer set is partitioned across worker processes (one DR-tree subtree
   per shard) with cross-shard messages exchanged at round barriers over
@@ -17,7 +17,11 @@ simulation.  Three engines ship with the reproduction:
   byte-identical to ``classic`` on the same seed.  Takes the engine
   options ``shards`` (worker count, default 2) and ``transport``
   (``process``/``pipe``/``shm``/``inline``/``auto``); every shard worker
-  runs the batched dissemination path.
+  schedules with per-round queues.
+
+Every engine runs the same PUBLISH fan-out
+(:mod:`repro.overlay.dissemination`); they differ only in how its messages
+are scheduled and carried.
 
 The registry is the extension point further engines plug into:
 :func:`register_engine` a factory, and every consumer — the
@@ -188,8 +192,7 @@ class EngineSpec:
     its driving surface (the sharded engine returns a
     :class:`~repro.sim.sharded.ShardedSimulation`) — from ``(config, seed,
     options)`` where ``options`` is the engine's resolved
-    :attr:`options_type` instance.  ``batch`` mirrors the engine into the
-    legacy boolean carried by version-1 trace ``system`` records.
+    :attr:`options_type` instance.
 
     ``capabilities`` is what brokers built on this engine advertise to
     :mod:`repro.api.capabilities` (the simulated engines support
@@ -205,7 +208,6 @@ class EngineSpec:
     description: str
     factory: Callable[..., "DRTreeSimulation"] = \
         field(repr=False, default=None)  # type: ignore[assignment]
-    batch: bool = False
     #: The typed option set this engine accepts (none by default).
     options_type: Type[EngineOptions] = EngineOptions
     #: Capability names brokers on this engine advertise.
@@ -286,14 +288,12 @@ register_engine(EngineSpec(
     name="classic",
     description="one scheduling operation per message (the paper's model)",
     factory=_build_classic,
-    batch=False,
 ))
 register_engine(EngineSpec(
     name="batched",
-    description="per-round delivery queues with a vectorized PUBLISH_DOWN "
-                "fan-out; identical outcomes, faster under sustained load",
+    description="per-round delivery queues with pooled envelopes; "
+                "identical outcomes, faster under sustained load",
     factory=_build_batched,
-    batch=True,
 ))
 def _build_net(config: Optional["DRTreeConfig"], seed: int,
                options: NetOptions):
@@ -309,7 +309,6 @@ register_engine(EngineSpec(
                 "with a round-barrier merge; delivery metrics identical to "
                 "classic (options: shards, transport)",
     factory=_build_sharded,
-    batch=False,
     options_type=ShardedOptions,
 ))
 register_engine(EngineSpec(
@@ -324,7 +323,6 @@ register_engine(EngineSpec(
                 "max_channels, idle_timeout, conditions — deterministic "
                 "loss/latency/partition injection)",
     factory=_build_net,
-    batch=False,
     options_type=NetOptions,
     capabilities=frozenset(),
     metrics_identical=False,

@@ -1,10 +1,10 @@
 """Message envelopes exchanged between simulated processes.
 
 Besides the :class:`Message` dataclass this module provides
-:class:`MessagePool`, a free-list allocator used by the batched dissemination
-path: high-fan-out scenarios send hundreds of thousands of short-lived
-envelopes, and recycling them removes the dominant allocation cost from the
-publish hot loop.
+:class:`MessagePool`, a free-list allocator behind the network's per-round
+delivery queues: high-fan-out scenarios send hundreds of thousands of
+short-lived envelopes, and recycling them removes the dominant allocation
+cost from the publish hot loop.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class MessagePool:
     ) -> List[Message]:
         """One envelope per recipient, all sharing ``payload``.
 
-        The bulk form of :meth:`acquire` used by the vectorized fan-out: the
-        payload dictionary is shared across the whole batch (receivers treat
+        The bulk form of :meth:`acquire` used by
+        :meth:`~repro.sim.network.Network.send_many`: the payload dictionary is shared across the whole batch (receivers treat
         it as read-only), so a hop's fan-out costs one payload and ``n``
         recycled envelopes.
         """

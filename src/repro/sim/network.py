@@ -10,8 +10,8 @@ network partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
-                    TYPE_CHECKING)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple, TYPE_CHECKING)
 
 from repro.sim.engine import BatchEntry, SimulationEngine
 from repro.sim.messages import Message, MessagePool
@@ -72,12 +72,13 @@ class Network:
         self.latency = latency or FixedLatency(1.0)
         self.metrics = metrics or MetricsRegistry()
         self.loss_rate = loss_rate
-        #: When True, :meth:`send_many` takes the vectorized fast path: one
-        #: per-round queue entry per batch and pooled envelopes.  When False
-        #: it degrades to one :meth:`send` per message, so callers can use
-        #: ``send_many`` unconditionally.
+        #: The scheduling choice of :meth:`send_many`: per-round delivery
+        #: queues and pooled envelopes when True, one engine entry per
+        #: message (exactly :meth:`send`) when False.  Delivery outcomes
+        #: are identical either way.
         self.batch = batch
-        #: Envelope allocator shared with the batched dissemination path.
+        #: Envelope allocator of the per-round queues; only this class
+        #: acquires from it.
         self.pool = MessagePool()
         #: Per-round delivery queues: delivery time -> (messages, engine
         #: entry).  Every batch landing at the same instant appends to one
@@ -191,17 +192,20 @@ class Network:
         """
         self.engine.schedule(delay, lambda: self._deliver(message))
 
-    def send_many(self, messages: Sequence[Message]) -> None:
-        """Send a batch of messages put in flight by one protocol step.
+    def send_many(self, sender: str, recipients: Sequence[str], kind: str,
+                  payload: Dict[str, Any]) -> None:
+        """Send one ``kind`` message from ``sender`` to each of ``recipients``.
 
-        Without :attr:`batch` mode this is exactly ``send()`` per message.
-        In batch mode the fan-out joins the per-round delivery queue of its
-        delivery instant: per-message bookkeeping (taps, crash/loss/partition
+        Every envelope shares ``payload``; receivers treat it as read-only.
+        The network builds the envelopes itself, according to its
+        scheduling choice :attr:`batch`.  Without it this is exactly one
+        :meth:`send` of a fresh :class:`Message` per recipient, each with its
+        own engine entry.  With it the envelopes come from :attr:`pool` and
+        the fan-out joins the per-round delivery queue of its delivery
+        instant: per-message bookkeeping (taps, crash/loss/partition
         filtering, latency sampling) is identical to :meth:`send`, but
-        scheduling costs one queue operation per *round* and delivery
-        releases every envelope back to :attr:`pool`.  Callers in batch mode
-        must therefore acquire the envelopes from :attr:`pool` (or treat them
-        as consumed).
+        scheduling costs one queue operation per *round*, and delivery
+        releases every envelope back to :attr:`pool`.
 
         Ordering note: on a lossless fixed-latency network, all batches
         landing at one instant are merged into that round's single queue
@@ -211,58 +215,47 @@ class Network:
         because no per-message randomness exists to reorder; as soon as the
         network consumes RNG at send time (``loss_rate > 0``, or a sampling
         latency model), each fan-out keeps its own queue entry instead, which
-        preserves the unbatched global delivery order — and therefore the
+        preserves the per-message global delivery order — and therefore the
         RNG draw order — bit for bit.
         """
+        if not recipients:
+            return
         if not self.batch:
-            for message in messages:
-                self.send(message)
+            for recipient in recipients:
+                self.send(Message(sender=sender, recipient=recipient,
+                                  kind=kind, payload=payload))
             return
-        if not messages:
-            return
+        messages = self.pool.acquire_many(sender, recipients, kind, payload)
         now = self.engine.now
-        pool = self.pool
         metrics = self.metrics
-        if (not self._taps and not self._crashed and not self.loss_rate
-                and not self._partitions):
+        metrics.increment("network.messages_sent", len(messages))
+        metrics.increment(f"network.messages.{kind}", len(messages))
+        if (not self._taps and sender not in self._crashed
+                and not self.loss_rate and not self._partitions):
             # Fast path: nothing can filter the batch.
-            kind = messages[0].kind
-            uniform = True
             for message in messages:
                 message.sent_at = now
-                if message.kind != kind:
-                    uniform = False
-            deliverable = list(messages)
-            metrics.increment("network.messages_sent", len(messages))
-            if uniform:
-                metrics.increment(f"network.messages.{kind}", len(messages))
-            else:
-                for message in messages:
-                    metrics.increment(f"network.messages.{message.kind}")
+            deliverable = messages
         else:
-            kind_counts: Dict[str, int] = {}
+            pool = self.pool
             dropped = lost = partitioned = 0
             deliverable = []
             for message in messages:
                 message.sent_at = now
-                kind_counts[message.kind] = kind_counts.get(message.kind, 0) + 1
                 for tap in self._taps:
                     tap(message)
-                if message.sender in self._crashed:
+                if sender in self._crashed:
                     dropped += 1
                     pool.release(message)
                 elif self.loss_rate and self._loss_rng.random() < self.loss_rate:
                     lost += 1
                     pool.release(message)
-                elif self._partitions and self._partitioned(message.sender,
+                elif self._partitions and self._partitioned(sender,
                                                             message.recipient):
                     partitioned += 1
                     pool.release(message)
                 else:
                     deliverable.append(message)
-            metrics.increment("network.messages_sent", len(messages))
-            for kind, count in kind_counts.items():
-                metrics.increment(f"network.messages.{kind}", count)
             if dropped:
                 metrics.increment("network.messages_dropped", dropped)
             if lost:
@@ -282,8 +275,8 @@ class Network:
                 self._enqueue_round(now + delay, deliverable)
                 return
             # Loss draws happen at send time, so handler execution order
-            # must match unbatched mode exactly: one entry per fan-out,
-            # merged with the heap by sequence number.
+            # must match per-message scheduling exactly: one entry per
+            # fan-out, merged with the heap by sequence number.
             self.engine.schedule_batch(
                 delay,
                 lambda batch=deliverable: self._deliver_many(batch),

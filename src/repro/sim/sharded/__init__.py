@@ -8,7 +8,7 @@ delivery metrics stay deterministic and byte-identical to the
 single-process ``drtree:classic`` engine on the same seed.  The transport
 is the only execution choice (engine options ``shards`` and ``transport``):
 one coordinator-side worker proxy drives whichever channel it is given, and
-every shard worker runs the batched dissemination path.
+every shard worker schedules with per-round delivery queues.
 
 Registered as the ``sharded`` dissemination engine
 (:mod:`repro.pubsub.engines`), which makes it the ``drtree:sharded`` backend

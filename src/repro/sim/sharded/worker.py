@@ -178,13 +178,13 @@ class ShardNetwork(Network):
     def _enqueue_round(self, time: float, messages: List[Message]) -> None:
         """Split one batched round between local delivery and capture.
 
-        Batch-mode ``send_many`` bypasses :meth:`_schedule_delivery` (the
+        Per-round ``send_many`` bypasses :meth:`_schedule_delivery` (the
         whole fan-out lands in one per-round queue entry), so the cross-shard
         split is re-applied here.  A shard network always runs a lossless
         ``FixedLatency`` model, so every batched delivery funnels through
         this hook — the ``schedule_batch`` paths of the base class are
         unreachable.  Captured messages are stamped with the round's
-        delivery instant, exactly as the unbatched override stamps
+        delivery instant, exactly as the per-message override stamps
         ``now + delay``.
         """
         local: List[Message] = []
@@ -239,12 +239,11 @@ class ShardRuntime:
     def __init__(self, shard_id: int, config: Optional[DRTreeConfig],
                  seed: int, capture_logs: bool = True) -> None:
         self.shard_id = shard_id
-        # Shards always run the batched dissemination engine: it is
-        # output-identical to the per-message one and faster on every
-        # transport.
-        self.sim = DRTreeSimulation(config=config, seed=seed, batch=True)
+        self.sim = DRTreeSimulation(config=config, seed=seed)
         # Swap in the shard-aware transport before any peer exists; peers
-        # bind to ``sim.network`` at creation time.
+        # bind to ``sim.network`` at creation time.  Shards schedule with
+        # per-round queues: output-identical to per-message scheduling and
+        # faster on every transport.
         self.net = ShardNetwork(
             shard_id,
             engine=self.sim.engine,

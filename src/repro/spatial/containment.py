@@ -50,8 +50,7 @@ def child_ids_containing_point(
     ``[i for i, c in children.items() if i != exclude and
     c.mbr.contains_point(point)]`` but fuses the pass into one loop with the
     bound checks inlined — it runs once per dissemination fan-out instead of
-    once per child message, which is what the batched engine's "vectorized
-    containment" refers to.  Bounds are inclusive, matching
+    once per child message.  Bounds are inclusive, matching
     :meth:`repro.spatial.rectangle.Rect.contains_point`; the caller
     guarantees that the point and every rectangle share one dimensionality.
     """

@@ -218,8 +218,8 @@ class Subscription:
     def matches_point(self, event: Event, point: Point) -> bool:
         """Exactly :meth:`matches`, with the event's point precomputed.
 
-        The batched dissemination path carries each event's point alongside
-        the event, so rectangle-built subscriptions (no predicate list) can
+        The dissemination payload carries each event's point alongside the
+        event, so rectangle-built subscriptions (no predicate list) can
         test containment directly instead of rebuilding the point per
         reception.  Predicate-built subscriptions fall back to the full
         predicate evaluation — the two forms only provably coincide for the

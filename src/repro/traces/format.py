@@ -235,19 +235,6 @@ class TraceHeader:
         }
 
 
-def _legacy_batch_flag(backend: str) -> bool:
-    """The trace envelope's legacy boolean for ``backend``.
-
-    Sourced from the engine registry (the single owner of the mapping) for
-    DR-tree backends; every baseline backend records ``false``.
-    """
-    if backend.startswith("drtree:"):
-        from repro.pubsub.engines import get_engine
-
-        return bool(get_engine(backend.split(":", 1)[1]).batch)
-    return False
-
-
 @dataclass(frozen=True)
 class SystemRecord:
     """Creation of one pub/sub system (a trace or journal *segment*).
@@ -304,8 +291,9 @@ class SystemRecord:
             "t": self.t,
             "space": list(self.space),
             "seed": self.seed,
+            # The inverse of __post_init__'s mapping.
             "batch": (self.batch if self.batch is not None
-                      else _legacy_batch_flag(self.backend)),
+                      else self.backend == "drtree:batched"),
             "backend": self.backend,
             "stabilize_rounds": self.stabilize_rounds,
             "config": dict(self.config),

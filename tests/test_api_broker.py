@@ -340,11 +340,6 @@ def test_batch_alias_is_a_hard_error(space):
         PubSubSystem(space, batch=False)
 
 
-def test_engine_parameter_keeps_the_legacy_mirror(space):
-    system = PubSubSystem(space, engine="batched")
-    assert system.batch is True  # the legacy mirror attribute survives
-
-
 def test_build_pubsub_system_batch_alias_is_a_hard_error():
     workload = uniform_subscriptions(6, seed=1)
     with pytest.raises(TypeError, match="batch"):

@@ -1,11 +1,13 @@
-"""Batched-vs-unbatched dissemination equivalence and pool regressions.
+"""The one fan-out against a model of the paper's rule, and the two
+scheduling policies against each other.
 
-The batched engine promises *identical delivery outcomes*: for every
-published event, the set of receiving subscribers, their matched flags and
-their hop counts must agree with the classical one-callback-per-message
-engine.  These tests drive randomized workloads through both modes and
-compare everything observable, plus regression tests for the pooled-Message
-reset path and the exact-equivalence helpers the fast path relies on.
+Every engine runs one fan-out; ``drtree:classic`` schedules it one engine
+entry per message and ``drtree:batched`` with per-round queues and pooled
+envelopes.  A tree-walk model of the paper's dissemination rule is the
+reference for *who* receives an event at *what* hop count, on both engines.
+The engines must then agree on everything observable, lossy networks
+included, plus regression tests for the pooled-Message reset path and the
+exact-equivalence helpers the fan-out relies on.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.spatial.containment import child_ids_containing_point
 from repro.spatial.filters import (Event, make_space, subscription_from_intervals,
                                    subscription_from_rect)
 from repro.spatial.rectangle import Point, Rect
-from repro.workloads.events import targeted_events
+from repro.workloads.events import targeted_events, uniform_events
 from repro.workloads.subscriptions import uniform_subscriptions
 
 
@@ -89,6 +91,97 @@ def test_batched_mode_actually_batches():
     assert engine.batches_processed > 0
     assert pool.allocated > 0
     assert pool.reused > 0  # envelopes were recycled across publications
+
+
+# --------------------------------------------------------------------- #
+# The fan-out against a model of the paper's rule
+# --------------------------------------------------------------------- #
+
+
+def _model_hops(peers, publisher_id, point):
+    """Receiver -> minimum hops under the paper's dissemination rule.
+
+    A walk over the peers' cached state, independent of the fan-out code.
+    It climbs the publisher's parent chain one (peer, level) instance at a
+    time.  At each ancestor it goes down every child (other than the one
+    the event came from) whose cached child MBR contains the point, so an
+    ancestor's own higher levels are served too.  An edge between two
+    distinct peers costs a hop; a step between two instances of one peer is
+    free.
+    """
+    best = {}
+
+    def down(peer_id, level, hops, skip):
+        best[peer_id] = min(hops, best.get(peer_id, hops))
+        instance = peers[peer_id].instances.get(level)
+        if instance is None:
+            return
+        for child_id, info in instance.children.items():
+            if child_id != skip and info.mbr.contains_point(point):
+                down(child_id, level - 1, hops + (child_id != peer_id), None)
+
+    peer_id, level, skip, hops = publisher_id, 0, None, 0
+    while True:
+        down(peer_id, level, hops, skip)
+        instances = peers[peer_id].instances
+        parent = instances[level].parent
+        if not parent or (parent == peer_id and level + 1 not in instances):
+            return best
+        hops += parent != peer_id
+        peer_id, level, skip = parent, level + 1, peer_id
+
+
+def _publishers_at_every_level(peers, per_level=2):
+    by_level = {}
+    for peer_id in sorted(peers):
+        by_level.setdefault(peers[peer_id].top_level(), []).append(peer_id)
+    return [peer_id for level in sorted(by_level)
+            for peer_id in by_level[level][:per_level]]
+
+
+def _assert_fan_out_matches_model(workload, seed, rounds=2):
+    structure = PubSubSystem(workload.space, seed=seed, engine="classic")
+    structure.subscribe_all(workload)
+    peers = structure.simulation.peers
+    publishers = _publishers_at_every_level(peers)
+    count = rounds * len(publishers)
+    events = (targeted_events(workload.space, list(workload), count,
+                              seed=seed + 13, prefix="t")
+              + uniform_events(workload.space, count, seed=seed + 17,
+                               prefix="u"))
+    expected = {
+        event.event_id: _model_hops(
+            peers, publishers[index % len(publishers)],
+            event.to_point(workload.space))
+        for index, event in enumerate(events)}
+    assert len({structure.simulation.peer(p).top_level()
+                for p in publishers}) == structure.simulation.height()
+    for engine in ("classic", "batched"):
+        system = PubSubSystem(workload.space, seed=seed, engine=engine)
+        system.subscribe_all(workload)
+        for index, event in enumerate(events):
+            system.publish(event,
+                           publisher_id=publishers[index % len(publishers)])
+        observed = {event.event_id: {} for event in events}
+        for record in system.accounting.records:
+            observed[record.event_id][record.subscriber_id] = record.hops
+        for event in events:
+            assert observed[event.event_id] == expected[event.event_id], (
+                engine, event.event_id)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       size=st.integers(min_value=6, max_value=40))
+def test_fan_out_matches_the_model_on_random_workloads(seed, size):
+    _assert_fan_out_matches_model(uniform_subscriptions(size, seed=seed),
+                                  seed)
+
+
+def test_fan_out_matches_the_model_past_bulk_threshold():
+    """A 600-peer overlay takes the STR fast path and still agrees."""
+    _assert_fan_out_matches_model(uniform_subscriptions(600, seed=3), seed=3)
 
 
 # --------------------------------------------------------------------- #

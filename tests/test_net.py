@@ -24,7 +24,10 @@ from repro.net import (FRAME_HEADER, FrameDecoder, NetError, NetProtocolError,
                        NetTimeoutError, PeerUnreachableError, encode_frame)
 from repro.net.codec import decode_frames
 from repro.runtime.registry import load_scenarios
+from repro.overlay import messages as overlay_messages
 from repro.sim.messages import Message
+from repro.spatial.filters import Event
+from repro.spatial.rectangle import Point
 from repro.traces import replay_trace
 from repro.workloads import synth
 from repro.workloads.events import targeted_events
@@ -39,11 +42,20 @@ GOLDEN_TRACE = Path(__file__).parent / "golden" / "synth-mixed.jsonl"
 # --------------------------------------------------------------------------- #
 
 
+_coordinates = st.floats(min_value=0.0, max_value=1.0, width=32)
+
 _payload_values = st.one_of(
     st.integers(min_value=-2**31, max_value=2**31),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.text(max_size=12),
     st.lists(st.integers(min_value=0, max_value=255), max_size=4),
+    # The dissemination payload carries the event and its point as objects.
+    st.builds(Event,
+              attributes=st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                                         _coordinates, max_size=3),
+              event_id=st.text(max_size=6)),
+    st.lists(_coordinates, min_size=1, max_size=3).map(
+        lambda coords: Point(*coords)),
 )
 
 _messages = st.builds(
@@ -85,6 +97,31 @@ def test_any_single_byte_flip_tears_the_stream(data):
     blob[where] ^= 0x01
     with pytest.raises(NetProtocolError):
         decode_frames(bytes(blob))
+
+
+def test_dissemination_envelopes_round_trip():
+    """PUBLISH_UP / PUBLISH_DOWN envelopes built by the overlay decode to
+    equal messages whose payload carries an equal Event and Point."""
+    workload = uniform_subscriptions(24, seed=2)
+    system = SystemSpec(workload.space, seed=2).build()
+    system.subscribe_all(workload)
+    sent = []
+    system.simulation.network.add_tap(lambda message: sent.append(
+        (message, encode_frame(message))))
+    leaves = [peer_id for peer_id, peer in system.simulation.peers.items()
+              if peer.top_level() == 0]
+    for event in targeted_events(workload.space, list(workload), 4, seed=5):
+        system.publish(event, publisher_id=leaves[0])
+    kinds = {message.kind for message, _ in sent}
+    assert {overlay_messages.PUBLISH_UP,
+            overlay_messages.PUBLISH_DOWN} <= kinds
+    decoded = decode_frames(b"".join(blob for _, blob in sent))
+    assert decoded == [message for message, _ in sent]
+    for (message, _), copy in zip(sent, decoded):
+        assert isinstance(copy.payload["event_obj"], Event)
+        assert isinstance(copy.payload["point"], Point)
+        assert copy.payload["event_obj"] == message.payload["event_obj"]
+        assert copy.payload["point"] == message.payload["point"]
 
 
 def test_decoder_rejects_trailing_bytes_and_bad_magic():

@@ -220,7 +220,7 @@ def test_unhandled_message_counted(net):
 
 
 # --------------------------------------------------------------------- #
-# Batch mode: send_many and the message pool
+# send_many: per-message scheduling, and per-round queues with the pool
 # --------------------------------------------------------------------- #
 
 
@@ -231,8 +231,8 @@ def batch_net():
     return engine, network
 
 
-def _batch_of(network, sender, recipients, kind="PING"):
-    return network.pool.acquire_many(sender, recipients, kind, {"n": 1})
+def _send_batch(network, sender, recipients, kind="PING"):
+    network.send_many(sender, recipients, kind, {"n": 1})
 
 
 def test_send_many_unbatched_falls_back_to_send(net):
@@ -240,14 +240,13 @@ def test_send_many_unbatched_falls_back_to_send(net):
     a = EchoProcess("a", network)
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
-    network.send_many([
-        Message(sender="a", recipient="b", kind="PING"),
-        Message(sender="a", recipient="c", kind="PING"),
-    ])
+    _send_batch(network, "a", ["b", "c"])
+    assert engine.pending() == 2  # one engine entry per message
     engine.run_until_idle()
     assert ("PING", "a") in b.received
     assert ("PING", "a") in c.received
     assert network.metrics.counter("network.messages_sent") >= 2
+    assert len(network.pool) == 0 and network.pool.allocated == 0
 
 
 def test_send_many_batch_delivers_after_latency(batch_net):
@@ -255,7 +254,7 @@ def test_send_many_batch_delivers_after_latency(batch_net):
     a = EchoProcess("a", network)
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
-    network.send_many(_batch_of(network, "a", ["b", "c"]))
+    _send_batch(network, "a", ["b", "c"])
     assert b.received == []
     engine.run_until_idle()
     assert ("PING", "a") in b.received
@@ -272,13 +271,12 @@ def test_send_many_batch_releases_envelopes_to_pool(batch_net):
     EchoProcess("a", network)
     EchoProcess("b", network)
     EchoProcess("c", network)
-    batch = _batch_of(network, "a", ["b", "c"])
-    network.send_many(batch)
+    _send_batch(network, "a", ["b", "c"])
     engine.run_until_idle()
     assert len(network.pool) == 2
-    assert all(message.payload is None for message in batch)
+    assert network.pool.allocated == 2
     # A second batch reuses the recycled envelopes.
-    network.send_many(_batch_of(network, "a", ["b", "c"]))
+    _send_batch(network, "a", ["b", "c"])
     engine.run_until_idle()
     assert network.pool.reused == 2
 
@@ -288,7 +286,7 @@ def test_send_many_batch_crashed_sender_drops_all(batch_net):
     a = EchoProcess("a", network)
     b = EchoProcess("b", network)
     a.crash()
-    network.send_many(_batch_of(network, "a", ["b", "b"]))
+    _send_batch(network, "a", ["b", "b"])
     engine.run_until_idle()
     assert b.received == []
     assert network.metrics.counter("network.messages_dropped") == 2.0
@@ -301,7 +299,7 @@ def test_send_many_batch_respects_partitions(batch_net):
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
     network.partition([{"a", "b"}, {"c"}])
-    network.send_many(_batch_of(network, "a", ["b", "c"]))
+    _send_batch(network, "a", ["b", "c"])
     engine.run_until_idle()
     assert ("PING", "a") in b.received
     assert c.received == []
@@ -316,7 +314,7 @@ def test_send_many_batch_message_loss():
     b = EchoProcess("b", network)
     # PONG is recorded without triggering a reply, so the loss counter only
     # ever sees this batch.
-    network.send_many(_batch_of(network, "a", ["b"] * 200, kind="PONG"))
+    _send_batch(network, "a", ["b"] * 200, kind="PONG")
     engine.run_until_idle()
     lost = network.metrics.counter("network.messages_lost")
     assert 0 < lost < 200
@@ -329,7 +327,7 @@ def test_send_many_batch_taps_see_every_message(batch_net):
     EchoProcess("b", network)
     seen = []
     network.add_tap(lambda message: seen.append(message.recipient))
-    network.send_many(_batch_of(network, "a", ["b", "b"], kind="PONG"))
+    _send_batch(network, "a", ["b", "b"], kind="PONG")
     engine.run_until_idle()
     assert seen == ["b", "b"]
 
@@ -339,8 +337,8 @@ def test_same_instant_batches_share_one_round(batch_net):
     EchoProcess("a", network)
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
-    network.send_many(_batch_of(network, "a", ["b"]))
-    network.send_many(_batch_of(network, "a", ["c"]))
+    _send_batch(network, "a", ["b"])
+    _send_batch(network, "a", ["c"])
     assert engine.pending() == 2
     engine.run_until_idle()
     # Both fan-outs landed in the same per-round queue: one engine entry.

@@ -114,20 +114,21 @@ def test_recorded_trace_carries_the_backend(recorded):
     assert trace.systems()[0].backend == "drtree:classic"
 
 
-def test_legacy_batch_flag_follows_the_engine_registry(monkeypatch):
-    """The trace format's batch boolean mirrors EngineSpec.batch, so a
-    future batch-built engine records batch=true for old readers."""
-    from repro.pubsub import engines
-    from repro.traces.format import _legacy_batch_flag
+def test_legacy_batch_flag_is_true_exactly_for_drtree_batched():
+    """Every registered backend writes the v1 ``batch`` boolean, true only
+    for ``drtree:batched``, and a v1 record (boolean, no backend) parses
+    back to the backend it names."""
+    from repro.api import backend_names
+    from repro.traces.format import SystemRecord, parse_system
 
-    monkeypatch.setitem(
-        engines._ENGINES, "sharded",
-        engines.EngineSpec(name="sharded", description="test stub",
-                           factory=None, batch=True))
-    assert _legacy_batch_flag("drtree:sharded") is True
-    assert _legacy_batch_flag("drtree:classic") is False
-    assert _legacy_batch_flag("drtree:batched") is True
-    assert _legacy_batch_flag("flooding") is False
+    for backend in backend_names():
+        raw = SystemRecord(seg=0, space=("x",), seed=0, stabilize_rounds=30,
+                           backend=backend).to_json()
+        assert raw["batch"] is (backend == "drtree:batched"), backend
+        del raw["backend"]
+        legacy = parse_system(raw, line=2).backend
+        assert legacy == ("drtree:batched" if raw["batch"]
+                          else "drtree:classic"), backend
 
 
 def test_baseline_broker_runs_record_and_replay_too(tmp_path):
