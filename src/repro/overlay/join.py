@@ -53,8 +53,8 @@ class JoinMixin:
             contact,
             msg.JOIN,
             joiner=self.process_id,
-            lower=list(self.filter_rect.lower),
-            upper=list(self.filter_rect.upper),
+            lower=self.filter_rect.lower,
+            upper=self.filter_rect.upper,
             subtree_level=0,
             child_count=0,
             hops=0,
@@ -113,8 +113,8 @@ class JoinMixin:
             contact,
             msg.JOIN,
             joiner=self.process_id,
-            lower=list(instance.mbr.lower),
-            upper=list(instance.mbr.upper),
+            lower=instance.mbr.lower,
+            upper=instance.mbr.upper,
             subtree_level=level,
             child_count=len(instance.children),
             hops=0,
@@ -230,8 +230,8 @@ class JoinMixin:
                 return
             payload = {
                 "joiner": joiner,
-                "lower": list(rect.lower),
-                "upper": list(rect.upper),
+                "lower": rect.lower,
+                "upper": rect.upper,
                 "subtree_level": subtree_level,
                 "child_count": child_count,
             }
@@ -391,8 +391,8 @@ class JoinMixin:
                 parent_id, msg.ADD_CHILD,
                 level=level + 1,
                 child=sibling,
-                lower=list(give_mbr.lower),
-                upper=list(give_mbr.upper),
+                lower=give_mbr.lower,
+                upper=give_mbr.upper,
                 child_count=len(give_children),
             )
             return
@@ -428,8 +428,8 @@ class JoinMixin:
                 parent=sibling,
                 become_root_with={
                     self.process_id: {
-                        "lower": list(instance.mbr.lower),
-                        "upper": list(instance.mbr.upper),
+                        "lower": instance.mbr.lower,
+                        "upper": instance.mbr.upper,
                         "child_count": len(instance.children),
                     }
                 },

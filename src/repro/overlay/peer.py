@@ -44,6 +44,26 @@ class DRTreePeer(JoinMixin, LeaveMixin, StabilizationMixin, StructureMixin,
                  DisseminationMixin, Process):
     """A subscriber participating in the DR-tree overlay."""
 
+    handlers = {
+        msg.JOIN: "handle_join",
+        msg.ADD_CHILD: "handle_add_child",
+        msg.JOIN_ACK: "handle_join_ack",
+        msg.SET_PARENT: "handle_set_parent",
+        msg.PROMOTE: "handle_promote",
+        msg.REPLACE_CHILD: "handle_replace_child",
+        msg.LEAVE: "handle_leave",
+        msg.REMOVE_CHILD: "handle_remove_child",
+        msg.PARENT_QUERY: "handle_parent_query",
+        msg.PARENT_ACK: "handle_parent_ack",
+        msg.PARENT_NACK: "handle_parent_nack",
+        msg.CHECK_STRUCTURE: "handle_check_structure",
+        msg.DISSOLVE: "handle_dissolve",
+        msg.ADOPT_CHILDREN: "handle_adopt_children",
+        msg.INITIATE_NEW_CONNECTION: "handle_initiate_new_connection",
+        msg.PUBLISH_UP: "handle_publish_up",
+        msg.PUBLISH_DOWN: "handle_publish_down",
+    }
+
     def __init__(
         self,
         process_id: str,
@@ -68,30 +88,11 @@ class DRTreePeer(JoinMixin, LeaveMixin, StabilizationMixin, StructureMixin,
         self.seen_events: Dict[str, bool] = {}
         #: Installed by the pub/sub facade for delivery accounting.
         self.delivery_listener: Optional[DeliveryListener] = None
-        self._register_handlers()
 
-    # ------------------------------------------------------------------ #
-    # Handler registration
-    # ------------------------------------------------------------------ #
-
-    def _register_handlers(self) -> None:
-        self.on(msg.JOIN, self.handle_join)
-        self.on(msg.ADD_CHILD, self.handle_add_child)
-        self.on(msg.JOIN_ACK, self.handle_join_ack)
-        self.on(msg.SET_PARENT, self.handle_set_parent)
-        self.on(msg.PROMOTE, self.handle_promote)
-        self.on(msg.REPLACE_CHILD, self.handle_replace_child)
-        self.on(msg.LEAVE, self.handle_leave)
-        self.on(msg.REMOVE_CHILD, self.handle_remove_child)
-        self.on(msg.PARENT_QUERY, self.handle_parent_query)
-        self.on(msg.PARENT_ACK, self.handle_parent_ack)
-        self.on(msg.PARENT_NACK, self.handle_parent_nack)
-        self.on(msg.CHECK_STRUCTURE, self.handle_check_structure)
-        self.on(msg.DISSOLVE, self.handle_dissolve)
-        self.on(msg.ADOPT_CHILDREN, self.handle_adopt_children)
-        self.on(msg.INITIATE_NEW_CONNECTION, self.handle_initiate_new_connection)
-        self.on(msg.PUBLISH_UP, self.handle_publish_up)
-        self.on(msg.PUBLISH_DOWN, self.handle_publish_down)
+    def __setstate__(self, state: dict) -> None:
+        # Peers pickled before the class-level table carry their own copy.
+        state.pop("_handlers", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Instance helpers

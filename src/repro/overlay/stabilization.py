@@ -237,8 +237,8 @@ class StabilizationMixin:
             instance.parent,
             msg.PARENT_QUERY,
             level=level,
-            lower=list(instance.mbr.lower),
-            upper=list(instance.mbr.upper),
+            lower=instance.mbr.lower,
+            upper=instance.mbr.upper,
             child_count=len(instance.children),
             underloaded=instance.underloaded,
         )
@@ -393,8 +393,8 @@ class StabilizationMixin:
                 level=level + 1,
                 old=self.process_id,
                 new=child_id,
-                lower=list(instance.mbr.lower),
-                upper=list(instance.mbr.upper),
+                lower=instance.mbr.lower,
+                upper=instance.mbr.upper,
                 child_count=len(instance.children),
             )
         elif parent == self.process_id and level + 1 in self.instances:

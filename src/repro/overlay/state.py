@@ -6,17 +6,21 @@ where it is active, a children set, the level's MBR, a parent pointer and an
 transient faults and is repaired by the stabilization modules.  The only
 non-corruptible datum is the peer's own filter, which lives on the peer
 object itself.
+
+A peer holds one :class:`LevelState` per level and one :class:`ChildInfo` per
+child, so both are slotted records (no per-instance ``__dict__``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.sim.slotted import set_slot_state
 from repro.spatial.rectangle import Rect
 
 
-@dataclass
+@dataclass(slots=True)
 class ChildInfo:
     """What a parent knows about one of its children at a given level."""
 
@@ -30,8 +34,10 @@ class ChildInfo:
     #: discard children that stay silent for too long.
     last_seen_round: int = 0
 
+    __setstate__ = set_slot_state
 
-@dataclass
+
+@dataclass(slots=True)
 class LevelState:
     """The state of one node instance (one peer at one level).
 
@@ -55,16 +61,19 @@ class LevelState:
     #: plausible tree height reveals that the instance hangs off a detached
     #: cycle rather than the real root, and triggers a re-join.
     root_distance: int = 0
-
     #: ``(child MBRs, their union)`` of the last :meth:`computed_mbr` that had
-    #: to fold.  Not a dataclass field (no annotation): it is derived state,
-    #: left out of ``==``, ``repr`` and — via ``__getstate__`` — of pickles.
-    _union_memo = None
+    #: to fold.  Derived state: left out of ``__init__``, ``==``, ``repr`` and
+    #: — via ``__getstate__`` — of pickles.
+    _union_memo: Optional[Tuple[Tuple[Rect, ...], Rect]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_union_memo", None)
-        return state
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "_union_memo"}
+
+    def __setstate__(self, state) -> None:
+        set_slot_state(self, state)
+        self._union_memo = None
 
     @property
     def is_leaf(self) -> bool:
@@ -128,8 +137,8 @@ def serialize_children(children: Dict[str, ChildInfo]) -> Dict[str, dict]:
     """Turn a children mapping into plain data suitable for a message payload."""
     return {
         child_id: {
-            "lower": list(info.mbr.lower),
-            "upper": list(info.mbr.upper),
+            "lower": info.mbr.lower,
+            "upper": info.mbr.upper,
             "child_count": info.child_count,
             "underloaded": info.underloaded,
         }

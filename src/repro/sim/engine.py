@@ -63,7 +63,7 @@ class BatchEntry:
         self.count = count
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledEvent:
     """An event waiting in the simulation queue.
 

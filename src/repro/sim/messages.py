@@ -13,10 +13,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.sim.slotted import set_slot_state
+
 _MESSAGE_IDS = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A protocol message in flight.
 
@@ -32,6 +34,10 @@ class Message:
     sent_at: float = 0.0
     message_id: int = field(default_factory=lambda: next(_MESSAGE_IDS))
     hops: int = 0
+
+    #: Envelopes pickled before the class was slotted (the batched network's
+    #: free list inside an old snapshot) carry an instance ``__dict__``.
+    __setstate__ = set_slot_state
 
     def reply(self, kind: str, payload: Dict[str, Any] | None = None) -> "Message":
         """Build a response message addressed to this message's sender."""
@@ -108,9 +114,9 @@ class MessagePool:
         """One envelope per recipient, all sharing ``payload``.
 
         The bulk form of :meth:`acquire` used by
-        :meth:`~repro.sim.network.Network.send_many`: the payload dictionary is shared across the whole batch (receivers treat
-        it as read-only), so a hop's fan-out costs one payload and ``n``
-        recycled envelopes.
+        :meth:`~repro.sim.network.Network.send_many`: the payload dictionary
+        is shared across the whole batch (receivers treat it as read-only),
+        so a hop's fan-out costs one payload and ``n`` recycled envelopes.
         """
         free = self._free
         out: List[Message] = []

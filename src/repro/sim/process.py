@@ -1,15 +1,15 @@
 """Base class for simulated protocol participants.
 
-A :class:`Process` registers message handlers by message kind and can set
+A :class:`Process` dispatches each incoming message by its kind and can set
 one-shot or periodic timers.  Subclasses implement protocol behaviour by
-decorating methods via :meth:`Process.on` or by overriding
-:meth:`Process.handle_message`.
+declaring a class-level :attr:`Process.handlers` table (message kind →
+method name) or by overriding :meth:`Process.handle_message`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, ClassVar, Dict, Optional
 
 from repro.sim.engine import ScheduledEvent, SimulationEngine
 from repro.sim.messages import Message
@@ -31,12 +31,17 @@ class PeriodicTask:
 class Process:
     """A named participant attached to a :class:`~repro.sim.network.Network`."""
 
+    #: Message kind → name of the method that handles it.  One table per
+    #: class, not per process.  The method is looked up by name on every
+    #: delivery, so a wrapper installed on the class after the processes
+    #: exist (a tracer, a test spy) is the handler that runs.
+    handlers: ClassVar[Dict[str, str]] = {}
+
     def __init__(self, process_id: str, network: Network) -> None:
         self.process_id = process_id
         self.network = network
         self.engine: SimulationEngine = network.engine
         self.metrics: MetricsRegistry = network.metrics
-        self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._periodic: Dict[str, PeriodicTask] = {}
         self._alive = True
         network.register(self)
@@ -81,19 +86,15 @@ class Process:
         )
         self.network.send(message)
 
-    def on(self, kind: str, handler: Callable[[Message], None]) -> None:
-        """Register ``handler`` for messages of type ``kind``."""
-        self._handlers[kind] = handler
-
     def handle_message(self, message: Message) -> None:
-        """Dispatch an incoming message to its registered handler."""
+        """Dispatch an incoming message to the method its kind names."""
         if not self._alive:
             return
-        handler = self._handlers.get(message.kind)
-        if handler is None:
+        name = self.handlers.get(message.kind)
+        if name is None:
             self.on_unhandled(message)
             return
-        handler(message)
+        getattr(self, name)(message)
 
     def on_unhandled(self, message: Message) -> None:
         """Hook for messages without a registered handler (default: count)."""

@@ -14,15 +14,18 @@ from repro.sim.rng import RandomStreams
 class EchoProcess(Process):
     """Records everything it receives and can reply."""
 
+    handlers = {"PING": "handle_ping", "PONG": "handle_pong"}
+
     def __init__(self, process_id, network):
         super().__init__(process_id, network)
         self.received = []
-        self.on("PING", self.handle_ping)
-        self.on("PONG", lambda m: self.received.append(("PONG", m.sender)))
 
     def handle_ping(self, message):
         self.received.append(("PING", message.sender))
         self.send(message.sender, "PONG")
+
+    def handle_pong(self, message):
+        self.received.append(("PONG", message.sender))
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from repro.api import SystemSpec
 from repro.overlay.verifier import OverlayVerifier
 from repro.sim.sharded import TRANSPORT_ENV_VAR
 from repro.workloads import uniform_subscriptions
-from repro.workloads.events import targeted_events
+from repro.workloads.events import targeted_events, uniform_events
 
 SEED = 6
 POPULATION = uniform_subscriptions(600, seed=SEED)
@@ -200,6 +200,31 @@ def test_an_old_snapshot_restores_and_repairs_a_deep_crash(engine,
         assert delivered_digest(broker) == classic_digests["S51"]
     finally:
         broker.close()
+
+
+#: Published half before and half after the snapshot below.
+STREAM = uniform_events(POPULATION.space, 400, seed=SEED)
+
+#: A ``drtree:batched`` ``Broker.snapshot()`` of this population after
+#: ``subscribe_all`` and ``STREAM[:200]``, written by commit 5facb78: every
+#: peer still pickled its own handler table, and the node instances, their
+#: child entries and the network's recycled envelopes were pickled as
+#: instance dicts.  ``STREAM_DIGEST`` is the delivered digest that commit
+#: computed for the whole stream, published without a restore.
+BATCHED_SNAPSHOT = "snapshot-batched.pickle.gz"
+STREAM_DIGEST = "0f174fbf0c3a02647c88aeaa882642386fb5ed0c5d1fe2009820f6dc1f93fb53"
+
+
+def test_an_old_batched_snapshot_restores_and_finishes_the_stream():
+    broker = SystemSpec(POPULATION.space, backend="drtree:batched",
+                        seed=SEED).build()
+    blob = (GOLDEN_DIR / BATCHED_SNAPSHOT).read_bytes()
+    broker.restore(gzip.decompress(blob))
+    assert len(broker.simulation.network.pool) > 0
+    assert not any(hasattr(peer, "_handlers")
+                   for peer in broker.simulation.live_peers())
+    broker.publish_many(STREAM[200:])
+    assert delivered_digest(broker) == STREAM_DIGEST
 
 
 def test_a_leaf_join_costs_one_verifier_pass(broker, monkeypatch):

@@ -105,11 +105,11 @@ def test_the_memo_is_not_pickled_and_is_rebuilt_after_a_restore():
     state.add_child("b", Rect((2, 2), (3, 3)))
     cold = pickle.dumps(state)
     assert state.computed_mbr(filter_rect) == Rect((0, 0), (3, 3))
-    assert "_union_memo" in vars(state)
+    assert state._union_memo is not None
     assert pickle.dumps(state) == cold
 
     restored = pickle.loads(cold)
-    assert restored == state and "_union_memo" not in vars(restored)
+    assert restored == state and restored._union_memo is None
     restored.children["b"].mbr = Rect((2, 2), (3, 9))
     assert restored.computed_mbr(filter_rect) == Rect((0, 0), (3, 9))
 
@@ -121,10 +121,10 @@ def test_a_broker_snapshot_carries_no_memo():
     broker.subscribe_all(list(population))
     instances = [instance for peer in broker.simulation.live_peers()
                  for instance in peer.instances.values()]
-    assert sum("_union_memo" in vars(instance) for instance in instances) > 100
+    assert sum(instance._union_memo is not None for instance in instances) > 100
     warm = broker.snapshot()
     for instance in instances:
-        vars(instance).pop("_union_memo", None)
+        instance._union_memo = None
     assert broker.snapshot() == warm
 
     restored = SystemSpec(population.space, backend="drtree:batched",
