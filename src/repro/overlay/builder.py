@@ -82,9 +82,9 @@ class DRTreeSimulation(DeploymentView):
         self.streams = RandomStreams(seed)
         self.engine = SimulationEngine()
         self.metrics = MetricsRegistry()
-        # ``batch``: the network schedules ``send_many`` fan-outs with
-        # per-round queues and pooled envelopes (identical outcomes, one
-        # scheduling operation per round instead of one per message).
+        # ``batch``: every message joins the per-round queue of its
+        # delivery instant (identical outcomes, one scheduling operation per
+        # round instead of one per message).
         self.network = Network(
             self.engine,
             latency=FixedLatency(self.config.message_latency),

@@ -7,8 +7,8 @@ simulation.  Three engines ship with the reproduction:
 
 * ``classic`` — one scheduling operation per message (the paper's model,
   unchanged),
-* ``batched`` — per-round delivery queues and pooled envelopes; identical
-  delivery outcomes, faster under sustained load (see
+* ``batched`` — every message joins the per-round delivery queue of its
+  instant; identical delivery outcomes, faster under sustained load (see
   ``docs/architecture.md``),
 * ``sharded`` — the multi-process simulator of :mod:`repro.sim.sharded`:
   the peer set is partitioned across worker processes (one DR-tree subtree
@@ -291,7 +291,7 @@ register_engine(EngineSpec(
 ))
 register_engine(EngineSpec(
     name="batched",
-    description="per-round delivery queues with pooled envelopes; "
+    description="per-round delivery queues for every message; "
                 "identical outcomes, faster under sustained load",
     factory=_build_batched,
 ))

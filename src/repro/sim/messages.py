@@ -1,17 +1,16 @@
 """Message envelopes exchanged between simulated processes.
 
-Besides the :class:`Message` dataclass this module provides
-:class:`MessagePool`, a free-list allocator behind the network's per-round
-delivery queues: high-fan-out scenarios send hundreds of thousands of
-short-lived envelopes, and recycling them removes the dominant allocation
-cost from the publish hot loop.
+Every envelope is a fresh slotted :class:`Message`; the batched network
+frees each one as soon as its recipient has handled it, so nothing recycles
+them.  :class:`MessagePool` survives only so snapshots pickled while an
+envelope free list existed still load.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.sim.slotted import set_slot_state
 
@@ -57,98 +56,9 @@ class Message:
 
 
 class MessagePool:
-    """A free-list of reusable :class:`Message` envelopes.
+    """Unpickling stub of the envelope free list older networks carried.
 
-    Ownership protocol: a producer :meth:`acquire`\\ s an envelope, hands it
-    to the network, and the network :meth:`release`\\ s it once the recipient's
-    handler has returned (or the message was dropped).  Handlers must not
-    retain the envelope itself beyond the handling call; values *inside* the
-    payload may be retained, because releasing only drops the envelope's
-    reference to the payload dictionary — it never mutates it.
-
-    ``allocated`` counts envelopes created fresh, ``reused`` the acquisitions
-    served from the free list; their sum is the number of acquisitions.
+    Snapshots written before every batched message joined the per-round
+    queues pickle one of these as ``Network.pool``; the network's
+    ``__setstate__`` drops it on restore.
     """
-
-    def __init__(self) -> None:
-        self._free: List[Message] = []
-        self.allocated = 0
-        self.reused = 0
-
-    def acquire(
-        self,
-        sender: str,
-        recipient: str,
-        kind: str,
-        payload: Dict[str, Any],
-        hops: int = 0,
-    ) -> Message:
-        """Return a fully initialised envelope, recycling one if possible.
-
-        Recycled envelopes get a fresh ``message_id`` so taps and logs never
-        see two in-flight messages sharing an id.
-        """
-        if self._free:
-            message = self._free.pop()
-            message.sender = sender
-            message.recipient = recipient
-            message.kind = kind
-            message.payload = payload
-            message.sent_at = 0.0
-            message.hops = hops
-            message.message_id = next(_MESSAGE_IDS)
-            self.reused += 1
-            return message
-        self.allocated += 1
-        return Message(sender=sender, recipient=recipient, kind=kind,
-                       payload=payload, hops=hops)
-
-    def acquire_many(
-        self,
-        sender: str,
-        recipients: List[str],
-        kind: str,
-        payload: Dict[str, Any],
-        hops: int = 0,
-    ) -> List[Message]:
-        """One envelope per recipient, all sharing ``payload``.
-
-        The bulk form of :meth:`acquire` used by
-        :meth:`~repro.sim.network.Network.send_many`: the payload dictionary
-        is shared across the whole batch (receivers treat it as read-only),
-        so a hop's fan-out costs one payload and ``n`` recycled envelopes.
-        """
-        free = self._free
-        out: List[Message] = []
-        for recipient in recipients:
-            if free:
-                message = free.pop()
-                message.sender = sender
-                message.recipient = recipient
-                message.kind = kind
-                message.payload = payload
-                message.sent_at = 0.0
-                message.hops = hops
-                message.message_id = next(_MESSAGE_IDS)
-                self.reused += 1
-            else:
-                self.allocated += 1
-                message = Message(sender=sender, recipient=recipient,
-                                  kind=kind, payload=payload, hops=hops)
-            out.append(message)
-        return out
-
-    def release(self, message: Message) -> None:
-        """Return ``message`` to the pool.
-
-        The payload reference is dropped (set to ``None``) so the pool keeps
-        nothing alive; double releases are programming errors and raise.
-        """
-        if message.payload is None:
-            raise ValueError(f"message #{message.message_id} released twice")
-        message.payload = None
-        self._free.append(message)
-
-    def __len__(self) -> int:
-        """Number of envelopes currently sitting in the free list."""
-        return len(self._free)

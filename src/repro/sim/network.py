@@ -14,7 +14,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, TYPE_CHECKING)
 
 from repro.sim.engine import BatchEntry, SimulationEngine
-from repro.sim.messages import Message, MessagePool
+from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
 
@@ -72,18 +72,17 @@ class Network:
         self.latency = latency or FixedLatency(1.0)
         self.metrics = metrics or MetricsRegistry()
         self.loss_rate = loss_rate
-        #: The scheduling choice of :meth:`send_many`: per-round delivery
-        #: queues and pooled envelopes when True, one engine entry per
-        #: message (exactly :meth:`send`) when False.  Delivery outcomes
-        #: are identical either way.
+        #: The scheduling choice of :meth:`send` and :meth:`send_many`:
+        #: when True, every message of a lossless fixed-latency network joins
+        #: the per-round delivery queue of its delivery instant; when False
+        #: (or under loss or a sampling latency model) each message keeps its
+        #: own engine entry.  Delivery outcomes are identical either way.
         self.batch = batch
-        #: Envelope allocator of the per-round queues; only this class
-        #: acquires from it.
-        self.pool = MessagePool()
         #: Per-round delivery queues: delivery time -> (messages, engine
-        #: entry).  Every batch landing at the same instant appends to one
-        #: buffer and grows one engine entry, so a whole dissemination round
-        #: costs a single scheduling operation regardless of fan-out count.
+        #: entry).  Every message landing at the same instant appends to one
+        #: buffer and grows one engine entry, so a whole round — fan-outs,
+        #: stabilization and join traffic alike — costs a single scheduling
+        #: operation.
         self._rounds: Dict[float, Tuple[List[Message], "BatchEntry"]] = {}
         self._streams = streams or RandomStreams(0)
         self._loss_rng = self._streams.stream("network.loss")
@@ -179,16 +178,21 @@ class Network:
         if self._partitioned(message.sender, message.recipient):
             self.metrics.increment("network.messages_partitioned")
             return
+        if (self.batch and not self.loss_rate
+                and type(self.latency) is FixedLatency):
+            self._enqueue_round(self.engine.now + self.latency.delay,
+                                [message])
+            return
         self._schedule_delivery(message, self.latency.sample())
 
     def _schedule_delivery(self, message: Message, delay: float) -> None:
-        """Queue one filtered, accounted message for delivery after ``delay``.
+        """Give one filtered, accounted message its own engine entry.
 
-        Split out of :meth:`send` so transports that route some recipients
-        elsewhere (the sharded simulator's cross-shard pipe transport)
-        override only the scheduling step and inherit every per-message
-        bookkeeping rule — taps, crash/loss/partition filtering, counters —
-        from the base class unchanged.
+        The per-message path of :meth:`send`: taken when the network is not
+        batched, drops messages or samples its latency.  Split out so a
+        transport that delivers elsewhere (the real-socket runtime) overrides
+        only the scheduling step and inherits every per-message bookkeeping
+        rule — taps, crash/loss/partition filtering, counters — unchanged.
         """
         self.engine.schedule(delay, lambda: self._deliver(message))
 
@@ -197,26 +201,21 @@ class Network:
         """Send one ``kind`` message from ``sender`` to each of ``recipients``.
 
         Every envelope shares ``payload``; receivers treat it as read-only.
-        The network builds the envelopes itself, according to its
-        scheduling choice :attr:`batch`.  Without it this is exactly one
-        :meth:`send` of a fresh :class:`Message` per recipient, each with its
-        own engine entry.  With it the envelopes come from :attr:`pool` and
-        the fan-out joins the per-round delivery queue of its delivery
-        instant: per-message bookkeeping (taps, crash/loss/partition
-        filtering, latency sampling) is identical to :meth:`send`, but
-        scheduling costs one queue operation per *round*, and delivery
-        releases every envelope back to :attr:`pool`.
+        Without :attr:`batch` this is exactly one :meth:`send` per
+        recipient, each with its own engine entry.  With it the per-message
+        bookkeeping (taps, crash/loss/partition filtering, latency sampling)
+        is identical to :meth:`send`, but the fan-out is accounted once and
+        scheduled as a whole.
 
-        Ordering note: on a lossless fixed-latency network, all batches
-        landing at one instant are merged into that round's single queue
-        entry, so same-instant deliveries from *different* senders are not
-        interleaved with other same-instant events the way individual
-        ``send()`` calls would be.  That merge is outcome-neutral exactly
-        because no per-message randomness exists to reorder; as soon as the
-        network consumes RNG at send time (``loss_rate > 0``, or a sampling
-        latency model), each fan-out keeps its own queue entry instead, which
-        preserves the per-message global delivery order — and therefore the
-        RNG draw order — bit for bit.
+        Ordering note: on a lossless fixed-latency network the fan-out joins
+        the per-round delivery queue of its instant, like every other
+        message :meth:`send` puts in flight there, so same-instant
+        deliveries run in send order as one engine entry.  That merge is
+        outcome-neutral exactly because no per-message randomness exists to
+        reorder; as soon as the network consumes RNG at send time
+        (``loss_rate > 0``, or a sampling latency model), each fan-out keeps
+        its own queue entry instead, which preserves the per-message global
+        delivery order — and therefore the RNG draw order — bit for bit.
         """
         if not recipients:
             return
@@ -225,35 +224,29 @@ class Network:
                 self.send(Message(sender=sender, recipient=recipient,
                                   kind=kind, payload=payload))
             return
-        messages = self.pool.acquire_many(sender, recipients, kind, payload)
         now = self.engine.now
+        messages = [Message(sender, recipient, kind, payload, now)
+                    for recipient in recipients]
         metrics = self.metrics
         metrics.increment("network.messages_sent", len(messages))
         metrics.increment(f"network.messages.{kind}", len(messages))
         if (not self._taps and sender not in self._crashed
                 and not self.loss_rate and not self._partitions):
             # Fast path: nothing can filter the batch.
-            for message in messages:
-                message.sent_at = now
             deliverable = messages
         else:
-            pool = self.pool
             dropped = lost = partitioned = 0
             deliverable = []
             for message in messages:
-                message.sent_at = now
                 for tap in self._taps:
                     tap(message)
                 if sender in self._crashed:
                     dropped += 1
-                    pool.release(message)
                 elif self.loss_rate and self._loss_rng.random() < self.loss_rate:
                     lost += 1
-                    pool.release(message)
                 elif self._partitions and self._partitioned(sender,
                                                             message.recipient):
                     partitioned += 1
-                    pool.release(message)
                 else:
                     deliverable.append(message)
             if dropped:
@@ -324,20 +317,30 @@ class Network:
         recipient.handle_message(message)
 
     def _deliver_many(self, messages: List[Message]) -> None:
-        """Deliver one batch, recycling every envelope afterwards."""
+        """Deliver one batch, dropping each envelope as it is handled.
+
+        The slot is cleared before the handler runs, so a round's envelopes
+        are freed one by one while the next round is being built instead of
+        all staying alive until the last handler returns.
+        """
         processes = self._processes
         crashed = self._crashed
-        pool = self.pool
         delivered = dropped = 0
-        for message in messages:
+        for index, message in enumerate(messages):
+            messages[index] = None
             recipient = processes.get(message.recipient)
             if recipient is None or message.recipient in crashed:
                 dropped += 1
             else:
                 delivered += 1
                 recipient.handle_message(message)
-            pool.release(message)
         if delivered:
             self.metrics.increment("network.messages_delivered", delivered)
         if dropped:
             self.metrics.increment("network.messages_dropped", dropped)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Networks pickled before per-round queues took every message carry
+        # an envelope free list (``pool``); nothing reads it any more.
+        state.pop("pool", None)
+        self.__dict__.update(state)

@@ -153,10 +153,10 @@ class ShardNetwork(Network):
 
     ``owner`` maps peer ids to shard ids; recipients not in the map (the
     pre-bulk-load regime, where every peer lives in shard 0) are treated as
-    local.  The override point is :meth:`_schedule_delivery`, which runs
+    local.  The override point is :meth:`_enqueue_round`, which runs
     *after* the base class has applied every per-message rule — taps,
-    crashed-sender drops, loss, partitions, counters — so a cross-shard send
-    is accounted exactly like a local one and only its delivery is remoted.
+    crashed-sender drops, partitions, counters — so a cross-shard send is
+    accounted exactly like a local one and only its delivery is remoted.
     """
 
     def __init__(self, shard_id: int, **kwargs: Any) -> None:
@@ -167,25 +167,14 @@ class ShardNetwork(Network):
         #: Captured cross-shard sends since the last flush.
         self.outbound: List[RemoteSend] = []
 
-    def _schedule_delivery(self, message: Message, delay: float) -> None:
-        shard = self.owner.get(message.recipient, self.shard_id)
-        if shard == self.shard_id:
-            super()._schedule_delivery(message, delay)
-            return
-        self.metrics.increment("shard.messages_out")
-        self.outbound.append((self.engine.now + delay, shard, message))
-
     def _enqueue_round(self, time: float, messages: List[Message]) -> None:
-        """Split one batched round between local delivery and capture.
+        """Split messages joining a round between local delivery and capture.
 
-        Per-round ``send_many`` bypasses :meth:`_schedule_delivery` (the
-        whole fan-out lands in one per-round queue entry), so the cross-shard
-        split is re-applied here.  A shard network always runs a lossless
-        ``FixedLatency`` model, so every batched delivery funnels through
-        this hook — the ``schedule_batch`` paths of the base class are
-        unreachable.  Captured messages are stamped with the round's
-        delivery instant, exactly as the per-message override stamps
-        ``now + delay``.
+        A shard network is batched, lossless and ``FixedLatency``, so every
+        message it sends — a single :meth:`send` or a ``send_many`` fan-out —
+        funnels through this hook; the base class's per-message and
+        ``schedule_batch`` paths are unreachable.  Captured messages are
+        stamped with the round's delivery instant.
         """
         local: List[Message] = []
         for message in messages:

@@ -2,12 +2,12 @@
 scheduling policies against each other.
 
 Every engine runs one fan-out; ``drtree:classic`` schedules it one engine
-entry per message and ``drtree:batched`` with per-round queues and pooled
-envelopes.  A tree-walk model of the paper's dissemination rule is the
-reference for *who* receives an event at *what* hop count, on both engines.
-The engines must then agree on everything observable, lossy networks
-included, plus regression tests for the pooled-Message reset path and the
-exact-equivalence helpers the fan-out relies on.
+entry per message and ``drtree:batched`` puts every message in the
+per-round queue of its delivery instant.  A tree-walk model of the paper's
+dissemination rule is the reference for *who* receives an event at *what*
+hop count, on both engines.  The engines must then agree on everything
+observable, lossy networks included, plus contract tests for the round
+queues and the exact-equivalence helpers the fan-out relies on.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.overlay import messages as msg
 from repro.pubsub.api import PubSubSystem
-from repro.sim.messages import Message, MessagePool
+from repro.sim.engine import SimulationEngine
+from repro.sim.network import Network
 from repro.spatial.containment import child_ids_containing_point
 from repro.spatial.filters import (Event, make_space, subscription_from_intervals,
                                    subscription_from_rect)
@@ -87,10 +89,68 @@ def test_batched_mode_actually_batches():
     for index, event in enumerate(events):
         system.publish(event, publisher_id=subscribers[index % len(subscribers)])
     engine = system.simulation.engine
-    pool = system.simulation.network.pool
-    assert engine.batches_processed > 0
-    assert pool.allocated > 0
-    assert pool.reused > 0  # envelopes were recycled across publications
+    delivered = system.simulation.metrics.counter("network.messages_delivered")
+    # Rounds carry many messages each: far fewer engine entries than
+    # deliveries.
+    assert 0 < engine.batches_processed < delivered
+
+
+def _built_batched_system(size=64, seed=1):
+    workload = uniform_subscriptions(size, seed=seed)
+    system = PubSubSystem(workload.space, seed=seed, engine="batched")
+    system.subscribe_all(workload)
+    event = targeted_events(workload.space, list(workload), 1,
+                            seed=seed + 1)[0]
+    leaf = next(peer.process_id for peer in system.simulation.live_peers()
+                if peer.top_level() == 0)
+    return system, lambda: system.publish(event, publisher_id=leaf)
+
+
+def test_batched_rounds_and_publishes_never_schedule_a_single_message(
+        monkeypatch):
+    """On ``drtree:batched`` stabilization traffic (PARENT_QUERY/ACK and the
+    rest) and the whole dissemination — PUBLISH_UP included — join the
+    per-round queues: neither pushes one entry onto the engine's heap."""
+    system, publish = _built_batched_system()
+    calls = []
+    original = SimulationEngine.schedule
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationEngine, "schedule", spy)
+    metrics = system.simulation.metrics
+    before = metrics.counter("network.messages_sent")
+    system.simulation.run_round()
+    after_round = metrics.counter("network.messages_sent")
+    publish()
+    assert after_round > before
+    assert metrics.counter(f"network.messages.{msg.PUBLISH_UP}") > 0
+    assert metrics.counter("network.messages_sent") > after_round
+    assert calls == []
+
+
+def test_an_idle_batched_network_holds_no_round_and_no_envelope(monkeypatch):
+    """After ``run_until_idle`` the round queues are empty and every round
+    that ran dropped its envelopes as it delivered them."""
+    system, publish = _built_batched_system()
+    network = system.simulation.network
+    delivered_rounds = []
+    original = Network._deliver_many
+
+    def keep(self, messages):
+        delivered_rounds.append(messages)
+        original(self, messages)
+
+    monkeypatch.setattr(Network, "_deliver_many", keep)
+    system.simulation.run_round()
+    publish()
+    system.simulation.engine.run_until_idle()
+    assert network._rounds == {}
+    assert delivered_rounds and any(delivered_rounds)
+    assert all(message is None for messages in delivered_rounds
+               for message in messages)
 
 
 # --------------------------------------------------------------------- #
@@ -182,63 +242,6 @@ def test_fan_out_matches_the_model_on_random_workloads(seed, size):
 def test_fan_out_matches_the_model_past_bulk_threshold():
     """A 600-peer overlay takes the STR fast path and still agrees."""
     _assert_fan_out_matches_model(uniform_subscriptions(600, seed=3), seed=3)
-
-
-# --------------------------------------------------------------------- #
-# MessagePool reset path
-# --------------------------------------------------------------------- #
-
-
-def test_pool_acquire_release_resets_state():
-    pool = MessagePool()
-    first = pool.acquire("a", "b", "KIND", {"k": 1}, hops=3)
-    first_id = first.message_id
-    pool.release(first)
-    assert first.payload is None
-    recycled = pool.acquire("c", "d", "OTHER", {"fresh": True})
-    assert recycled is first  # the free list handed the same envelope back
-    assert recycled.sender == "c"
-    assert recycled.recipient == "d"
-    assert recycled.kind == "OTHER"
-    assert recycled.payload == {"fresh": True}
-    assert recycled.hops == 0
-    assert recycled.sent_at == 0.0
-    assert recycled.message_id != first_id
-    assert pool.allocated == 1
-    assert pool.reused == 1
-
-
-def test_pool_double_release_rejected():
-    pool = MessagePool()
-    message = pool.acquire("a", "b", "KIND", {})
-    pool.release(message)
-    with pytest.raises(ValueError):
-        pool.release(message)
-
-
-def test_pool_release_does_not_mutate_shared_payload():
-    pool = MessagePool()
-    shared = {"event": {"attributes": {"x": 1.0}}}
-    batch = pool.acquire_many("a", ["b", "c", "d"], "KIND", shared)
-    assert all(message.payload is shared for message in batch)
-    for message in batch:
-        pool.release(message)
-    # Releasing drops the envelopes' references but leaves the dict intact
-    # for any handler that retained values out of it.
-    assert shared == {"event": {"attributes": {"x": 1.0}}}
-    assert len(pool) == 3
-
-
-def test_pool_acquire_many_counts():
-    pool = MessagePool()
-    batch = pool.acquire_many("a", ["b", "c"], "KIND", {})
-    for message in batch:
-        pool.release(message)
-    again = pool.acquire_many("a", ["x", "y"], "KIND", {})
-    assert pool.allocated == 2
-    assert pool.reused == 2
-    assert {message.recipient for message in again} == {"x", "y"}
-    assert isinstance(again[0], Message)
 
 
 # --------------------------------------------------------------------- #

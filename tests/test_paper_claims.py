@@ -266,7 +266,7 @@ CLAIMS: Tuple[Claim, ...] = (
         REPRODUCED),
     Claim(
         "T1-round-queues-faster",
-        "Per-round delivery queues with pooled envelopes (batched) are not "
+        "Per-round delivery queues for every message (batched) are not "
         "slower than per-message scheduling (classic)",
         "engine contract, not a paper claim", "throughput", (),
         lambda r: {"modes": r.column("mode")},

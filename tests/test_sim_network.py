@@ -223,7 +223,7 @@ def test_unhandled_message_counted(net):
 
 
 # --------------------------------------------------------------------- #
-# send_many: per-message scheduling, and per-round queues with the pool
+# send_many: per-message scheduling, and the per-round queues
 # --------------------------------------------------------------------- #
 
 
@@ -245,11 +245,11 @@ def test_send_many_unbatched_falls_back_to_send(net):
     c = EchoProcess("c", network)
     _send_batch(network, "a", ["b", "c"])
     assert engine.pending() == 2  # one engine entry per message
+    assert network._rounds == {}  # nothing joined a per-round queue
     engine.run_until_idle()
     assert ("PING", "a") in b.received
     assert ("PING", "a") in c.received
     assert network.metrics.counter("network.messages_sent") >= 2
-    assert len(network.pool) == 0 and network.pool.allocated == 0
 
 
 def test_send_many_batch_delivers_after_latency(batch_net):
@@ -269,19 +269,19 @@ def test_send_many_batch_delivers_after_latency(batch_net):
     assert network.metrics.counter("network.messages.PING") == 2.0
 
 
-def test_send_many_batch_releases_envelopes_to_pool(batch_net):
+def test_send_many_batch_frees_each_envelope_as_it_is_delivered(batch_net):
     engine, network = batch_net
     EchoProcess("a", network)
     EchoProcess("b", network)
     EchoProcess("c", network)
-    _send_batch(network, "a", ["b", "c"])
+    _send_batch(network, "a", ["b", "c"], kind="PONG")
+    (buffer, _), = network._rounds.values()
+    assert [message.recipient for message in buffer] == ["b", "c"]
     engine.run_until_idle()
-    assert len(network.pool) == 2
-    assert network.pool.allocated == 2
-    # A second batch reuses the recycled envelopes.
-    _send_batch(network, "a", ["b", "c"])
-    engine.run_until_idle()
-    assert network.pool.reused == 2
+    # The round left its queue and dropped every envelope it delivered.
+    assert network._rounds == {}
+    assert buffer == [None, None]
+    assert not hasattr(network, "pool")
 
 
 def test_send_many_batch_crashed_sender_drops_all(batch_net):
@@ -290,10 +290,10 @@ def test_send_many_batch_crashed_sender_drops_all(batch_net):
     b = EchoProcess("b", network)
     a.crash()
     _send_batch(network, "a", ["b", "b"])
+    assert network._rounds == {}  # a dropped fan-out never joins a round
     engine.run_until_idle()
     assert b.received == []
     assert network.metrics.counter("network.messages_dropped") == 2.0
-    assert len(network.pool) == 2  # dropped envelopes are recycled too
 
 
 def test_send_many_batch_respects_partitions(batch_net):
@@ -344,6 +344,67 @@ def test_same_instant_batches_share_one_round(batch_net):
     _send_batch(network, "a", ["c"])
     assert engine.pending() == 2
     engine.run_until_idle()
-    # Both fan-outs landed in the same per-round queue: one engine entry.
-    assert engine.batches_processed == 1
+    # Both fan-outs landed in the same per-round queue, and the two PONG
+    # replies sent from it in the next: one engine entry per round.
+    assert engine.batches_processed == 2
     assert b.received and c.received
+
+
+class RelayProcess(Process):
+    """Re-broadcasts a FAN while its ``ttl`` lasts and PINGs ``p0`` back
+    with every one, so single sends and fan-outs share delivery instants."""
+
+    handlers = {"FAN": "handle_fan", "PING": "handle_ping", "PONG": "record"}
+
+    def __init__(self, process_id, network, peers, log):
+        super().__init__(process_id, network)
+        self.peers = peers
+        self.log = log
+
+    def record(self, message):
+        self.log.append((self.engine.now, message.kind, message.sender,
+                         self.process_id))
+
+    def handle_fan(self, message):
+        self.record(message)
+        ttl = message.payload["ttl"]
+        if ttl:
+            self.network.send_many(self.process_id, self.peers, "FAN",
+                                   {"ttl": ttl - 1})
+        self.send("p0", "PING")
+
+    def handle_ping(self, message):
+        self.record(message)
+        self.send(message.sender, "PONG")
+
+
+def _handler_order(batch, loss_rate, uniform):
+    engine = SimulationEngine()
+    streams = RandomStreams(11)
+    # A zero-width uniform still draws per message but lands every message
+    # of a hop on one instant, where a merged round would reorder them.
+    latency = (UniformLatency(1.0, 1.0, streams) if uniform
+               else FixedLatency(1.0))
+    network = Network(engine, latency=latency, loss_rate=loss_rate,
+                      streams=streams, batch=batch)
+    ids = [f"p{index}" for index in range(5)]
+    log = []
+    for process_id in ids:
+        RelayProcess(process_id, network,
+                     [other for other in ids if other != process_id], log)
+    network.send_many("p0", ids[1:], "FAN", {"ttl": 3})
+    engine.run_until_idle()
+    return log
+
+
+@pytest.mark.parametrize("loss_rate, uniform", [(0.3, False), (0.0, True)],
+                         ids=["lossy", "uniform-latency"])
+def test_batching_keeps_the_handler_order_when_sends_draw_randomness(
+        loss_rate, uniform):
+    """Under loss or a sampling latency model every send draws from an RNG
+    stream, so a batched network keeps each message's own engine entry and
+    runs the handlers in exactly the per-message order."""
+    order = _handler_order(False, loss_rate, uniform)
+    assert len(order) > 50 and {kind for _, kind, _, _ in order} == {
+        "FAN", "PING", "PONG"}
+    assert _handler_order(True, loss_rate, uniform) == order

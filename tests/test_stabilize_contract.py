@@ -220,7 +220,8 @@ def test_an_old_batched_snapshot_restores_and_finishes_the_stream():
                         seed=SEED).build()
     blob = (GOLDEN_DIR / BATCHED_SNAPSHOT).read_bytes()
     broker.restore(gzip.decompress(blob))
-    assert len(broker.simulation.network.pool) > 0
+    # The blob pickles an envelope free list; restoring drops it.
+    assert not hasattr(broker.simulation.network, "pool")
     assert not any(hasattr(peer, "_handlers")
                    for peer in broker.simulation.live_peers())
     broker.publish_many(STREAM[200:])
