@@ -398,11 +398,10 @@ class ShardedSimulation:
         if self.transport == "inline":
             shard = _InlineShard(shard_id, self.config, self.seed)
         elif self.transport == "shm":
-            pair = shm.ShmTransportPair(shard_id)
+            pair = shm.ShmTransportPair(shard_id, context=context)
             shard = _ProcessShard(
                 shard_id, context, shm_shard_worker_main,
-                (pair.names, shard_id, self.config, self.seed,
-                 context.get_start_method() == "fork"),
+                (pair.names, shard_id, self.config, self.seed),
                 pair.channel, pair.unlink)
             pair.channel.set_peer_alive(shard.process.is_alive)
         else:
@@ -410,7 +409,8 @@ class ShardedSimulation:
             try:
                 shard = _ProcessShard(
                     shard_id, context, shard_worker_main,
-                    (child_conn, shard_id, self.config, self.seed),
+                    (child_conn, shard_id, self.config, self.seed,
+                     parent_conn),
                     parent_conn, parent_conn.close)
             finally:
                 child_conn.close()

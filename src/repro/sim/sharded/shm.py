@@ -32,11 +32,23 @@ or a CRC mismatch means the stream is torn and raises a typed
 Backpressure and failure
 ------------------------
 
-A full ring blocks the writer; while blocked (and while a reader waits for
-the rest of a frame) the channel polls a ``peer_alive`` callback so a dead
-peer surfaces as :class:`ShmPeerGoneError` instead of a hang, and a
-``send_timeout`` bounds the wait with :class:`ShmBackpressureError`.  The
-coordinator maps all three onto its usual typed shard errors.
+Each direction also has a *doorbell*: one ``multiprocessing`` semaphore,
+created from the worker's start-method context.  The writer releases it
+after every ring write that made progress; a reader with no whole frame
+blocks in ``acquire(timeout=remaining)`` rather than sleeping, so it wakes
+the moment bytes land and costs nothing while idle.  A reader that drained
+bytes it was not woken for finds their tokens on its next wait, re-reads an
+empty ring and blocks again: every release is matched by exactly one later
+acquire, so the count stays bounded by the chunks written since the reader
+last waited.
+
+A full ring blocks the writer, which re-checks the cursor between short
+sleeps (only frames larger than the ring ever fill it); while blocked, and
+while a reader waits on its bell, the channel polls a ``peer_alive``
+callback so a dead peer surfaces as :class:`ShmPeerGoneError` instead of a
+hang, and a ``send_timeout`` bounds the write with
+:class:`ShmBackpressureError`.  The coordinator maps all three onto its
+usual typed shard errors.
 
 Segments are created (and therefore owned) by the coordinator, which unlinks
 them in both the polite ``close()`` and the hard ``terminate()`` teardown
@@ -70,15 +82,8 @@ RING_HEADER_BYTES = 16
 #: through in chunks, so the size only affects how often the writer parks.
 DEFAULT_RING_BYTES = 4 << 20
 
-#: Sleep between cursor re-checks while a ring is full/empty.
+#: Sleep between cursor re-checks while the tx ring is full.
 _SPIN_SLEEP = 0.0002
-#: Empty re-checks in a row after which a waiting reader counts as idle
-#: (~6 ms of short sleeps: 99 % of the waits inside one operation are
-#: shorter), and the sleep between its re-checks from then on.  Without it
-#: every idle worker wakes 3 300 times a second (7 % of a CPU each),
-#: slowing whatever the coordinating process does between two operations.
-_IDLE_AFTER = 20
-_IDLE_SLEEP = 0.002
 #: Seconds between peer-liveness checks while blocked.
 _LIVENESS_INTERVAL = 0.05
 #: Default bound on how long a write may block on a full ring.
@@ -183,16 +188,19 @@ def _attach_untracked(name: str, shared_tracker: bool):
 
     Attaching normally registers the segment with the *attaching* process's
     resource tracker (opted out via ``track=False`` since Python 3.13).  On
-    older interpreters the right correction depends on the start method,
-    which the coordinator passes down as ``shared_tracker``:
+    older interpreters the right correction depends on whose tracker that
+    is, which the caller passes down as ``shared_tracker``:
 
-    * spawn (own tracker): revert the registration explicitly, else the
-      worker's tracker unlinks the segment at worker exit — destroying it
-      under the coordinator — and spams leak warnings;
-    * fork (``shared_tracker=True``): the attach re-registered an
-      already-tracked name in the *coordinator's* tracker (a set, so a
-      no-op) — an explicit unregister here would strip the coordinator's
-      own registration and make its later unlink double-unregister.
+    * a process with a tracker of its own: revert the registration
+      explicitly, else that tracker unlinks the segment when the process
+      exits — destroying it under the coordinator — and spams leak
+      warnings;
+    * the coordinator or a worker it started (``shared_tracker=True``;
+      fork, spawn and forkserver children all inherit the coordinator's
+      tracker): the attach re-registered an already-tracked name (a set,
+      so a no-op) — an explicit unregister here would strip the
+      coordinator's own registration and make its later unlink
+      double-unregister.
     """
     try:
         return _shared_memory.SharedMemory(name=name, track=False)
@@ -214,14 +222,20 @@ class FrameChannel:
     Implements exactly the surface the shard protocol uses from a
     ``multiprocessing`` pipe connection — ``send`` / ``poll`` / ``recv`` /
     ``close`` — so the coordinator and the worker loop drive it unchanged.
+    ``tx_bell`` / ``rx_bell`` are the doorbells of the two directions (any
+    object with ``release()`` and ``acquire(timeout=...)``: a
+    ``multiprocessing`` semaphore across processes, a ``threading`` one
+    within a process).
     """
 
-    def __init__(self, tx: ShmRing, rx: ShmRing,
+    def __init__(self, tx: ShmRing, rx: ShmRing, tx_bell: Any, rx_bell: Any,
                  peer_alive: Optional[Callable[[], bool]] = None,
                  send_timeout: float = DEFAULT_SEND_TIMEOUT,
                  segments: Tuple[Any, ...] = ()) -> None:
         self._tx = tx
         self._rx = rx
+        self._tx_bell = tx_bell
+        self._rx_bell = rx_bell
         self._peer_alive = peer_alive
         self._send_timeout = send_timeout
         self._segments = segments
@@ -243,7 +257,8 @@ class FrameChannel:
     # ------------------------------------------------------------------ #
 
     def send(self, obj: Any) -> None:
-        """Frame, checksum and stream one pickled object into the tx ring."""
+        """Frame, checksum and stream one pickled object into the tx ring,
+        ringing the peer's doorbell after every chunk that went in."""
         if self._closed:
             raise OSError("shm channel is closed")
         frame = memoryview(
@@ -251,12 +266,13 @@ class FrameChannel:
         sent = 0
         deadline = None
         next_liveness = 0.0
-        while sent < len(frame):
+        while True:
             wrote = self._tx.write_some(frame[sent:])
-            sent += wrote
-            if sent >= len(frame):
-                return
             if wrote:
+                self._tx_bell.release()
+                sent += wrote
+                if sent == len(frame):
+                    return
                 # Progress resets the stall clock: a slow drain of a frame
                 # larger than the ring is streaming, not backpressure.
                 deadline = None
@@ -283,21 +299,16 @@ class FrameChannel:
         if self._inbox:
             return True
         deadline = time.monotonic() + timeout
-        empty = 0
         while True:
             # One batched drain: pull all readable bytes, decode whole frames.
-            chunk = self._rx.read_some()
-            for payload in self._splitter.feed(chunk):
+            for payload in self._splitter.feed(self._rx.read_some()):
                 self._inbox.append(pickle.loads(payload))
             if self._inbox:
                 return True
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return False
-            # Bytes of a frame still streaming in are not idleness.
-            empty = 0 if chunk else empty + 1
-            time.sleep(min(remaining, _SPIN_SLEEP if empty <= _IDLE_AFTER
-                           else _IDLE_SLEEP))
+            self._rx_bell.acquire(timeout=remaining)
 
     def recv(self) -> Any:
         """Next decoded frame; blocks (with liveness checks) until one lands."""
@@ -326,18 +337,26 @@ class FrameChannel:
 class ShmTransportPair:
     """The coordinator-owned segment pair behind one shard's channel.
 
-    Creates two segments (coordinator→worker and worker→coordinator), builds
-    the coordinator-side :class:`FrameChannel` and hands the segment *names*
-    to the worker, which attaches with :func:`attach_worker_channel`.  The
-    owner must call :meth:`unlink` exactly once — both teardown paths of the
-    coordinator do — after which the names are gone from ``/dev/shm``.
+    Creates two segments (coordinator→worker and worker→coordinator) and
+    their doorbells, builds the coordinator-side :class:`FrameChannel` and
+    hands ``names`` — both segment names, then both bells — to the worker,
+    which attaches with :func:`attach_worker_channel`.  The bells come from
+    ``context``, the worker's ``multiprocessing`` context (default: the
+    coordinator's choice), since a fork-context semaphore cannot reach a
+    spawned worker.  The owner must call :meth:`unlink` exactly once — both
+    teardown paths of the coordinator do — after which the names are gone
+    from ``/dev/shm``.
     """
 
-    def __init__(self, shard_id: int,
-                 ring_bytes: int = DEFAULT_RING_BYTES) -> None:
+    def __init__(self, shard_id: int, ring_bytes: int = DEFAULT_RING_BYTES,
+                 context: Any = None) -> None:
         if _shared_memory is None:  # pragma: no cover - guarded by caller
             raise ShmTransportError("multiprocessing.shared_memory "
                                     "is unavailable")
+        if context is None:
+            from repro.sim.sharded.coordinator import _pick_context
+
+            context = _pick_context()
         size = RING_HEADER_BYTES + ring_bytes
         suffix = os.urandom(4).hex()
         self._tx_segment = _shared_memory.SharedMemory(
@@ -346,11 +365,12 @@ class ShmTransportPair:
         self._rx_segment = _shared_memory.SharedMemory(
             name=f"drtree_{os.getpid()}_{shard_id}_w2c_{suffix}",
             create=True, size=size)
-        self.names: Tuple[str, str] = (self._tx_segment.name,
-                                       self._rx_segment.name)
+        tx_bell, rx_bell = context.Semaphore(0), context.Semaphore(0)
+        self.names: Tuple[str, str, Any, Any] = (
+            self._tx_segment.name, self._rx_segment.name, tx_bell, rx_bell)
         self.channel = FrameChannel(
             ShmRing(self._tx_segment.buf, reset=True),
-            ShmRing(self._rx_segment.buf, reset=True),
+            ShmRing(self._rx_segment.buf, reset=True), tx_bell, rx_bell,
             segments=(self._tx_segment, self._rx_segment))
         self._unlinked = False
 
@@ -369,21 +389,22 @@ class ShmTransportPair:
                 pass
 
 
-def attach_worker_channel(names: Tuple[str, str],
+def attach_worker_channel(names: Tuple[str, str, Any, Any],
                           shared_tracker: bool = False) -> FrameChannel:
-    """Attach the worker end of a :class:`ShmTransportPair` by segment name.
+    """Attach the worker end of a :class:`ShmTransportPair` by its ``names``.
 
     The direction swap happens here: the worker reads what the coordinator
     writes and vice versa.  Attachment is untracked — the coordinator owns
-    unlinking; ``shared_tracker`` says whether this (forked) worker shares
+    unlinking; ``shared_tracker`` says whether this process shares
     the coordinator's resource tracker (see :func:`_attach_untracked`).
     """
-    tx_name, rx_name = names
+    tx_name, rx_name, tx_bell, rx_bell = names
     coordinator_tx = _attach_untracked(tx_name, shared_tracker)
     coordinator_rx = _attach_untracked(rx_name, shared_tracker)
     return FrameChannel(
         ShmRing(coordinator_rx.buf, reset=False),   # worker writes replies
         ShmRing(coordinator_tx.buf, reset=False),   # worker reads commands
+        rx_bell, tx_bell,
         segments=(coordinator_tx, coordinator_rx))
 
 

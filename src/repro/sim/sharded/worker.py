@@ -484,23 +484,28 @@ class ShardRuntime:
 
 
 def shard_worker_main(conn, shard_id: int, config: Optional[DRTreeConfig],
-                      seed: int) -> None:
+                      seed: int, parent_conn=None) -> None:
     """Entry point of a shard worker process: serve commands until close.
 
     ``conn`` is anything with the pipe-connection surface (``poll`` /
     ``recv`` / ``send`` / ``close``) — a ``multiprocessing`` pipe end or the
     shared-memory :class:`~repro.sim.sharded.shm.FrameChannel`; the loop is
-    transport-agnostic.
+    transport-agnostic.  ``parent_conn`` is the coordinator's end of a pipe,
+    which a forked worker holds a copy of: it is closed first, so a reply
+    sent to a dead coordinator fails with ``BrokenPipeError`` (and the
+    worker exits quietly) instead of blocking for good.
     """
+    if parent_conn is not None:
+        parent_conn.close()
     runtime = ShardRuntime(shard_id, config, seed)
     parent = os.getppid()
     try:
         while True:
             try:
-                # A forked worker inherits a copy of its own pipe's parent
-                # end, so a SIGKILLed coordinator never produces EOF here.
-                # Poll with a timeout and watch for reparenting instead —
-                # that is the only reliable orphan signal.
+                # Workers forked later still hold this pipe's parent end, so
+                # a SIGKILLed coordinator need not produce EOF here.  Poll
+                # with a timeout and watch for reparenting instead — that is
+                # the only reliable orphan signal.
                 while not conn.poll(1.0):
                     if os.getppid() != parent:
                         return
@@ -513,27 +518,30 @@ def shard_worker_main(conn, shard_id: int, config: Optional[DRTreeConfig],
                 conn.send(reply)
                 break
             conn.send(runtime.execute(command))
+    except BrokenPipeError:
+        return
     finally:
         runtime.close()
         conn.close()
 
 
-def shm_shard_worker_main(segment_names: Tuple[str, str], shard_id: int,
-                          config: Optional[DRTreeConfig], seed: int,
-                          shared_tracker: bool = False) -> None:
+def shm_shard_worker_main(segment_names: Tuple[str, str, Any, Any],
+                          shard_id: int, config: Optional[DRTreeConfig],
+                          seed: int) -> None:
     """Entry point of a shard worker speaking the shared-memory transport.
 
     Attaches the worker end of the coordinator's segment pair (untracked —
-    the coordinator owns unlinking) and serves the ordinary command loop
-    over it.  A torn or corrupt frame raises out of the loop and kills the
-    worker, which the coordinator surfaces as a
-    :class:`~repro.sim.sharded.errors.ShardFailedError`; a coordinator that
-    disappears mid-write surfaces through the channel's liveness probe.
+    the coordinator owns unlinking; a worker started by ``multiprocessing``
+    shares the coordinator's resource tracker under every start method) and
+    serves the ordinary command loop over it.  A torn or corrupt frame
+    raises out of the loop and kills the worker, which the coordinator
+    surfaces as a :class:`~repro.sim.sharded.errors.ShardFailedError`; a
+    coordinator that disappears mid-write surfaces through the channel's
+    liveness probe.
     """
     from repro.sim.sharded.shm import attach_worker_channel
 
     parent = os.getppid()
-    channel = attach_worker_channel(segment_names,
-                                    shared_tracker=shared_tracker)
+    channel = attach_worker_channel(segment_names, shared_tracker=True)
     channel.set_peer_alive(lambda: os.getppid() == parent)
     shard_worker_main(channel, shard_id, config, seed)

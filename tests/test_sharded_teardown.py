@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.api.spec import SystemSpec
 from repro.overlay.config import DRTreeConfig
 from repro.sim.sharded import (ShardedSimulation, ShardFailedError,
@@ -122,3 +127,74 @@ def test_worker_killed_before_bulk_load_closes_the_simulation(workload,
         _assert_nothing_left(workers)
     finally:
         sim.close()
+
+
+_ORPHAN_SCRIPT = """
+import signal
+from repro.overlay.config import DRTreeConfig
+from repro.sim.sharded import ShardedSimulation
+from repro.workloads.subscriptions import uniform_subscriptions
+
+sim = ShardedSimulation(config=DRTreeConfig(min_children=4, max_children=8),
+                        seed=3, shards=2, transport="pipe")
+sim.bulk_load(list(uniform_subscriptions(2000, seed=3)))
+for shard in sim._shards:
+    shard.request(("snapshot",))  # replies larger than a pipe's buffer
+print(*(shard.process.pid for shard in sim._shards), flush=True)
+signal.pause()
+"""
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def test_pipe_workers_exit_after_their_coordinator_is_sigkilled(tmp_path):
+    """Regression: a forked pipe worker held its own copy of the
+    coordinator's pipe end, so a reply to a SIGKILLed coordinator never hit
+    EPIPE and the worker blocked in ``send`` for good."""
+    src_root = str(os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = tmp_path / "pids.txt"
+    workers = []
+    # Orphaned workers inherit stdout: a file, unlike a pipe, never makes
+    # the test wait for them.
+    with open(out, "w") as stdout:
+        proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT],
+                                env=env, stdout=stdout,
+                                stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not out.read_text().endswith("\n"):
+            assert proc.poll() is None, "coordinator died before its workers"
+            assert time.monotonic() < deadline, "coordinator never got ready"
+            time.sleep(0.05)
+        workers = [int(pid) for pid in out.read_text().split()]
+        assert len(workers) == 2 and all(map(_running, workers))
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -43,18 +43,22 @@ pytestmark = pytest.mark.skipif(not shm_available(),
 CONFIG = DRTreeConfig(min_children=4, max_children=8)
 
 
-def make_pair(capacity=4096, send_timeout=120.0):
+def make_pair(capacity=4096, send_timeout=120.0, bells=None):
     """A loopback channel pair over plain bytearrays (no real segments).
 
     The ring protocol only needs a shared buffer; backing it with process
     memory lets every protocol-level fault be injected deterministically.
+    ``bells`` are the doorbells of the left→right and right→left
+    directions (default: two ``threading.Semaphore(0)``).
     """
     a = memoryview(bytearray(RING_HEADER_BYTES + capacity))
     b = memoryview(bytearray(RING_HEADER_BYTES + capacity))
+    to_right, to_left = bells or (threading.Semaphore(0),
+                                  threading.Semaphore(0))
     left = FrameChannel(ShmRing(a, reset=True), ShmRing(b, reset=True),
-                        send_timeout=send_timeout)
+                        to_right, to_left, send_timeout=send_timeout)
     right = FrameChannel(ShmRing(b, reset=False), ShmRing(a, reset=False),
-                         send_timeout=send_timeout)
+                         to_left, to_right, send_timeout=send_timeout)
     return left, right
 
 
@@ -173,12 +177,13 @@ def test_frames_larger_than_the_ring_stream_through():
 
 
 class _FakeClock:
-    """Stands in for the ``time`` module inside ``repro.sim.sharded.shm``."""
+    """Stands in for the ``time`` module inside ``repro.sim.sharded.shm``,
+    and for an idle doorbell that waits out every ``acquire`` timeout."""
 
-    def __init__(self, on_sleep=None):
+    def __init__(self):
         self.now = 100.0
         self.sleeps = []
-        self._on_sleep = on_sleep
+        self.waits = []
 
     def monotonic(self):
         return self.now
@@ -186,49 +191,111 @@ class _FakeClock:
     def sleep(self, seconds):
         self.sleeps.append(seconds)
         self.now += seconds
-        if self._on_sleep is not None:
-            self._on_sleep(len(self.sleeps))
+
+    def acquire(self, timeout=None):
+        self.waits.append(timeout)
+        self.now += timeout
+        return False
+
+    def release(self):
+        raise AssertionError("nobody writes in this test")
 
 
-def test_idle_reader_backs_off_and_never_oversleeps_its_deadline(monkeypatch):
-    """A reader waits in short sleeps first (a reply is usually a moment
-    away), then — idle — in long ones, so an idle worker costs ~1 % of a CPU
-    instead of 7 %; the last sleep is cut to what is left of the timeout."""
+def test_idle_reader_waits_on_its_bell_until_the_deadline(monkeypatch):
+    """An idle reader blocks on its doorbell for what is left of the
+    timeout and returns ``False`` exactly at the deadline, never sleeping."""
     from repro.sim.sharded import shm
 
     clock = _FakeClock()
     monkeypatch.setattr(shm, "time", clock)
-    _left, right = make_pair()
+    _left, right = make_pair(bells=(clock, clock))
     assert not right.poll(0.05)
-    short, long_ = shm._SPIN_SLEEP, shm._IDLE_SLEEP
-    assert clock.sleeps[:shm._IDLE_AFTER] == [short] * shm._IDLE_AFTER
-    assert set(clock.sleeps[shm._IDLE_AFTER:-1]) == {long_}
-    assert 0 < clock.sleeps[-1] <= long_
     assert clock.now - 100.0 == pytest.approx(0.05)
-    assert len(clock.sleeps) < 0.05 / short / 4
+    assert clock.waits == [pytest.approx(0.05)]
+    assert clock.sleeps == []
 
 
-def test_bytes_of_a_streaming_frame_reset_the_idle_backoff(monkeypatch):
-    from repro.sim.sharded import shm
-
-    payload = pickle.dumps("late")
-    frame = FRAME_HEADER.pack(FRAME_MAGIC, len(payload),
-                              crc32(payload)) + payload
-    arrives = shm._IDLE_AFTER + 3   # well into the long sleeps
-
-    def on_sleep(count):
-        if count == arrives:
-            _write_raw(left, frame[:5])
-        elif count == arrives + 4:
-            _write_raw(left, frame[5:])
-
-    clock = _FakeClock(on_sleep)
-    monkeypatch.setattr(shm, "time", clock)
+def test_a_frame_from_another_thread_wakes_a_blocked_reader():
     left, right = make_pair()
-    assert right.poll(1.0)
+    woke = []
+
+    def reader():
+        start = time.monotonic()
+        woke.append((right.poll(5.0), time.monotonic() - start))
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    time.sleep(0.05)   # let the reader block on its bell
+    left.send("late")
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    [(ready, waited)] = woke
+    assert ready
+    assert waited < 0.5, f"reader woke {waited:.3f}s after its poll began"
     assert right.recv() == "late"
-    assert clock.sleeps[arrives - 1] == shm._IDLE_SLEEP
-    assert clock.sleeps[arrives:] == [shm._SPIN_SLEEP] * 4
+
+
+def test_reader_blocked_on_its_bell_notices_dead_peer():
+    left, right = make_pair()
+    alive = [True]
+    right.set_peer_alive(lambda: alive[0])
+    raised = []
+
+    def reader():
+        try:
+            right.recv()
+        except ShmPeerGoneError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    time.sleep(0.1)    # several liveness slices on an idle bell
+    assert thread.is_alive() and not raised
+    alive[0] = False
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert len(raised) == 1
+
+
+class _CountingBell:
+    """A doorbell that counts successful acquires and releases."""
+
+    def __init__(self):
+        self._bell = threading.Semaphore(0)
+        self.releases = 0
+        self.acquires = 0
+
+    def release(self):
+        self.releases += 1
+        self._bell.release()
+
+    def acquire(self, timeout=None):
+        got = self._bell.acquire(timeout=timeout)
+        self.acquires += got
+        return got
+
+
+def test_every_release_is_matched_by_one_acquire():
+    """After many round trips, and one idle wait per reader, each bell has
+    been acquired exactly as often as it was rung: tokens never pile up."""
+    bells = (_CountingBell(), _CountingBell())
+    left, right = make_pair(bells=bells)
+
+    def echo():
+        for _ in range(1000):
+            right.send(right.recv())
+
+    thread = threading.Thread(target=echo)
+    thread.start()
+    for number in range(1000):
+        left.send(number)
+        assert left.recv() == number
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert not left.poll(0.01) and not right.poll(0.01)
+    for bell in bells:
+        assert bell.releases == 1000   # one chunk per frame
+        assert bell.acquires == bell.releases
 
 
 def test_send_on_closed_channel_raises():

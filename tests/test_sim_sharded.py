@@ -19,6 +19,7 @@ Covers the tentpole contracts of ``repro.sim.sharded``:
 from __future__ import annotations
 
 import logging
+import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -160,6 +161,25 @@ def test_shard_counts_reproduce_classic_metrics(bulk_workload,
     assert sharded[0] == classic_outcome[0]  # summary metrics
     assert sharded[1] == classic_outcome[1]  # every delivery record
     assert sharded[2] == classic_outcome[2]  # every simulator counter
+
+
+@needs_shm
+@pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
+                    reason="no spawn start method on this platform")
+def test_spawned_shm_workers_reproduce_the_forked_run(bulk_workload,
+                                                      monkeypatch):
+    """Spawned workers must unpickle everything the shm transport hands
+    them, the segment pair's doorbells included, and deliver the same."""
+    from repro.sim.sharded import coordinator
+
+    space, subs, stream = bulk_workload
+    options = {"shards": 2, "transport": "shm"}
+    forked = _drive_backend("drtree:sharded", subs, space, stream[:20],
+                            engine_options=options)
+    monkeypatch.setattr(coordinator, "_pick_context",
+                        lambda: multiprocessing.get_context("spawn"))
+    assert _drive_backend("drtree:sharded", subs, space, stream[:20],
+                          engine_options=options) == forked
 
 
 def test_single_shard_regime_delegates_full_facade_surface():
