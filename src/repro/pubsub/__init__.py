@@ -13,7 +13,7 @@ This subpackage provides the user-facing facade of the reproduction:
   what *should* have been delivered.
 """
 
-from repro.pubsub.accounting import DeliveryAccounting, DeliveryRecord, EventOutcome
+from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
 from repro.pubsub.api import PubSubSystem
 from repro.pubsub.engines import (EngineSpec, UnknownEngineError, engine_names,
                                   get_engine, register_engine)
@@ -22,7 +22,6 @@ from repro.pubsub.matching import matching_subscribers
 __all__ = [
     "PubSubSystem",
     "DeliveryAccounting",
-    "DeliveryRecord",
     "EventOutcome",
     "EngineSpec",
     "UnknownEngineError",

@@ -2,15 +2,15 @@
 
 The paper's headline accuracy claims are that the DR-tree "eradicates the
 false negatives and drastically drops the false positives" (2-3 % for most
-workloads, per the companion technical report).  The accounting layer records
-every reception reported by the peers and compares it against the ground
-truth computed by :mod:`repro.pubsub.matching`.
+workloads, per the companion technical report).  The accounting layer folds
+every reception reported by the peers into per-event outcomes and compares
+them against the ground truth computed by :mod:`repro.pubsub.matching`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional, Set
 
 from repro.spatial.filters import Event, Subscription
 from repro.pubsub.matching import matching_subscribers
@@ -18,7 +18,14 @@ from repro.pubsub.matching import matching_subscribers
 
 @dataclass
 class DeliveryRecord:
-    """One reception of an event by one subscriber."""
+    """One reception of an event by one subscriber.
+
+    Kept for restore only: snapshots written before the accounting kept
+    running hop totals pickle a list of these, and unpickling names this
+    class here.  :meth:`DeliveryAccounting.__setstate__` folds such a list
+    into the totals.  It stays until one snapshot-compatibility module
+    absorbs the old pickle layouts.
+    """
 
     event_id: str
     subscriber_id: str
@@ -50,11 +57,33 @@ class EventOutcome:
 
 
 class DeliveryAccounting:
-    """Collects delivery records and summarizes accuracy metrics."""
+    """Collects per-event outcomes and summarizes accuracy metrics.
+
+    Beside the outcomes it keeps three running hop totals instead of one
+    record per delivery, so its size grows with the events published, not
+    with the deliveries they caused.  The totals are ``int``: their quotient
+    is the same float a sum over a list of hop counts gave.
+    """
 
     def __init__(self) -> None:
-        self.records: List[DeliveryRecord] = []
         self.outcomes: Dict[str, EventOutcome] = {}
+        #: Sum and number of the hop counts of matched deliveries.
+        self.matched_hops = 0
+        self.matched_deliveries = 0
+        #: Largest hop count of any delivery, matched or not.
+        self.max_hops = 0
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Snapshots written before the running totals pickle one
+        # ``DeliveryRecord`` per delivery; fold them into the totals.
+        self.__dict__.update(state)
+        records = self.__dict__.pop("records", None)
+        if records is not None:
+            matched = [record.hops for record in records if record.matched]
+            self.matched_hops = sum(matched)
+            self.matched_deliveries = len(matched)
+            self.max_hops = max((record.hops for record in records),
+                                default=0)
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -78,10 +107,11 @@ class DeliveryAccounting:
     def record_delivery(self, subscriber_id: str, event: Event,
                         matched: bool, hops: int) -> None:
         """Callback installed on every peer (the ``delivery_listener``)."""
-        self.records.append(
-            DeliveryRecord(event_id=event.event_id, subscriber_id=subscriber_id,
-                           matched=matched, hops=hops)
-        )
+        if matched:
+            self.matched_hops += hops
+            self.matched_deliveries += 1
+        if hops > self.max_hops:
+            self.max_hops = hops
         outcome = self.outcomes.get(event.event_id)
         if outcome is None:
             return
@@ -144,12 +174,13 @@ class DeliveryAccounting:
 
     def mean_delivery_hops(self) -> float:
         """Average hop count over true deliveries."""
-        hops = [r.hops for r in self.records if r.matched]
-        return sum(hops) / len(hops) if hops else 0.0
+        if not self.matched_deliveries:
+            return 0.0
+        return self.matched_hops / self.matched_deliveries
 
     def max_delivery_hops(self) -> int:
         """Worst-case hop count over all deliveries."""
-        return max((r.hops for r in self.records), default=0)
+        return self.max_hops
 
     def summary(self, population: int) -> Dict[str, float]:
         """All headline numbers in one dictionary (used by the experiments)."""

@@ -58,7 +58,10 @@ def read_trace(path: Union[str, Path]) -> Trace:
     """Read and validate the trace stored at ``path``."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8", errors="strict")
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace file {path} is not UTF-8: "
+                               f"{exc.reason} at byte {exc.start}") from exc
     return loads_trace(text)

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from repro.overlay.config import DRTreeConfig
-from repro.spatial.filters import AttributeSpace, Subscription, make_space, subscription_from_rect
+from repro.pubsub.accounting import DeliveryAccounting
+from repro.spatial.filters import (AttributeSpace, Event, Subscription, make_space,
+                                   subscription_from_rect)
 from repro.spatial.rectangle import Rect
 
 
@@ -45,3 +47,33 @@ def rand_subs(space):
         return random_subscriptions(space, count, seed=seed, max_extent=max_extent)
 
     return factory
+
+
+class RecordingAccounting(DeliveryAccounting):
+    """Delivery accounting that also keeps every delivery it is told of.
+
+    The facade keeps only outcomes and running hop totals; tests that compare
+    who received what at how many hops across engines read ``deliveries``,
+    one ``(event_id, subscriber_id, matched, hops)`` tuple per delivery.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.deliveries: list[tuple[str, str, bool, int]] = []
+
+    def record_delivery(self, subscriber_id: str, event: Event,
+                        matched: bool, hops: int) -> None:
+        self.deliveries.append((event.event_id, subscriber_id, matched, hops))
+        super().record_delivery(subscriber_id, event, matched, hops)
+
+
+def record_deliveries(broker) -> RecordingAccounting:
+    """Install a :class:`RecordingAccounting` on a broker with no subscriber.
+
+    Every engine's peers get the facade's ``accounting.record_delivery`` as
+    their ``delivery_listener`` when they subscribe, so the recorder must be
+    in place before the first subscribe to see every delivery.
+    """
+    assert not broker.subscribers(), "install the recorder before subscribing"
+    broker.accounting = RecordingAccounting()
+    return broker.accounting

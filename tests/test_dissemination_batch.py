@@ -26,19 +26,18 @@ from repro.spatial.filters import (Event, make_space, subscription_from_interval
 from repro.spatial.rectangle import Point, Rect
 from repro.workloads.events import targeted_events, uniform_events
 from repro.workloads.subscriptions import uniform_subscriptions
+from tests.conftest import record_deliveries
 
 
 def _publish_and_snapshot(workload, events, seed, engine):
     """Run one mode end to end; return everything observable about it."""
     system = PubSubSystem(workload.space, seed=seed, engine=engine)
+    recorder = record_deliveries(system)
     system.subscribe_all(workload)
     subscribers = system.subscribers()
     for index, event in enumerate(events):
         system.publish(event, publisher_id=subscribers[index % len(subscribers)])
-    records = sorted(
-        (record.event_id, record.subscriber_id, record.matched, record.hops)
-        for record in system.accounting.records
-    )
+    records = sorted(recorder.deliveries)
     outcomes = {
         event_id: (sorted(outcome.received), sorted(outcome.false_positives),
                    outcome.messages, outcome.max_hops)
@@ -218,13 +217,14 @@ def _assert_fan_out_matches_model(workload, seed, rounds=2):
                 for p in publishers}) == structure.simulation.height()
     for engine in ("classic", "batched"):
         system = PubSubSystem(workload.space, seed=seed, engine=engine)
+        recorder = record_deliveries(system)
         system.subscribe_all(workload)
         for index, event in enumerate(events):
             system.publish(event,
                            publisher_id=publishers[index % len(publishers)])
         observed = {event.event_id: {} for event in events}
-        for record in system.accounting.records:
-            observed[record.event_id][record.subscriber_id] = record.hops
+        for event_id, subscriber_id, _, hops in recorder.deliveries:
+            observed[event_id][subscriber_id] = hops
         for event in events:
             assert observed[event.event_id] == expected[event.event_id], (
                 engine, event.event_id)

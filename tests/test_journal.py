@@ -19,6 +19,7 @@ The load-bearing tests here enforce the journal subsystem's contract
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from repro.traces.replay import dump_metrics
 PARAMS = {"peers": 24, "events": 12, "seed": 7, "backend": "drtree:classic"}
 TOTAL_OPS = 1 + PARAMS["events"]
 SNAPSHOT_EVERY = 5
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def journaled_run(path: Path, seal: bool, snapshot_every: int = SNAPSHOT_EVERY):
@@ -184,6 +186,30 @@ def test_mid_file_damage_is_never_a_torn_write(sealed_journal, tmp_path):
                        encoding="utf-8")
     with pytest.raises(JournalCorruptError, match="mid-file damage"):
         read_journal(damaged)
+
+
+#: The first float literal of a line (hashes are hex, with no ``.``).
+_FLOAT = re.compile(r"-?\d+\.\d+(?:[eE][-+]?\d+)?")
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "NaN", "Infinity"])
+def test_a_non_finite_number_is_a_typed_journal_error(tmp_path, strict,
+                                                      literal):
+    """Regression: ``1e999`` in an op line raised a bare ``ValueError``.
+
+    ``json.loads`` read it as ``inf``, and the hash check's canonical
+    re-dump (``allow_nan=False``) then failed untyped, in both modes.
+    """
+    lines = (GOLDEN_DIR / "synth-mixed.journal").read_bytes().split(b"\n")
+    index = next(i for i, line in enumerate(lines)
+                 if b'"rec":"op"' in line and _FLOAT.search(line.decode()))
+    lines[index] = _FLOAT.sub(literal, lines[index].decode(),
+                              count=1).encode()
+    mutant = tmp_path / "mutant.journal"
+    mutant.write_bytes(b"\n".join(lines))
+    with pytest.raises(JournalCorruptError, match="non-finite number"):
+        read_journal(mutant, strict=strict)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overlay import DRTreeConfig
 from repro.pubsub import DeliveryAccounting, PubSubSystem
+from repro.pubsub.accounting import DeliveryRecord
 from repro.pubsub.matching import matching_matrix, matching_subscribers
 from repro.spatial.filters import Event, make_space, subscription_from_rect
 from repro.spatial.rectangle import Rect
@@ -16,7 +22,8 @@ from repro.workloads.paper_example import (
     paper_events,
     paper_subscriptions,
 )
-from tests.conftest import random_subscriptions
+from repro.workloads.subscriptions import uniform_subscriptions
+from tests.conftest import random_subscriptions, record_deliveries
 
 
 @pytest.fixture
@@ -111,6 +118,7 @@ def test_a_publish_that_raises_leaves_no_phantom_outcome(space, engine,
     with recording() as recorder:
         system = PubSubSystem(space, seed=1, engine=engine,
                               engine_options=options)
+        accounting = record_deliveries(system)
         system.subscribe_all(random_subscriptions(space, 10, seed=3))
         hit = system.subscription_of("S0").rect.center.coords
         good = Event({"x": hit[0], "y": hit[1]})
@@ -123,7 +131,7 @@ def test_a_publish_that_raises_leaves_no_phantom_outcome(space, engine,
                                  good])
         # Only the first element of the batch happened.
         assert list(system.accounting.outcomes) == ["event-0"]
-        assert {r.event_id for r in system.accounting.records} == {"event-0"}
+        assert {delivery[0] for delivery in accounting.deliveries} == {"event-0"}
         summary = system.summary()
         assert summary["events"] == 1
         assert summary["false_negatives"] == 0
@@ -276,3 +284,72 @@ def test_accounting_rates_on_empty_history():
     assert accounting.false_positive_rate(10) == 0.0
     assert accounting.delivery_rate() == 1.0
     assert accounting.mean_messages_per_event() == 0.0
+
+
+#: Random delivery streams: one ``(matched, hops)`` pair per delivery.
+DELIVERY_STREAMS = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=10**6)),
+    max_size=200)
+
+
+def _list_hop_stats(stream):
+    """Mean and max hops as computed from one record per delivery."""
+    matched = [hops for is_match, hops in stream if is_match]
+    mean = sum(matched) / len(matched) if matched else 0.0
+    return mean, max((hops for _, hops in stream), default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=DELIVERY_STREAMS)
+def test_running_hop_totals_equal_the_per_delivery_computation(stream):
+    accounting = DeliveryAccounting()
+    event = Event({"x": 0.5, "y": 0.5}, event_id="e")
+    for index, (matched, hops) in enumerate(stream):
+        accounting.record_delivery(f"S{index}", event, matched, hops)
+    expected = _list_hop_stats(stream)
+    assert (accounting.mean_delivery_hops(),
+            accounting.max_delivery_hops()) == expected
+    restored = pickle.loads(pickle.dumps(accounting))
+    assert (restored.mean_delivery_hops(),
+            restored.max_delivery_hops()) == expected
+    # A snapshot written while the accounting kept one record per delivery
+    # restores into the same totals.
+    legacy = DeliveryAccounting.__new__(DeliveryAccounting)
+    legacy.__setstate__({
+        "records": [DeliveryRecord("e", f"S{index}", matched, hops)
+                    for index, (matched, hops) in enumerate(stream)],
+        "outcomes": {},
+    })
+    assert not hasattr(legacy, "records")
+    assert (legacy.mean_delivery_hops(),
+            legacy.max_delivery_hops()) == expected
+
+
+def _bytes_beside_outcomes(accounting):
+    """Pickled size of the accounting with its outcomes left out.
+
+    The outcomes grow by one entry per event on purpose; everything else the
+    accounting pickles must not grow with the deliveries.  (Subtracting the
+    outcomes' own pickle from the whole drifts by a few bytes per hundred
+    events, because the pickle memo numbers the shared strings differently.)
+    """
+    bare = copy.copy(accounting)
+    bare.outcomes = {}
+    return len(pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def test_accounting_does_not_keep_a_history_of_deliveries():
+    population = uniform_subscriptions(520, seed=1)
+    subscriptions = list(population)
+    broker = PubSubSystem(population.space, seed=1, engine="batched")
+    broker.subscribe_all(subscriptions)
+    events = targeted_events(population.space, subscriptions, 550, seed=1)
+    broker.publish_many(events[:50])
+    early = _bytes_beside_outcomes(broker.accounting)
+    broker.publish_many(events[50:])
+    late = _bytes_beside_outcomes(broker.accounting)
+    # Only the widths of the three hop totals may change ...
+    assert abs(late - early) <= 8, (early, late)
+    # ... over thousands of deliveries.
+    assert sum(len(outcome.received)
+               for outcome in broker.accounting.outcomes.values()) > 3000

@@ -52,6 +52,7 @@ from repro.sim.sharded import shm_available
 from repro.spatial.filters import subscription_from_intervals
 from repro.workloads.events import targeted_events
 from repro.workloads.subscriptions import uniform_subscriptions
+from tests.conftest import record_deliveries
 
 CONFIG = DRTreeConfig(min_children=2, max_children=4)
 
@@ -90,6 +91,7 @@ def interpret(backend, ops, engine_options=None, seed=13):
     spec = SystemSpec(space=SPACE, backend=backend, config=CONFIG, seed=seed,
                       engine_options=engine_options)
     broker = spec.build()
+    recorder = record_deliveries(broker)
     active = list(broker.subscribe_all(BASE_SUBS))
     joined = 0
     for kind, value in ops:
@@ -116,8 +118,7 @@ def interpret(backend, ops, engine_options=None, seed=13):
     outcome = (
         broker.summary(),
         sorted(broker.subscribers()),
-        sorted((r.event_id, r.subscriber_id, r.matched, r.hops)
-               for r in broker.accounting.records),
+        sorted(recorder.deliveries),
         {name: count
          for name, count in broker.simulation.metrics.counters().items()
          if not name.startswith("shard.")},

@@ -42,6 +42,7 @@ from repro.spatial.filters import Event, subscription_from_intervals
 from repro.workloads.events import targeted_events
 from repro.workloads.subscriptions import (mixed_subscriptions,
                                            uniform_subscriptions)
+from tests.conftest import record_deliveries
 
 CONFIG = DRTreeConfig(min_children=4, max_children=8)
 
@@ -52,12 +53,12 @@ def _drive_backend(backend, subs, space, stream, seed=3, config=CONFIG,
     spec = SystemSpec(space=space, backend=backend, config=config, seed=seed,
                       engine_options=engine_options)
     broker = spec.build()
+    recorder = record_deliveries(broker)
     broker.subscribe_all(subs)
     broker.publish_many(stream)
     outcome = (
         broker.summary(),
-        sorted((r.event_id, r.subscriber_id, r.matched, r.hops)
-               for r in broker.accounting.records),
+        sorted(recorder.deliveries),
         {name: value
          for name, value in broker.simulation.metrics.counters().items()
          if not name.startswith("shard.")},
@@ -194,6 +195,7 @@ def test_single_shard_regime_delegates_full_facade_surface():
                           config=config, seed=0,
                           engine_options=engine_options)
         broker = spec.build()
+        recorder = record_deliveries(broker)
         ids = broker.subscribe_all(subs)
         broker.publish_many(stream[:5])
         broker.unsubscribe(ids[3])
@@ -205,8 +207,7 @@ def test_single_shard_regime_delegates_full_facade_surface():
         broker.publish_many(stream[5:])
         outcome = (broker.summary(), broker.overlay_height(),
                    sorted(broker.subscribers()),
-                   sorted((r.event_id, r.subscriber_id, r.matched, r.hops)
-                          for r in broker.accounting.records))
+                   sorted(recorder.deliveries))
         close = getattr(broker.simulation, "close", None)
         if close is not None:
             close()
@@ -247,14 +248,14 @@ def test_multi_shard_crash_reproduces_classic(victim_kind):
                           config=CONFIG, seed=5,
                           engine_options=engine_options)
         broker = spec.build()
+        recorder = record_deliveries(broker)
         broker.subscribe_all(subs)
         broker.publish_many(stream[:4])
         broker.fail(victim)
         report = broker.stabilize()
         broker.publish_many(stream[4:])
         outcome = (broker.summary(), report.is_legal,
-                   sorted((r.event_id, r.subscriber_id, r.matched, r.hops)
-                          for r in broker.accounting.records))
+                   sorted(recorder.deliveries))
         close = getattr(broker.simulation, "close", None)
         if close is not None:
             close()
@@ -283,6 +284,7 @@ def test_multi_shard_membership_churn_matches_classic(bulk_workload,
         spec = SystemSpec(space=space, backend=backend, config=CONFIG,
                           seed=3, engine_options=engine_options)
         broker = spec.build()
+        recorder = record_deliveries(broker)
         ids = broker.subscribe_all(subs)
         broker.publish_many(stream[:10])
         for index in range(2):
@@ -294,8 +296,7 @@ def test_multi_shard_membership_churn_matches_classic(bulk_workload,
         broker.unsubscribe("late-joiner-0")
         broker.publish_many(stream[10:])
         outcome = (broker.summary(), sorted(broker.subscribers()),
-                   sorted((r.event_id, r.subscriber_id, r.matched, r.hops)
-                          for r in broker.accounting.records))
+                   sorted(recorder.deliveries))
         close = getattr(broker.simulation, "close", None)
         if close is not None:
             close()

@@ -226,6 +226,15 @@ def test_an_old_batched_snapshot_restores_and_finishes_the_stream():
                    for peer in broker.simulation.live_peers())
     broker.publish_many(STREAM[200:])
     assert delivered_digest(broker) == STREAM_DIGEST
+    # The blob pickles one record per delivery; restoring folds them into
+    # the running hop totals, so every summary figure comes out as if the
+    # whole stream had been published without a restore.
+    assert not hasattr(broker.accounting, "records")
+    uninterrupted = SystemSpec(POPULATION.space, backend="drtree:batched",
+                               seed=SEED).build()
+    uninterrupted.subscribe_all(SUBSCRIPTIONS)
+    uninterrupted.publish_many(STREAM)
+    assert broker.summary() == uninterrupted.summary()
 
 
 def test_a_leaf_join_costs_one_verifier_pass(broker, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.traces.format import (event_from_json, event_to_json,
                                  subscription_from_json, subscription_to_json)
 
 SPACE = make_space("x", "y")
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -305,6 +307,16 @@ def test_read_trace_missing_file_is_typed(tmp_path):
     with pytest.raises(TraceFormatError) as excinfo:
         read_trace(tmp_path / "absent.jsonl")
     assert "cannot read" in str(excinfo.value)
+
+
+def test_read_trace_of_non_utf8_bytes_is_typed(tmp_path):
+    """Regression: a ``0xff 0xfe`` pair raised ``UnicodeDecodeError``."""
+    golden = (GOLDEN_DIR / "hotspot.jsonl").read_bytes()
+    middle = golden.index(b"\n", len(golden) // 2) + 1
+    mutant = tmp_path / "mutant.jsonl"
+    mutant.write_bytes(golden[:middle] + b"\xff\xfe" + golden[middle:])
+    with pytest.raises(TraceFormatError, match="not UTF-8"):
+        read_trace(mutant)
 
 
 def test_oprecord_rejects_unknown_op_at_construction():
