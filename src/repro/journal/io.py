@@ -22,7 +22,6 @@ The reader walks the hash chain front to back.  Its torn-tail policy:
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,22 +33,10 @@ from repro.journal.records import (GENESIS_HASH, JOURNAL, JournalHeader,
                                    parse_journal_header, parse_snapshot,
                                    seal_record)
 from repro.traces.format import OpRecord, SystemRecord, parse_op, parse_system
-from repro.traces.io import dump_record
+from repro.traces.io import UnwritableNumber, dump_record, load_record
 
 #: Record kinds whose durability matters enough to always fsync.
 _SYNC_KINDS = frozenset({"snapshot", "final", "close"})
-
-
-class _NonFiniteNumber(ValueError):
-    """A JSON number the writer cannot have produced (``NaN``, ``1e999``)."""
-
-
-def _finite_float(text: str) -> float:
-    """Parse a JSON float literal or constant, rejecting non-finite ones."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise _NonFiniteNumber(text)
-    return value
 
 
 class JournalWriter:
@@ -218,20 +205,18 @@ def read_journal(path: Union[str, Path], strict: bool = False) -> Journal:
     ops_in_seg: Dict[int, int] = {}
     for index, (number, chunk, end) in enumerate(lines):
         try:
-            # The writer dumps with allow_nan=False, so a non-finite number
-            # is damage; rejecting it here keeps it out of the hash check,
-            # whose canonical re-dump would fail on it untyped.
-            raw = json.loads(chunk.decode("utf-8"),
-                             parse_constant=_finite_float,
-                             parse_float=_finite_float)
+            # A number the writer cannot have dumped is damage; rejecting
+            # it here keeps it out of the hash check, whose canonical
+            # re-dump would fail on it untyped.
+            raw = load_record(chunk.decode("utf-8"))
             if not isinstance(raw, dict):
                 raise JournalFormatError(
                     f"each line must be a JSON object, "
                     f"got {type(raw).__name__}", line=number)
-        except _NonFiniteNumber as exc:
+        except UnwritableNumber as exc:
             raise JournalCorruptError(
-                f"record holds the non-finite number {exc}, which no journal "
-                f"writer emits", line=number) from exc
+                f"record holds a {exc}, which no journal writer emits",
+                line=number) from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             last = index == len(lines) - 1
             if last and not strict and index > 0:

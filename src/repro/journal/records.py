@@ -50,7 +50,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.journal.errors import JournalCorruptError, JournalFormatError
 from repro.traces.format import (Envelope, OpRecord, SystemRecord, _require,
-                                 parse_header)
+                                 number_to_float, parse_header)
 from repro.traces.io import dump_record
 
 #: The journal format identifier written into every header.
@@ -197,7 +197,9 @@ def parse_snapshot(raw: Mapping[str, Any], line: int) -> JournalSnapshot:
     return JournalSnapshot(
         seg=_require(raw, "seg", (int,), line, "snapshot", error),
         ops=_require(raw, "ops", (int,), line, "snapshot", error),
-        t=float(_require(raw, "t", (int, float), line, "snapshot", error)),
+        t=number_to_float(_require(raw, "t", (int, float), line, "snapshot",
+                                   error), "snapshot record field 't'", error,
+                          line),
         blob=decode_state(state, digest, line=line),
     )
 

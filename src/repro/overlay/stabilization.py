@@ -32,10 +32,16 @@ from repro.sim.messages import Message
 from repro.spatial.rectangle import Rect
 
 
+#: The smallest :meth:`StabilizationMixin._root_distance_bound` of any
+#: population: a distance at or below it never needs the population size.
+_MIN_DISTANCE_BOUND = 16
+
+
 @lru_cache(maxsize=None)
 def _distance_bound_for(population: int) -> int:
     """:meth:`StabilizationMixin._root_distance_bound` of a population size."""
-    return max(16, 6 + 2 * int(math.ceil(math.log2(population))))
+    return max(_MIN_DISTANCE_BOUND,
+               6 + 2 * int(math.ceil(math.log2(population))))
 
 
 class StabilizationMixin:
@@ -63,6 +69,13 @@ class StabilizationMixin:
             self.start_join()
             return
         instances = self.instances
+        if len(instances) == 1:
+            # Only the leaf: CHECK_CHILDREN and CHECK_COVER return at a
+            # leaf, and nothing before CHECK_PARENT changes the levels.
+            self.check_mbr(0)
+            self.check_parent(0)
+            self.check_structure()
+            return
         levels = sorted(instances)
         for level in levels:
             if level not in instances:
@@ -97,7 +110,8 @@ class StabilizationMixin:
         if instance is None:
             return
         correct = instance.computed_mbr(self.filter_rect)
-        if instance.mbr.as_tuple() != correct.as_tuple():
+        if (instance.mbr is not correct
+                and instance.mbr.as_tuple() != correct.as_tuple()):
             self.metrics.increment("stabilization.mbr_repairs")
             instance.mbr = correct
 
@@ -193,14 +207,13 @@ class StabilizationMixin:
             instance.missed_parent_acks = 0
             instance.root_distance = self.instances[level + 1].root_distance + 1
             return
-        is_top = level == self.top_level()
         if instance.parent == self.process_id or instance.parent is None:
             if instance.parent is None:
                 instance.parent = self.process_id
             instance.parent_confirmed = True
             instance.missed_parent_acks = 0
             instance.root_distance = 0
-            if is_top:
+            if level == self.top_level():
                 if self.joined:
                     self._arbitrate_root(level, instance)
             else:
@@ -210,7 +223,8 @@ class StabilizationMixin:
                 self.metrics.increment("stabilization.gap_rejoins")
                 self.rejoin_subtree(level)
             return
-        if instance.root_distance > self._root_distance_bound():
+        if (instance.root_distance > _MIN_DISTANCE_BOUND
+                and instance.root_distance > self._root_distance_bound()):
             # Detached cycle: every parent on the chain acknowledges its
             # child, yet none of them is the root.  Break out and re-join.
             self.metrics.increment("stabilization.cycle_rejoins")
@@ -267,25 +281,25 @@ class StabilizationMixin:
     def handle_parent_query(self, message: Message) -> None:
         """Parent side of CHECK_PARENT: confirm or disown the querying child."""
         child = message.sender
-        child_level = int(message.payload["level"])
+        payload = message.payload
+        child_level = int(payload["level"])
         level = child_level + 1
         instance = self.instances.get(level)
         if instance is None or child not in instance.children:
             self.send(child, msg.PARENT_NACK, level=child_level)
             return
         info = instance.children[child]
-        bounds = (tuple(message.payload["lower"]),
-                  tuple(message.payload["upper"]))
+        bounds = (tuple(payload["lower"]), tuple(payload["upper"]))
         # A refresh usually repeats what is cached: keep that (validated)
         # object, so the union memo below hits on identity.
         child_mbr = info.mbr if bounds == info.mbr.as_tuple() else Rect(*bounds)
         instance.add_child(
             child,
             child_mbr,
-            int(message.payload.get("child_count", 0)),
+            int(payload.get("child_count", 0)),
             self.round_number,
         )
-        info.underloaded = bool(message.payload.get("underloaded", False))
+        info.underloaded = bool(payload.get("underloaded", False))
         instance.mbr = instance.computed_mbr(self.filter_rect)
         self.send(child, msg.PARENT_ACK, level=child_level,
                   root_distance=instance.root_distance + 1)

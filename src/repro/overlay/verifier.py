@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+from typing import (Callable, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
 from repro.overlay.peer import DRTreePeer
@@ -58,6 +58,17 @@ class VerificationReport:
         )
 
 
+class _Illegal(Exception):
+    """Raised by the first violation a legality-only walk records."""
+
+
+class _FirstViolation(list):
+    """A violation list that ends the walk instead of growing."""
+
+    def append(self, violation: str) -> None:
+        raise _Illegal
+
+
 class OverlayVerifier:
     """Checks a set of DR-tree peers against the paper's legal-state definition."""
 
@@ -66,7 +77,7 @@ class OverlayVerifier:
         self.max_children = max_children
 
     # ------------------------------------------------------------------ #
-    # Main entry point
+    # Entry points
     # ------------------------------------------------------------------ #
 
     def verify(self, peers: Sequence[DRTreePeer],
@@ -78,192 +89,171 @@ class OverlayVerifier:
         graph is quadratic in the number of peers and the properties are not
         part of Definition 3.1's legality.
         """
+        report = self._walk(peers, list)
+        if check_containment and report.peer_count:
+            live = [peer for peer in peers if peer.alive]
+            self._check_containment_awareness(
+                live, {peer.process_id: peer for peer in live}, report)
+        return report
+
+    def legal_report(self, peers: Sequence[DRTreePeer]
+                     ) -> Optional[VerificationReport]:
+        """:meth:`verify`'s report when ``peers`` are legal, else ``None``.
+
+        The same walk, abandoned at the first violation: a caller that only
+        acts on a legal configuration (the stabilize fixpoint) pays for an
+        illegal one only up to the first fault it finds.
+        """
+        try:
+            return self._walk(peers, _FirstViolation)
+        except _Illegal:
+            return None
+
+    # ------------------------------------------------------------------ #
+    # The walk
+    # ------------------------------------------------------------------ #
+
+    def _walk(self, peers: Sequence[DRTreePeer],
+              violations: Callable[[], List[str]]) -> VerificationReport:
+        """Check Definition 3.1 in one pass over the live peers.
+
+        Each check appends to its own list, made by ``violations``, and the
+        report concatenates them in a fixed order (root, membership, degrees,
+        coherence, MBRs, cover, reachability): the order one pass per check
+        would list them in.  After the walk, one descent from the root checks
+        that every live peer is reachable from it.
+        """
         live = [peer for peer in peers if peer.alive]
         report = VerificationReport(peer_count=len(live))
         if not live:
             return report
         by_id = {peer.process_id: peer for peer in live}
+        membership, degrees, coherence = violations(), violations(), violations()
+        mbrs, cover = violations(), violations()
+        max_children, min_children = self.max_children, self.min_children
+        several = len(live) > 1
+        roots: List[str] = []
+        max_degree = min_internal_degree = 0
+        state_total = max_state_size = 0
 
-        roots = self._find_roots(live)
-        if len(roots) != 1:
-            report.violations.append(
-                f"expected exactly one root, found {sorted(roots)}"
-            )
-        if roots:
-            report.root = sorted(roots)[0]
-
-        self._check_membership(live, by_id, report)
-        self._check_degrees(live, report)
-        self._check_coherence(live, by_id, report)
-        self._check_mbrs(live, by_id, report)
-        self._check_cover(live, by_id, report)
-        self._check_reachability_and_balance(live, by_id, report)
-        if check_containment:
-            self._check_containment_awareness(live, by_id, report)
-        self._collect_stats(live, report)
-        return report
-
-    # ------------------------------------------------------------------ #
-    # Individual checks
-    # ------------------------------------------------------------------ #
-
-    def _find_roots(self, live: Sequence[DRTreePeer]) -> Set[str]:
-        roots: Set[str] = set()
         for peer in live:
-            if not peer.instances:
+            pid = peer.process_id
+            instances = peer.instances
+            joined = peer.joined
+            if not joined:
+                membership.append(f"{pid} has not joined")
+            state_size = peer.state_size()
+            state_total += state_size
+            if state_size > max_state_size:
+                max_state_size = state_size
+            if not instances:
                 continue
-            top = peer.top_instance()
-            if peer.joined and (top.parent is None or top.parent == peer.process_id):
-                roots.add(peer.process_id)
-        return roots
-
-    def _check_membership(self, live, by_id, report: VerificationReport) -> None:
-        for peer in live:
-            if not peer.joined:
-                report.violations.append(f"{peer.process_id} has not joined")
-
-    def _check_degrees(self, live, report: VerificationReport) -> None:
-        for peer in live:
-            for level, instance in peer.instances.items():
-                if level == 0:
-                    continue
-                degree = len(instance.children)
-                is_root_instance = (
-                    level == peer.top_level()
-                    and (instance.parent == peer.process_id or instance.parent is None)
-                )
-                if degree > self.max_children:
-                    report.violations.append(
-                        f"{peer.process_id}@{level} has {degree} > M children"
-                    )
-                if is_root_instance:
-                    if degree < 2 and report.peer_count > 1:
-                        report.violations.append(
-                            f"root {peer.process_id}@{level} has fewer than 2 children"
-                        )
-                elif degree < self.min_children:
-                    report.violations.append(
-                        f"{peer.process_id}@{level} has {degree} < m children"
-                    )
-
-    def _check_coherence(self, live, by_id, report: VerificationReport) -> None:
-        for peer in live:
-            for level, instance in peer.instances.items():
-                # Children must point back at this peer.
-                for child_id in instance.children:
-                    if child_id == peer.process_id:
-                        continue
+            top_level = max(instances)
+            top_parent = instances[top_level].parent
+            if joined and (top_parent is None or top_parent == pid):
+                roots.append(pid)
+            for level, instance in instances.items():
+                children = instance.children
+                parent = instance.parent
+                mbr = instance.mbr
+                if level:
+                    degree = len(children)
+                    if degree > max_degree:
+                        max_degree = degree
+                    if degree and (not min_internal_degree
+                                   or degree < min_internal_degree):
+                        min_internal_degree = degree
+                    if degree > max_children:
+                        degrees.append(f"{pid}@{level} has {degree} > M children")
+                    if level == top_level and (parent == pid or parent is None):
+                        if degree < 2 and several:
+                            degrees.append(f"root {pid}@{level} has fewer than "
+                                           f"2 children")
+                    elif degree < min_children:
+                        degrees.append(f"{pid}@{level} has {degree} < m children")
+                elif (mbr.lower != peer.filter_rect.lower
+                      or mbr.upper != peer.filter_rect.upper):
+                    mbrs.append(f"leaf MBR of {pid} differs from its filter")
+                # One look at each child serves coherence (it points back
+                # here), the MBR (the union of the children's) and the cover
+                # (no child covers the group better).
+                rects: List[Rect] = []
+                complete = True
+                anchor = None
+                for child_id in children:
                     child = by_id.get(child_id)
-                    if child is None or not child.alive:
-                        report.violations.append(
-                            f"{peer.process_id}@{level} lists dead child {child_id}"
-                        )
-                        continue
-                    child_instance = child.instances.get(level - 1)
+                    child_instance = (None if child is None
+                                      else child.instances.get(level - 1))
                     if child_instance is None:
-                        report.violations.append(
-                            f"child {child_id} lacks an instance at level {level - 1}"
-                        )
-                    elif child_instance.parent != peer.process_id:
-                        report.violations.append(
-                            f"child {child_id}@{level - 1} has parent "
-                            f"{child_instance.parent}, expected {peer.process_id}"
-                        )
-                # The parent must list this peer as a child.
-                if level == peer.top_level():
-                    parent_id = instance.parent
-                    if parent_id and parent_id != peer.process_id:
-                        parent = by_id.get(parent_id)
-                        if parent is None or not parent.alive:
-                            report.violations.append(
-                                f"{peer.process_id}@{level} has dead parent {parent_id}"
-                            )
+                        complete = False
+                        if child_id == pid:
                             continue
-                        parent_instance = parent.instances.get(level + 1)
-                        if (parent_instance is None
-                                or peer.process_id not in parent_instance.children):
-                            report.violations.append(
-                                f"parent {parent_id} does not list "
-                                f"{peer.process_id}@{level} as a child"
-                            )
-
-    def _check_mbrs(self, live, by_id, report: VerificationReport) -> None:
-        for peer in live:
-            for level, instance in peer.instances.items():
-                if level == 0:
-                    if instance.mbr.as_tuple() != peer.filter_rect.as_tuple():
-                        report.violations.append(
-                            f"leaf MBR of {peer.process_id} differs from its filter"
-                        )
-                    continue
-                expected = self._true_child_union(peer, level, by_id)
-                if expected is None:
-                    continue
-                if instance.mbr.as_tuple() != expected.as_tuple():
-                    report.violations.append(
-                        f"MBR of {peer.process_id}@{level} is not the union of its "
-                        f"children's MBRs"
-                    )
-
-    def _true_child_union(self, peer: DRTreePeer, level: int, by_id
-                          ) -> Optional[Rect]:
-        rects: List[Rect] = []
-        instance = peer.instances[level]
-        for child_id in instance.children:
-            child = by_id.get(child_id)
-            if child is None:
-                return None
-            child_instance = child.instances.get(level - 1)
-            if child_instance is None:
-                return None
-            rects.append(child_instance.mbr)
-        if not rects:
-            return None
-        return Rect.union_of(rects)
-
-    def _check_cover(self, live, by_id, report: VerificationReport) -> None:
-        """No child may offer a strictly better cover for the whole group.
-
-        Mirrors the protocol's CHECK_COVER interpretation (see
-        ``repro.overlay.stabilization.StabilizationMixin.check_cover``): a
-        violation is a child whose subtree MBR covers the node's entire MBR
-        while being strictly larger than the node's own subtree below that
-        level — the configuration the cover exchange would still change.
-        """
-        for peer in live:
-            for level, instance in peer.instances.items():
-                if level == 0:
-                    continue
-                below = peer.instances.get(level - 1)
-                anchor = below.mbr.area() if below else peer.filter_rect.area()
-                for child_id in instance.children:
-                    if child_id == peer.process_id:
-                        continue
-                    child = by_id.get(child_id)
-                    if child is None:
-                        continue
-                    child_instance = child.instances.get(level - 1)
-                    if child_instance is None:
+                        if child is None:
+                            coherence.append(
+                                f"{pid}@{level} lists dead child {child_id}")
+                        else:
+                            coherence.append(
+                                f"child {child_id} lacks an instance at level "
+                                f"{level - 1}")
                         continue
                     child_mbr = child_instance.mbr
-                    if not child_mbr.contains_rect(instance.mbr):
+                    rects.append(child_mbr)
+                    if child_id == pid:
                         continue
-                    if child_mbr.area() > anchor and not math.isclose(
-                        child_mbr.area(), anchor
-                    ):
-                        report.violations.append(
-                            f"child {child_id} covers better than "
-                            f"{peer.process_id}@{level}"
-                        )
+                    if child_instance.parent != pid:
+                        coherence.append(
+                            f"child {child_id}@{level - 1} has parent "
+                            f"{child_instance.parent}, expected {pid}")
+                    if level and child_mbr.contains_rect(mbr):
+                        if anchor is None:
+                            below = instances.get(level - 1)
+                            anchor = (below.mbr.area() if below is not None
+                                      else peer.filter_rect.area())
+                        area = child_mbr.area()
+                        if area > anchor and not math.isclose(area, anchor):
+                            cover.append(f"child {child_id} covers better "
+                                         f"than {pid}@{level}")
+                if level and complete and rects:
+                    union = Rect.union_of(rects)
+                    if mbr.lower != union.lower or mbr.upper != union.upper:
+                        mbrs.append(f"MBR of {pid}@{level} is not the union of "
+                                    f"its children's MBRs")
+                # The parent must list this peer as a child.
+                if level == top_level and parent and parent != pid:
+                    parent_peer = by_id.get(parent)
+                    parent_instance = (None if parent_peer is None
+                                       else parent_peer.instances.get(level + 1))
+                    if parent_peer is None:
+                        coherence.append(
+                            f"{pid}@{level} has dead parent {parent}")
+                    elif (parent_instance is None
+                            or pid not in parent_instance.children):
+                        coherence.append(
+                            f"parent {parent} does not list {pid}@{level} "
+                            f"as a child")
 
-    def _check_reachability_and_balance(self, live, by_id,
-                                        report: VerificationReport) -> None:
-        roots = self._find_roots(live)
+        root_violations = violations()
         if len(roots) != 1:
-            return
-        root = by_id[next(iter(roots))]
+            root_violations.append(
+                f"expected exactly one root, found {sorted(roots)}")
+        if roots:
+            report.root = min(roots)
+        reachability = violations()
+        if len(roots) == 1:
+            self._check_reachability(by_id[roots[0]], by_id, reachability,
+                                     report)
+        report.violations = (root_violations + membership + degrees
+                             + coherence + mbrs + cover + reachability)
+        report.max_degree = max_degree
+        report.min_internal_degree = min_internal_degree
+        report.mean_state_size = state_total / len(live)
+        report.max_state_size = max_state_size
+        return report
+
+    def _check_reachability(self, root, by_id, violations: List[str],
+                            report: VerificationReport) -> None:
+        """Every live peer is reached by descending from ``root``."""
         reached: Set[str] = set()
-        leaf_levels: Set[int] = set()
         stack: List[Tuple[str, int]] = [(root.process_id, root.top_level())]
         visited: Set[Tuple[str, int]] = set()
         while stack:
@@ -276,16 +266,13 @@ class OverlayVerifier:
                 continue
             reached.add(peer_id)
             instance = peer.instances.get(level)
-            if instance is None:
-                continue
-            if level == 0:
-                leaf_levels.add(0)
+            if instance is None or level == 0:
                 continue
             for child_id in instance.children:
                 stack.append((child_id, level - 1))
-        unreachable = {p.process_id for p in live} - reached
+        unreachable = by_id.keys() - reached
         if unreachable:
-            report.violations.append(
+            violations.append(
                 f"{len(unreachable)} peers unreachable from the root: "
                 f"{sorted(unreachable)[:5]}..."
                 if len(unreachable) > 5
@@ -349,22 +336,6 @@ class OverlayVerifier:
             level = level + 1
         return ancestors
 
-    def _collect_stats(self, live, report: VerificationReport) -> None:
-        degrees = [
-            len(instance.children)
-            for peer in live
-            for level, instance in peer.instances.items()
-            if level > 0
-        ]
-        internal_degrees = [d for d in degrees if d > 0]
-        state_sizes = [peer.state_size() for peer in live]
-        report.max_degree = max(degrees) if degrees else 0
-        report.min_internal_degree = min(internal_degrees) if internal_degrees else 0
-        report.mean_state_size = (
-            sum(state_sizes) / len(state_sizes) if state_sizes else 0.0
-        )
-        report.max_state_size = max(state_sizes) if state_sizes else 0
-
 
 def structure_signature(peers: Iterable[DRTreePeer]) -> tuple:
     """A hashable snapshot of the overlay's logical structure.
@@ -394,10 +365,15 @@ class StabilizeFixpoint:
     The first signature has nothing to repeat, so even a legal tree gets
     one refresh round.
 
-    ``peers()`` is read once per iteration.  The verifier, a full pass, runs
-    only where its answer is read: when the signature repeats, and at the
-    round cap.  Afterwards :attr:`report` verifies the state the loop
-    leaves, and ``stabilize.rounds`` in ``metrics`` holds the rounds run.
+    ``peers()`` is read once per iteration.  The verifier runs only where
+    its answer is read.  When the signature repeats, only legality matters:
+    :meth:`OverlayVerifier.legal_report` walks the peers and gives up at the
+    first violation (an orphan still waiting out ``parent_silence_rounds``
+    costs a few peers' worth of checks, not a full pass), and a legal state
+    gets the full report from that same walk.  At the round cap the full
+    :meth:`OverlayVerifier.verify` runs, illegal or not.  Afterwards
+    :attr:`report` verifies the state the loop leaves, and
+    ``stabilize.rounds`` in ``metrics`` holds the rounds run.
     """
 
     def __init__(self, peers: Callable[[], Sequence[DRTreePeer]],
@@ -419,8 +395,8 @@ class StabilizeFixpoint:
                 break
             signature = structure_signature(peers)
             if signature == previous_signature:
-                report = self._verifier.verify(peers)
-                if report.is_legal:
+                report = self._verifier.legal_report(peers)
+                if report is not None:
                     self.report = report
                     break
             previous_signature = signature

@@ -31,7 +31,7 @@ class Message:
     kind: str
     payload: Dict[str, Any] = field(default_factory=dict)
     sent_at: float = 0.0
-    message_id: int = field(default_factory=lambda: next(_MESSAGE_IDS))
+    message_id: int = field(default_factory=_MESSAGE_IDS.__next__)
     hops: int = 0
 
     #: Envelopes pickled before the class was slotted (the batched network's

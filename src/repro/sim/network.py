@@ -10,6 +10,7 @@ network partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, TYPE_CHECKING)
 
@@ -20,6 +21,12 @@ from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
+
+
+@lru_cache(maxsize=None)
+def _kind_counter(kind: str) -> str:
+    """The ``network.messages.<kind>`` counter name, formatted once per kind."""
+    return f"network.messages.{kind}"
 
 
 class LatencyModel:
@@ -164,26 +171,30 @@ class Network:
 
     def send(self, message: Message) -> None:
         """Send a message; it is delivered after the latency model's delay."""
-        message.sent_at = self.engine.now
-        self.metrics.increment("network.messages_sent")
-        self.metrics.increment(f"network.messages.{message.kind}")
-        for tap in self._taps:
-            tap(message)
+        now = message.sent_at = self.engine.now
+        metrics = self.metrics
+        metrics.increment("network.messages_sent")
+        metrics.increment(_kind_counter(message.kind))
+        if self._taps:
+            for tap in self._taps:
+                tap(message)
         if message.sender in self._crashed:
-            self.metrics.increment("network.messages_dropped")
+            metrics.increment("network.messages_dropped")
             return
+        # Drawn even at loss 0: the stream's state is part of a snapshot.
         if self._loss_rng.random() < self.loss_rate:
-            self.metrics.increment("network.messages_lost")
+            metrics.increment("network.messages_lost")
             return
-        if self._partitioned(message.sender, message.recipient):
-            self.metrics.increment("network.messages_partitioned")
+        if self._partitions and self._partitioned(message.sender,
+                                                  message.recipient):
+            metrics.increment("network.messages_partitioned")
             return
+        latency = self.latency
         if (self.batch and not self.loss_rate
-                and type(self.latency) is FixedLatency):
-            self._enqueue_round(self.engine.now + self.latency.delay,
-                                [message])
+                and type(latency) is FixedLatency):
+            self._enqueue_round(now + latency.delay, [message])
             return
-        self._schedule_delivery(message, self.latency.sample())
+        self._schedule_delivery(message, latency.sample())
 
     def _schedule_delivery(self, message: Message, delay: float) -> None:
         """Give one filtered, accounted message its own engine entry.
@@ -221,15 +232,14 @@ class Network:
             return
         if not self.batch:
             for recipient in recipients:
-                self.send(Message(sender=sender, recipient=recipient,
-                                  kind=kind, payload=payload))
+                self.send(Message(sender, recipient, kind, payload))
             return
         now = self.engine.now
         messages = [Message(sender, recipient, kind, payload, now)
                     for recipient in recipients]
         metrics = self.metrics
         metrics.increment("network.messages_sent", len(messages))
-        metrics.increment(f"network.messages.{kind}", len(messages))
+        metrics.increment(_kind_counter(kind), len(messages))
         if (not self._taps and sender not in self._crashed
                 and not self.loss_rate and not self._partitions):
             # Fast path: nothing can filter the batch.

@@ -79,12 +79,9 @@ class Process:
 
     def send(self, recipient: str, kind: str, **payload: Any) -> None:
         """Send a protocol message to ``recipient``."""
-        if not self._alive:
-            return
-        message = Message(
-            sender=self.process_id, recipient=recipient, kind=kind, payload=payload
-        )
-        self.network.send(message)
+        if self._alive:
+            self.network.send(Message(self.process_id, recipient, kind,
+                                      payload))
 
     def handle_message(self, message: Message) -> None:
         """Dispatch an incoming message to the method its kind names."""

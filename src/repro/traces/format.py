@@ -83,6 +83,18 @@ def _bound_to_json(value: float) -> Union[float, str]:
     return value
 
 
+def number_to_float(value: Any, what: str, error: type = TraceFormatError,
+                    line: Optional[int] = None) -> float:
+    """``float(value)`` of a parsed JSON number; an integer beyond the float
+    range (which no writer emits) raises ``error`` instead of
+    ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is beyond the float range",
+                    line=line) from None
+
+
 def _bound_from_json(value: Any) -> float:
     if value == "inf":
         return math.inf
@@ -90,7 +102,7 @@ def _bound_from_json(value: Any) -> float:
         return -math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TraceFormatError(f"rectangle bound must be a number, got {value!r}")
-    return float(value)
+    return number_to_float(value, "rectangle bound")
 
 
 def subscription_to_json(subscription: Subscription) -> Dict[str, Any]:
@@ -135,7 +147,7 @@ def subscription_from_json(data: Any, space: AttributeSpace) -> Subscription:
             try:
                 predicates.append(Predicate(str(attribute), str(operator),
                                             float(value)))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceFormatError(
                     f"subscription {name!r}: bad predicate {triple!r}: {exc}"
                 ) from exc
@@ -179,7 +191,8 @@ def event_from_json(data: Any) -> Event:
             raise TraceFormatError(
                 f"event {event_id!r}: attribute {name!r} must be numeric, "
                 f"got {value!r}")
-        values[str(name)] = float(value)
+        values[str(name)] = number_to_float(
+            value, f"event {event_id!r}: attribute {name!r}")
     return Event(values, event_id=event_id)
 
 
@@ -566,7 +579,9 @@ def parse_system(raw: Mapping[str, Any], line: int,
         batch = None
     return SystemRecord(
         seg=_require(raw, "seg", (int,), line, "system", error),
-        t=float(_require(raw, "t", (int, float), line, "system", error)),
+        t=number_to_float(_require(raw, "t", (int, float), line, "system",
+                                   error), "system record field 't'", error,
+                          line),
         space=tuple(space),
         seed=_require(raw, "seed", (int,), line, "system", error),
         batch=batch,
@@ -604,7 +619,8 @@ def parse_op(raw: Mapping[str, Any], line: int,
         seg=_require(raw, "seg", (int,), line, "op", error),
         n=(_require(raw, "n", (int,), line, "op", error)
            if "n" in fmt.op_extras else None),
-        t=float(_require(raw, "t", (int, float), line, "op", error)),
+        t=number_to_float(_require(raw, "t", (int, float), line, "op", error),
+                          "op record field 't'", error, line),
         op=op,
         data=data,
         auto=auto,

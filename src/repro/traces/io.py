@@ -8,11 +8,44 @@ the hypothesis round-trip tests and the golden-trace fixtures rely on.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from repro.traces.errors import TraceFormatError
 from repro.traces.format import Trace
+
+
+class UnwritableNumber(ValueError):
+    """A JSON number :func:`dump_record` cannot have written.
+
+    ``NaN``, ``Infinity``, a float literal that overflows (``1e999``) and an
+    integer literal too long for ``int`` to convert.  Readers turn it into
+    their own typed error at the parse boundary.
+    """
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise UnwritableNumber(f"non-finite number {text}")
+    return value
+
+
+def load_record(text: str) -> Any:
+    """Parse one JSON line the way :func:`dump_record` wrote it.
+
+    Raises :class:`json.JSONDecodeError` for text that is not JSON and
+    :class:`UnwritableNumber` for a number no canonical writer emits
+    (loading it would fail later, untyped, on the canonical re-dump).
+    """
+    try:
+        return json.loads(text, parse_constant=_finite_float,
+                          parse_float=_finite_float)
+    except (json.JSONDecodeError, UnwritableNumber):
+        raise
+    except ValueError as exc:  # int() refused a literal of too many digits
+        raise UnwritableNumber("integer literal too long to convert") from exc
 
 
 def dump_record(record: Dict[str, Any]) -> str:
@@ -34,9 +67,12 @@ def loads_trace(text: str) -> Trace:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = load_record(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"invalid JSON: {exc.msg}",
+                                   line=number) from exc
+        except UnwritableNumber as exc:
+            raise TraceFormatError(f"{exc}, which no trace writer emits",
                                    line=number) from exc
         if not isinstance(record, dict):
             raise TraceFormatError(

@@ -212,6 +212,22 @@ def test_a_non_finite_number_is_a_typed_journal_error(tmp_path, strict,
         read_journal(mutant, strict=strict)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_an_integer_too_long_to_convert_is_a_typed_journal_error(tmp_path,
+                                                                  strict):
+    """Regression: a 5 000-digit literal made ``json.loads`` raise a bare
+    ``ValueError`` (Python's integer-conversion digit limit)."""
+    lines = (GOLDEN_DIR / "synth-mixed.journal").read_bytes().split(b"\n")
+    index = next(i for i, line in enumerate(lines)
+                 if b'"rec":"op"' in line and _FLOAT.search(line.decode()))
+    lines[index] = _FLOAT.sub("9" * 5000, lines[index].decode(),
+                              count=1).encode()
+    mutant = tmp_path / "mutant.journal"
+    mutant.write_bytes(b"\n".join(lines))
+    with pytest.raises(JournalCorruptError, match="too long"):
+        read_journal(mutant, strict=strict)
+
+
 # --------------------------------------------------------------------------- #
 # Crash recovery
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,149 @@
+"""Every reader of untrusted bytes returns a value or raises its typed error.
+
+One row per reader that already promises a typed error.  Each row is seeded
+with committed goldens; Hypothesis damages them (byte flips, truncations,
+insertions, swaps of one number literal for a value no writer emits) and
+the reader must return or raise exactly its row's error, within a time
+bound.  A bare ``ValueError``, ``KeyError`` or ``OverflowError`` escaping a
+reader fails the row.
+"""
+
+from __future__ import annotations
+
+import re
+from datetime import timedelta
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.journal import JournalError
+from repro.journal.io import read_journal, verify_journal
+from repro.traces import TraceFormatError, loads_trace, read_trace
+from repro.wire import FrameSplitter, frame
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+TRACES = ("hotspot.jsonl", "adversarial-churn.jsonl", "mobility.jsonl",
+          "synth-mixed.jsonl")
+JOURNALS = ("hotspot.journal", "synth-mixed.journal")
+
+#: Numbers no canonical writer emits, or emits only in other places.
+LITERALS = ("1e999", "-1e999", "NaN", "-Infinity", "-0", "1e308",
+            "9" * 400, "9" * 5000)
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+class _TornStream(Exception):
+    """The row's error for the frame splitter."""
+
+
+@st.composite
+def damaged(draw, golden: bytes) -> bytes:
+    """``golden`` with one to three damages applied."""
+    data = bytearray(golden)
+    for _ in range(draw(st.integers(1, 3), label="damages")):
+        kind = draw(st.sampled_from(("flip", "truncate", "insert", "number")),
+                    label="kind")
+        if not data:
+            break
+        at = draw(st.integers(0, len(data) - 1), label="at")
+        if kind == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7), label="bit")
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8),
+                               label="inserted")
+        else:
+            numbers = list(_NUMBER.finditer(bytes(data)))
+            if numbers:
+                match = numbers[at % len(numbers)]
+                literal = draw(st.sampled_from(LITERALS), label="literal")
+                data[match.start():match.end()] = literal.encode()
+    return bytes(data)
+
+
+def _read_trace_file(tmp_path, data: bytes):
+    path = tmp_path / "damaged.jsonl"
+    path.write_bytes(data)
+    return read_trace(path)
+
+
+def _loads_trace(tmp_path, data: bytes):
+    return loads_trace(data.decode("utf-8", errors="replace"))
+
+
+def _read_journal(strict: bool):
+    def read(tmp_path, data: bytes):
+        path = tmp_path / "damaged.journal"
+        path.write_bytes(data)
+        return read_journal(path, strict=strict)
+    return read
+
+
+def _verify_journal(tmp_path, data: bytes):
+    path = tmp_path / "damaged.journal"
+    path.write_bytes(data)
+    return verify_journal(path)
+
+
+def _split_frames(tmp_path, data: bytes):
+    splitter = FrameSplitter(_TornStream)
+    payloads = []
+    for start in range(0, len(data), 257):
+        payloads.extend(splitter.feed(data[start:start + 257]))
+    return payloads
+
+
+def _framed(name: str) -> bytes:
+    """A golden's lines as one framed byte stream."""
+    lines = (GOLDEN_DIR / name).read_bytes().splitlines()
+    return b"".join(frame(line) for line in lines)
+
+
+#: name -> (reader, its error, golden seeds)
+ROWS = {
+    "read_trace": (_read_trace_file, TraceFormatError,
+                   [(GOLDEN_DIR / name).read_bytes() for name in TRACES]),
+    "loads_trace": (_loads_trace, TraceFormatError,
+                    [(GOLDEN_DIR / name).read_bytes() for name in TRACES]),
+    "read_journal": (_read_journal(False), JournalError,
+                     [(GOLDEN_DIR / name).read_bytes() for name in JOURNALS]),
+    "read_journal_strict": (_read_journal(True), JournalError,
+                            [(GOLDEN_DIR / name).read_bytes()
+                             for name in JOURNALS]),
+    "verify_journal": (_verify_journal, JournalError,
+                       [(GOLDEN_DIR / name).read_bytes()
+                        for name in JOURNALS]),
+    "FrameSplitter": (_split_frames, _TornStream,
+                      [_framed(name) for name in ("hotspot.jsonl",
+                                                  "hotspot.journal")]),
+}
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_every_golden_seed_reads(tmp_path, row):
+    reader, _, seeds = ROWS[row]
+    for seed in seeds:
+        assert reader(tmp_path, seed) is not None
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_damaged_input_returns_or_raises_the_rows_error(tmp_path_factory,
+                                                        row):
+    reader, error, seeds = ROWS[row]
+    tmp_path = tmp_path_factory.mktemp(row)
+
+    @settings(max_examples=100, deadline=timedelta(seconds=2),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def check(data):
+        seed = data.draw(st.sampled_from(seeds), label="seed")
+        mutant = data.draw(damaged(seed), label="mutant")
+        try:
+            reader(tmp_path, mutant)
+        except error:
+            pass
+
+    check()

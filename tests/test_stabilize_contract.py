@@ -101,14 +101,22 @@ def rounds_of(broker) -> list:
 
 
 def count_verifies(monkeypatch) -> list:
+    """Record one entry per verifier pass: a full ``verify`` or a
+    ``legal_report`` (the fixpoint's pass that may stop early)."""
     calls = []
     real_verify = OverlayVerifier.verify
+    real_legal_report = OverlayVerifier.legal_report
 
     def verify(self, peers, check_containment=False):
-        calls.append(1)
+        calls.append("verify")
         return real_verify(self, peers, check_containment=check_containment)
 
+    def legal_report(self, peers):
+        calls.append("legal_report")
+        return real_legal_report(self, peers)
+
     monkeypatch.setattr(OverlayVerifier, "verify", verify)
+    monkeypatch.setattr(OverlayVerifier, "legal_report", legal_report)
     return calls
 
 
@@ -142,7 +150,7 @@ def test_the_round_cap_reports_an_illegal_tree_after_one_pass(broker, victims,
     report = broker.simulation.stabilize(max_rounds=1)
     assert not report.is_legal
     assert rounds_of(broker)[-1] == 1
-    assert len(calls) == 1  # the one behind the returned report
+    assert calls == ["verify"]  # the one behind the returned report
     assert report == fresh_verify(broker)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,40 @@ def test_read_trace_of_non_utf8_bytes_is_typed(tmp_path):
     mutant.write_bytes(golden[:middle] + b"\xff\xfe" + golden[middle:])
     with pytest.raises(TraceFormatError, match="not UTF-8"):
         read_trace(mutant)
+
+
+#: S0's first lower bound in the hotspot golden, the number swapped below.
+_S0_LOWER = re.compile(r'(\{"name":"S0","rect":\{"lower":\[)(-?[0-9.eE+-]+)')
+
+
+@pytest.mark.parametrize("literal", ["NaN", "1e999"])
+def test_a_non_finite_number_is_a_typed_trace_error(literal):
+    """Regression: ``NaN`` / ``1e999`` in a subscription loaded without error,
+    and writing the trace back then raised a bare ``ValueError``."""
+    golden = (GOLDEN_DIR / "hotspot.jsonl").read_text(encoding="utf-8")
+    mutant, swapped = _S0_LOWER.subn(lambda m: m.group(1) + literal, golden,
+                                     count=1)
+    assert swapped == 1
+    with pytest.raises(TraceFormatError, match="non-finite number") as info:
+        loads_trace(mutant)
+    assert info.value.line == 3
+
+
+def test_an_integer_too_long_to_convert_is_a_typed_trace_error():
+    golden = (GOLDEN_DIR / "hotspot.jsonl").read_text(encoding="utf-8")
+    mutant = _S0_LOWER.sub(lambda m: m.group(1) + "9" * 5000, golden, count=1)
+    with pytest.raises(TraceFormatError, match="too long") as info:
+        loads_trace(mutant)
+    assert info.value.line == 3
+
+
+def test_an_op_time_beyond_the_float_range_is_a_typed_trace_error():
+    """Regression: a 400-digit ``t`` raised a bare ``OverflowError``."""
+    golden = (GOLDEN_DIR / "hotspot.jsonl").read_text(encoding="utf-8")
+    mutant = re.sub(r'"t":782\.0', '"t":' + "9" * 400, golden, count=1)
+    assert mutant != golden
+    with pytest.raises(TraceFormatError, match="beyond the float range"):
+        loads_trace(mutant)
 
 
 def test_oprecord_rejects_unknown_op_at_construction():
