@@ -252,24 +252,27 @@ class OverlayVerifier:
 
     def _check_reachability(self, root, by_id, violations: List[str],
                             report: VerificationReport) -> None:
-        """Every live peer is reached by descending from ``root``."""
+        """Every live peer is reached by descending from ``root``.
+
+        Children sit one level below their parent, so the descent goes level
+        by level: one frontier of live ids per level, deduplicated by the set
+        itself, stands in for a visited set of ``(peer, level)`` pairs.
+        """
         reached: Set[str] = set()
-        stack: List[Tuple[str, int]] = [(root.process_id, root.top_level())]
-        visited: Set[Tuple[str, int]] = set()
-        while stack:
-            peer_id, level = stack.pop()
-            if (peer_id, level) in visited:
-                continue
-            visited.add((peer_id, level))
-            peer = by_id.get(peer_id)
-            if peer is None:
-                continue
-            reached.add(peer_id)
-            instance = peer.instances.get(level)
-            if instance is None or level == 0:
-                continue
-            for child_id in instance.children:
-                stack.append((child_id, level - 1))
+        frontier: Set[str] = {root.process_id}
+        level = root.top_level()
+        while frontier:
+            frontier &= by_id.keys()
+            reached |= frontier
+            if level == 0:
+                break
+            below: Set[str] = set()
+            for peer_id in frontier:
+                instance = by_id[peer_id].instances.get(level)
+                if instance is not None:
+                    below.update(instance.children)
+            frontier = below
+            level -= 1
         unreachable = by_id.keys() - reached
         if unreachable:
             violations.append(

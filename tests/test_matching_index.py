@@ -217,3 +217,155 @@ def test_any_other_mapping_takes_the_reference_scan(space):
     event = Event({"x": 0.5})  # incomplete: the scan says "no match"
     assert matching_subscribers(event, subs) == []
     assert matching_subscribers(event, SubscriptionIndex(space, subs)) == []
+
+
+# ---------------------------------------------------------------------- #
+# Dimension-0 buckets
+# ---------------------------------------------------------------------- #
+
+#: Dimension-0 values no uniform population reaches: the ends of the float
+#: range and values far outside every extent.
+FAR = [math.inf, -math.inf, 1e308, -1e308, 1e6, -1e6]
+
+#: Dimension-0 shapes the uniform generator never makes: zipf-skewed
+#: centres, two containment chains, filters spanning the whole space, and
+#: predicates open on one side (``(operator, value)``, a NaN value included).
+ZIPF = [(1 / rank ** 1.5 - half, 1 / rank ** 1.5 + half)
+        for rank in range(1, 65) for half in (0.0, 1e-3, 0.01, 0.1)]
+CHAINS = [(centre - 0.3 * 0.7 ** depth, centre + 0.3 * 0.7 ** depth)
+          for centre in (0.3, 0.7) for depth in range(13)]
+SPANNING = [(0.0, 1.0), (-math.inf, math.inf), (-1e308, 1e308),
+            (-1.7e308, 1.7e308)]
+OPEN_SIDED = [(operator, value) for operator in ("<", "<=", ">", ">=")
+              for value in (0.0, 0.25, 0.5, 1.0, math.nan)]
+skewed = st.one_of(*map(st.sampled_from, (ZIPF, CHAINS, SPANNING,
+                                          OPEN_SIDED)))
+
+#: Wholly outside the extent of any build over the shapes above.
+outside = st.sampled_from([(1e6, 1e6 + 1), (-1e308, -1e300), (2.0, 3.0),
+                           (1e300, math.inf)])
+
+
+def shaped(name: str, space: AttributeSpace, shape) -> Subscription:
+    """A filter with ``shape`` in dimension 0 and [0, 1] in the others."""
+    rect = Rect([0.0] * space.dimensions, [1.0] * space.dimensions)
+    if isinstance(shape[0], str):
+        # A NaN value has no rectangle, so the filter is handed one.
+        return Subscription(name, space,
+                            (Predicate(space.names[0], *shape),), rect=rect)
+    return subscription_from_rect(
+        name, space, Rect(shape[:1] + rect.lower[1:],
+                          shape[1:] + rect.upper[1:]))
+
+
+def check_buckets(index: SubscriptionIndex) -> None:
+    """Each slot is listed in exactly the buckets its interval spans."""
+    if index._buckets is None:
+        return
+    expected: list = [set() for _ in index._buckets]
+    for slot in range(len(index)):
+        for bucket in index._span(slot):
+            expected[bucket].add(slot)
+    assert [set(bucket) for bucket in index._buckets] == expected
+
+
+def bucket_edges(index: SubscriptionIndex) -> list:
+    """The extent's ends and the boundaries between its buckets."""
+    count = index._last + 1
+    edges = [index._low + (index._high - index._low) * k / count
+             for k in range(count + 1)]
+    return edges + [math.nextafter(edge, side)
+                    for edge in edges for side in (-math.inf, math.inf)]
+
+
+def check_queries(data, space: AttributeSpace,
+                  index: SubscriptionIndex) -> None:
+    """Events on bucket boundaries, filter bounds and the float range."""
+    pool = list(FAR)
+    if index._buckets is not None:
+        pool.extend(bucket_edges(index))
+    for subscription in index.values():
+        pool.extend((subscription.rect.lower[0], subscription.rect.upper[0]))
+    for first, rest in data.draw(st.lists(st.tuples(
+            st.sampled_from(pool), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            min_size=3, max_size=3)):
+        event = Event({space.names[0]: first,
+                       **dict.fromkeys(space.names[1:], rest)})
+        assert index.matching(event) == scan_subscribers(event, dict(index))
+    check_buckets(index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bucketed_index_equals_scan_on_skewed_populations(data):
+    space = make_space(*(f"a{dim}" for dim in range(data.draw(
+        st.integers(1, 2), label="dimensions"))))
+    index = SubscriptionIndex(space)
+    names = [f"S{number}" for number in range(64)]
+
+    def add(shapes):
+        for name, shape in zip(names[len(index):], shapes):
+            index[name] = shaped(name, space, shape)
+
+    add(data.draw(st.lists(skewed, min_size=2, max_size=12)))
+    check_queries(data, space, index)          # the first query builds
+    built = index._built_size
+    assert built == len(index) and index._buckets is not None
+
+    # Additions and replacements outside the built extent clamp to an
+    # edge bucket; below twice the built size they do not rebuild.
+    add(data.draw(st.lists(outside, max_size=built - 1)))
+    for name, shape in data.draw(st.lists(
+            st.tuples(st.sampled_from(list(index)), outside), max_size=2)):
+        index[name] = shaped(name, space, shape)
+    check_index(index)
+    check_buckets(index)
+    assert index._buckets is not None
+    check_queries(data, space, index)
+
+    # Growth to twice the last build drops the buckets; the query rebuilds.
+    built = index._built_size
+    add(data.draw(st.lists(st.one_of(skewed, outside), min_size=built,
+                           max_size=built)))
+    assert index._buckets is None
+    check_queries(data, space, index)
+    assert index._built_size == len(index)
+
+    # Shrinkage to half does the same, through every swap-with-last.
+    built = index._built_size
+    for name in data.draw(st.permutations(list(index)))[:built - built // 2]:
+        del index[name]
+        check_index(index)
+        check_buckets(index)
+    assert index._buckets is None
+    check_queries(data, space, index)
+
+
+def test_degenerate_extents_fall_back_to_one_bucket():
+    space = make_space("x")
+    for bounds in ([(-1.7e308, -1e307), (1e307, 1.7e308)],  # overflows
+                   [(0.0, 1e-310)] * 2,            # buckets per unit do
+                   [(0.5, 0.5), (0.5, 0.5)],       # width is zero
+                   [(-math.inf, math.inf)] * 2):   # nothing finite
+        index = SubscriptionIndex(space, {
+            f"S{n}": subscription_from_rect(f"S{n}", space, Rect((a,), (b,)))
+            for n, (a, b) in enumerate(bounds)})
+        for value in FAR + [0.5, -1e307, 5e-311]:
+            event = Event({"x": value})
+            assert index.matching(event) == scan_subscribers(event, index)
+        assert len(index._buckets) == 1
+        check_buckets(index)
+
+
+def test_subscribe_all_leaves_the_buckets_to_the_first_publish():
+    from repro.api import SystemSpec
+    from repro.workloads import uniform_subscriptions
+
+    population = uniform_subscriptions(64, seed=1)
+    broker = SystemSpec(population.space, backend="drtree:batched",
+                        seed=1).build()
+    broker.subscribe_all(list(population))
+    assert broker._subscriptions._buckets is None
+    broker.publish(Event(dict.fromkeys(population.space.names, 0.5)))
+    assert broker._subscriptions._buckets is not None
+    check_buckets(broker._subscriptions)
