@@ -27,8 +27,9 @@ Record kinds (the ``rec`` field):
     the counter for those).
 ``snapshot``
     A full broker snapshot taken after ``ops`` operations of its segment:
-    the zlib-compressed pickle from ``Broker.snapshot()``, base64-armored,
-    with its own digest so blob corruption is reported precisely.
+    the pickle from ``Broker.snapshot()``, compressed at zlib level
+    :data:`SNAPSHOT_ZLIB_LEVEL` and base64-armored, with its own digest so
+    blob corruption is reported precisely.
 ``final``
     The canonical delivery-metrics row of one segment at clean completion.
 ``close``
@@ -113,9 +114,17 @@ def decode_state(state: str, digest: str,
     return blob
 
 
+#: zlib level of snapshot blobs.  A snapshot is taken inside the run it
+#: protects, so speed wins: on an 894 kB broker pickle level 1 took 7.9 ms
+#: for 219 kB and level 6 27.6 ms for 185 kB (one core of a 2-vCPU host).
+#: Decompression does not depend on the level, so journals written at any
+#: level read alike.
+SNAPSHOT_ZLIB_LEVEL = 1
+
+
 def compress_snapshot(payload: bytes) -> bytes:
-    """The (cheap, deterministic-enough) compression snapshots travel in."""
-    return zlib.compress(payload, 6)
+    """The (cheap, deterministic) compression snapshots travel in."""
+    return zlib.compress(payload, SNAPSHOT_ZLIB_LEVEL)
 
 
 def decompress_snapshot(blob: bytes) -> bytes:

@@ -291,8 +291,13 @@ class NetSimulation(DeploymentView):
     # ------------------------------------------------------------------ #
 
     def settle(self) -> None:
-        """Wait until no frame is in flight anywhere."""
-        self.runtime.call(self.runtime.wait_idle())
+        """Wait until no frame is in flight anywhere, then let the peers
+        forget the events they received."""
+        self.runtime.call(self._settle())
+
+    async def _settle(self) -> None:
+        await self.runtime.wait_idle()
+        self.network.forget_receptions()
 
     def stabilize(self, max_rounds: int = 50) -> VerificationReport:
         """Driven stabilization: the simulator's round/fixpoint model.
@@ -387,7 +392,7 @@ class NetSimulation(DeploymentView):
                        settle: bool) -> None:
         peer.publish(event)
         if settle:
-            await self.runtime.wait_idle()
+            await self._settle()
 
     def transport_summary(self) -> Dict[str, float]:
         """Transport/condition counters the facade merges into ``summary()``.

@@ -166,8 +166,10 @@ class DRTreeSimulation(DeploymentView):
     # ------------------------------------------------------------------ #
 
     def settle(self, max_events: int = 200_000) -> None:
-        """Deliver every in-flight message (no periodic timers are running)."""
+        """Deliver every in-flight message (no periodic timers are running),
+        then let the peers forget the events they received."""
         self.engine.run_until_idle(max_events=max_events)
+        self.network.forget_receptions()
 
     def run_round(self) -> None:
         """Run one synchronized stabilization round on every live peer."""

@@ -13,6 +13,14 @@ on the path from the root to a matching leaf contains the event.  A **false
 positive** occurs when a peer receives an event (because one of its instances
 had to consider it) whose own filter does not match.
 
+Each peer remembers the events it received only while they are in flight
+(:attr:`~repro.overlay.peer.DRTreePeer.seen_events`): the table de-duplicates
+an event a corrupted structure routes to the peer twice, and
+:meth:`~repro.sim.network.Network.forget_receptions` empties it once the
+operation that published the event has settled.  So the peer's state does
+not grow with the events it has seen, and an event id published again later
+is delivered again.
+
 One fan-out
 -----------
 Every engine runs the same fan-out: the children whose MBR contains the
@@ -167,17 +175,22 @@ class DisseminationMixin:
 
     def _record_event_reception(self, event: Event, hops: int,
                                 point: Point) -> bool:
-        """Record that this peer saw ``event``; False if it already had."""
+        """Record that this peer saw ``event``; False if it already had.
+
+        The record lives only while the event is in flight: the first
+        record since the last settle hands the table to the network, which
+        empties it when the simulation settles.
+        """
         seen = self.seen_events
         if event.event_id in seen:
             return False
+        if not seen:
+            self.network.hold_receptions(seen)
         matched = self.subscription.matches_point(event, point)
         seen[event.event_id] = matched
         metrics = self.metrics
         metrics.increment("pubsub.receptions")
-        if matched:
-            metrics.observe("pubsub.delivery_hops", hops)
-        else:
+        if not matched:
             metrics.increment("pubsub.false_positives")
         if self.delivery_listener is not None:
             self.delivery_listener(self.process_id, event, matched, hops)

@@ -84,14 +84,18 @@ class DRTreePeer(JoinMixin, LeaveMixin, StabilizationMixin, StructureMixin,
         self.instances: Dict[int, LevelState] = {}
         self.joined = False
         self.round_number = 0
-        #: event_id → matched flag for every event this peer has seen.
+        #: event_id → matched flag for every event this peer has received
+        #: since the network last settled (the in-flight de-dup table).
         self.seen_events: Dict[str, bool] = {}
         #: Installed by the pub/sub facade for delivery accounting.
         self.delivery_listener: Optional[DeliveryListener] = None
 
     def __setstate__(self, state: dict) -> None:
-        # Peers pickled before the class-level table carry their own copy.
+        # Peers pickled before the class-level table carry their own copy,
+        # and peers pickled before receptions were forgotten at settle carry
+        # every event they had ever seen.
         state.pop("_handlers", None)
+        state["seen_events"] = {}
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #

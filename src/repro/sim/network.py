@@ -97,6 +97,9 @@ class Network:
         self._crashed: Set[str] = set()
         self._partitions: List[Set[str]] = []
         self._taps: List[Callable[[Message], None]] = []
+        #: The receivers' de-dup tables filled since the last
+        #: :meth:`forget_receptions`.
+        self._held_receptions: List[Dict[str, bool]] = []
 
     # ------------------------------------------------------------------ #
     # Process registry
@@ -349,8 +352,34 @@ class Network:
         if dropped:
             self.metrics.increment("network.messages_dropped", dropped)
 
+    # ------------------------------------------------------------------ #
+    # In-flight reception records
+    # ------------------------------------------------------------------ #
+
+    def hold_receptions(self, table: Dict[str, bool]) -> None:
+        """Keep a receiver's de-dup table, which just got its first entry."""
+        self._held_receptions.append(table)
+
+    def holds_receptions(self) -> bool:
+        """True when some receiver has recorded an event since the last
+        :meth:`forget_receptions`."""
+        return bool(self._held_receptions)
+
+    def forget_receptions(self) -> None:
+        """Empty every held de-dup table: the events they name have settled.
+
+        Called once the operation that published them has settled, so a
+        receiver de-duplicates an event only while it is in flight.
+        """
+        for table in self._held_receptions:
+            table.clear()
+        self._held_receptions = []
+
     def __setstate__(self, state: Dict[str, Any]) -> None:
         # Networks pickled before per-round queues took every message carry
         # an envelope free list (``pool``); nothing reads it any more.
         state.pop("pool", None)
+        # Networks pickled before receptions were forgotten at settle hold
+        # no tables.
+        state.setdefault("_held_receptions", [])
         self.__dict__.update(state)

@@ -59,7 +59,7 @@ import logging
 import multiprocessing
 import os
 import weakref
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.overlay.config import DRTreeConfig
@@ -379,6 +379,10 @@ class ShardedSimulation:
         self._mailbox: Dict[int, List[Tuple[float, Any]]] = {}
         #: shard id -> other shards' oracle changes it has not applied yet.
         self._oracle_mail: Dict[int, OracleChanges] = {}
+        #: Shards whose peers hold reception records, and shards to tell,
+        #: with their next command, that those records have settled.
+        self._holding: Set[int] = set()
+        self._settled: Set[int] = set()
         self._next_times: Dict[int, Optional[float]] = {}
         self._shard_now: Dict[int, float] = {}
         self._multi = False
@@ -435,6 +439,10 @@ class ShardedSimulation:
                 self.shard_metrics[shard_id].observe(name, value)
         for time, destination, message in reply["out"]:
             self._mailbox.setdefault(destination, []).append((time, message))
+        if reply.get("receptions"):
+            self._holding.add(shard_id)
+        else:
+            self._holding.discard(shard_id)
         changes = reply.get("oracle")
         if changes:
             for shard in self._shards:
@@ -495,8 +503,9 @@ class ShardedSimulation:
         Every command goes through here: send all, collect every reply,
         apply every flush, and only then raise the first routed error — so
         the pipes stay drained and no shard's deltas are lost because
-        another shard reported a failure.  A shard's pending oracle changes
-        ride on its command.
+        another shard reported a failure.  A shard's pending oracle changes,
+        and the news that its reception records have settled, ride on its
+        command.
         """
         self._check_open()
         sent: List[Any] = []
@@ -505,6 +514,9 @@ class ShardedSimulation:
             mail = self._oracle_mail.pop(shard_id, None)
             if mail:
                 command = ("oracle", mail) + command
+            if shard_id in self._settled:
+                self._settled.discard(shard_id)
+                command = ("settled",) + command
             shard = self._shards[shard_id]
             try:
                 shard.request(command)
@@ -596,6 +608,10 @@ class ShardedSimulation:
                 raise ShardStalledError(
                     -1, f"global settle exceeded {MAX_SETTLE_BARRIERS} "
                         "round barriers")
+        # Nothing is in flight anywhere: every shard holding reception
+        # records may forget them, which it does on its next command.
+        self._settled |= self._holding
+        self._holding = set()
 
     # ------------------------------------------------------------------ #
     # Membership

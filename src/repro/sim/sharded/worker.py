@@ -17,11 +17,14 @@ with its next request.
 The command protocol is a strict request/response loop over one pipe: the
 parent sends ``(command, *args)`` tuples — prefixed with
 ``("oracle", changes)`` when other shards changed the oracle since this
-shard's last request — and the worker replies with a dict that always
-carries, besides the command's result, the *flush* — metric deltas since
-the previous reply, captured cross-shard messages, delivery records,
-forwarded log records, the local engine's next pending event time, and
-(under ``oracle``, only when there are any) this shard's oracle changes.
+shard's last request, and with ``("settled",)`` when a global settle has
+completed since this shard reported holding reception records — and the
+worker replies with a dict that always carries, besides the command's
+result, the *flush* — metric deltas since the previous reply, captured
+cross-shard messages, delivery records, forwarded log records, the local
+engine's next pending event time, (under ``oracle``, only when there are
+any) this shard's oracle changes and (``receptions``, only when true) that
+its peers hold reception records to forget once everything has settled.
 Errors never escape the loop: a
 :class:`~repro.sim.engine.SimulationStalledError` or any other exception is
 reported in the reply (with the flush of everything that happened up to the
@@ -33,6 +36,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import sys
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -258,13 +262,20 @@ class ShardRuntime:
 
     def execute(self, command: Tuple[Any, ...]) -> Dict[str, Any]:
         """Run one command; the reply always carries the flush."""
+        if command[0] == "settled":
+            # Every event this shard's peers received has settled on every
+            # shard: their de-dup tables are spent.
+            self.net.forget_receptions()
+            command = command[1:]
         if command[0] == "oracle":
             # Other shards' oracle changes, applied before any peer runs.
             self.sim.oracle.apply(command[1])
             command = command[2:]
         name, args = command[0], command[1:]
         try:
-            result = getattr(self, f"cmd_{name}")(*args)
+            # Interned: the interpreter's attribute cache keeps the name
+            # it looked up, and a fresh string per command piled up there.
+            result = getattr(self, sys.intern(f"cmd_{name}"))(*args)
             reply: Dict[str, Any] = {"ok": True, "result": result}
         except SimulationStalledError as exc:
             reply = {"ok": False, "kind": "stalled", "error": str(exc)}
@@ -304,6 +315,8 @@ class ShardRuntime:
         oracle = self.sim.oracle
         if oracle.changes:
             reply["oracle"], oracle.changes = oracle.changes, {}
+        if self.net.holds_receptions():
+            reply["receptions"] = True
 
     def _collect_delivery(self, peer_id: str, event: Event, matched: bool,
                           hops: int) -> None:

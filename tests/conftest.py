@@ -66,6 +66,11 @@ class RecordingAccounting(DeliveryAccounting):
         self.deliveries.append((event.event_id, subscriber_id, matched, hops))
         super().record_delivery(subscriber_id, event, matched, hops)
 
+    def receivers(self, event_id: str) -> set[str]:
+        """Ids of the subscribers ``event_id`` was delivered to."""
+        return {subscriber for delivered, subscriber, _, _ in self.deliveries
+                if delivered == event_id}
+
 
 def record_deliveries(broker) -> RecordingAccounting:
     """Install a :class:`RecordingAccounting` on a broker with no subscriber.
@@ -77,3 +82,16 @@ def record_deliveries(broker) -> RecordingAccounting:
     assert not broker.subscribers(), "install the recorder before subscribing"
     broker.accounting = RecordingAccounting()
     return broker.accounting
+
+
+def record_sim_deliveries(sim) -> RecordingAccounting:
+    """Install a :class:`RecordingAccounting` on every peer of a raw overlay.
+
+    For tests below the facade (a ``DRTreeSimulation`` with no accounting of
+    its own): the peers' own de-dup tables hold an event only while it is in
+    flight, so who received an event is read from the recorder.
+    """
+    recorder = RecordingAccounting()
+    for peer in sim.peers.values():
+        peer.delivery_listener = recorder.record_delivery
+    return recorder

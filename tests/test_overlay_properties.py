@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.overlay import DRTreeConfig, DRTreeSimulation
 from repro.spatial.filters import Event, make_space, subscription_from_rect
 from repro.spatial.rectangle import Rect
+from tests.conftest import record_sim_deliveries
 
 SPACE = make_space("x", "y")
 
@@ -99,15 +100,14 @@ def test_random_membership_histories_stabilize_to_legal_trees(history):
 @example(history=DEADLOCK_HISTORY, ex=0.1, ey=0.9).via("discovered failure")
 def test_random_histories_preserve_zero_false_negatives(history, ex, ey):
     sim = _apply_history(history)
+    recorder = record_sim_deliveries(sim)
     event = Event({"x": ex, "y": ey}, event_id="probe")
     publisher = sim.root()
     assert publisher is not None
     sim.publish(publisher.process_id, event)
     matching = {p.process_id for p in sim.live_peers()
                 if p.subscription.matches(event)}
-    received = {p.process_id for p in sim.live_peers()
-                if "probe" in p.seen_events}
-    assert matching <= received
+    assert matching <= recorder.receivers("probe")
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=3))

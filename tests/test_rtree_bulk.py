@@ -17,6 +17,7 @@ from repro.rtree.bulk import bulk_load, str_groups
 from repro.spatial.filters import Event
 from repro.spatial.rectangle import Rect
 from repro.workloads.subscriptions import uniform_subscriptions
+from tests.conftest import record_sim_deliveries
 
 
 def _random_items(count: int, seed: int = 0):
@@ -138,15 +139,14 @@ def test_bulk_threshold_selects_fast_path_automatically():
 def test_bulk_built_tree_disseminates_without_false_negatives():
     subs = list(uniform_subscriptions(400, seed=6))
     sim = build_stable_tree(subs, DRTreeConfig(2, 4), seed=6, bulk=True)
+    recorder = record_sim_deliveries(sim)
     event = Event({"attr0": 0.31, "attr1": 0.64}, event_id="probe")
     root = sim.root()
     assert root is not None
     sim.publish(root.process_id, event)
     matching = {p.process_id for p in sim.live_peers()
                 if p.subscription.matches(event)}
-    received = {p.process_id for p in sim.live_peers()
-                if "probe" in p.seen_events}
-    assert matching <= received
+    assert matching <= recorder.receivers("probe")
 
 
 def test_bulk_built_tree_survives_churn():

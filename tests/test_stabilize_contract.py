@@ -232,6 +232,13 @@ def test_an_old_batched_snapshot_restores_and_finishes_the_stream():
     assert not hasattr(broker.simulation.network, "pool")
     assert not any(hasattr(peer, "_handlers")
                    for peer in broker.simulation.live_peers())
+    # It also pickles every event each peer had seen and one hop sample per
+    # delivery; restoring drops both.
+    assert not any(peer.seen_events
+                   for peer in broker.simulation.live_peers())
+    assert not broker.simulation.network.holds_receptions()
+    assert ("pubsub.delivery_hops"
+            not in broker.simulation.metrics.histograms())
     broker.publish_many(STREAM[200:])
     assert delivered_digest(broker) == STREAM_DIGEST
     # The blob pickles one record per delivery; restoring folds them into
