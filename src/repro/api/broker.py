@@ -7,8 +7,8 @@ every delivery is audited against the matching ground truth.  Two broker
 families implement the protocol:
 
 * :class:`~repro.pubsub.api.PubSubSystem` — the DR-tree overlay, simulated
-  end to end on a pluggable dissemination engine
-  (:mod:`repro.pubsub.engines`),
+  end to end on one of the engines of the backend table
+  (:mod:`repro.api.registry`),
 * :class:`~repro.baselines.broker.BaselineBroker` — the analytic baseline
   overlays (flooding, centralized, per-dimension, containment-tree) behind
   the same facade, with the same

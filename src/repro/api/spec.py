@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.config import DRTreeConfig
 
 #: The backend every spec defaults to: the paper's DR-tree on the classic
-#: (one scheduling operation per message) dissemination engine.
+#: engine.
 DEFAULT_BACKEND = "drtree:classic"
 
 
@@ -29,8 +29,8 @@ class SystemSpec:
     """A complete, serializable description of one publish/subscribe system.
 
     ``backend`` is a name from :mod:`repro.api.registry` —
-    ``drtree:<engine>`` for the DR-tree (one ``<engine>`` per entry of
-    :mod:`repro.pubsub.engines`) or a baseline name (``flooding``,
+    ``drtree:<engine>`` for the DR-tree (``classic``, ``batched``,
+    ``sharded`` or ``net``) or a baseline name (``flooding``,
     ``centralized``, ``per-dimension``, ``containment-tree``).  ``config``
     is the DR-tree node-capacity configuration; baseline backends ignore it.
     """
@@ -48,7 +48,7 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         # Engine options are validated against the backend's typed option
-        # dataclass (repro.pubsub.engines.EngineOptions) here, at spec
+        # dataclass (repro.api.options.EngineOptions) here, at spec
         # construction, so a typo'd option name fails where it was written
         # rather than deep inside a later build().  dataclasses.replace()
         # re-runs this, so with_backend/with_engine_options revalidate too.

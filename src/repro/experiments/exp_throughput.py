@@ -36,9 +36,9 @@ import gc
 import time
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.api.registry import backend_spec
 from repro.experiments.harness import ExperimentResult
 from repro.overlay.config import DRTreeConfig
-from repro.pubsub.engines import get_engine
 from repro.runtime.registry import Param, backend_param, register_scenario
 from repro.spatial.filters import Event, Subscription
 from repro.workloads.events import targeted_events
@@ -89,10 +89,9 @@ def build_engine_simulation(backend: str, subscriptions: Sequence[Subscription],
     (``publish``/``settle``/``peers``/``metrics``).  ``shards`` and
     ``transport`` only apply to the sharded engine.
     """
-    engine = backend.split(":", 1)[1]
     options = ({"shards": shards, "transport": transport}
-               if engine == "sharded" else None)
-    simulation = get_engine(engine).build(config, seed, options)
+               if backend == "drtree:sharded" else None)
+    simulation = backend_spec(backend).build_simulation(config, seed, options)
     simulation.bulk_load(list(subscriptions))
     simulation.stabilize(max_rounds=50)
     return simulation

@@ -58,9 +58,10 @@ class NetNetwork(Network):
 
     Inherits every per-message bookkeeping rule (``sent_at`` stamping, the
     ``network.messages_sent`` / per-kind counters, taps, crashed-sender
-    drops) and overrides only the scheduling step: instead of a simulated
-    latency event, the frame is handed to the runtime's outbound channel
-    for its recipient.
+    drops) and overrides only the scheduling step: the network is lossless
+    with a ``FixedLatency``, so every message reaches :meth:`_enqueue_round`,
+    which hands it to the runtime's outbound channel for its recipient
+    instead of a simulated round.
     """
 
     def __init__(self, runtime: NetRuntime, metrics: MetricsRegistry,
@@ -85,10 +86,11 @@ class NetNetwork(Network):
         super().crash(process_id)
         self.runtime.mark_crashed(process_id)
 
-    def _schedule_delivery(self, message, delay: float) -> None:
-        # The latency model's delay is meaningless here — transit time is
-        # whatever the loopback TCP stack takes.
-        self.runtime.enqueue(message)
+    def _enqueue_round(self, time: float, messages) -> None:
+        # The round's instant is meaningless here — transit time is whatever
+        # the loopback TCP stack takes.
+        for message in messages:
+            self.runtime.enqueue(message)
 
 
 class NetSimulation(DeploymentView):
@@ -96,7 +98,7 @@ class NetSimulation(DeploymentView):
 
     def __init__(self, config: Optional[DRTreeConfig] = None, seed: int = 0,
                  options=None) -> None:
-        from repro.pubsub.engines import NetOptions
+        from repro.api.options import NetOptions
 
         self.config = config or DRTreeConfig()
         self.options = options or NetOptions()

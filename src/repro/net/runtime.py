@@ -53,7 +53,7 @@ from repro.sim.metrics import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.conditions import ConditionPipeline
     from repro.overlay.peer import DRTreePeer
-    from repro.pubsub.engines import NetOptions
+    from repro.api.options import NetOptions
 
 
 class _TimerHandle:

@@ -76,22 +76,17 @@ class DRTreeSimulation(DeploymentView):
         config: Optional[DRTreeConfig] = None,
         seed: int = 0,
         loss_rate: float = 0.0,
-        batch: bool = False,
     ) -> None:
         self.config = config or DRTreeConfig()
         self.streams = RandomStreams(seed)
         self.engine = SimulationEngine()
         self.metrics = MetricsRegistry()
-        # ``batch``: every message joins the per-round queue of its
-        # delivery instant (identical outcomes, one scheduling operation per
-        # round instead of one per message).
         self.network = Network(
             self.engine,
             latency=FixedLatency(self.config.message_latency),
             metrics=self.metrics,
             loss_rate=loss_rate,
             streams=self.streams,
-            batch=batch,
         )
         self.oracle = ContactOracle()
         self.verifier = OverlayVerifier(

@@ -29,9 +29,9 @@ event are selected in one containment pass
 remote children share one payload — the event object, its point, the
 receiving level and the hop count — handed to
 :meth:`~repro.sim.network.Network.send_many`.  How the network schedules
-those envelopes (one engine entry per message, or per-round queues) is the
-network's choice and never changes who receives which event at what hop
-count.
+those envelopes (per-round queues, or one engine entry per fan-out under
+loss or a sampling latency) is the network's choice and never changes who
+receives which event at what hop count.
 """
 
 from __future__ import annotations

@@ -5,8 +5,6 @@ This subpackage provides the user-facing facade of the reproduction:
 * :class:`~repro.pubsub.api.PubSubSystem` — subscribe / unsubscribe /
   publish over a simulated DR-tree, with full delivery accounting (the
   DR-tree implementation of the :class:`~repro.api.broker.Broker` protocol),
-* :mod:`~repro.pubsub.engines` — the registry of named dissemination
-  engines (``classic``, ``batched``, and whatever plugs in next),
 * :class:`~repro.pubsub.accounting.DeliveryAccounting` — false positive /
   false negative / message-cost bookkeeping for every published event,
 * :mod:`~repro.pubsub.matching` — ground-truth event matching used to decide
@@ -15,18 +13,11 @@ This subpackage provides the user-facing facade of the reproduction:
 
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
 from repro.pubsub.api import PubSubSystem
-from repro.pubsub.engines import (EngineSpec, UnknownEngineError, engine_names,
-                                  get_engine, register_engine)
 from repro.pubsub.matching import matching_subscribers
 
 __all__ = [
     "PubSubSystem",
     "DeliveryAccounting",
     "EventOutcome",
-    "EngineSpec",
-    "UnknownEngineError",
-    "engine_names",
-    "get_engine",
-    "register_engine",
     "matching_subscribers",
 ]

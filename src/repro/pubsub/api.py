@@ -7,10 +7,11 @@ the operations of a content-based publish/subscribe service — ``subscribe``,
 ``unsubscribe``, ``publish``, ``fail``, ``move_subscription`` — plus full
 delivery accounting.
 
-The dissemination engine is pluggable: ``engine="classic"`` (one scheduling
-operation per message) or ``engine="batched"`` (per-round delivery queues,
-same outcomes) select a registered :class:`~repro.pubsub.engines.EngineSpec`;
-future engines plug into that registry without touching this facade.
+The engine is a row of the backend table (:mod:`repro.api.registry`):
+``engine="classic"`` or ``"batched"`` (two names for one in-process
+simulator whose messages join per-round delivery queues), ``"sharded"``
+(worker processes) or ``"net"`` (real sockets) selects the simulation this
+facade drives.
 
 Example
 -------
@@ -33,9 +34,9 @@ import pickle
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
+from repro.api.registry import drtree_engine
 from repro.overlay.config import DRTreeConfig
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
-from repro.pubsub.engines import get_engine
 from repro.pubsub.matching import SubscriptionIndex
 from repro.spatial.filters import (AttributeSpace, Event, Subscription,
                                    ensure_same_space, ensure_unique_names)
@@ -57,30 +58,30 @@ class PubSubSystem:
         engine: str = "classic",
         engine_options: Optional[Mapping[str, object]] = None,
     ) -> None:
-        """``engine`` names a registered dissemination engine.
+        """``engine`` names a ``drtree:<engine>`` row of the backend table.
 
-        ``"classic"``, ``"batched"`` and ``"sharded"`` produce identical
-        delivery outcomes (received sets, hop counts, message counts); the
-        engine only changes how the simulator schedules the PUBLISH fan-out
-        — per-round delivery queues for ``batched``, partitioned across
-        worker processes for ``sharded``.  ``engine_options`` passes
+        ``"classic"`` and ``"batched"`` are one simulator and produce
+        identical outputs.  ``"sharded"`` partitions the peers across worker
+        processes: it delivers the same events, with message counts equal
+        to classic's for a bulk load and publishes only (after a join,
+        departure or crash its repaired tree can differ; see
+        ``docs/architecture.md``).  ``engine_options`` passes
         engine-specific construction knobs (e.g. ``{"shards": 4}`` for the
         sharded engine), validated against the engine's typed option set
-        (:class:`~repro.pubsub.engines.EngineOptions`); unknown names and
+        (:class:`~repro.api.options.EngineOptions`); unknown names and
         invalid values raise ``ValueError`` naming the allowed keys.
         """
-        engine_spec = get_engine(engine)
-        resolved_options = engine_spec.resolve_options(engine_options)
+        engine_spec = drtree_engine(engine)
         self.space = space
         self.config = config if config is not None else DRTreeConfig()
-        self.engine_name = engine_spec.name
+        self.engine_name = engine_spec.engine
         self.engine_options = dict(engine_options or {})
         # Instance-level override of the class default: the engine decides
         # what this broker genuinely supports (the real-network engine has
         # no snapshot capability).
         self.CAPABILITIES = frozenset(engine_spec.capabilities)
-        self.simulation = engine_spec.build(self.config, seed,
-                                            resolved_options)
+        self.simulation = engine_spec.build_simulation(self.config, seed,
+                                                       engine_options)
         self.accounting = DeliveryAccounting()
         self.stabilize_rounds = stabilize_rounds
         self._event_counter = itertools.count()

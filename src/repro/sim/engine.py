@@ -11,8 +11,8 @@ Batch mode
 Alongside the per-event heap, the engine keeps *per-round delivery queues*:
 :meth:`SimulationEngine.schedule_batch` enqueues one callback standing for a
 whole batch of deliveries at the same instant, stored in a FIFO bucket keyed
-by delivery time.  One bucket is one *round* — on a batched network, every
-message put in flight for that instant.  Batched
+by delivery time.  One bucket is one *round* — on a lossless fixed-latency
+network, every message put in flight for that instant.  Batched
 entries cost one queue operation per batch instead of one heap push/pop per
 message, which is what makes 10k-peer publication scenarios spend their time
 in the protocol instead of in the scheduler.
@@ -20,8 +20,7 @@ in the protocol instead of in the scheduler.
 Heap events and batch entries share the engine's sequence counter, and the
 run loop merges the two queues by ``(time, sequence)``.  Deliveries therefore
 execute in exactly the same global order whether they were scheduled
-individually or as a batch, so batched and unbatched simulations of the same
-workload produce identical outcomes.
+individually or as a batch.
 """
 
 from __future__ import annotations
@@ -257,10 +256,10 @@ class SimulationEngine:
         Each iteration executes everything due at the earliest pending
         instant — batch entries and individually scheduled events, merged in
         sequence order — then moves on to the instant the executed
-        deliveries scheduled.  Heap-only work (timers, and every message of
-        a network that does not batch) is drained the same way, so returning
-        means :meth:`has_pending` is false.  Returns the number of rounds
-        run.
+        deliveries scheduled.  Heap-only work (timers, and the messages of a
+        lossy or sampling-latency network) is drained the same way, so
+        returning means :meth:`has_pending` is false.  Returns the number of
+        rounds run.
 
         Raises :class:`SimulationStalledError` when ``max_rounds`` is hit
         with work still queued, or when a single instant fails to drain

@@ -1,9 +1,9 @@
 """Message envelopes exchanged between simulated processes.
 
-Every envelope is a fresh slotted :class:`Message`; the batched network
-frees each one as soon as its recipient has handled it, so nothing recycles
-them.  :class:`MessagePool` survives only so snapshots pickled while an
-envelope free list existed still load.
+Every envelope is a fresh slotted :class:`Message`; the network frees each
+one as soon as its recipient has handled it, so nothing recycles them.
+:class:`MessagePool` survives only so snapshots pickled while an envelope
+free list existed still load.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class Message:
     message_id: int = field(default_factory=_MESSAGE_IDS.__next__)
     hops: int = 0
 
-    #: Envelopes pickled before the class was slotted (the batched network's
-    #: free list inside an old snapshot) carry an instance ``__dict__``.
+    #: Envelopes pickled before the class was slotted (the network's free
+    #: list inside an old batched snapshot) carry an instance ``__dict__``.
     __setstate__ = set_slot_state
 
     def reply(self, kind: str, payload: Dict[str, Any] | None = None) -> "Message":

@@ -71,7 +71,6 @@ class Network:
         metrics: Optional[MetricsRegistry] = None,
         loss_rate: float = 0.0,
         streams: Optional[RandomStreams] = None,
-        batch: bool = False,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -79,17 +78,13 @@ class Network:
         self.latency = latency or FixedLatency(1.0)
         self.metrics = metrics or MetricsRegistry()
         self.loss_rate = loss_rate
-        #: The scheduling choice of :meth:`send` and :meth:`send_many`:
-        #: when True, every message of a lossless fixed-latency network joins
-        #: the per-round delivery queue of its delivery instant; when False
-        #: (or under loss or a sampling latency model) each message keeps its
-        #: own engine entry.  Delivery outcomes are identical either way.
-        self.batch = batch
         #: Per-round delivery queues: delivery time -> (messages, engine
-        #: entry).  Every message landing at the same instant appends to one
-        #: buffer and grows one engine entry, so a whole round — fan-outs,
-        #: stabilization and join traffic alike — costs a single scheduling
-        #: operation.
+        #: entry).  On a lossless ``FixedLatency`` network every message
+        #: landing at the same instant appends to one buffer and grows one
+        #: engine entry, so a whole round — fan-outs, stabilization and join
+        #: traffic alike — costs a single scheduling operation.  Under loss
+        #: or a sampling latency model each message (or fan-out) keeps its
+        #: own engine entry instead.
         self._rounds: Dict[float, Tuple[List[Message], "BatchEntry"]] = {}
         self._streams = streams or RandomStreams(0)
         self._loss_rng = self._streams.stream("network.loss")
@@ -193,33 +188,20 @@ class Network:
             metrics.increment("network.messages_partitioned")
             return
         latency = self.latency
-        if (self.batch and not self.loss_rate
-                and type(latency) is FixedLatency):
+        if not self.loss_rate and type(latency) is FixedLatency:
             self._enqueue_round(now + latency.delay, [message])
-            return
-        self._schedule_delivery(message, latency.sample())
-
-    def _schedule_delivery(self, message: Message, delay: float) -> None:
-        """Give one filtered, accounted message its own engine entry.
-
-        The per-message path of :meth:`send`: taken when the network is not
-        batched, drops messages or samples its latency.  Split out so a
-        transport that delivers elsewhere (the real-socket runtime) overrides
-        only the scheduling step and inherits every per-message bookkeeping
-        rule — taps, crash/loss/partition filtering, counters — unchanged.
-        """
-        self.engine.schedule(delay, lambda: self._deliver(message))
+        else:
+            self.engine.schedule(latency.sample(),
+                                 lambda: self._deliver(message))
 
     def send_many(self, sender: str, recipients: Sequence[str], kind: str,
                   payload: Dict[str, Any]) -> None:
         """Send one ``kind`` message from ``sender`` to each of ``recipients``.
 
         Every envelope shares ``payload``; receivers treat it as read-only.
-        Without :attr:`batch` this is exactly one :meth:`send` per
-        recipient, each with its own engine entry.  With it the per-message
-        bookkeeping (taps, crash/loss/partition filtering, latency sampling)
-        is identical to :meth:`send`, but the fan-out is accounted once and
-        scheduled as a whole.
+        The per-message bookkeeping (taps, crash/loss/partition filtering,
+        latency sampling) is that of one :meth:`send` per recipient, but the
+        fan-out is accounted once and scheduled as a whole.
 
         Ordering note: on a lossless fixed-latency network the fan-out joins
         the per-round delivery queue of its instant, like every other
@@ -232,10 +214,6 @@ class Network:
         delivery order — and therefore the RNG draw order — bit for bit.
         """
         if not recipients:
-            return
-        if not self.batch:
-            for recipient in recipients:
-                self.send(Message(sender, recipient, kind, payload))
             return
         now = self.engine.now
         messages = [Message(sender, recipient, kind, payload, now)
@@ -302,7 +280,14 @@ class Network:
             )
 
     def _enqueue_round(self, time: float, messages: List[Message]) -> None:
-        """Append ``messages`` to the per-round delivery queue at ``time``."""
+        """Append ``messages`` to the per-round delivery queue at ``time``.
+
+        Every message of a lossless ``FixedLatency`` network — a single
+        :meth:`send` or a :meth:`send_many` fan-out — arrives here after the
+        per-message rules ran, so a transport that delivers elsewhere (a
+        shard's cross-shard capture, the real-socket runtime) overrides this
+        one step.
+        """
         queued = self._rounds.get(time)
         if queued is None:
             entry = self.engine.schedule_batch(
@@ -379,6 +364,9 @@ class Network:
         # Networks pickled before per-round queues took every message carry
         # an envelope free list (``pool``); nothing reads it any more.
         state.pop("pool", None)
+        # Networks pickled while two schedulers existed carry the ``batch``
+        # flag that chose between them; nothing reads it any more.
+        state.pop("batch", None)
         # Networks pickled before receptions were forgotten at settle hold
         # no tables.
         state.setdefault("_held_receptions", [])

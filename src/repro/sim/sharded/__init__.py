@@ -3,17 +3,19 @@
 Partitions the peer set across worker processes — one DR-tree subtree per
 shard, chosen at bulk-load time from the STR tiling — and exchanges
 cross-shard messages at round barriers over pickled pipes or shared-memory
-frame rings (:mod:`repro.sim.sharded.shm`, framed by :mod:`repro.wire`), so
-delivery metrics stay deterministic and byte-identical to the
-single-process ``drtree:classic`` engine on the same seed.  The transport
-is the only execution choice (engine options ``shards`` and ``transport``):
-one coordinator-side worker proxy drives whichever channel it is given, and
-every shard worker schedules with per-round delivery queues.
+frame rings (:mod:`repro.sim.sharded.shm`, framed by :mod:`repro.wire`).
+Runs are deterministic.  For a bulk load and publishes, delivery metrics
+are byte-identical to the single-process ``drtree:classic`` engine on the
+same seed; after a join, a departure or a crash the repaired tree can be
+shaped differently (legal, no false negatives, other message counts).  The
+transport is the only execution choice (engine options ``shards`` and
+``transport``): one coordinator-side worker proxy drives whichever channel
+it is given.
 
-Registered as the ``sharded`` dissemination engine
-(:mod:`repro.pubsub.engines`), which makes it the ``drtree:sharded`` backend
-everywhere: the facade (``PubSubSystem(engine="sharded")``), the CLI
-(``--backend drtree:sharded --shards N --transport shm``), traces and the
+The ``drtree:sharded`` row of the backend table (:mod:`repro.api.registry`)
+makes it a backend everywhere: the facade
+(``PubSubSystem(engine="sharded")``), the CLI (``--backend drtree:sharded
+--shards N --transport shm``), traces and the
 ``backend_matrix``/``throughput``/``scale`` scenarios.  See
 ``docs/architecture.md`` ("The sharded engine").
 """

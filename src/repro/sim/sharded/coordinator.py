@@ -354,8 +354,8 @@ class ShardedSimulation:
         ``transport`` selects how shards execute and talk to the
         coordinator — one of :data:`TRANSPORTS`, normalized by
         :func:`resolve_transport`.  On every transport the shard workers
-        schedule with per-round delivery queues, which is output-identical
-        to per-message scheduling.
+        schedule with per-round delivery queues, like every simulated
+        network.
         """
         if shards < 1:
             raise ValueError("shards must be at least 1")

@@ -157,7 +157,8 @@ class ShardNetwork(Network):
 
     ``owner`` maps peer ids to shard ids; recipients not in the map (the
     pre-bulk-load regime, where every peer lives in shard 0) are treated as
-    local.  The override point is :meth:`_enqueue_round`, which runs
+    local.  The network is lossless with a ``FixedLatency``, so every
+    message reaches :meth:`_enqueue_round`, the override point, which runs
     *after* the base class has applied every per-message rule — taps,
     crashed-sender drops, partitions, counters — so a cross-shard send is
     accounted exactly like a local one and only its delivery is remoted.
@@ -174,8 +175,8 @@ class ShardNetwork(Network):
     def _enqueue_round(self, time: float, messages: List[Message]) -> None:
         """Split messages joining a round between local delivery and capture.
 
-        A shard network is batched, lossless and ``FixedLatency``, so every
-        message it sends — a single :meth:`send` or a ``send_many`` fan-out —
+        A shard network is lossless and ``FixedLatency``, so every message
+        it sends — a single :meth:`send` or a ``send_many`` fan-out —
         funnels through this hook; the base class's per-message and
         ``schedule_batch`` paths are unreachable.  Captured messages are
         stamped with the round's delivery instant.
@@ -234,16 +235,13 @@ class ShardRuntime:
         self.shard_id = shard_id
         self.sim = DRTreeSimulation(config=config, seed=seed)
         # Swap in the shard-aware transport before any peer exists; peers
-        # bind to ``sim.network`` at creation time.  Shards schedule with
-        # per-round queues: output-identical to per-message scheduling and
-        # faster on every transport.
+        # bind to ``sim.network`` at creation time.
         self.net = ShardNetwork(
             shard_id,
             engine=self.sim.engine,
             latency=FixedLatency(self.sim.config.message_latency),
             metrics=self.sim.metrics,
             streams=self.sim.streams,
-            batch=True,
         )
         self.sim.network = self.net
         self.sim.corruptor = MemoryCorruptor(self.net, self.sim.streams)

@@ -8,6 +8,8 @@ import pytest
 
 from repro.overlay.config import DRTreeConfig
 from repro.pubsub.accounting import DeliveryAccounting
+from repro.sim.messages import Message
+from repro.sim.network import Network
 from repro.spatial.filters import (AttributeSpace, Event, Subscription, make_space,
                                    subscription_from_rect)
 from repro.spatial.rectangle import Rect
@@ -95,3 +97,16 @@ def record_sim_deliveries(sim) -> RecordingAccounting:
     for peer in sim.peers.values():
         peer.delivery_listener = recorder.record_delivery
     return recorder
+
+
+class PerMessageNetwork(Network):
+    """The reference scheduler: a fan-out is one ``send`` per recipient.
+
+    Under loss or a sampling latency model each of those sends gets its own
+    engine entry, so this fixes the per-message delivery order — and the
+    loss-RNG draw order — that ``Network.send_many`` must reproduce.
+    """
+
+    def send_many(self, sender, recipients, kind, payload) -> None:
+        for recipient in recipients:
+            self.send(Message(sender, recipient, kind, payload))

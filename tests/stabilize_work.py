@@ -1,13 +1,17 @@
 """Print the stabilization work of one fixed membership sequence.
 
-A 600-peer ``drtree:batched`` broker is bulk-loaded, then takes 3 joins,
-2 controlled departures, 2 crashes and 2 moves, each stabilized by the
-facade.  The script prints every report a stabilize returned (its
-violations and ``summary()``), the ``stabilize.rounds`` samples and every
-counter of the run (``stabilization.*`` and ``network.messages.*``
-included).  The output is deterministic: two commits that do the same
-stabilization work print the same bytes.  CI runs it against the source
-trees of HEAD and of its parent and fails on any difference::
+A 600-peer broker is bulk-loaded, then takes 3 joins, 2 controlled
+departures, 2 crashes and 2 moves, each stabilized by the facade.  The
+script prints every report a stabilize returned (its violations and
+``summary()``), the ``stabilize.rounds`` samples and every counter of the
+run (``stabilization.*`` and ``network.messages.*`` included).  It runs
+the sequence on ``drtree:batched`` and then on ``drtree:classic``; the
+classic leg goes on to publish a fixed ``targeted_events`` stream and
+prints the delivered digest and every counter again, so a change to how
+classic schedules its messages shows here too.  The output is
+deterministic: two commits that do the same work print the same bytes.  CI
+runs it against the source trees of HEAD and of its parent and fails on
+any difference::
 
     PYTHONPATH=src python3 tests/stabilize_work.py > head.txt
     PYTHONPATH=../parent/src python3 tests/stabilize_work.py > parent.txt
@@ -16,18 +20,26 @@ trees of HEAD and of its parent and fails on any difference::
 
 from __future__ import annotations
 
+from repro.analysis.digests import delivered_digest
 from repro.api import SystemSpec
 from repro.workloads import uniform_subscriptions
+from repro.workloads.events import targeted_events
 
 SEED = 1
+EVENTS = 200
 
 
-def main() -> None:
+def print_counters(simulation) -> None:
+    for name, value in sorted(simulation.metrics.counters().items()):
+        print(f"{name}: {value}")
+
+
+def run(backend: str, publish: bool) -> None:
+    print(f"== {backend}")
     population = uniform_subscriptions(600, seed=SEED)
     subscriptions = list(population)
     joiners = list(uniform_subscriptions(5, seed=SEED + 1, prefix="J"))
-    broker = SystemSpec(population.space, backend="drtree:batched",
-                        seed=SEED).build()
+    broker = SystemSpec(population.space, backend=backend, seed=SEED).build()
     simulation = broker.simulation
     reports = []
     stabilize = simulation.stabilize
@@ -57,8 +69,19 @@ def main() -> None:
             print(f"  violation: {violation}")
     rounds = simulation.metrics.histogram("stabilize.rounds").values
     print(f"stabilize.rounds: {rounds}")
-    for name, value in sorted(simulation.metrics.counters().items()):
-        print(f"{name}: {value}")
+    print_counters(simulation)
+    if publish:
+        broker.publish_many(targeted_events(population.space, subscriptions,
+                                            EVENTS, seed=SEED))
+        print(f"delivered digest after {EVENTS} events: "
+              f"{delivered_digest(broker)}")
+        print(f"summary: {broker.summary()}")
+        print_counters(simulation)
+
+
+def main() -> None:
+    run("drtree:batched", publish=False)
+    run("drtree:classic", publish=True)
 
 
 if __name__ == "__main__":

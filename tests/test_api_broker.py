@@ -16,7 +16,6 @@ from repro.api import (Broker, SystemSpec, UnknownBackendError, backend_names,
 from repro.baselines import BaselineBroker, FloodingOverlay
 from repro.experiments.harness import build_pubsub_system
 from repro.pubsub import PubSubSystem
-from repro.pubsub.engines import UnknownEngineError, get_engine
 from repro.spatial.filters import Event, make_space, subscription_from_rect
 from repro.spatial.rectangle import Rect
 from repro.workloads.events import targeted_events
@@ -70,7 +69,7 @@ def test_normalize_backend_rejects_unknown_names():
 def test_register_backend_rejects_duplicates_and_drtree_names():
     with pytest.raises(ValueError, match="already registered"):
         register_backend("flooding", lambda spec: None)
-    with pytest.raises(ValueError, match="engine registry"):
+    with pytest.raises(ValueError, match="drtree backends"):
         register_backend("drtree:custom", lambda spec: None)
 
 
@@ -93,9 +92,12 @@ def test_every_backend_satisfies_the_broker_protocol(backend, space):
         _close(broker)
 
 
-def test_unknown_engine_is_a_typed_error():
-    with pytest.raises(UnknownEngineError, match="registered"):
-        get_engine("quantum")
+def test_unknown_engine_is_a_typed_error(space):
+    with pytest.raises(UnknownBackendError,
+                       match=r"^unknown dissemination engine 'quantum'; "
+                             r"registered: \['classic', 'batched', "
+                             r"'sharded', 'net'\]$"):
+        PubSubSystem(space, engine="quantum")
 
 
 @pytest.mark.parametrize("backend", ["drtree:classic", "flooding"])

@@ -1,13 +1,14 @@
-"""The one fan-out against a model of the paper's rule, and the two
-scheduling policies against each other.
+"""The one fan-out against a model of the paper's rule, and the round
+queues against per-message scheduling.
 
-Every engine runs one fan-out; ``drtree:classic`` schedules it one engine
-entry per message and ``drtree:batched`` puts every message in the
-per-round queue of its delivery instant.  A tree-walk model of the paper's
-dissemination rule is the reference for *who* receives an event at *what*
-hop count, on both engines.  The engines must then agree on everything
-observable, lossy networks included, plus contract tests for the round
-queues and the exact-equivalence helpers the fan-out relies on.
+Every engine runs one fan-out, and on a lossless ``FixedLatency`` network
+(``drtree:classic`` and ``drtree:batched`` are one such simulator) every
+message joins the per-round queue of its delivery instant.  A tree-walk
+model of the paper's dissemination rule is the reference for *who* receives
+an event at *what* hop count.  Under loss each fan-out keeps its own engine
+entry, and a per-message reference network must then drop exactly the same
+messages.  Contract tests cover the round queues and the exact-equivalence
+helpers the fan-out relies on.
 """
 
 from __future__ import annotations
@@ -26,57 +27,7 @@ from repro.spatial.filters import (Event, make_space, subscription_from_interval
 from repro.spatial.rectangle import Point, Rect
 from repro.workloads.events import targeted_events, uniform_events
 from repro.workloads.subscriptions import uniform_subscriptions
-from tests.conftest import record_deliveries
-
-
-def _publish_and_snapshot(workload, events, seed, engine):
-    """Run one mode end to end; return everything observable about it."""
-    system = PubSubSystem(workload.space, seed=seed, engine=engine)
-    recorder = record_deliveries(system)
-    system.subscribe_all(workload)
-    subscribers = system.subscribers()
-    for index, event in enumerate(events):
-        system.publish(event, publisher_id=subscribers[index % len(subscribers)])
-    records = sorted(recorder.deliveries)
-    outcomes = {
-        event_id: (sorted(outcome.received), sorted(outcome.false_positives),
-                   outcome.messages, outcome.max_hops)
-        for event_id, outcome in system.accounting.outcomes.items()
-    }
-    counters = system.simulation.metrics
-    return {
-        "records": records,
-        "outcomes": outcomes,
-        "summary": system.summary(),
-        "receptions": counters.counter("pubsub.receptions"),
-        "messages": counters.counter("pubsub.messages"),
-        "false_positives": counters.counter("pubsub.false_positives"),
-    }
-
-
-def _assert_modes_equivalent(workload, events, seed):
-    unbatched = _publish_and_snapshot(workload, events, seed, engine="classic")
-    batched = _publish_and_snapshot(workload, events, seed, engine="batched")
-    assert unbatched == batched
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       size=st.integers(min_value=6, max_value=24),
-       count=st.integers(min_value=3, max_value=10))
-def test_batched_equals_unbatched_on_random_workloads(seed, size, count):
-    workload = uniform_subscriptions(size, seed=seed)
-    events = targeted_events(workload.space, list(workload), count,
-                             seed=seed + 13)
-    _assert_modes_equivalent(workload, events, seed)
-
-
-def test_batched_equals_unbatched_past_bulk_threshold():
-    """A 600-peer overlay takes the STR fast path and still agrees."""
-    workload = uniform_subscriptions(600, seed=3)
-    events = targeted_events(workload.space, list(workload), 40, seed=11)
-    _assert_modes_equivalent(workload, events, seed=3)
+from tests.conftest import PerMessageNetwork, record_deliveries
 
 
 def test_batched_mode_actually_batches():
@@ -199,9 +150,10 @@ def _publishers_at_every_level(peers, per_level=2):
 
 
 def _assert_fan_out_matches_model(workload, seed, rounds=2):
-    structure = PubSubSystem(workload.space, seed=seed, engine="classic")
-    structure.subscribe_all(workload)
-    peers = structure.simulation.peers
+    system = PubSubSystem(workload.space, seed=seed)
+    recorder = record_deliveries(system)
+    system.subscribe_all(workload)
+    peers = system.simulation.peers
     publishers = _publishers_at_every_level(peers)
     count = rounds * len(publishers)
     events = (targeted_events(workload.space, list(workload), count,
@@ -213,21 +165,16 @@ def _assert_fan_out_matches_model(workload, seed, rounds=2):
             peers, publishers[index % len(publishers)],
             event.to_point(workload.space))
         for index, event in enumerate(events)}
-    assert len({structure.simulation.peer(p).top_level()
-                for p in publishers}) == structure.simulation.height()
-    for engine in ("classic", "batched"):
-        system = PubSubSystem(workload.space, seed=seed, engine=engine)
-        recorder = record_deliveries(system)
-        system.subscribe_all(workload)
-        for index, event in enumerate(events):
-            system.publish(event,
-                           publisher_id=publishers[index % len(publishers)])
-        observed = {event.event_id: {} for event in events}
-        for event_id, subscriber_id, _, hops in recorder.deliveries:
-            observed[event_id][subscriber_id] = hops
-        for event in events:
-            assert observed[event.event_id] == expected[event.event_id], (
-                engine, event.event_id)
+    assert len({system.simulation.peer(p).top_level()
+                for p in publishers}) == system.simulation.height()
+    for index, event in enumerate(events):
+        system.publish(event, publisher_id=publishers[index % len(publishers)])
+    observed = {event.event_id: {} for event in events}
+    for event_id, subscriber_id, _, hops in recorder.deliveries:
+        observed[event_id][subscriber_id] = hops
+    for event in events:
+        assert observed[event.event_id] == expected[event.event_id], (
+            event.event_id)
 
 
 @settings(max_examples=10, deadline=None,
@@ -235,6 +182,18 @@ def _assert_fan_out_matches_model(workload, seed, rounds=2):
 @given(seed=st.integers(min_value=0, max_value=10_000),
        size=st.integers(min_value=6, max_value=40))
 def test_fan_out_matches_the_model_on_random_workloads(seed, size):
+    _assert_fan_out_matches_model(uniform_subscriptions(size, seed=seed),
+                                  seed)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: the join protocol leaves a level-chain hole (S0 at "
+    "levels {0, 2, 3} for seed 2891, size 15) or a stale cached child MBR "
+    "that the verifier calls legal, and the fan-out misses a subscriber "
+    "the model reaches; item 14's fix makes these pass"))
+@pytest.mark.parametrize("seed,size", [
+    (112, 13), (9922, 22), (7231, 28), (2891, 15), (10000, 28)])
+def test_fan_out_matches_the_model_on_the_pinned_counterexamples(seed, size):
     _assert_fan_out_matches_model(uniform_subscriptions(size, seed=seed),
                                   seed)
 
@@ -304,12 +263,17 @@ def test_child_ids_containing_point_excludes():
     assert child_ids_containing_point(children, point, exclude="a") == ["b"]
 
 
-def _lossy_records(seed, size, loss, batch, window=1):
+def _lossy_records(seed, size, loss, per_message, window=1):
     from repro.overlay.bootstrap import bootstrap_overlay
     from repro.overlay.builder import DRTreeSimulation
 
     workload = uniform_subscriptions(size, seed=seed)
-    sim = DRTreeSimulation(seed=seed, loss_rate=loss, batch=batch)
+    sim = DRTreeSimulation(seed=seed, loss_rate=loss)
+    if per_message:
+        # Before any peer exists: peers bind to ``sim.network`` at creation.
+        sim.network = PerMessageNetwork(
+            sim.engine, latency=sim.network.latency, metrics=sim.metrics,
+            loss_rate=loss, streams=sim.streams)
     bootstrap_overlay(sim, list(workload))
     sim.stabilize(max_rounds=50)
     records = []
@@ -333,7 +297,8 @@ def _lossy_records(seed, size, loss, batch, window=1):
     (0, 0.2, 6), (4, 0.3, 6), (7, 0.2, 4),
 ])
 def test_batched_equals_unbatched_under_message_loss(seed, loss, window):
-    """Lossy networks: both modes must drop exactly the same messages.
+    """Lossy networks: the fan-outs must drop exactly the messages that one
+    ``send`` per recipient drops.
 
     Regression for two review findings: the batched fan-out used to reorder
     the loss-RNG draws — first by deferring the local descent behind the
@@ -342,6 +307,7 @@ def test_batched_equals_unbatched_under_message_loss(seed, loss, window):
     into one round entry (fixed by keeping one entry per fan-out whenever
     the network consumes RNG at send time).
     """
-    unbatched = _lossy_records(seed, 70, loss, batch=False, window=window)
-    batched = _lossy_records(seed, 70, loss, batch=True, window=window)
-    assert unbatched == batched
+    reference = _lossy_records(seed, 70, loss, per_message=True,
+                               window=window)
+    assert _lossy_records(seed, 70, loss, per_message=False,
+                          window=window) == reference

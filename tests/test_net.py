@@ -210,6 +210,44 @@ def test_net_delivers_byte_identical_to_classic():
         classic.close()
 
 
+def test_net_messages_never_reach_the_simulated_round_queues(monkeypatch):
+    """``NetNetwork`` is lossless with a ``FixedLatency``, so every message
+    — a single send or a fan-out — reaches its one ``_enqueue_round``
+    override, which hands it to the runtime: none reaches the base class's
+    round queues or ``SimulationEngine.schedule_batch``."""
+    from repro.net.runtime import NetRuntime
+    from repro.sim.engine import SimulationEngine
+    from repro.sim.network import Network
+
+    scheduled, enqueued = [], []
+    monkeypatch.setattr(SimulationEngine, "schedule_batch",
+                        lambda self, *args, **kwargs: scheduled.append(args))
+    monkeypatch.setattr(Network, "_enqueue_round",
+                        lambda self, *args: scheduled.append(args))
+    enqueue = NetRuntime.enqueue
+
+    def recording_enqueue(self, message):
+        enqueued.append(message.kind)
+        return enqueue(self, message)
+
+    monkeypatch.setattr(NetRuntime, "enqueue", recording_enqueue)
+    workload = uniform_subscriptions(16, seed=2)
+    subscriptions = list(workload)
+    broker = SystemSpec(workload.space, backend="drtree:net", seed=2,
+                        engine_options={"stabilizer": "off"}).build()
+    try:
+        broker.subscribe_all(subscriptions)
+        broker.publish_many(targeted_events(workload.space, subscriptions, 6,
+                                            seed=9))
+    finally:
+        broker.close()
+    assert scheduled == []
+    assert len(enqueued) == broker.simulation.metrics.counter(
+        "network.messages_sent")
+    assert {overlay_messages.PUBLISH_DOWN, overlay_messages.JOIN} <= set(
+        enqueued)
+
+
 def test_golden_replay_on_net_is_digest_verified():
     """The recorded golden trace replays on drtree:net byte for byte."""
     result = replay_trace(GOLDEN_TRACE, backend="drtree:net")

@@ -258,22 +258,6 @@ CLAIMS: Tuple[Claim, ...] = (
         {"systems": 5, "false negatives": 0, "DR-tree fp %": 3.52,
          "flooding fp %": 100.0}, REPRODUCED),
     Claim(
-        "T1-batched-parity",
-        "The batched engine delivers exactly what the classic one does",
-        "engine contract, not a paper claim", "throughput", (),
-        _engine_parity,
-        {"messages": 4209, "deliveries": 5483, "equal to the baseline": True},
-        REPRODUCED),
-    Claim(
-        "T1-round-queues-faster",
-        "Per-round delivery queues for every message (batched) are not "
-        "slower than per-message scheduling (classic)",
-        "engine contract, not a paper claim", "throughput", (),
-        lambda r: {"modes": r.column("mode")},
-        {"modes": ["drtree:classic", "drtree:batched"]},
-        NOT_CHECKABLE, "a wall-clock ratio, asserted ≥ 1.0× at 5 000 peers "
-                       "by CI's benchmark job"),
-    Claim(
         "T1-shm-parity",
         "The shm shard transport delivers exactly what the pipe one does",
         "engine contract, not a paper claim", "throughput",

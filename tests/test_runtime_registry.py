@@ -178,7 +178,8 @@ def test_backend_param_validates_against_the_live_registry(monkeypatch):
     param = backend_param()
     with pytest.raises(ScenarioError):
         param.coerce("gossipx")
-    monkeypatch.setitem(api_registry._BACKENDS, "gossipx", lambda spec: None)
+    monkeypatch.setitem(api_registry._BACKENDS, "gossipx",
+                        api_registry.BackendSpec("gossipx", lambda spec: None))
     assert param.coerce("gossipx") == "gossipx"
 
 

@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro.api.spec import SystemSpec
 from repro.overlay.config import DRTreeConfig
+from repro.sim.network import FixedLatency
 from repro.sim.sharded import (ShardedSimulation, ShardFailedError,
                                shm_available)
 from repro.sim.sharded.shm import leaked_segments
@@ -85,15 +86,16 @@ def test_terminate_with_a_command_outstanding(workload, transport):
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_shard_workers_always_run_the_batched_network(transport):
-    """The sharded ``batch`` option is gone: batched is a constant."""
+    """No option chooses a shard's scheduler: its network is lossless with a
+    ``FixedLatency``, so every message joins the per-round queues."""
     with ShardedSimulation(config=CONFIG, seed=3, shards=2,
                            transport=transport) as sim:
         sim._ensure_shards(1)
-        if transport == "inline":
-            assert sim._shards[0].runtime.net.batch is True
         # Any transport: the worker's own pickled simulation says so.
-        worker_sim = pickle.loads(sim._rpc(0, ("snapshot",)))
-        assert worker_sim.network.batch is True
+        network = pickle.loads(sim._rpc(0, ("snapshot",))).network
+        assert not network.loss_rate
+        assert type(network.latency) is FixedLatency
+        assert not hasattr(network, "batch")
         assert not hasattr(sim, "batch")
 
 

@@ -162,6 +162,23 @@ def test_random_op_sequences_are_transport_invariant(ops):
                         for column in DELIVERY_COLUMNS}), where
 
 
+#: A sequence the property above drew: ``drtree:classic`` ends on a tree
+#: the verifier calls legal, and ``e38`` still misses ``S194`` and ``S58``
+#: (2 false negatives) while 2 shards repair to a tree that loses nothing.
+LEGAL_BUT_LOSSY_OPS = [("join", 15350), ("leave", 1232), ("stabilize", 0),
+                       ("crash", 31057), ("stabilize", 0), ("publish", 9838),
+                       ("crash", 31057), ("stabilize", 0), ("publish", 1211),
+                       ("publish", 38778)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: a tree the verifier calls legal loses events; "
+    "item 14's fix makes this pass"))
+def test_a_legal_repair_loses_nothing_on_the_pinned_op_sequence():
+    summary = interpret("drtree:classic", LEGAL_BUT_LOSSY_OPS)[0]
+    assert summary["false_negatives"] == 0
+
+
 @pytest.mark.parametrize("shards", [2, 8])
 def test_the_base_population_is_really_partitioned(shards):
     broker = SystemSpec(space=SPACE, backend="drtree:sharded", config=CONFIG,

@@ -9,6 +9,7 @@ from repro.sim.messages import Message
 from repro.sim.network import FixedLatency, Network, UniformLatency
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
+from tests.conftest import PerMessageNetwork
 
 
 class EchoProcess(Process):
@@ -223,28 +224,25 @@ def test_unhandled_message_counted(net):
 
 
 # --------------------------------------------------------------------- #
-# send_many: per-message scheduling, and the per-round queues
+# send_many: the per-round queues, and per-entry scheduling
 # --------------------------------------------------------------------- #
-
-
-@pytest.fixture
-def batch_net():
-    engine = SimulationEngine()
-    network = Network(engine, latency=FixedLatency(1.0), batch=True)
-    return engine, network
 
 
 def _send_batch(network, sender, recipients, kind="PING"):
     network.send_many(sender, recipients, kind, {"n": 1})
 
 
-def test_send_many_unbatched_falls_back_to_send(net):
-    engine, network = net
+def test_send_many_unbatched_falls_back_to_send():
+    """A sampling latency model cannot share a round: each sampled delay
+    gets its own engine entry, as one ``send`` per recipient would."""
+    engine = SimulationEngine()
+    network = Network(engine, latency=UniformLatency(1.0, 2.0,
+                                                     RandomStreams(3)))
     a = EchoProcess("a", network)
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
     _send_batch(network, "a", ["b", "c"])
-    assert engine.pending() == 2  # one engine entry per message
+    assert engine.pending() == 2  # one engine entry per sampled delay
     assert network._rounds == {}  # nothing joined a per-round queue
     engine.run_until_idle()
     assert ("PING", "a") in b.received
@@ -252,8 +250,8 @@ def test_send_many_unbatched_falls_back_to_send(net):
     assert network.metrics.counter("network.messages_sent") >= 2
 
 
-def test_send_many_batch_delivers_after_latency(batch_net):
-    engine, network = batch_net
+def test_send_many_batch_delivers_after_latency(net):
+    engine, network = net
     a = EchoProcess("a", network)
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
@@ -269,8 +267,8 @@ def test_send_many_batch_delivers_after_latency(batch_net):
     assert network.metrics.counter("network.messages.PING") == 2.0
 
 
-def test_send_many_batch_frees_each_envelope_as_it_is_delivered(batch_net):
-    engine, network = batch_net
+def test_send_many_batch_frees_each_envelope_as_it_is_delivered(net):
+    engine, network = net
     EchoProcess("a", network)
     EchoProcess("b", network)
     EchoProcess("c", network)
@@ -284,8 +282,8 @@ def test_send_many_batch_frees_each_envelope_as_it_is_delivered(batch_net):
     assert not hasattr(network, "pool")
 
 
-def test_send_many_batch_crashed_sender_drops_all(batch_net):
-    engine, network = batch_net
+def test_send_many_batch_crashed_sender_drops_all(net):
+    engine, network = net
     a = EchoProcess("a", network)
     b = EchoProcess("b", network)
     a.crash()
@@ -296,8 +294,8 @@ def test_send_many_batch_crashed_sender_drops_all(batch_net):
     assert network.metrics.counter("network.messages_dropped") == 2.0
 
 
-def test_send_many_batch_respects_partitions(batch_net):
-    engine, network = batch_net
+def test_send_many_batch_respects_partitions(net):
+    engine, network = net
     EchoProcess("a", network)
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
@@ -312,7 +310,7 @@ def test_send_many_batch_respects_partitions(batch_net):
 def test_send_many_batch_message_loss():
     engine = SimulationEngine()
     network = Network(engine, latency=FixedLatency(1.0), loss_rate=0.5,
-                      streams=RandomStreams(7), batch=True)
+                      streams=RandomStreams(7))
     EchoProcess("a", network)
     b = EchoProcess("b", network)
     # PONG is recorded without triggering a reply, so the loss counter only
@@ -324,8 +322,8 @@ def test_send_many_batch_message_loss():
     assert len(b.received) == 200 - int(lost)
 
 
-def test_send_many_batch_taps_see_every_message(batch_net):
-    engine, network = batch_net
+def test_send_many_batch_taps_see_every_message(net):
+    engine, network = net
     EchoProcess("a", network)
     EchoProcess("b", network)
     seen = []
@@ -335,8 +333,8 @@ def test_send_many_batch_taps_see_every_message(batch_net):
     assert seen == ["b", "b"]
 
 
-def test_same_instant_batches_share_one_round(batch_net):
-    engine, network = batch_net
+def test_same_instant_batches_share_one_round(net):
+    engine, network = net
     EchoProcess("a", network)
     b = EchoProcess("b", network)
     c = EchoProcess("c", network)
@@ -378,15 +376,15 @@ class RelayProcess(Process):
         self.send(message.sender, "PONG")
 
 
-def _handler_order(batch, loss_rate, uniform):
+def _handler_order(network_class, loss_rate, uniform):
     engine = SimulationEngine()
     streams = RandomStreams(11)
     # A zero-width uniform still draws per message but lands every message
     # of a hop on one instant, where a merged round would reorder them.
     latency = (UniformLatency(1.0, 1.0, streams) if uniform
                else FixedLatency(1.0))
-    network = Network(engine, latency=latency, loss_rate=loss_rate,
-                      streams=streams, batch=batch)
+    network = network_class(engine, latency=latency, loss_rate=loss_rate,
+                            streams=streams)
     ids = [f"p{index}" for index in range(5)]
     log = []
     for process_id in ids:
@@ -402,9 +400,9 @@ def _handler_order(batch, loss_rate, uniform):
 def test_batching_keeps_the_handler_order_when_sends_draw_randomness(
         loss_rate, uniform):
     """Under loss or a sampling latency model every send draws from an RNG
-    stream, so a batched network keeps each message's own engine entry and
-    runs the handlers in exactly the per-message order."""
-    order = _handler_order(False, loss_rate, uniform)
+    stream, so a fan-out keeps its own engine entry and the handlers run in
+    exactly the per-message order of the reference scheduler."""
+    order = _handler_order(PerMessageNetwork, loss_rate, uniform)
     assert len(order) > 50 and {kind for _, kind, _, _ in order} == {
         "FAN", "PING", "PONG"}
-    assert _handler_order(True, loss_rate, uniform) == order
+    assert _handler_order(Network, loss_rate, uniform) == order

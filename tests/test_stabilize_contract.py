@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,15 @@ GOLDEN_SNAPSHOTS = {
 }
 
 
+def networks_of(broker):
+    """The restored network of every shard (one, off the sharded engine)."""
+    simulation = broker.simulation
+    if hasattr(simulation, "network"):
+        return [simulation.network]
+    return [pickle.loads(simulation._rpc(shard, ("snapshot",))).network
+            for shard in range(len(simulation._shards))]
+
+
 @pytest.mark.parametrize("engine", list(GOLDEN_SNAPSHOTS))
 def test_an_old_snapshot_restores_and_repairs_a_deep_crash(engine,
                                                            classic_digests):
@@ -200,6 +210,10 @@ def test_an_old_snapshot_restores_and_repairs_a_deep_crash(engine,
     try:
         blob = (GOLDEN_DIR / GOLDEN_SNAPSHOTS[engine]).read_bytes()
         broker.restore(gzip.decompress(blob))
+        # The blobs pickle the ``batch`` flag that once chose between two
+        # schedulers; restoring drops it.
+        assert not any(hasattr(network, "batch")
+                       for network in networks_of(broker))
         broker.fail("S51", stabilize=False)
         report = broker.stabilize()
         assert report.is_legal and report.root is not None, report.summary()
@@ -228,8 +242,10 @@ def test_an_old_batched_snapshot_restores_and_finishes_the_stream():
                         seed=SEED).build()
     blob = (GOLDEN_DIR / BATCHED_SNAPSHOT).read_bytes()
     broker.restore(gzip.decompress(blob))
-    # The blob pickles an envelope free list; restoring drops it.
+    # The blob pickles an envelope free list and the ``batch`` flag;
+    # restoring drops both.
     assert not hasattr(broker.simulation.network, "pool")
+    assert not hasattr(broker.simulation.network, "batch")
     assert not any(hasattr(peer, "_handlers")
                    for peer in broker.simulation.live_peers())
     # It also pickles every event each peer had seen and one hop sample per
