@@ -11,7 +11,7 @@ engines that read them (:mod:`repro.net`) import a leaf module.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,13 @@ class EngineOptions:
     def keys(cls) -> List[str]:
         """The option names this engine accepts."""
         return [spec_field.name for spec_field in fields(cls)]
+
+    def to_mapping(self) -> Dict[str, Any]:
+        """The mapping that resolves back to this option set: every field
+        whose value differs from its default."""
+        return {spec_field.name: getattr(self, spec_field.name)
+                for spec_field in fields(self)
+                if getattr(self, spec_field.name) != spec_field.default}
 
     @classmethod
     def from_mapping(cls, engine: str,

@@ -215,7 +215,7 @@ def validate_engine_options(backend: str, options) -> None:
     elif options:
         raise ValueError(
             f"backend {spec.name!r} takes no engine options; "
-            f"got {dict(options)!r}")
+            f"got {options!r}")
 
 
 def create_broker(spec: SystemSpec) -> "Broker":

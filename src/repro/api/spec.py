@@ -11,8 +11,9 @@ adding a backend never changes this dataclass.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
+from repro.api.options import EngineOptions
 from repro.spatial.filters import AttributeSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +45,7 @@ class SystemSpec:
     #: (e.g. ``{"shards": 4}`` for ``drtree:sharded``).  Options affect only
     #: *how* the engine executes — never delivery outcomes — so they are not
     #: part of a system's trace identity; baseline backends accept none.
-    engine_options: Optional[Mapping[str, Any]] = None
+    engine_options: Optional[Union[Mapping[str, Any], EngineOptions]] = None
 
     def __post_init__(self) -> None:
         # Engine options are validated against the backend's typed option
@@ -67,8 +68,12 @@ class SystemSpec:
         return replace(self, backend=backend)
 
     def with_engine_options(self,
-                            options: Optional[Mapping[str, Any]]
+                            options: Optional[Union[Mapping[str, Any],
+                                                    EngineOptions]]
                             ) -> "SystemSpec":
-        """The same spec with different engine options."""
+        """The same spec with different engine options (a mapping, or an
+        instance of the backend's typed option set)."""
+        if isinstance(options, EngineOptions):
+            return replace(self, engine_options=options)
         return replace(self,
                        engine_options=dict(options) if options else None)

@@ -17,7 +17,8 @@ ledger before returning, and (c) drives :meth:`stabilize` through the
 simulator's own :class:`~repro.overlay.verifier.StabilizeFixpoint` on the
 loop thread — each round triggers *every* live peer's round back-to-back
 (no deliveries interleave, because the single-threaded loop cannot run a
-reader task until the driver awaits), then waits for quiescence.
+connection's ``data_received`` until the driver awaits), then waits for
+quiescence.
 Delivered sets on a legal, refreshed tree depend only on the subscriptions,
 not on TCP arrival order, which is why real-network nondeterminism never
 reaches the digest.

@@ -15,7 +15,8 @@ class NetError(RuntimeError):
 
 
 class NetTimeoutError(NetError):
-    """A bounded wait (quiescence, connect, drain) exceeded its deadline."""
+    """A bounded wait (loop start, quiescence, join acknowledgement)
+    exceeded its deadline."""
 
 
 class PeerUnreachableError(NetError):

@@ -20,9 +20,11 @@ Three pieces live here:
   returns (or the frame is dropped), and :meth:`InflightLedger.wait_idle`
   blocks until the count reaches zero;
 * :class:`NetRuntime` — the loop thread itself, the outbound channel pool
-  (one FIFO writer task per destination, LRU-capped, bounded
-  retry + exponential backoff on connects) and the op gate that defers
-  background stabilizer ticks while a facade operation is in flight.
+  (one FIFO channel and one connection per destination, written straight
+  from :meth:`NetRuntime.enqueue` through an ``asyncio.Protocol``;
+  LRU-capped, bounded retry + exponential backoff on connects) and the op
+  gate that defers background stabilizer ticks while a facade operation is
+  in flight.
 
 When a :class:`~repro.net.conditions.ConditionPipeline` is installed, every
 frame entering :meth:`NetRuntime.enqueue` is routed through it first: drops
@@ -121,7 +123,7 @@ class InflightLedger:
     All mutations happen on the loop thread, so plain integers suffice; the
     ``asyncio.Event`` flips exactly when the total reaches zero.  Per-
     recipient counts exist so a crash can retire the frames that will never
-    be dispatched (their reader task died with the server).
+    be dispatched (their connection closed with the server).
     """
 
     def __init__(self) -> None:
@@ -167,81 +169,118 @@ class InflightLedger:
                 f"{self.total} frame(s) still in flight") from None
 
 
+class _Outbound(asyncio.Protocol):
+    """The client side of one channel connection: the channel's signals."""
+
+    def __init__(self, channel: "_Channel") -> None:
+        self.channel = channel
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.channel.opened(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.channel.lost(self)
+
+    def pause_writing(self) -> None:
+        self.channel.paused = True
+
+    def resume_writing(self) -> None:
+        self.channel.paused = False
+        self.channel.flush()
+
+
 class _Channel:
-    """One FIFO outbound channel: a queue drained by a single writer task.
+    """One FIFO outbound channel: one connection to one destination.
 
     Per-destination (not per sender/recipient pair): every frame bound for
-    ``dst`` goes through this queue in send order, which preserves the
-    per-pair FIFO delivery the simulated network guarantees while keeping
-    the open-connection count ``O(peers)`` instead of ``O(tree edges)``.
+    ``dst`` goes out in send order, which preserves the per-pair FIFO
+    delivery the simulated network guarantees while keeping the
+    open-connection count ``O(peers)`` instead of ``O(tree edges)``.  With
+    the connection open and writable, :meth:`put` writes the frame straight
+    to the transport; while the connection is being opened, or while the
+    transport has paused writing, frames wait in ``queue`` and
+    :meth:`flush` writes them in order once it opens or resumes.  The only
+    task a channel ever runs is its pending connect attempt.
     """
 
     def __init__(self, runtime: "NetRuntime", dst: str) -> None:
         self.runtime = runtime
         self.dst = dst
         self.queue: Deque[Message] = deque()
-        self.wakeup = asyncio.Event()
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self.closing = False
-        self.task = runtime.loop.create_task(self._run(),
-                                             name=f"net-ch:{dst}")
+        #: The open connection's protocol, or ``None``.
+        self.outbound: Optional[_Outbound] = None
+        self.paused = False
+        #: The pending connect attempt, or ``None``.
+        self.connecting: Optional[asyncio.Task] = None
 
     def put(self, message: Message) -> None:
-        self.queue.append(message)
-        self.wakeup.set()
+        outbound = self.outbound
+        if outbound is not None and outbound.transport.is_closing():
+            # The server side closed; its connection_lost has not run yet.
+            self.lost(outbound)
+            outbound = None
+        if outbound is None or self.paused or self.queue:
+            self.queue.append(message)
+            self._ensure_connecting()
+        else:
+            outbound.transport.write(encode_frame(message))
 
-    async def _run(self) -> None:
-        try:
-            while True:
-                while not self.queue:
-                    self.wakeup.clear()
-                    await self.wakeup.wait()
-                message = self.queue.popleft()
-                await self._transmit(message)
-        except asyncio.CancelledError:
-            raise
-        finally:
-            await self._close_writer()
-
-    async def _transmit(self, message: Message) -> None:
+    def flush(self) -> None:
+        """Write queued frames in order until the queue empties or the
+        transport pauses."""
         runtime = self.runtime
-        if self.dst in runtime.crashed:
-            runtime.drop(message, "crashed")
-            return
+        queue = self.queue
+        while queue and self.outbound is not None and not self.paused:
+            message = queue.popleft()
+            if self.dst in runtime.crashed:
+                runtime.drop(message, "crashed")
+            else:
+                self.outbound.transport.write(encode_frame(message))
+
+    def _ensure_connecting(self) -> None:
+        if self.outbound is None and self.connecting is None:
+            self.connecting = self.runtime.loop.create_task(
+                self._connect(), name=f"net-connect:{self.dst}")
+
+    async def _connect(self) -> None:
         try:
-            if self.writer is None:
-                self.writer = await runtime.connect(self.dst)
-            self.writer.write(encode_frame(message))
-            await self.writer.drain()
+            await self.runtime.connect(self.dst, lambda: _Outbound(self))
         except PeerUnreachableError:
-            runtime.drop(message, "unreachable")
-            await self._close_writer()
-        except (ConnectionError, OSError):
-            # The pooled connection went stale (server restarted, reader
-            # closed us, LRU eviction raced a write): one reconnect attempt
-            # through the retry budget, then give the frame up.
-            await self._close_writer()
-            try:
-                self.writer = await runtime.connect(self.dst)
-                self.writer.write(encode_frame(message))
-                await self.writer.drain()
-            except (PeerUnreachableError, ConnectionError, OSError):
-                runtime.drop(message, "unreachable")
-                await self._close_writer()
+            self.drop_pending("crashed" if self.dst in self.runtime.crashed
+                              else "unreachable")
+        finally:
+            self.connecting = None
 
-    async def _close_writer(self) -> None:
-        writer, self.writer = self.writer, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
+    def opened(self, outbound: _Outbound) -> None:
+        self.outbound = outbound
+        self.paused = False
+        self.flush()
 
-    def drain_pending(self) -> None:
+    def lost(self, outbound: _Outbound) -> None:
+        """The connection closed (evicted, or the server side went away):
+        frames still queued reconnect through the retry budget."""
+        if outbound is not self.outbound:
+            return
+        self.outbound = None
+        self.paused = False
+        if self.queue:
+            self._ensure_connecting()
+
+    def close(self) -> None:
+        """Cancel the pending connect and close the connection."""
+        if self.connecting is not None:
+            self.connecting.cancel()
+            self.connecting = None
+        outbound, self.outbound = self.outbound, None
+        if outbound is not None:
+            outbound.transport.close()
+
+    def drop_pending(self, reason: str = "crashed") -> None:
         """Drop every queued frame (destination crashed or runtime closing)."""
         while self.queue:
-            self.runtime.drop(self.queue.popleft(), "crashed")
+            self.runtime.drop(self.queue.popleft(), reason)
 
 
 class NetRuntime:
@@ -263,6 +302,11 @@ class NetRuntime:
         #: peer id → (host, port) of its TCP server.
         self.addresses: Dict[str, Tuple[str, int]] = {}
         self.crashed: set = set()
+        #: What every inbound connection reads into (see ``net.peer``):
+        #: ``data_received`` would allocate a 256 KiB ``bytes`` per read, and
+        #: freeing it trimmed the loop thread's heap, so that each read paid
+        #: about two page faults.
+        self.receive_buffer = memoryview(bytearray(1 << 16))
         self._channels: "OrderedDict[str, _Channel]" = OrderedDict()
         #: Installed condition pipeline, or ``None`` for a perfect network.
         self.pipeline: Optional["ConditionPipeline"] = None
@@ -276,10 +320,18 @@ class NetRuntime:
         #: the overlay exactly as the driven round model would.
         self.op_depth = 0
         self._closed = False
+        started = threading.Event()
+        self.loop.call_soon_threadsafe(started.set)
         self._thread.start()
-        self._started = threading.Event()
-        self.loop.call_soon_threadsafe(self._started.set)
-        self._started.wait()
+        if not started.wait(options.idle_timeout):
+            self._closed = True
+            if self.loop.is_running():
+                self.loop.call_soon_threadsafe(self.loop.stop)
+            else:
+                self.loop.close()
+            raise NetTimeoutError(
+                f"the network event loop did not start within "
+                f"{options.idle_timeout:.1f}s")
 
     # ------------------------------------------------------------------ #
     # Loop thread and bridging
@@ -343,6 +395,9 @@ class NetRuntime:
         """Hand one frame to its destination channel, ledger-acquired."""
         if not acquired:
             self.ledger.acquire(message.recipient)
+        if message.recipient in self.crashed:
+            self.drop(message, "crashed")
+            return
         channel = self._channels.get(message.recipient)
         if channel is None:
             channel = _Channel(self, message.recipient)
@@ -399,10 +454,13 @@ class NetRuntime:
                 self._channels.move_to_end(dst, last=True)
                 break
             del self._channels[dst]
-            channel.task.cancel()
+            channel.close()
             self.metrics.increment("net.channels_evicted")
 
-    async def connect(self, dst: str) -> asyncio.StreamWriter:
+    async def connect(self, dst: str,
+                      protocol_factory: Callable[[], asyncio.Protocol]
+                      = asyncio.Protocol
+                      ) -> Tuple[asyncio.Transport, asyncio.Protocol]:
         """Open a connection to ``dst`` with bounded retry + backoff.
 
         Raises :class:`PeerUnreachableError` once the retry budget is
@@ -416,8 +474,8 @@ class NetRuntime:
             address = self.addresses.get(dst)
             if address is not None:
                 try:
-                    _, writer = await asyncio.open_connection(*address)
-                    return writer
+                    return await self.loop.create_connection(
+                        protocol_factory, *address)
                 except (ConnectionError, OSError):
                     pass
             if attempt + 1 < attempts:
@@ -493,8 +551,8 @@ class NetRuntime:
         """Tear down the outbound channel to a crashed/departed peer."""
         channel = self._channels.pop(peer_id, None)
         if channel is not None:
-            channel.drain_pending()
-            channel.task.cancel()
+            channel.drop_pending()
+            channel.close()
 
     # ------------------------------------------------------------------ #
     # Shutdown
@@ -516,8 +574,8 @@ class NetRuntime:
                     *(endpoint.close() for endpoint in endpoints.values()),
                     return_exceptions=True)
             for channel in self._channels.values():
-                channel.drain_pending()
-                channel.task.cancel()
+                channel.drop_pending()
+                channel.close()
             self._channels.clear()
 
         future = asyncio.run_coroutine_threadsafe(teardown(), self.loop)

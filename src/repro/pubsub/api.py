@@ -32,8 +32,9 @@ from __future__ import annotations
 import itertools
 import pickle
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+                    Tuple, Union)
 
+from repro.api.options import EngineOptions
 from repro.api.registry import drtree_engine
 from repro.overlay.config import DRTreeConfig
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
@@ -56,7 +57,8 @@ class PubSubSystem:
         seed: int = 0,
         stabilize_rounds: int = 30,
         engine: str = "classic",
-        engine_options: Optional[Mapping[str, object]] = None,
+        engine_options: Optional[Union[Mapping[str, object],
+                                       EngineOptions]] = None,
     ) -> None:
         """``engine`` names a ``drtree:<engine>`` row of the backend table.
 
@@ -69,13 +71,18 @@ class PubSubSystem:
         engine-specific construction knobs (e.g. ``{"shards": 4}`` for the
         sharded engine), validated against the engine's typed option set
         (:class:`~repro.api.options.EngineOptions`); unknown names and
-        invalid values raise ``ValueError`` naming the allowed keys.
+        invalid values raise ``ValueError`` naming the allowed keys.  An
+        instance of that option set is accepted as well, and is recorded
+        as the mapping of its non-default fields.
         """
         engine_spec = drtree_engine(engine)
         self.space = space
         self.config = config if config is not None else DRTreeConfig()
         self.engine_name = engine_spec.engine
-        self.engine_options = dict(engine_options or {})
+        if isinstance(engine_options, EngineOptions):
+            self.engine_options = engine_options.to_mapping()
+        else:
+            self.engine_options = dict(engine_options or {})
         # Instance-level override of the class default: the engine decides
         # what this broker genuinely supports (the real-network engine has
         # no snapshot capability).

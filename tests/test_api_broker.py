@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import (Broker, SystemSpec, UnknownBackendError, backend_names,
+from repro.analysis.digests import delivered_digest
+from repro.api import (Broker, SystemSpec, UnknownBackendError,
+                       backend_metrics_identical, backend_names,
                        create_broker, normalize_backend, register_backend)
+from repro.api.options import EngineOptions, NetOptions, ShardedOptions
 from repro.baselines import BaselineBroker, FloodingOverlay
 from repro.experiments.harness import build_pubsub_system
 from repro.pubsub import PubSubSystem
@@ -377,6 +380,8 @@ def test_engine_without_options_rejects_any_mapping(space):
 def test_baseline_backend_rejects_engine_options(space):
     with pytest.raises(ValueError, match="takes no engine options"):
         SystemSpec(space, backend="flooding", engine_options={"shards": 2})
+    with pytest.raises(ValueError, match="takes no engine options"):
+        SystemSpec(space, backend="flooding", engine_options=NetOptions())
 
 
 def test_with_backend_revalidates_engine_options(space):
@@ -384,6 +389,41 @@ def test_with_backend_revalidates_engine_options(space):
                       engine_options={"shards": 2})
     with pytest.raises(ValueError, match="engine options"):
         spec.with_backend("drtree:classic")
+
+
+_TYPED_OPTIONS = (
+    ("drtree:classic", EngineOptions(), {}),
+    ("drtree:batched", EngineOptions(), {}),
+    ("drtree:sharded", ShardedOptions(shards=3, transport="inline"),
+     {"shards": 3, "transport": "inline"}),
+    ("drtree:net", NetOptions(stabilizer="off"), {"stabilizer": "off"}),
+)
+
+
+@pytest.mark.parametrize("backend, typed, mapping", _TYPED_OPTIONS,
+                         ids=[row[0] for row in _TYPED_OPTIONS])
+def test_typed_engine_options_build_like_the_equal_mapping(backend, typed,
+                                                           mapping):
+    """The instance validation returns builds, and the broker it builds
+    records and delivers exactly what the equal mapping's broker does."""
+    workload = uniform_subscriptions(24, seed=4)
+    subscriptions = list(workload)
+    events = targeted_events(workload.space, subscriptions, 6, seed=5)
+    seen = []
+    for options in (typed, mapping):
+        spec = SystemSpec(workload.space, backend=backend, seed=4)
+        broker = spec.with_engine_options(options).build()
+        try:
+            broker.subscribe_all(subscriptions)
+            received = [sorted(outcome.received)
+                        for outcome in broker.publish_many(events)]
+            summary = (broker.summary()
+                       if backend_metrics_identical(backend) else None)
+            seen.append((broker.spec, received, delivered_digest(broker),
+                         summary))
+        finally:
+            _close(broker)
+    assert seen[0] == seen[1]
 
 
 # --------------------------------------------------------------------------- #

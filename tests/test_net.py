@@ -3,7 +3,9 @@
 Covers the `repro.net` package: the length-prefixed CRC-checked frame
 codec (hypothesis round-trip under arbitrary chunking, any-single-byte
 tamper detection), the typed fault hierarchy, capability flags (no
-snapshot), delivered-set parity with the simulated engines — including
+snapshot), the transport (channel order while connecting and while paused,
+crash drops, torn streams, reconnects, no task per channel), delivered-set
+parity with the simulated engines — including
 the golden-trace replay gate — the deterministic driven re-attach of an
 orphaned peer, and a small crash-churn soak through the background
 stabilizers.
@@ -11,6 +13,8 @@ stabilizers.
 
 from __future__ import annotations
 
+import asyncio
+import random
 from pathlib import Path
 
 import pytest
@@ -20,12 +24,16 @@ from hypothesis import strategies as st
 from repro.analysis import digests
 from repro.api import SystemSpec, backend_metrics_identical
 from repro.api.capabilities import SnapshotUnsupportedError, capabilities_of
+from repro.api.options import NetOptions
 from repro.net import (FRAME_HEADER, FrameDecoder, NetError, NetProtocolError,
                        NetTimeoutError, PeerUnreachableError, encode_frame)
 from repro.net.codec import decode_frames
+from repro.net.peer import PeerEndpoint
+from repro.net.runtime import NetRuntime
 from repro.runtime.registry import load_scenarios
 from repro.overlay import messages as overlay_messages
 from repro.sim.messages import Message
+from repro.sim.metrics import MetricsRegistry
 from repro.spatial.filters import Event
 from repro.spatial.rectangle import Point
 from repro.traces import replay_trace
@@ -180,10 +188,230 @@ def test_unreachable_peer_raises_typed_fault(space):
         broker.close()
 
 
+def test_loop_that_never_starts_raises_typed_timeout(monkeypatch):
+    """The constructor's wait for the loop thread is bounded by
+    ``idle_timeout``; the loop is closed before the typed error."""
+    loops = []
+    new_event_loop = asyncio.new_event_loop
+    monkeypatch.setattr(asyncio, "new_event_loop",
+                        lambda: loops.append(new_event_loop()) or loops[-1])
+    monkeypatch.setattr(NetRuntime, "_run_loop", lambda self: None)
+    with pytest.raises(NetTimeoutError, match="did not start"):
+        NetRuntime(NetOptions(idle_timeout=0.2), MetricsRegistry(),
+                   random.Random(0))
+    assert len(loops) == 1 and loops[0].is_closed()
+
+
 def test_digest_helpers_are_shared_single_source():
     """Satellite: one digest implementation serves synth and analysis."""
     assert synth.delivered_digest is digests.delivered_digest
     assert synth.stream_signature is digests.stream_signature
+
+
+# --------------------------------------------------------------------------- #
+# The transport: channel order, backpressure, crashes, reconnects, tasks
+# --------------------------------------------------------------------------- #
+
+
+class _Recorder:
+    """A stand-in peer that records the ``seq`` of every frame it handles."""
+
+    def __init__(self, process_id: str) -> None:
+        self.process_id = process_id
+        self.received = []
+
+    def handle_message(self, message: Message) -> None:
+        self.received.append(message.payload["seq"])
+
+
+@pytest.fixture
+def transport():
+    """A bare runtime and a helper that starts a recording endpoint."""
+    runtime = NetRuntime(NetOptions(stabilizer="off", idle_timeout=10.0),
+                         MetricsRegistry(), random.Random(0))
+    endpoints = {}
+
+    def add(peer_id: str) -> _Recorder:
+        peer = _Recorder(peer_id)
+        runtime.peers[peer_id] = peer
+        endpoints[peer_id] = PeerEndpoint(runtime, peer)
+        runtime.call(endpoints[peer_id].start(), op=False)
+        return peer
+
+    yield runtime, add
+    runtime.close(endpoints)
+
+
+def _frame(recipient: str, seq: int) -> Message:
+    return Message("a", recipient, "PROBE", {"seq": seq})
+
+
+def test_frames_enqueued_while_connecting_arrive_in_order(transport):
+    runtime, add = transport
+    peer = add("b")
+
+    async def burst():
+        for seq in range(20):
+            runtime.enqueue(_frame("b", seq))
+        channel = runtime._channels["b"]
+        pending = (channel.outbound, len(channel.queue))
+        await runtime.wait_idle()
+        return pending
+
+    assert runtime.call(burst(), op=False) == (None, 20)
+    assert peer.received == list(range(20))
+
+
+def test_paused_channel_queues_then_flushes_in_order_on_resume(transport):
+    runtime, add = transport
+    peer = add("b")
+
+    async def scenario():
+        runtime.enqueue(_frame("b", 0))
+        await runtime.wait_idle()
+        channel = runtime._channels["b"]
+        channel.outbound.pause_writing()
+        for seq in range(1, 9):
+            runtime.enqueue(_frame("b", seq))
+        queued = [message.payload["seq"] for message in channel.queue]
+        await asyncio.sleep(0.02)
+        before = list(peer.received)
+        channel.outbound.resume_writing()
+        left = len(channel.queue)
+        await runtime.wait_idle()
+        return queued, before, left
+
+    queued, before, left = runtime.call(scenario(), op=False)
+    assert queued == list(range(1, 9))
+    assert before == [0]
+    assert left == 0
+    assert peer.received == list(range(9))
+    assert runtime.ledger.total == 0
+
+
+def test_crash_while_connect_is_pending_drops_frames_as_crashed(transport):
+    """``b`` has no address yet, so its connect sits in retry backoff when
+    it crashes; ``c`` is retired (as a crash does) in the same state."""
+    runtime, add = transport
+    for peer_id in ("b", "c"):
+        runtime.peers[peer_id] = _Recorder(peer_id)
+
+    async def scenario():
+        for seq in range(3):
+            runtime.enqueue(_frame("b", seq))
+            runtime.enqueue(_frame("c", seq))
+        held = runtime.ledger.total
+        await asyncio.sleep(0.01)
+        runtime.mark_crashed("b")
+        runtime.mark_crashed("c")
+        runtime.retire_channel("c")
+        await runtime.wait_idle()
+        return held
+
+    assert runtime.call(scenario(), op=False) == 6
+    counter = runtime.metrics.counter
+    assert counter("net.frames_dropped.crashed") == 6
+    assert counter("net.frames_dropped.unreachable") == 0
+    assert runtime.ledger.total == 0
+    assert all(not peer.received for peer in runtime.peers.values())
+
+
+def test_torn_stream_closes_only_its_connection(transport):
+    runtime, add = transport
+    peer = add("b")
+
+    async def scenario():
+        raw, _ = await runtime.connect("b")
+        raw.write(b"\x00" * FRAME_HEADER.size + encode_frame(_frame("b", 0)))
+        await asyncio.sleep(0.05)
+        torn = raw.is_closing()
+        runtime.enqueue(_frame("b", 1))
+        await runtime.wait_idle()
+        return torn
+
+    assert runtime.call(scenario(), op=False) is True
+    assert runtime.metrics.counter("net.protocol_errors") == 1
+    assert peer.received == [1]
+
+
+def test_frame_sent_while_its_connection_closes_reconnects(transport):
+    """A close seen before its ``connection_lost`` callback has run."""
+    runtime, add = transport
+    peer = add("b")
+
+    async def scenario():
+        runtime.enqueue(_frame("b", 0))
+        await runtime.wait_idle()
+        closing = runtime._channels["b"].outbound
+        closing.transport.close()
+        runtime.enqueue(_frame("b", 1))
+        await runtime.wait_idle()
+        return closing is not runtime._channels["b"].outbound
+
+    assert runtime.call(scenario(), op=False) is True
+    assert peer.received == [0, 1]
+
+
+def test_server_side_close_between_publishes_reconnects():
+    workload = uniform_subscriptions(16, seed=2)
+    subscriptions = list(workload)
+    events = targeted_events(workload.space, subscriptions, 2, seed=9)
+    spec = SystemSpec(space=workload.space, seed=2)
+    net = spec.with_backend("drtree:net").with_engine_options(
+        {"stabilizer": "off"}).build()
+    classic = spec.with_backend("drtree:classic").build()
+    sim = net.simulation
+    runtime = sim.runtime
+
+    async def close_server_sides():
+        closed = 0
+        for endpoint in sim.endpoints.values():
+            for server_side in list(endpoint.inbound):
+                server_side.close()
+                closed += 1
+        await asyncio.sleep(0.05)
+        return closed, [channel.outbound
+                        for channel in runtime._channels.values()]
+
+    try:
+        for broker in (net, classic):
+            broker.subscribe_all(subscriptions)
+            broker.publish(events[0])
+        closed, outbounds = runtime.call(close_server_sides(), op=False)
+        assert closed > 0
+        assert outbounds and all(outbound is None for outbound in outbounds)
+        second = net.publish(events[1])
+        assert second.received
+        assert second.received == classic.publish(events[1]).received
+        assert any(channel.outbound is not None
+                   for channel in runtime._channels.values())
+        assert runtime.metrics.counter("net.frames_dropped.unreachable") == 0
+    finally:
+        net.close()
+        classic.close()
+
+
+def test_loop_tasks_do_not_grow_with_open_channels():
+    """Channels and connections are protocols, not tasks: with every
+    connect done, the loop runs no task but the caller's own."""
+    workload = uniform_subscriptions(200, seed=3)
+    subscriptions = list(workload)
+    broker = SystemSpec(workload.space, backend="drtree:net", seed=3,
+                        engine_options={"stabilizer": "off"}).build()
+    runtime = broker.simulation.runtime
+
+    async def census():
+        return len(runtime._channels), len(asyncio.all_tasks(runtime.loop))
+
+    try:
+        broker.subscribe_all(subscriptions)
+        broker.publish_many(targeted_events(workload.space, subscriptions,
+                                            20, seed=4))
+        channels, tasks = runtime.call(census(), op=False)
+    finally:
+        broker.close()
+    assert channels >= 100
+    assert tasks == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -215,7 +443,6 @@ def test_net_messages_never_reach_the_simulated_round_queues(monkeypatch):
     — a single send or a fan-out — reaches its one ``_enqueue_round``
     override, which hands it to the runtime: none reaches the base class's
     round queues or ``SimulationEngine.schedule_batch``."""
-    from repro.net.runtime import NetRuntime
     from repro.sim.engine import SimulationEngine
     from repro.sim.network import Network
 
