@@ -19,10 +19,9 @@ counter rather than simulated time — enough for trace recording and replay
 
 from __future__ import annotations
 
-import itertools
-import pickle
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
+from repro import snapshot as snapshots
 from repro.baselines.base import BaselineOverlay
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
 from repro.spatial.filters import Event, Subscription, ensure_unique_names
@@ -43,7 +42,8 @@ class BaselineBroker:
         self.accounting = DeliveryAccounting()
         self.stabilize_rounds = spec.stabilize_rounds
         self._spec = spec
-        self._event_counter = itertools.count()
+        #: The number of the next facade-assigned event id.
+        self._event_counter = 0
         self._ops = 0
         # Names of subscribers that ever left: like the simulator's peer
         # ids, subscription names are never reused, so both broker
@@ -61,7 +61,9 @@ class BaselineBroker:
 
     def consume_event_id(self) -> str:
         """Draw the next facade-assigned event id (journal resume lockstep)."""
-        return f"event-{next(self._event_counter)}"
+        number = self._event_counter
+        self._event_counter = number + 1
+        return f"event-{number}"
 
     @property
     def backend(self) -> str:
@@ -259,8 +261,8 @@ class BaselineBroker:
         return True
 
     def snapshot(self) -> bytes:
-        """Serialize overlay, accounting and counters in one pickle."""
-        payload = {
+        """Serialize overlay, accounting and counters."""
+        return snapshots.dump({
             "kind": "baseline",
             "backend": self.backend,
             "overlay": self.overlay,
@@ -268,25 +270,11 @@ class BaselineBroker:
             "retired": self._retired,
             "ops": self._ops,
             "event_counter": self._event_counter,
-        }
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        })
 
     def restore(self, blob: bytes) -> None:
         """Adopt a :meth:`snapshot` blob taken on an identically specced broker."""
-        from repro.api.capabilities import SnapshotStateError
-
-        try:
-            payload = pickle.loads(blob)
-        except Exception as exc:  # noqa: BLE001 - any unpickle failure
-            raise SnapshotStateError(
-                f"snapshot blob does not deserialize: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("kind") != "baseline":
-            raise SnapshotStateError(
-                "snapshot blob was not taken on a baseline broker")
-        if payload.get("backend") != self.backend:
-            raise SnapshotStateError(
-                f"snapshot was taken on backend {payload.get('backend')!r}; "
-                f"this broker is {self.backend!r}")
+        payload = snapshots.load(blob, "baseline", self.backend)
         self.overlay = payload["overlay"]
         self.accounting = payload["accounting"]
         self._retired = payload["retired"]

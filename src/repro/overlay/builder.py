@@ -205,10 +205,9 @@ class DRTreeSimulation(DeploymentView):
         """The picklable snapshot payload of this simulation.
 
         At quiescence the whole object graph — engine (empty heap), network,
-        peers, RNG streams, metrics — pickles directly; the facade embeds it
-        in one ``pickle.dumps`` so cross-references (e.g. each peer's
-        ``delivery_listener`` bound to the facade's accounting) stay shared
-        after restore.
+        peers, RNG streams, metrics — is plain state; the facade leaves the
+        peers' delivery listeners out and writes it with
+        :func:`repro.snapshot.dump`.
         """
         return self
 

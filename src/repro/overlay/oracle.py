@@ -44,8 +44,7 @@ class ContactOracle:
         return {name: getattr(self, name) for name in _STATE}
 
     def __setstate__(self, state: dict) -> None:
-        # Older blobs also carry the retired random-contact mode and its
-        # RNG; only the ``_STATE`` fields mean anything now.
+        # Only the ``_STATE`` fields are state; the heap is derived.
         for name in _STATE:
             setattr(self, name, state[name])
         self._heap = sorted(self._members)

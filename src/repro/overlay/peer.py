@@ -90,14 +90,6 @@ class DRTreePeer(JoinMixin, LeaveMixin, StabilizationMixin, StructureMixin,
         #: Installed by the pub/sub facade for delivery accounting.
         self.delivery_listener: Optional[DeliveryListener] = None
 
-    def __setstate__(self, state: dict) -> None:
-        # Peers pickled before the class-level table carry their own copy,
-        # and peers pickled before receptions were forgotten at settle carry
-        # every event they had ever seen.
-        state.pop("_handlers", None)
-        state["seen_events"] = {}
-        self.__dict__.update(state)
-
     # ------------------------------------------------------------------ #
     # Instance helpers
     # ------------------------------------------------------------------ #

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.sim.slotted import set_slot_state
 from repro.spatial.rectangle import Rect
 
 
@@ -33,8 +32,6 @@ class ChildInfo:
     #: Stabilization round at which the child last refreshed itself; parents
     #: discard children that stay silent for too long.
     last_seen_round: int = 0
-
-    __setstate__ = set_slot_state
 
 
 @dataclass(slots=True)
@@ -71,8 +68,9 @@ class LevelState:
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "_union_memo"}
 
-    def __setstate__(self, state) -> None:
-        set_slot_state(self, state)
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
         self._union_memo = None
 
     @property

@@ -17,23 +17,6 @@ from repro.pubsub.matching import matching_subscribers
 
 
 @dataclass
-class DeliveryRecord:
-    """One reception of an event by one subscriber.
-
-    Kept for restore only: snapshots written before the accounting kept
-    running hop totals pickle a list of these, and unpickling names this
-    class here.  :meth:`DeliveryAccounting.__setstate__` folds such a list
-    into the totals.  It stays until one snapshot-compatibility module
-    absorbs the old pickle layouts.
-    """
-
-    event_id: str
-    subscriber_id: str
-    matched: bool
-    hops: int
-
-
-@dataclass
 class EventOutcome:
     """Aggregate outcome of one published event."""
 
@@ -72,18 +55,6 @@ class DeliveryAccounting:
         self.matched_deliveries = 0
         #: Largest hop count of any delivery, matched or not.
         self.max_hops = 0
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Snapshots written before the running totals pickle one
-        # ``DeliveryRecord`` per delivery; fold them into the totals.
-        self.__dict__.update(state)
-        records = self.__dict__.pop("records", None)
-        if records is not None:
-            matched = [record.hops for record in records if record.matched]
-            self.matched_hops = sum(matched)
-            self.matched_deliveries = len(matched)
-            self.max_hops = max((record.hops for record in records),
-                                default=0)
 
     # ------------------------------------------------------------------ #
     # Recording

@@ -29,11 +29,12 @@ True
 
 from __future__ import annotations
 
-import itertools
-import pickle
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Tuple, Union)
 
+from repro import snapshot as snapshots
+from repro.api.capabilities import (SnapshotNotQuiescentError,
+                                    SnapshotStateError)
 from repro.api.options import EngineOptions
 from repro.api.registry import drtree_engine
 from repro.overlay.config import DRTreeConfig
@@ -91,7 +92,8 @@ class PubSubSystem:
                                                        engine_options)
         self.accounting = DeliveryAccounting()
         self.stabilize_rounds = stabilize_rounds
-        self._event_counter = itertools.count()
+        #: The number of the next facade-assigned event id.
+        self._event_counter = 0
         # The live membership *and* the ground-truth oracle: one mapping,
         # kept current by the membership ops below and by nothing else.
         self._subscriptions = SubscriptionIndex(space)
@@ -115,7 +117,9 @@ class PubSubSystem:
         Used by the journal resume machinery to keep the id counter in
         lockstep while replaying publishes whose ids this facade assigned.
         """
-        return f"event-{next(self._event_counter)}"
+        number = self._event_counter
+        self._event_counter = number + 1
+        return f"event-{number}"
 
     @property
     def backend(self) -> str:
@@ -456,45 +460,37 @@ class PubSubSystem:
     def snapshot(self) -> bytes:
         """Serialize the full broker state (overlay, accounting, counters).
 
-        Everything goes through **one** ``pickle.dumps`` so shared references
-        — each peer's ``delivery_listener`` is a bound method of this
-        broker's accounting — are preserved as shared after :meth:`restore`.
+        The peers' delivery listeners are wiring, not state: they are left
+        out, and :meth:`restore` installs this broker's own.
         """
-        from repro.api.capabilities import SnapshotNotQuiescentError
-
         if not self.quiescent():
             raise SnapshotNotQuiescentError(
                 "cannot snapshot while simulated work is in flight; every "
                 "facade operation settles the engine, so snapshot between "
                 "operations")
-        payload = {
-            "kind": "pubsub",
-            "backend": self.backend,
-            "subscriptions": dict(self._subscriptions),
-            "accounting": self.accounting,
-            "event_counter": self._event_counter,
-            "sim": self.simulation.snapshot_state(),
-        }
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        with snapshots.listeners_left_out(self.simulation.peers.values()):
+            return snapshots.dump({
+                "kind": "pubsub",
+                "backend": self.backend,
+                "subscriptions": dict(self._subscriptions),
+                "accounting": self.accounting,
+                "event_counter": self._event_counter,
+                "sim": self.simulation.snapshot_state(),
+            })
 
     def restore(self, blob: bytes) -> None:
         """Adopt a :meth:`snapshot` blob taken on an identically specced broker."""
-        from repro.api.capabilities import SnapshotStateError
-
+        payload = snapshots.load(blob, "pubsub", self.backend)
         try:
-            payload = pickle.loads(blob)
-        except Exception as exc:  # noqa: BLE001 - any unpickle failure
+            subscriptions = SubscriptionIndex(self.space,
+                                              payload["subscriptions"])
+        except (AttributeError, TypeError, ValueError) as exc:
             raise SnapshotStateError(
-                f"snapshot blob does not deserialize: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("kind") != "pubsub":
-            raise SnapshotStateError(
-                "snapshot blob was not taken on a drtree broker")
-        if payload.get("backend") != self.backend:
-            raise SnapshotStateError(
-                f"snapshot was taken on backend {payload.get('backend')!r}; "
-                f"this broker is {self.backend!r}")
-        self._subscriptions = SubscriptionIndex(self.space,
-                                                payload["subscriptions"])
+                f"snapshot subscriptions do not fit this broker: {exc}"
+            ) from exc
+        self.simulation = self.simulation.restore_state(payload["sim"])
+        self._subscriptions = subscriptions
         self.accounting = payload["accounting"]
         self._event_counter = payload["event_counter"]
-        self.simulation = self.simulation.restore_state(payload["sim"])
+        snapshots.install_listener(self.simulation.peers.values(),
+                                  self.accounting.record_delivery)

@@ -26,7 +26,6 @@ individually or as a batch.
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -89,7 +88,8 @@ class SimulationEngine:
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, ScheduledEvent]] = []
-        self._sequence = itertools.count()
+        #: The sequence number of the next scheduled event or batch entry.
+        self._sequence = 0
         self._now = 0.0
         self.events_processed = 0
         #: delivery time -> FIFO of queued batch entries.
@@ -117,7 +117,8 @@ class SimulationEngine:
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
         time = self._now + delay
-        sequence = next(self._sequence)
+        sequence = self._sequence
+        self._sequence = sequence + 1
         event = ScheduledEvent(time, sequence, callback, label=label)
         heapq.heappush(self._queue, (time, sequence, event))
         return event
@@ -156,7 +157,9 @@ class SimulationEngine:
         if bucket is None:
             self._batch_buckets[time] = bucket = deque()
             heapq.heappush(self._batch_times, time)
-        entry = BatchEntry(next(self._sequence), callback, count)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        entry = BatchEntry(sequence, callback, count)
         bucket.append(entry)
         self._batch_pending += count
         return entry

@@ -2,8 +2,6 @@
 
 Every envelope is a fresh slotted :class:`Message`; the network frees each
 one as soon as its recipient has handled it, so nothing recycles them.
-:class:`MessagePool` survives only so snapshots pickled while an envelope
-free list existed still load.
 """
 
 from __future__ import annotations
@@ -11,8 +9,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict
-
-from repro.sim.slotted import set_slot_state
 
 _MESSAGE_IDS = itertools.count()
 
@@ -34,10 +30,6 @@ class Message:
     message_id: int = field(default_factory=_MESSAGE_IDS.__next__)
     hops: int = 0
 
-    #: Envelopes pickled before the class was slotted (the network's free
-    #: list inside an old batched snapshot) carry an instance ``__dict__``.
-    __setstate__ = set_slot_state
-
     def reply(self, kind: str, payload: Dict[str, Any] | None = None) -> "Message":
         """Build a response message addressed to this message's sender."""
         return Message(
@@ -53,12 +45,3 @@ class Message:
             f"Message(#{self.message_id} {self.kind} "
             f"{self.sender}->{self.recipient} {self.payload})"
         )
-
-
-class MessagePool:
-    """Unpickling stub of the envelope free list older networks carried.
-
-    Snapshots written before every batched message joined the per-round
-    queues pickle one of these as ``Network.pool``; the network's
-    ``__setstate__`` drops it on restore.
-    """

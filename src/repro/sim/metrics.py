@@ -76,13 +76,6 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = defaultdict(float)
         self._histograms: Dict[str, Histogram] = defaultdict(Histogram)
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Registries pickled while every delivery was sampled carry a
-        # ``pubsub.delivery_hops`` histogram that nothing reads; the
-        # delivery accounting keeps those hop totals.
-        state["_histograms"].pop("pubsub.delivery_hops", None)
-        self.__dict__.update(state)
-
     # Counters ---------------------------------------------------------- #
 
     def increment(self, name: str, amount: float = 1.0) -> None:

@@ -359,15 +359,3 @@ class Network:
         for table in self._held_receptions:
             table.clear()
         self._held_receptions = []
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Networks pickled before per-round queues took every message carry
-        # an envelope free list (``pool``); nothing reads it any more.
-        state.pop("pool", None)
-        # Networks pickled while two schedulers existed carry the ``batch``
-        # flag that chose between them; nothing reads it any more.
-        state.pop("batch", None)
-        # Networks pickled before receptions were forgotten at settle hold
-        # no tables.
-        state.setdefault("_held_receptions", [])
-        self.__dict__.update(state)

@@ -48,8 +48,10 @@ whose peers share one oracle object.
 Worker failures surface as typed errors instead of hangs:
 :class:`~repro.sim.sharded.errors.ShardFailedError` for dead workers,
 :class:`~repro.sim.sharded.errors.ShardStalledError` (a
-``SimulationStalledError``) for shard-local stalls, with shard-local
-warnings re-logged parent-side with the shard id attached.
+``SimulationStalledError``) for shard-local stalls,
+:class:`~repro.api.capabilities.SnapshotStateError` for a shard snapshot
+that does not load, with shard-local warnings re-logged parent-side with the
+shard id attached.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import weakref
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
+from repro.api.capabilities import SnapshotStateError
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import (compute_layout, partition_layout,
                                   partition_members)
@@ -466,6 +469,8 @@ class ShardedSimulation:
         if not reply["ok"]:
             if reply["kind"] == "stalled":
                 raise ShardStalledError(shard_id, reply["error"])
+            if reply["kind"] == "snapshot":
+                raise SnapshotStateError(f"shard {shard_id}: {reply['error']}")
             raise ShardFailedError(shard_id, reply["error"])
         return reply["result"]
 
@@ -529,7 +534,8 @@ class ShardedSimulation:
         for shard_id, reply in self._collect_from(sent, failure):
             try:
                 results.append(self._apply(shard_id, reply))
-            except (ShardFailedError, ShardStalledError) as exc:
+            except (ShardFailedError, ShardStalledError,
+                    SnapshotStateError) as exc:
                 errors.append(exc)
         if errors:
             raise errors[0]
@@ -891,7 +897,7 @@ class ShardedSimulation:
     def snapshot_state(self) -> Dict[str, Any]:
         """The picklable snapshot payload: parent state + per-shard blobs.
 
-        Each worker pickles its whole local simulation (`cmd_snapshot`)
+        Each worker snapshots its whole local simulation (`cmd_snapshot`)
         after applying its pending oracle changes, so no oracle mail is
         left to save; the coordinator adds everything it owns — handles,
         owner map, per-shard metric mirrors, the partition plan and the
@@ -921,13 +927,9 @@ class ShardedSimulation:
 
         Shard count and transport come from this simulation's own options
         (the facade rebuilt it from the same spec); worker processes are
-        spawned as needed and each receives its shard's pickled simulation.
+        spawned as needed and each receives its shard's snapshot blob.
+        The facade's :func:`repro.snapshot.load` has checked the keys.
         """
-        from repro.api.capabilities import SnapshotStateError
-
-        if not isinstance(state, dict) or state.get("kind") != "sharded":
-            raise SnapshotStateError(
-                "snapshot blob was not taken on a sharded simulation")
         if self.peers:
             raise SnapshotStateError(
                 "sharded restore requires a freshly built simulation")

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import sys
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import snapshot as snapshots
+from repro.api.capabilities import SnapshotStateError
 from repro.overlay.bootstrap import bootstrap_overlay, wire_layout
 from repro.overlay.builder import DRTreeSimulation
 from repro.overlay.config import DRTreeConfig
@@ -277,6 +278,8 @@ class ShardRuntime:
             reply: Dict[str, Any] = {"ok": True, "result": result}
         except SimulationStalledError as exc:
             reply = {"ok": False, "kind": "stalled", "error": str(exc)}
+        except SnapshotStateError as exc:
+            reply = {"ok": False, "kind": "snapshot", "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - reported through the pipe
             reply = {
                 "ok": False, "kind": "error",
@@ -322,9 +325,8 @@ class ShardRuntime:
 
     def _watch_new_peers(self) -> None:
         """Install the delivery forwarder on every peer that lacks one."""
-        for peer in self.sim.peers.values():
-            if peer.delivery_listener is None:
-                peer.delivery_listener = self._collect_delivery
+        snapshots.install_listener(self.sim.peers.values(),
+                                   self._collect_delivery)
 
     # ------------------------------------------------------------------ #
     # The facade surface (single-shard delegation; ``add_peer``, ``leave``
@@ -440,39 +442,28 @@ class ShardRuntime:
     # ------------------------------------------------------------------ #
 
     def cmd_snapshot(self) -> bytes:
-        """Pickle this shard's whole simulation at quiescence.
+        """Snapshot this shard's whole simulation at quiescence.
 
         The delivery forwarders are bound methods of this runtime (which
-        holds an unpicklable logging handler), so they are detached for the
-        duration of the dump and reinstated afterwards; :meth:`cmd_restore`
-        re-installs fresh forwarders on the receiving runtime.
+        holds an unpicklable logging handler), so they are left out;
+        :meth:`cmd_restore` installs the receiving runtime's own.
         """
         if self.sim.engine.has_pending():
             raise RuntimeError("shard engine is not idle; cannot snapshot")
         if self.net.outbound:
             raise RuntimeError("unflushed cross-shard messages; cannot "
                                "snapshot")
-        saved = {peer_id: peer.delivery_listener
-                 for peer_id, peer in self.sim.peers.items()}
-        try:
-            for peer in self.sim.peers.values():
-                peer.delivery_listener = None
-            return pickle.dumps(self.sim,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            for peer_id, listener in saved.items():
-                self.sim.peers[peer_id].delivery_listener = listener
+        with snapshots.listeners_left_out(self.sim.peers.values()):
+            return snapshots.dump({"kind": "shard", "sim": self.sim})
 
     def cmd_restore(self, blob: bytes) -> None:
-        """Replace the local simulation with a :meth:`cmd_snapshot` payload.
+        """Replace the local simulation with a :meth:`cmd_snapshot` blob.
 
         The restored replica re-announces the oracle entries of its own
         peers and its hint, so replicas restored from blobs written before
         the oracle was replicated agree again after one exchange.
         """
-        sim = pickle.loads(blob)
-        if not isinstance(sim, DRTreeSimulation):
-            raise RuntimeError("snapshot blob is not a shard simulation")
+        sim = snapshots.load(blob, "shard")["sim"]
         oracle = _replicate_oracle(sim)
         oracle.changes = oracle.owned_state(sim.peers)
         self.sim = sim

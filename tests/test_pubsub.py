@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import copy
 import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.pubsub.accounting as accounting_module
+from repro import snapshot
+from repro.api import SystemSpec
 from repro.overlay import DRTreeConfig
 from repro.pubsub import DeliveryAccounting, PubSubSystem
-from repro.pubsub.accounting import DeliveryRecord
 from repro.pubsub.matching import matching_matrix, matching_subscribers
 from repro.spatial.filters import Event, make_space, subscription_from_rect
 from repro.spatial.rectangle import Rect
@@ -314,15 +317,43 @@ def test_running_hop_totals_equal_the_per_delivery_computation(stream):
             restored.max_delivery_hops()) == expected
     # A snapshot written while the accounting kept one record per delivery
     # restores into the same totals.
-    legacy = DeliveryAccounting.__new__(DeliveryAccounting)
-    legacy.__setstate__({
-        "records": [DeliveryRecord("e", f"S{index}", matched, hops)
-                    for index, (matched, hops) in enumerate(stream)],
-        "outcomes": {},
-    })
+    legacy = snapshot.load(_per_delivery_snapshot(stream), "baseline",
+                           "flooding")["accounting"]
+    assert type(legacy) is DeliveryAccounting
     assert not hasattr(legacy, "records")
     assert (legacy.mean_delivery_hops(),
             legacy.max_delivery_hops()) == expected
+
+
+@dataclass
+class DeliveryRecord:
+    """The per-delivery record the accounting kept before its hop totals."""
+
+    event_id: str
+    subscriber_id: str
+    matched: bool
+    hops: int
+
+
+def _per_delivery_snapshot(stream) -> bytes:
+    """A ``flooding`` snapshot in the layout of that time: unmarked, and
+    naming ``repro.pubsub.accounting.DeliveryRecord`` once per delivery."""
+    accounting = DeliveryAccounting.__new__(DeliveryAccounting)
+    accounting.__dict__.update(outcomes={}, records=[
+        DeliveryRecord("e", f"S{index}", matched, hops)
+        for index, (matched, hops) in enumerate(stream)])
+    space = make_space("x", "y")
+    payload = {"kind": "baseline", "backend": "flooding",
+               "overlay": SystemSpec(space, backend="flooding").build().overlay,
+               "accounting": accounting, "retired": set(), "ops": 0,
+               "event_counter": 0}
+    DeliveryRecord.__module__ = accounting_module.__name__
+    accounting_module.DeliveryRecord = DeliveryRecord
+    try:
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        del accounting_module.DeliveryRecord
+        DeliveryRecord.__module__ = __name__
 
 
 def _bytes_beside_outcomes(accounting):

@@ -17,13 +17,13 @@ and the delivery oracle in one object.  These tests pin, at the facade:
 from __future__ import annotations
 
 import builtins
-import pickle
 
 import pytest
 
 import repro.pubsub.accounting as accounting_module
 import repro.pubsub.api as api_module
 import repro.pubsub.matching as matching_module
+from repro import snapshot
 from repro.api import SystemSpec
 from repro.journal import journaling, read_journal
 from repro.pubsub.matching import SubscriptionIndex, scan_subscribers
@@ -258,9 +258,10 @@ def test_snapshot_writes_a_plain_dict_and_restore_rebuilds_the_index(
     try:
         expected = drive_membership(original)
         blob = original.snapshot()
-        # The payload is what it was before the index existed — so blobs
-        # written then still restore, and snapshot bytes did not change.
-        stored = pickle.loads(blob)["subscriptions"]
+        # The payload holds a plain dict, as it did before the index
+        # existed, so blobs written then still restore.
+        stored = snapshot.load(blob, "pubsub",
+                               original.backend)["subscriptions"]
         assert type(stored) is dict
         assert list(stored.items()) == list(expected.items())
         restored.restore(blob)

@@ -7,10 +7,15 @@ the reader must return or raise exactly its row's error, within a time
 bound.  A bare ``ValueError``, ``KeyError`` or ``OverflowError`` escaping a
 reader fails the row.  What the tolerant journal reader accepts must also
 be a chain that strict verification accepts from scratch.
+
+The restore rows hold ``Broker.restore`` to the same rule: damaged or random
+bytes restore or raise :class:`SnapshotStateError`, a failed restore leaves
+the broker as it was, and a hostile pickle runs nothing.
 """
 
 from __future__ import annotations
 
+import gzip
 import re
 from datetime import timedelta
 from pathlib import Path
@@ -19,11 +24,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import snapshot
+from repro.analysis.digests import delivered_digest
+from repro.api import SystemSpec
+from repro.api.capabilities import SnapshotStateError
 from repro.journal import JournalError
 from repro.journal.io import read_journal, verify_journal
 from repro.traces import TraceFormatError, loads_trace, read_trace
 from repro.traces.io import dump_record, load_record
 from repro.wire import FrameSplitter, frame
+from repro.workloads import uniform_subscriptions
+from repro.workloads.events import uniform_events
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRACES = ("hotspot.jsonl", "adversarial-churn.jsonl", "mobility.jsonl",
@@ -180,3 +191,109 @@ def test_damaged_input_returns_or_raises_the_rows_error(tmp_path_factory,
             pass
 
     check()
+
+
+# --------------------------------------------------------------------------- #
+# Restore rows
+# --------------------------------------------------------------------------- #
+
+SNAPSHOTS = ("classic", "sharded-2", "batched", "96aa8df-classic",
+             "96aa8df-sharded-2", "96aa8df-flooding")
+POPULATION = uniform_subscriptions(40, seed=3)
+EVENTS = uniform_events(POPULATION.space, 20, seed=3)
+
+
+def _broker(backend: str, options=None):
+    """A small broker with subscribers and a published history."""
+    broker = SystemSpec(POPULATION.space, backend=backend, seed=3,
+                        engine_options=options).build()
+    broker.subscribe_all(list(POPULATION))
+    broker.publish_many(EVENTS[:10])
+    return broker
+
+
+def _restore_seeds(backend: str):
+    fresh = _broker(backend)
+    return [fresh.snapshot()] + [
+        gzip.decompress((GOLDEN_DIR / f"snapshot-{name}.pickle.gz")
+                        .read_bytes()) for name in SNAPSHOTS]
+
+
+@st.composite
+def flipped_or_truncated(draw, seeds):
+    data = bytearray(draw(st.sampled_from(seeds), label="seed"))
+    if draw(st.booleans(), label="truncate"):
+        return bytes(data[:draw(st.integers(0, len(data) - 1), label="at")])
+    for _ in range(draw(st.integers(1, 3), label="flips")):
+        at = draw(st.integers(0, len(data) - 1), label="at")
+        data[at] ^= 1 << draw(st.integers(0, 7), label="bit")
+    return bytes(data)
+
+
+@pytest.mark.parametrize("backend", ["drtree:classic", "flooding"])
+def test_damaged_snapshots_restore_or_raise_and_leave_the_broker(backend):
+    seeds = _restore_seeds(backend)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(blob=st.one_of(st.binary(max_size=64),
+                          flipped_or_truncated(seeds)))
+    def check(blob):
+        broker = _broker(backend)
+        try:
+            broker.restore(blob)
+        except SnapshotStateError:
+            twin = _broker(backend)
+            broker.publish_many(EVENTS[10:])
+            twin.publish_many(EVENTS[10:])
+            assert delivered_digest(broker) == delivered_digest(twin)
+            assert broker.summary() == twin.summary()
+
+    check()
+
+
+def _hostile(tmp_path, name):
+    """A pickle that would run something, and the file it would make."""
+    marker = tmp_path / "ran"
+    touch = b"S'touch " + str(marker).encode() + b"'\n"
+    if name == "os.system":
+        return b"cos\nsystem\n(" + touch + b"tR.", marker
+    if name == "getattr":
+        return (b"cbuiltins\ngetattr\n(cos\nsystem\nS'__call__'\ntR("
+                + touch + b"tR."), marker
+    journal = tmp_path / "opened.journal"
+    return (b"crepro.journal.io\nJournalWriter\n(S'" + str(journal).encode()
+            + b"'\ntR."), journal
+
+
+@pytest.mark.parametrize("name, marked", [
+    ("os.system", False), ("os.system", True), ("getattr", True),
+    ("JournalWriter", False), ("JournalWriter", True)])
+def test_a_hostile_snapshot_runs_nothing(tmp_path, name, marked):
+    blob, effect = _hostile(tmp_path, name)
+    if marked:
+        blob = snapshot.MAGIC + blob
+    for backend in ("drtree:classic", "flooding"):
+        with pytest.raises(SnapshotStateError, match="does not deserialize"):
+            SystemSpec(POPULATION.space, backend=backend).build().restore(blob)
+    assert not effect.exists()
+
+
+def test_a_hostile_shard_blob_is_refused_by_the_worker(tmp_path):
+    options = {"shards": 2, "transport": "inline"}
+    broker = _broker("drtree:sharded", options)
+    try:
+        payload = snapshot.load(broker.snapshot(), "pubsub", broker.backend)
+    finally:
+        broker.close()
+    blob, marker = _hostile(tmp_path, "os.system")
+    payload["sim"]["blobs"][0] = blob
+    target = SystemSpec(POPULATION.space, backend="drtree:sharded", seed=3,
+                        engine_options=options).build()
+    try:
+        with pytest.raises(SnapshotStateError, match="shard 0: .*deserialize"):
+            target.restore(snapshot.dump(payload))
+    finally:
+        target.close()
+    assert not marker.exists()

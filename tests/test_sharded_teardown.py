@@ -11,7 +11,6 @@ the whole simulation instead of leaving stale replies on the other pipes.
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -20,6 +19,7 @@ import time
 import pytest
 
 import repro
+from repro import snapshot
 from repro.api.spec import SystemSpec
 from repro.overlay.config import DRTreeConfig
 from repro.sim.network import FixedLatency
@@ -91,8 +91,9 @@ def test_shard_workers_always_run_the_batched_network(transport):
     with ShardedSimulation(config=CONFIG, seed=3, shards=2,
                            transport=transport) as sim:
         sim._ensure_shards(1)
-        # Any transport: the worker's own pickled simulation says so.
-        network = pickle.loads(sim._rpc(0, ("snapshot",))).network
+        # Any transport: the worker's own snapshot says so.
+        blob = sim._rpc(0, ("snapshot",))
+        network = snapshot.load(blob, "shard")["sim"].network
         assert not network.loss_rate
         assert type(network.latency) is FixedLatency
         assert not hasattr(network, "batch")

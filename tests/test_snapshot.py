@@ -1,0 +1,182 @@
+"""The snapshot format: what a blob may name, and every golden blob restores.
+
+:mod:`repro.snapshot` writes and reads every snapshot byte.  A current blob
+names only allow-listed globals (no ``itertools`` counter, whose pickling
+Python 3.12 deprecates and 3.14 removes, and no ``builtins.getattr``, which
+a pickled bound method needs), on every backend that can snapshot.  Blobs
+written before the format had a marker go through the module's legacy
+reader: ``tests/golden/snapshot-96aa8df-*.pickle.gz`` pin the last layout
+before it, on classic, 2 shards and flooding.
+"""
+
+from __future__ import annotations
+
+import gzip
+import io
+import os
+import pickle
+from pathlib import Path
+
+import pytest
+
+from repro import snapshot
+from repro.analysis.digests import delivered_digest
+from repro.api import SystemSpec
+from repro.api.capabilities import SnapshotStateError
+from repro.api.registry import backend_names, backend_spec
+from repro.sim.sharded import TRANSPORT_ENV_VAR
+from repro.workloads import uniform_subscriptions
+from repro.workloads.events import uniform_events
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SHARD_TRANSPORT = "auto" if os.environ.get(TRANSPORT_ENV_VAR) else "inline"
+
+SEED = 6
+POPULATION = uniform_subscriptions(600, seed=SEED)
+STREAM = uniform_events(POPULATION.space, 400, seed=SEED)
+
+#: ``uniform_subscriptions(600, seed=6)`` after ``subscribe_all`` and
+#: ``STREAM[:200]``, written by commit 96aa8df (``tests/golden/README.md``
+#: has the command), and the delivered digest of the whole stream.
+GOLDEN_96AA8DF = {
+    "classic": ("drtree:classic", None,
+                "0f174fbf0c3a02647c88aeaa882642386fb5ed0c5d1fe2009820f6dc1f93fb53"),
+    "sharded-2": ("drtree:sharded", {"shards": 2, "transport": SHARD_TRANSPORT},
+                  "0f174fbf0c3a02647c88aeaa882642386fb5ed0c5d1fe2009820f6dc1f93fb53"),
+    "flooding": ("flooding", None,
+                 "1108a468084791249964241a6c8a46b2349f29693b70245dd7e91c65eaf24aee"),
+}
+
+
+def build(backend, options=None, seed=SEED):
+    return SystemSpec(POPULATION.space, backend=backend, seed=seed,
+                      engine_options=options).build()
+
+
+def close(*brokers):
+    for broker in brokers:
+        getattr(broker, "close", lambda: None)()
+
+
+def golden(name: str) -> bytes:
+    return gzip.decompress(
+        (GOLDEN_DIR / f"snapshot-{name}.pickle.gz").read_bytes())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_96AA8DF))
+def test_a_96aa8df_snapshot_finishes_the_stream_as_if_uninterrupted(name):
+    backend, options, digest = GOLDEN_96AA8DF[name]
+    restored, uninterrupted = build(backend, options), build(backend, options)
+    try:
+        restored.restore(golden(f"96aa8df-{name}"))
+        restored.publish_many(STREAM[200:])
+        uninterrupted.subscribe_all(list(POPULATION))
+        uninterrupted.publish_many(STREAM)
+        assert delivered_digest(restored) == digest
+        assert delivered_digest(uninterrupted) == digest
+        assert restored.summary() == uninterrupted.summary()
+    finally:
+        close(restored, uninterrupted)
+
+
+def names_in(blob: bytes) -> set:
+    """Every ``(module, name)`` a blob and its shard blobs name."""
+    named = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            named.add((module, name))
+            return super().find_class(module, name)
+
+    assert blob.startswith(snapshot.MAGIC)
+    payload = Recorder(io.BytesIO(blob[len(snapshot.MAGIC):])).load()
+    if isinstance(payload.get("sim"), dict):
+        for shard_blob in payload["sim"]["blobs"]:
+            named |= names_in(shard_blob)
+    return named
+
+
+SNAPSHOT_BACKENDS = [name for name in backend_names()
+                     if "snapshot" in backend_spec(name).capabilities]
+
+
+@pytest.mark.parametrize("backend", SNAPSHOT_BACKENDS)
+def test_snapshots_name_only_allowed_globals(backend):
+    """After a build, publishes, a crash and a repair; the DR-tree rows at a
+    population that runs 2 shards, the (slow) baselines at a small one."""
+    drtree = backend.startswith("drtree:")
+    subscriptions = list(POPULATION)[:520 if drtree else 60]
+    options = ({"shards": 2, "transport": SHARD_TRANSPORT}
+               if backend == "drtree:sharded" else None)
+    broker = build(backend, options)
+    try:
+        broker.subscribe_all(subscriptions)
+        broker.publish_many(STREAM[:10])
+        broker.fail(subscriptions[0].name, stabilize=False)
+        broker.fail(subscriptions[1].name, stabilize=False)
+        broker.stabilize()
+        broker.publish_many(STREAM[10:20])
+        named = names_in(broker.snapshot())
+    finally:
+        close(broker)
+    assert named <= snapshot.ALLOWED, sorted(named - snapshot.ALLOWED)
+    assert not {name for name in named
+                if name[0] == "itertools" or name == ("builtins", "getattr")}
+
+
+@pytest.mark.parametrize("engine", ["classic", "sharded"])
+def test_a_restored_broker_delivers_through_its_own_accounting(engine):
+    options = ({"shards": 2, "transport": SHARD_TRANSPORT}
+               if engine == "sharded" else None)
+    original = build(f"drtree:{engine}", options)
+    restored = build(f"drtree:{engine}", options)
+    try:
+        original.subscribe_all(list(POPULATION)[:520])
+        original.publish_many(STREAM[:10])
+        restored.restore(original.snapshot())
+        # Taking the snapshot left the original's own listeners in place.
+        assert all(peer.delivery_listener == original.accounting.record_delivery
+                   for peer in original.simulation.peers.values())
+        assert all(peer.delivery_listener == restored.accounting.record_delivery
+                   for peer in restored.simulation.peers.values())
+        original.publish_many(STREAM[10:30])
+        restored.publish_many(STREAM[10:30])
+        assert delivered_digest(restored) == delivered_digest(original)
+        assert restored.summary() == original.summary()
+    finally:
+        close(original, restored)
+
+
+def test_a_blob_of_another_kind_or_backend_is_refused():
+    classic, flooding = build("drtree:classic"), build("flooding")
+    classic.subscribe_all(list(POPULATION)[:40])
+    blob = classic.snapshot()
+    with pytest.raises(SnapshotStateError, match="backend 'drtree:classic'"):
+        build("drtree:batched").restore(blob)
+    with pytest.raises(SnapshotStateError, match="not a baseline snapshot"):
+        flooding.restore(blob)
+    payload = snapshot.load(blob, "pubsub", "drtree:classic")
+    del payload["event_counter"]
+    with pytest.raises(SnapshotStateError, match="lacks event_counter"):
+        classic.restore(snapshot.dump(payload))
+    with pytest.raises(SnapshotStateError, match="bytes, not str"):
+        classic.restore("not bytes")
+
+
+def test_a_blob_whose_references_were_swapped_is_refused():
+    """A flipped memo index makes a pickle hand back the wrong object; the
+    restore reads the peers and the subscriptions, so those are checked."""
+    broker = build("drtree:classic")
+    broker.subscribe_all(list(POPULATION)[:40])
+    blob = broker.snapshot()
+    payload = snapshot.load(blob, "pubsub", broker.backend)
+    sim = payload["sim"]
+    sim.peers["S1"] = sim.peers["S2"].instances[0]
+    with pytest.raises(SnapshotStateError, match="not all DRTreePeers"):
+        broker.restore(snapshot.dump(payload))
+    payload = snapshot.load(blob, "pubsub", broker.backend)
+    payload["subscriptions"]["S1"] = payload["sim"].peers["S2"]
+    with pytest.raises(SnapshotStateError, match="do not fit this broker"):
+        broker.restore(snapshot.dump(payload))
+    # Neither refusal touched the broker.
+    assert broker.snapshot() == blob

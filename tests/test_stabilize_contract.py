@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import gzip
 import os
-import pickle
 from pathlib import Path
 
 import pytest
 
+from repro import snapshot
 from repro.analysis.digests import delivered_digest
 from repro.api import SystemSpec
 from repro.overlay.verifier import OverlayVerifier
@@ -197,7 +197,8 @@ def networks_of(broker):
     simulation = broker.simulation
     if hasattr(simulation, "network"):
         return [simulation.network]
-    return [pickle.loads(simulation._rpc(shard, ("snapshot",))).network
+    return [snapshot.load(simulation._rpc(shard, ("snapshot",)),
+                          "shard")["sim"].network
             for shard in range(len(simulation._shards))]
 
 
