@@ -384,39 +384,43 @@ class StabilizationMixin:
         self.check_cover(level)
 
     def _promote_child_to_my_role(self, level: int, child_id: str) -> None:
-        """Hand the instance at ``level`` over to ``child_id`` (Adjust_Parent)."""
+        """Hand the instance at ``level`` over to ``child_id`` (Adjust_Parent).
+
+        The instances above ``level`` go with it: a peer present at level
+        l + 1 is its own child at level l, so keeping them would leave this
+        peer at l + 1 without l (a hole in its level chain).  ``child_id``
+        takes every handed level, with this peer's id replaced by its own
+        in the children sets above ``level``.
+        """
         instance = self.instances.get(level)
         if instance is None or child_id not in instance.children:
             return
-        parent = instance.parent
-        is_root_here = parent == self.process_id and level == self.top_level()
-        children_payload = serialize_children(instance.children)
-        new_parent_for_child = child_id if is_root_here else parent
-        # Drop our role at this level; lower and higher instances stay intact
-        # (the higher instance's children set is patched below).
-        del self.instances[level]
-        self.local_or_send(
-            child_id, msg.PROMOTE,
-            level=level,
-            children=children_payload,
-            parent=new_parent_for_child,
-        )
-        if not is_root_here and parent and parent != self.process_id:
+        handed = sorted(lvl for lvl in self.instances if lvl >= level)
+        top = self.instances[handed[-1]]
+        parent = top.parent
+        is_root_here = parent == self.process_id
+        for lvl in handed:
+            children = self.instances.pop(lvl).children
+            if lvl > level:
+                children = {child_id if cid == self.process_id else cid: info
+                            for cid, info in children.items()}
+            self.local_or_send(
+                child_id, msg.PROMOTE,
+                level=lvl,
+                children=serialize_children(children),
+                parent=(child_id if is_root_here or lvl < handed[-1]
+                        else parent),
+            )
+        if not is_root_here and parent:
             self.local_or_send(
                 parent, msg.REPLACE_CHILD,
-                level=level + 1,
+                level=handed[-1] + 1,
                 old=self.process_id,
                 new=child_id,
-                lower=instance.mbr.lower,
-                upper=instance.mbr.upper,
-                child_count=len(instance.children),
+                lower=top.mbr.lower,
+                upper=top.mbr.upper,
+                child_count=len(top.children),
             )
-        elif parent == self.process_id and level + 1 in self.instances:
-            higher = self.instances[level + 1]
-            if self.process_id in higher.children:
-                higher.remove_child(self.process_id)
-            higher.add_child(child_id, instance.mbr, len(instance.children),
-                             self.round_number)
         if is_root_here:
             self.oracle.set_root_hint(child_id)
 

@@ -7,6 +7,14 @@ the operations of a content-based publish/subscribe service — ``subscribe``,
 ``unsubscribe``, ``publish``, ``fail``, ``move_subscription`` — plus full
 delivery accounting.
 
+Every ``Broker`` verb is written once, here: its op-log bracket, its input
+checks and the event-id rule.  What a verb does to the overlay goes through
+six hooks (``_name_taken``, ``_is_fresh``, ``_add``, ``_remove``,
+``_disseminate``, ``_repair``), which
+:class:`~repro.baselines.broker.BaselineBroker` overrides for the analytic
+baselines, so both broker families accept and reject exactly the same
+inputs.
+
 The engine is a row of the backend table (:mod:`repro.api.registry`):
 ``engine="classic"`` or ``"batched"`` (two names for one in-process
 simulator whose messages join per-round delivery queues), ``"sharded"``
@@ -30,13 +38,14 @@ True
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Tuple, Union)
+                    Sequence, Union)
 
 from repro import snapshot as snapshots
 from repro.api.capabilities import (SnapshotNotQuiescentError,
                                     SnapshotStateError)
 from repro.api.options import EngineOptions
 from repro.api.registry import drtree_engine
+from repro.overlay.bootstrap import BULK_THRESHOLD
 from repro.overlay.config import DRTreeConfig
 from repro.pubsub.accounting import DeliveryAccounting, EventOutcome
 from repro.pubsub.matching import SubscriptionIndex
@@ -46,6 +55,7 @@ from repro.traces.oplog import EXECUTE, OpLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import SystemSpec
+    from repro.overlay.verifier import VerificationReport
 
 
 class PubSubSystem:
@@ -77,7 +87,6 @@ class PubSubSystem:
         as the mapping of its non-default fields.
         """
         engine_spec = drtree_engine(engine)
-        self.space = space
         self.config = config if config is not None else DRTreeConfig()
         self.engine_name = engine_spec.engine
         if isinstance(engine_options, EngineOptions):
@@ -90,20 +99,28 @@ class PubSubSystem:
         self.CAPABILITIES = frozenset(engine_spec.capabilities)
         self.simulation = engine_spec.build_simulation(self.config, seed,
                                                        engine_options)
+        # The live membership *and* the ground-truth oracle: one mapping,
+        # kept current by the membership hooks below and by nothing else.
+        self._subscriptions = SubscriptionIndex(space)
+        self._init_facade(space, stabilize_rounds)
+
+    def _init_facade(self, space: AttributeSpace,
+                     stabilize_rounds: int) -> None:
+        """Set the state every broker family shares; attach the op log last.
+
+        Inside a repro.traces recording() context every facade operation is
+        captured to the active trace; inside a repro.journal journaling()
+        context it is additionally appended durably to the journal.  Both
+        observers are purely observational, so observed and unobserved runs
+        are bit-identical.  The log attaches *after* every other piece of
+        state is in place: a resume-mode journal re-executes journaled ops
+        through this facade while attach() runs.
+        """
+        self.space = space
         self.accounting = DeliveryAccounting()
         self.stabilize_rounds = stabilize_rounds
         #: The number of the next facade-assigned event id.
         self._event_counter = 0
-        # The live membership *and* the ground-truth oracle: one mapping,
-        # kept current by the membership ops below and by nothing else.
-        self._subscriptions = SubscriptionIndex(space)
-        # Inside a repro.traces recording() context every facade operation is
-        # captured to the active trace; inside a repro.journal journaling()
-        # context it is additionally appended durably to the journal.  Both
-        # observers are purely observational, so observed and unobserved runs
-        # are bit-identical.  The log must be in place *before* attaching: a
-        # resume-mode journal re-executes journaled ops through this facade
-        # while attach() runs.
         self.oplog = OpLog(self)
         self.oplog.attach()
 
@@ -157,35 +174,23 @@ class PubSubSystem:
         handled = self.oplog.replayed("subscribe", subscription, stabilize)
         if handled is not EXECUTE:
             return handled
-        self._check_space(subscription)
-        self._check_new_name(subscription)
+        self._check_new(subscription)
         issued = self.oplog.now()
-        subscriber_id = self._subscribe_core(subscription, stabilize)
+        [subscriber_id] = self._add([subscription], bulk=False)
+        self._repair(stabilize)
         self.oplog.record("subscribe", issued, subscription, stabilize)
         return subscriber_id
 
-    def _check_space(self, subscription: Subscription) -> None:
+    def _check_new(self, subscription: Subscription) -> None:
         ensure_same_space(self.space, subscription)
-
-    def _check_new_name(self, subscription: Subscription) -> None:
-        # Peer ids are never reused by the simulator (a crashed peer keeps
-        # its id), so the reservation check runs against every peer ever
-        # created, not just the live subscriptions.
-        if subscription.name in self.simulation.peers:
+        # Names are never reused (the simulator's peer ids outlive a crash),
+        # so the reservation check runs against every name ever taken, not
+        # just the live subscriptions.
+        if self._name_taken(subscription.name):
             raise ValueError(
                 f"duplicate subscription name {subscription.name!r}; "
                 "subscription names are never reused"
             )
-
-    def _subscribe_core(self, subscription: Subscription,
-                        stabilize: bool) -> str:
-        """Register one subscriber without touching the op log."""
-        peer = self.simulation.add_peer(subscription)
-        peer.delivery_listener = self.accounting.record_delivery
-        self._subscriptions[peer.process_id] = subscription
-        if stabilize:
-            self.simulation.stabilize(max_rounds=self.stabilize_rounds)
-        return peer.process_id
 
     def subscribe_all(self, subscriptions: Iterable[Subscription],
                       stabilize: bool = True,
@@ -197,53 +202,34 @@ class PubSubSystem:
         bulk-load fast path: the overlay is laid out directly in
         ``O(n log n)`` instead of running one join cascade per subscriber.
         ``bulk=False`` forces the join protocol; ``bulk=True`` forces the
-        fast path and raises if the system already has subscribers (the
-        bootstrap can only lay out a tree from scratch).
+        fast path and raises if the system has ever had subscribers (the
+        bootstrap can only lay out a tree from scratch) — on every backend,
+        although the analytic baselines have no fast path to force.
         """
-        from repro.overlay.bootstrap import BULK_THRESHOLD
-
         subs = list(subscriptions)
         handled = self.oplog.replayed("subscribe_all", subs, stabilize, bulk)
         if handled is not EXECUTE:
             return handled
-        # _check_new_name sees only already-registered peers; duplicates
-        # *within* this batch need the shared upfront guard so the call
-        # raises before any subscriber is registered.
+        # _check_new sees only already-taken names; duplicates *within*
+        # this batch need the shared upfront guard so the call raises
+        # before any subscriber is registered.
         ensure_unique_names(subs)
         for sub in subs:
-            self._check_space(sub)
-            self._check_new_name(sub)
-        issued = self.oplog.now()
-        if bulk and self.simulation.peers:
+            self._check_new(sub)
+        if bulk and not self._is_fresh():
             raise ValueError(
                 "bulk subscribe_all requires an empty system; pass the whole "
                 "population at once or use bulk=False"
             )
-        use_bulk = (bulk if bulk is not None
-                    else not self.simulation.peers
-                    and len(subs) >= BULK_THRESHOLD)
-        if use_bulk:
-            # The simulation owns its bulk-load strategy: the single-process
-            # engines run the STR bootstrap in place, the sharded engine
-            # partitions the same layout across its workers.
-            self.simulation.bulk_load(subs)
-            ids = []
-            for sub in subs:
-                peer = self.simulation.peer(sub.name)
-                peer.delivery_listener = self.accounting.record_delivery
-                self._subscriptions[peer.process_id] = sub
-                ids.append(peer.process_id)
-        else:
-            ids = [self._subscribe_core(sub, stabilize=False) for sub in subs]
-        if stabilize:
-            self.simulation.stabilize(max_rounds=self.stabilize_rounds)
+        issued = self.oplog.now()
+        ids = self._add(subs, bulk)
+        self._repair(stabilize)
         self.oplog.record("subscribe_all", issued, subs, stabilize, bulk)
         return ids
 
     def _check_known(self, subscriber_id: str) -> None:
         # The Broker protocol promises KeyError for unknown (or already
-        # retired) ids *before* any state changes — matching BaselineBroker,
-        # so both families accept exactly the same op sequences.
+        # retired) ids *before* any state changes.
         if subscriber_id not in self._subscriptions:
             raise KeyError(f"unknown subscriber {subscriber_id!r}")
 
@@ -254,9 +240,8 @@ class PubSubSystem:
             return handled
         self._check_known(subscriber_id)
         issued = self.oplog.now()
-        self.simulation.leave(subscriber_id)
-        self._subscriptions.pop(subscriber_id, None)
-        self.simulation.stabilize(max_rounds=self.stabilize_rounds)
+        self._remove(subscriber_id, crash=False)
+        self._repair(True)
         self.oplog.record("unsubscribe", issued, subscriber_id)
 
     def fail(self, subscriber_id: str, stabilize: bool = True) -> None:
@@ -266,10 +251,8 @@ class PubSubSystem:
             return handled
         self._check_known(subscriber_id)
         issued = self.oplog.now()
-        self.simulation.crash(subscriber_id)
-        self._subscriptions.pop(subscriber_id, None)
-        if stabilize:
-            self.simulation.stabilize(max_rounds=self.stabilize_rounds)
+        self._remove(subscriber_id, crash=True)
+        self._repair(stabilize)
         self.oplog.record("crash", issued, subscriber_id, stabilize)
 
     def move_subscription(self, subscriber_id: str,
@@ -288,14 +271,12 @@ class PubSubSystem:
                                       stabilize)
         if handled is not EXECUTE:
             return handled
-        self._check_space(subscription)
-        self._check_new_name(subscription)
-        if subscriber_id not in self._subscriptions:
-            raise KeyError(f"unknown subscriber {subscriber_id!r}")
+        self._check_new(subscription)
+        self._check_known(subscriber_id)
         issued = self.oplog.now()
-        self.simulation.leave(subscriber_id)
-        self._subscriptions.pop(subscriber_id, None)
-        new_id = self._subscribe_core(subscription, stabilize)
+        self._remove(subscriber_id, crash=False)
+        [new_id] = self._add([subscription], bulk=False)
+        self._repair(stabilize)
         self.oplog.record("move", issued, subscriber_id, subscription,
                           stabilize)
         return new_id
@@ -312,40 +293,6 @@ class PubSubSystem:
     # Publishing
     # ------------------------------------------------------------------ #
 
-    def _publish_core(self, event: Event, publisher_id: Optional[str]
-                      ) -> Tuple[float, Event, str, EventOutcome, bool]:
-        """Resolve, account and disseminate one event.
-
-        Counter reads and taping stay with the callers so that
-        :meth:`publish_many` can account messages from a single pass over
-        the ``network.messages_sent`` counter.  The trailing flag reports
-        whether this facade assigned the event id (the journal records it so
-        a resume can keep the id counter in lockstep).
-        """
-        if not self._subscriptions:
-            raise RuntimeError("cannot publish into an empty system")
-        # Everything that can reject the call comes first: a publish that
-        # raises must not draw an event id or register an outcome.
-        if publisher_id and publisher_id not in self.simulation.peers:
-            raise KeyError(f"unknown publisher {publisher_id!r}")
-        event.to_point(self.space)
-        auto = not event.event_id
-        if auto:
-            event = Event(dict(event.attributes),
-                          event_id=self.consume_event_id())
-        issued = self.oplog.now()
-        outcome = self.accounting.start_event(event, publisher_id,
-                                              self._subscriptions)
-        if not publisher_id:
-            # The ground truth was just computed; the default producer is
-            # its smallest id.  Set before dissemination: the publisher is
-            # excused from false-positive accounting.
-            publisher_id = outcome.publisher_id = (
-                min(outcome.intended) if outcome.intended
-                else self._fallback_publisher())
-        self.simulation.publish(publisher_id, event)
-        return issued, event, publisher_id, outcome, auto
-
     def publish(self, event: Event,
                 publisher_id: Optional[str] = None) -> EventOutcome:
         """Publish ``event`` and return its delivery outcome.
@@ -357,40 +304,89 @@ class PubSubSystem:
         handled = self.oplog.replayed("publish", event, publisher_id)
         if handled is not EXECUTE:
             return handled
-        before = self.simulation.metrics.counter("network.messages_sent")
-        issued, event, publisher_id, outcome, auto = self._publish_core(
-            event, publisher_id)
-        after = self.simulation.metrics.counter("network.messages_sent")
-        self.accounting.record_messages(event.event_id, int(after - before))
+        if not self._subscriptions:
+            raise RuntimeError("cannot publish into an empty system")
+        # Everything that can reject the call comes first: a publish that
+        # raises must not draw an event id or register an outcome.
+        if publisher_id and not self._name_taken(publisher_id):
+            raise KeyError(f"unknown publisher {publisher_id!r}")
+        event.to_point(self.space)
+        # ``auto`` tells the journal that this facade assigned the event id,
+        # so a resume can keep the id counter in lockstep.
+        auto = not event.event_id
+        if auto:
+            event = Event(dict(event.attributes),
+                          event_id=self.consume_event_id())
+        issued = self.oplog.now()
+        outcome = self.accounting.start_event(event, publisher_id,
+                                              self._subscriptions)
+        messages = self._disseminate(event, outcome)
+        self.accounting.record_messages(event.event_id, messages)
         # Taped with the resolved id and publisher so a replay re-issues
         # exactly this publication, not the resolution inputs.
-        self.oplog.record("publish", issued, event, publisher_id, auto=auto)
+        self.oplog.record("publish", issued, event, outcome.publisher_id,
+                          auto=auto)
         return outcome
 
     def publish_many(self, events: Iterable[Event],
                      publisher_id: Optional[str] = None) -> List[EventOutcome]:
-        """Publish a sequence of events.
+        """Publish a sequence of events, each exactly as :meth:`publish` does."""
+        return [self.publish(event, publisher_id) for event in events]
 
-        Per-event message accounting comes from a single pass over the
-        network counter — one read per event against the running cursor —
-        and matches the per-:meth:`publish` path exactly.
-        """
-        outcomes: List[EventOutcome] = []
-        cursor = self.simulation.metrics.counter("network.messages_sent")
-        for event in events:
-            handled = self.oplog.replayed("publish", event, publisher_id)
-            if handled is not EXECUTE:
-                outcomes.append(handled)
-                continue
-            issued, event, resolved, outcome, auto = self._publish_core(
-                event, publisher_id)
-            after = self.simulation.metrics.counter("network.messages_sent")
-            self.accounting.record_messages(event.event_id,
-                                            int(after - cursor))
-            cursor = after
-            self.oplog.record("publish", issued, event, resolved, auto=auto)
-            outcomes.append(outcome)
-        return outcomes
+    # ------------------------------------------------------------------ #
+    # The overlay hooks: what one backend family does for the verbs above
+    # ------------------------------------------------------------------ #
+
+    def _name_taken(self, name: str) -> bool:
+        """Whether ``name`` was ever a subscriber (live, departed or crashed)."""
+        return name in self.simulation.peers
+
+    def _is_fresh(self) -> bool:
+        """Whether no subscriber was ever registered."""
+        return not self.simulation.peers
+
+    def _add(self, subscriptions: Sequence[Subscription],
+             bulk: Optional[bool]) -> List[str]:
+        """Register validated subscribers as peers; ``bulk`` as in subscribe_all."""
+        use_bulk = (bulk if bulk is not None
+                    else self._is_fresh()
+                    and len(subscriptions) >= BULK_THRESHOLD)
+        if use_bulk:
+            # The simulation owns its bulk-load strategy: the single-process
+            # engines run the STR bootstrap in place, the sharded engine
+            # partitions the same layout across its workers.
+            self.simulation.bulk_load(subscriptions)
+        ids = []
+        for sub in subscriptions:
+            peer = (self.simulation.peer(sub.name) if use_bulk
+                    else self.simulation.add_peer(sub))
+            peer.delivery_listener = self.accounting.record_delivery
+            self._subscriptions[peer.process_id] = sub
+            ids.append(peer.process_id)
+        return ids
+
+    def _remove(self, subscriber_id: str, crash: bool) -> None:
+        """Take a known subscriber out: a controlled leave or a crash."""
+        if crash:
+            self.simulation.crash(subscriber_id)
+        else:
+            self.simulation.leave(subscriber_id)
+        self._subscriptions.pop(subscriber_id, None)
+
+    def _disseminate(self, event: Event, outcome: EventOutcome) -> int:
+        """Route one validated event; return the messages it cost."""
+        publisher_id = outcome.publisher_id
+        if not publisher_id:
+            # The ground truth was just computed; the default producer is
+            # its smallest id.  Set before dissemination: the publisher is
+            # excused from false-positive accounting.
+            publisher_id = outcome.publisher_id = (
+                min(outcome.intended) if outcome.intended
+                else self._fallback_publisher())
+        counter = self.simulation.metrics.counter
+        before = counter("network.messages_sent")
+        self.simulation.publish(publisher_id, event)
+        return int(counter("network.messages_sent") - before)
 
     def _fallback_publisher(self) -> str:
         """The producer of an event no subscriber matches: the root."""
@@ -398,6 +394,22 @@ class PubSubSystem:
         if root is not None:
             return root.process_id
         return min(self._subscriptions)
+
+    def _repair(self, run: bool, max_rounds: Optional[int] = None
+                ) -> Optional["VerificationReport"]:
+        """Close a membership op or ``stabilize``: repair the overlay if ``run``.
+
+        Every repair the facade runs goes through here, so its report is
+        read in one place: a repair that ends illegal has hit its round cap,
+        and counts ``stabilize.capped`` in the simulation's metrics.
+        """
+        if not run:
+            return None
+        report = self.simulation.stabilize(
+            max_rounds=max_rounds or self.stabilize_rounds)
+        if not report.is_legal:
+            self.simulation.metrics.increment("stabilize.capped")
+        return report
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -409,9 +421,7 @@ class PubSubSystem:
         if handled is not EXECUTE:
             return handled
         issued = self.oplog.now()
-        report = self.simulation.stabilize(
-            max_rounds=max_rounds or self.stabilize_rounds
-        )
+        report = self._repair(True, max_rounds)
         self.oplog.record("stabilize", issued, max_rounds)
         return report
 

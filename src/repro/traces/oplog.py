@@ -1,8 +1,8 @@
 """The broker-side op log: one observer hook, one resume gate.
 
-Every broker (:class:`~repro.pubsub.api.PubSubSystem` and
-:class:`~repro.baselines.broker.BaselineBroker` alike) owns one
-:class:`OpLog` and brackets each facade operation with it::
+Every broker owns one :class:`OpLog`.  Each facade operation is bracketed
+with it once, in :class:`~repro.pubsub.api.PubSubSystem`, whose verbs
+:class:`~repro.baselines.broker.BaselineBroker` inherits::
 
     handled = self.oplog.replayed("crash", subscriber_id, stabilize)
     if handled is not EXECUTE:

@@ -3,8 +3,9 @@
 Covers the `repro.api` package (SystemSpec + backend registry), the
 BaselineBroker adapter family, the upfront validation added to the facade
 (duplicate subscription names, mismatched attribute spaces), the
-single-pass `publish_many` accounting, the typed per-engine option sets,
-and the removed `batch=` alias (now an unknown keyword).
+`publish_many` accounting equal to `publish`'s, the one copy of each verb,
+the typed per-engine option sets, and the removed `batch=` alias (now an
+unknown keyword).
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ ALL_BACKENDS = (("drtree:classic", "drtree:batched", "drtree:sharded",
                 + BASELINE_BACKENDS)
 
 
+#: The ``Broker`` verbs, each written once on :class:`PubSubSystem`.
+VERBS = ("subscribe", "subscribe_all", "unsubscribe", "fail",
+         "move_subscription", "publish", "publish_many", "stabilize")
+
+
 def _close(broker) -> None:
-    """Release engine resources; baselines hold none and expose no close."""
+    """Release engine resources (a no-op on the baselines, which hold none)."""
     close = getattr(broker, "close", None)
     if close is not None:
         close()
@@ -91,6 +97,18 @@ def test_every_backend_satisfies_the_broker_protocol(backend, space):
         assert spec.backend == backend
         assert spec.seed == 7
         assert spec.space.names == space.names
+    finally:
+        _close(broker)
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_every_backend_runs_the_one_copy_of_each_verb(backend, space):
+    """Op-log bracket, input checks and event ids live in one body per verb."""
+    broker = create_broker(SystemSpec(space, backend=backend, seed=7))
+    try:
+        for verb in VERBS:
+            assert getattr(type(broker), verb) is getattr(PubSubSystem,
+                                                          verb), verb
     finally:
         _close(broker)
 
@@ -310,7 +328,7 @@ def test_bare_overlay_adopts_first_space_then_checks():
 
 
 # --------------------------------------------------------------------------- #
-# publish_many: single-pass message accounting
+# publish_many: the same message accounting as publish
 # --------------------------------------------------------------------------- #
 
 

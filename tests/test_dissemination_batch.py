@@ -186,14 +186,13 @@ def test_fan_out_matches_the_model_on_random_workloads(seed, size):
                                   seed)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 14: the join protocol leaves a level-chain hole (S0 at "
-    "levels {0, 2, 3} for seed 2891, size 15) or a stale cached child MBR "
-    "that the verifier calls legal, and the fan-out misses a subscriber "
-    "the model reaches; item 14's fix makes these pass"))
 @pytest.mark.parametrize("seed,size", [
     (112, 13), (9922, 22), (7231, 28), (2891, 15), (10000, 28)])
 def test_fan_out_matches_the_model_on_the_pinned_counterexamples(seed, size):
+    """Each draw once ended with a peer holding a level above a missing one
+    (``S0`` at {0, 2, 3} for seed 2891, size 15): a cover exchange below
+    the peer's top level handed over that level alone.  The model then
+    reached subscribers at other hop counts than the fan-out did."""
     _assert_fan_out_matches_model(uniform_subscriptions(size, seed=seed),
                                   seed)
 

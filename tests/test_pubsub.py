@@ -105,22 +105,30 @@ def test_publish_into_empty_system_raises(space):
         system.publish(Event({"x": 0.1, "y": 0.2}))
 
 
-@pytest.mark.parametrize("engine, options", [
-    ("classic", None), ("batched", None),
-    ("sharded", {"shards": 2, "transport": "inline"})])
-def test_a_publish_that_raises_leaves_no_phantom_outcome(space, engine,
+#: The analytic baselines behind the same facade as the DR-tree.
+BASELINE_BACKENDS = ("flooding", "centralized", "per-dimension",
+                     "containment-tree")
+
+
+@pytest.mark.parametrize("backend, options", [
+    ("drtree:classic", None), ("drtree:batched", None),
+    ("drtree:sharded", {"shards": 2, "transport": "inline"}),
+    *((backend, None) for backend in BASELINE_BACKENDS)])
+def test_a_publish_that_raises_leaves_no_phantom_outcome(space, backend,
                                                          options):
     """Regression: a rejected publish used to register its outcome first.
 
     ``summary()`` then counted an event that was never sent — its intended
     subscribers as false negatives, delivery rate 0.0 — and the drawn event
-    id left the journal's id counter out of step.
+    id left the journal's id counter out of step.  The baselines used to
+    accept an unknown publisher and a missing attribute outright (flooding
+    "delivered" such an event to every subscriber).
     """
     from repro.traces import recording
 
     with recording() as recorder:
-        system = PubSubSystem(space, seed=1, engine=engine,
-                              engine_options=options)
+        system = SystemSpec(space, backend=backend, seed=1,
+                            engine_options=options).build()
         accounting = record_deliveries(system)
         system.subscribe_all(random_subscriptions(space, 10, seed=3))
         hit = system.subscription_of("S0").rect.center.coords
@@ -129,6 +137,8 @@ def test_a_publish_that_raises_leaves_no_phantom_outcome(space, engine,
             system.publish(good, publisher_id="nope")
         with pytest.raises(KeyError, match="y"):
             system.publish(Event({"x": hit[0]}))
+        with pytest.raises(ValueError, match="abc"):
+            system.publish(Event({"x": "abc", "y": hit[1]}))
         with pytest.raises(KeyError, match="y"):
             system.publish_many([good, Event({"x": hit[0]}, event_id="bad"),
                                  good])
@@ -195,12 +205,17 @@ def test_subscribe_all_bulk_validates_attribute_space(space):
         system.subscribe_all(foreign, bulk=True)
 
 
-def test_subscribe_all_bulk_rejects_non_empty_system(space):
+@pytest.mark.parametrize("backend", ("drtree:classic",) + BASELINE_BACKENDS)
+def test_subscribe_all_bulk_rejects_non_empty_system(space, backend):
     subs = random_subscriptions(space, 6, seed=30)
-    system = PubSubSystem(space, DRTreeConfig(2, 4), seed=1)
+    system = SystemSpec(space, backend=backend, config=DRTreeConfig(2, 4),
+                        seed=1).build()
     system.subscribe(subs[0])
     with pytest.raises(ValueError, match="empty system"):
         system.subscribe_all(subs[1:], bulk=True)
+    # Checked before any state changes: the batch registered nobody.
+    assert system.subscribers() == [subs[0].name]
+    system.close()
 
 
 def test_subscribe_all_bulk_explicit_small_population(space):

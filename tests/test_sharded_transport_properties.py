@@ -162,21 +162,33 @@ def test_random_op_sequences_are_transport_invariant(ops):
                         for column in DELIVERY_COLUMNS}), where
 
 
-#: A sequence the property above drew: ``drtree:classic`` ends on a tree
-#: the verifier calls legal, and ``e38`` still misses ``S194`` and ``S58``
-#: (2 false negatives) while 2 shards repair to a tree that loses nothing.
+#: A sequence the property above drew.  ``drtree:classic`` used to end on
+#: a tree the verifier called legal in which ``e38`` missed ``S194`` and
+#: ``S58`` (2 false negatives): a cover exchange at ``S200@3`` handed over
+#: that level alone and left ``S200`` at levels {0, 1, 2, 4, 5}.
 LEGAL_BUT_LOSSY_OPS = [("join", 15350), ("leave", 1232), ("stabilize", 0),
                        ("crash", 31057), ("stabilize", 0), ("publish", 9838),
                        ("crash", 31057), ("stabilize", 0), ("publish", 1211),
                        ("publish", 38778)]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 14: a tree the verifier calls legal loses events; "
-    "item 14's fix makes this pass"))
 def test_a_legal_repair_loses_nothing_on_the_pinned_op_sequence():
     summary = interpret("drtree:classic", LEGAL_BUT_LOSSY_OPS)[0]
     assert summary["false_negatives"] == 0
+
+
+def test_a_repair_that_hits_its_round_cap_is_counted():
+    """A root crash repaired under a one-round cap ends illegal (no root
+    yet); the cap is counted, not silent, and an uncapped ``stabilize()``
+    then makes the tree legal without counting another."""
+    broker = SystemSpec(space=SPACE, backend="drtree:classic", config=CONFIG,
+                        seed=13).build()
+    broker.subscribe_all(BASE_SUBS)
+    broker.fail(broker.simulation.root().process_id, stabilize=False)
+    assert not broker.stabilize(max_rounds=1).is_legal
+    assert broker.simulation.metrics.counter("stabilize.capped") == 1
+    assert broker.stabilize().is_legal
+    assert broker.simulation.metrics.counter("stabilize.capped") == 1
 
 
 @pytest.mark.parametrize("shards", [2, 8])
@@ -226,3 +238,9 @@ def test_dense_churn_sequence_is_transport_invariant(shards, transport,
         "drtree:sharded", DENSE_OPS,
         engine_options={"shards": shards, "transport": transport})
     assert sharded == dense_classic
+
+
+def test_no_capped_repair_on_the_dense_sequence(dense_classic):
+    """Every repair of :data:`DENSE_OPS` ends legal: the counter that counts
+    capped ones exists only once incremented."""
+    assert "stabilize.capped" not in dense_classic[3]
