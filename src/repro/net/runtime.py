@@ -100,8 +100,8 @@ class NetClock:
         """Elapsed real time since construction, in simulated units."""
         return (time.monotonic() - self._t0) / self.time_scale
 
-    def schedule(self, delay: float, callback: Callable[[], None],
-                 label: str = "") -> _TimerHandle:
+    def schedule(self, delay: float,
+                 callback: Callable[[], None]) -> _TimerHandle:
         """Run ``callback`` after ``delay`` simulated units of real time."""
         handle = _TimerHandle()
         loop = self._runtime.loop

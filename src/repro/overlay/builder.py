@@ -161,8 +161,8 @@ class DRTreeSimulation(DeploymentView):
     # ------------------------------------------------------------------ #
 
     def settle(self, max_events: int = 200_000) -> None:
-        """Deliver every in-flight message (no periodic timers are running),
-        then let the peers forget the events they received."""
+        """Deliver every in-flight message (and any join-retry timer), then
+        let the peers forget the events they received."""
         self.engine.run_until_idle(max_events=max_events)
         self.network.forget_receptions()
 

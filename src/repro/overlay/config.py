@@ -22,7 +22,9 @@ class DRTreeConfig:
         ``"linear"``, ``"quadratic"`` or ``"rstar"`` (Section 3.2).
     stabilization_period:
         Interval between two periodic stabilization rounds at a peer, in
-        simulated time units (the paper's "timeout").
+        simulated time units (the paper's "timeout"): the period of each
+        peer's background stabilizer on ``drtree:net`` (the simulated
+        engines run driven rounds instead), and half the join retry's wait.
     child_staleness_rounds:
         Number of stabilization rounds without hearing from a child before the
         parent discards it (implements the paper's discard of children whose

@@ -92,14 +92,6 @@ class StabilizationMixin:
                     check(level)
         self.check_structure()
 
-    def start_periodic_stabilization(self, period: float | None = None) -> None:
-        """Arm the periodic stabilization timer (the paper's "timeout")."""
-        self.start_periodic(
-            "stabilization",
-            period or self.config.stabilization_period,
-            self.run_stabilization_round,
-        )
-
     # ------------------------------------------------------------------ #
     # CHECK_MBR (Figure 10)
     # ------------------------------------------------------------------ #

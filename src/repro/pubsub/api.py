@@ -297,9 +297,10 @@ class PubSubSystem:
                 publisher_id: Optional[str] = None) -> EventOutcome:
         """Publish ``event`` and return its delivery outcome.
 
-        ``publisher_id`` defaults to the lexicographically smallest matching
-        subscriber id when one exists (the paper's model: producers are nodes
-        of the tree), falling back to the current root.
+        ``publisher_id``, when given, must be a live subscriber; it defaults
+        to the lexicographically smallest matching subscriber id when one
+        exists (the paper's model: producers are nodes of the tree), falling
+        back to the current root.
         """
         handled = self.oplog.replayed("publish", event, publisher_id)
         if handled is not EXECUTE:
@@ -307,8 +308,10 @@ class PubSubSystem:
         if not self._subscriptions:
             raise RuntimeError("cannot publish into an empty system")
         # Everything that can reject the call comes first: a publish that
-        # raises must not draw an event id or register an outcome.
-        if publisher_id and not self._name_taken(publisher_id):
+        # raises must not draw an event id or register an outcome.  Only a
+        # live subscriber publishes: a departed or crashed one would send
+        # nothing.
+        if publisher_id and publisher_id not in self._subscriptions:
             raise KeyError(f"unknown publisher {publisher_id!r}")
         event.to_point(self.space)
         # ``auto`` tells the journal that this facade assigned the event id,

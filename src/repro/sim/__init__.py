@@ -9,7 +9,7 @@ used to execute the protocol:
 * :class:`~repro.sim.network.Network` — message delivery with configurable
   latency, loss and partitions,
 * :class:`~repro.sim.process.Process` — the base class for protocol
-  participants (handlers, timers, periodic tasks),
+  participants (handlers and one-shot timers),
 * :mod:`~repro.sim.failures` — crash and memory-corruption fault injection,
 * :mod:`~repro.sim.churn` — Poisson join/leave schedules (the model behind
   Lemma 3.7),

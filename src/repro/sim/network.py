@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, TYPE_CHECKING)
 
-from repro.sim.engine import BatchEntry, SimulationEngine
+from repro.sim.engine import ScheduledEvent, SimulationEngine
 from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
@@ -83,9 +83,9 @@ class Network:
         #: landing at the same instant appends to one buffer and grows one
         #: engine entry, so a whole round — fan-outs, stabilization and join
         #: traffic alike — costs a single scheduling operation.  Under loss
-        #: or a sampling latency model each message (or fan-out) keeps its
-        #: own engine entry instead.
-        self._rounds: Dict[float, Tuple[List[Message], "BatchEntry"]] = {}
+        #: or a sampling latency model each message (or each delay a fan-out
+        #: samples) gets its own engine entry instead.
+        self._rounds: Dict[float, Tuple[List[Message], ScheduledEvent]] = {}
         self._streams = streams or RandomStreams(0)
         self._loss_rng = self._streams.stream("network.loss")
         self._processes: Dict[str, "Process"] = {}
@@ -179,8 +179,7 @@ class Network:
         if message.sender in self._crashed:
             metrics.increment("network.messages_dropped")
             return
-        # Drawn even at loss 0: the stream's state is part of a snapshot.
-        if self._loss_rng.random() < self.loss_rate:
+        if self.loss_rate and self._loss_rng.random() < self.loss_rate:
             metrics.increment("network.messages_lost")
             return
         if self._partitions and self._partitioned(message.sender,
@@ -209,9 +208,10 @@ class Network:
         deliveries run in send order as one engine entry.  That merge is
         outcome-neutral exactly because no per-message randomness exists to
         reorder; as soon as the network consumes RNG at send time
-        (``loss_rate > 0``, or a sampling latency model), each fan-out keeps
-        its own queue entry instead, which preserves the per-message global
-        delivery order — and therefore the RNG draw order — bit for bit.
+        (``loss_rate > 0``, or a sampling latency model), the fan-out gets
+        one engine entry per delay it samples instead, which preserves the
+        per-message global delivery order — and therefore the RNG draw
+        order — bit for bit.
         """
         if not recipients:
             return
@@ -248,32 +248,21 @@ class Network:
                 metrics.increment("network.messages_partitioned", partitioned)
             if not deliverable:
                 return
-        # A FixedLatency model (the default for dissemination runs) draws no
-        # randomness, so the whole batch shares one delay without changing
-        # any RNG state; other models sample per message, exactly as send().
-        if type(self.latency) is FixedLatency:
-            delay = self.latency.delay
-            if not self.loss_rate:
-                # No send-time randomness anywhere: merging same-instant
-                # batches into one round entry cannot change outcomes.
-                self._enqueue_round(now + delay, deliverable)
-                return
-            # Loss draws happen at send time, so handler execution order
-            # must match per-message scheduling exactly: one entry per
-            # fan-out, merged with the heap by sequence number.
-            self.engine.schedule_batch(
-                delay,
-                lambda batch=deliverable: self._deliver_many(batch),
-                count=len(deliverable),
-            )
+        latency = self.latency
+        if not self.loss_rate and type(latency) is FixedLatency:
+            # No send-time randomness anywhere: merging same-instant
+            # fan-outs into one round entry cannot change outcomes.
+            self._enqueue_round(now + latency.delay, deliverable)
             return
-        # Sampling latency models also consume RNG at send time: keep exact
-        # per-fan-out ordering here too.
+        # Loss draws or latency samples happen at send time, so handler
+        # execution order must match per-message scheduling exactly: one
+        # entry per sampled delay (a FixedLatency samples one, drawing
+        # nothing), ordered among all others by sequence number.
         groups: Dict[float, List[Message]] = {}
         for message in deliverable:
-            groups.setdefault(self.latency.sample(), []).append(message)
+            groups.setdefault(latency.sample(), []).append(message)
         for delay, group in groups.items():
-            self.engine.schedule_batch(
+            self.engine.schedule(
                 delay,
                 lambda batch=group: self._deliver_many(batch),
                 count=len(group),
@@ -290,7 +279,7 @@ class Network:
         """
         queued = self._rounds.get(time)
         if queued is None:
-            entry = self.engine.schedule_batch(
+            entry = self.engine.schedule(
                 time - self.engine.now,
                 lambda when=time: self._deliver_round(when),
                 count=len(messages),

@@ -1,31 +1,19 @@
 """Base class for simulated protocol participants.
 
 A :class:`Process` dispatches each incoming message by its kind and can set
-one-shot or periodic timers.  Subclasses implement protocol behaviour by
+one-shot timers.  Subclasses implement protocol behaviour by
 declaring a class-level :attr:`Process.handlers` table (message kind →
 method name) or by overriding :meth:`Process.handle_message`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, Optional
+from typing import Any, Callable, ClassVar, Dict
 
 from repro.sim.engine import ScheduledEvent, SimulationEngine
 from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
-
-
-@dataclass
-class PeriodicTask:
-    """Bookkeeping for a repeating timer."""
-
-    name: str
-    period: float
-    callback: Callable[[], None]
-    event: Optional[ScheduledEvent] = None
-    active: bool = True
 
 
 class Process:
@@ -42,7 +30,6 @@ class Process:
         self.network = network
         self.engine: SimulationEngine = network.engine
         self.metrics: MetricsRegistry = network.metrics
-        self._periodic: Dict[str, PeriodicTask] = {}
         self._alive = True
         network.register(self)
 
@@ -56,21 +43,13 @@ class Process:
         return self._alive
 
     def crash(self) -> None:
-        """Crash the process: stop timers and drop all future messages."""
+        """Crash the process: its timers and all future messages are dropped."""
         self._alive = False
-        for task in self._periodic.values():
-            task.active = False
-            if task.event is not None:
-                task.event.cancel()
         self.network.crash(self.process_id)
 
     def shutdown(self) -> None:
-        """Graceful stop (controlled departure): timers cancelled, unregistered."""
+        """Graceful stop (controlled departure): timers dropped, unregistered."""
         self._alive = False
-        for task in self._periodic.values():
-            task.active = False
-            if task.event is not None:
-                task.event.cancel()
         self.network.unregister(self.process_id)
 
     # ------------------------------------------------------------------ #
@@ -101,47 +80,15 @@ class Process:
     # Timers
     # ------------------------------------------------------------------ #
 
-    def set_timer(
-        self, delay: float, callback: Callable[[], None], label: str = ""
-    ) -> ScheduledEvent:
+    def set_timer(self, delay: float,
+                  callback: Callable[[], None]) -> ScheduledEvent:
         """Run ``callback`` once after ``delay`` (unless the process dies)."""
 
         def guarded() -> None:
             if self._alive:
                 callback()
 
-        return self.engine.schedule(delay, guarded, label or f"{self.process_id}:timer")
-
-    def start_periodic(
-        self, name: str, period: float, callback: Callable[[], None]
-    ) -> None:
-        """Start (or restart) a repeating timer identified by ``name``."""
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.stop_periodic(name)
-        task = PeriodicTask(name=name, period=period, callback=callback)
-        self._periodic[name] = task
-
-        def tick() -> None:
-            if not task.active or not self._alive:
-                return
-            task.callback()
-            if task.active and self._alive:
-                task.event = self.engine.schedule(
-                    task.period, tick, label=f"{self.process_id}:{name}"
-                )
-
-        task.event = self.engine.schedule(
-            period, tick, label=f"{self.process_id}:{name}"
-        )
-
-    def stop_periodic(self, name: str) -> None:
-        """Stop the repeating timer ``name`` if it exists."""
-        task = self._periodic.pop(name, None)
-        if task is not None:
-            task.active = False
-            if task.event is not None:
-                task.event.cancel()
+        return self.engine.schedule(delay, guarded)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"{type(self).__name__}({self.process_id!r})"

@@ -178,9 +178,9 @@ class ShardNetwork(Network):
 
         A shard network is lossless and ``FixedLatency``, so every message
         it sends — a single :meth:`send` or a ``send_many`` fan-out —
-        funnels through this hook; the base class's per-message and
-        ``schedule_batch`` paths are unreachable.  Captured messages are
-        stamped with the round's delivery instant.
+        funnels through this hook; the base class's per-delay entries are
+        unreachable.  Captured messages are stamped with the round's
+        delivery instant.
         """
         local: List[Message] = []
         for message in messages:
@@ -196,8 +196,7 @@ class ShardNetwork(Network):
     def inject(self, time: float, message: Message) -> None:
         """Deliver a message captured by another shard at its stamped time."""
         self.metrics.increment("shard.messages_in")
-        self.engine.schedule_at(time, lambda: self._deliver(message),
-                                label=f"remote:{message.kind}")
+        self.engine.schedule_at(time, lambda: self._deliver(message))
 
     def flush_outbound(self) -> List[RemoteSend]:
         """Hand over (and clear) the captured cross-shard sends."""

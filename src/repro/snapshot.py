@@ -6,18 +6,23 @@ taken at quiescence (no iterator objects, no bound methods), and
 DR-tree facade, the baseline broker and the shard worker, whose per-shard
 blobs travel inside the sharded simulation's payload.
 
-A blob is :data:`MAGIC` followed by a pickle.  :func:`load` reads it with an
-``Unpickler`` that admits only the globals in :data:`ALLOWED`: a snapshot
-comes back from a journal on disk, and a pickle that may name any global
-may run any code (``builtins.getattr`` reaches ``__globals__``; some
-``repro`` constructors open files, sockets or processes).
+A blob is :data:`MAGIC`, then the SHA-256 of the pickle, then the pickle.
+:func:`load` checks the digest first, so a damaged blob is refused before
+any of it is unpickled.  It then reads the pickle with an ``Unpickler`` that
+admits only the globals in :data:`ALLOWED`: a snapshot comes back from a
+journal on disk, and a pickle that may name any global may run any code
+(``builtins.getattr`` reaches ``__globals__``; some ``repro`` constructors
+open files, sockets or processes).
 
-A blob without the marker was written before it existed.  The legacy reader
-admits the same globals plus :func:`_legacy_globals`, which builds each old
-layout as the current one: a counter pickled as ``itertools.count(n)``
-becomes the int ``n``, a pickled delivery listener or handler-table entry
-is dropped, and the classes whose fields changed convert their old state as
-it is set.  No live class knows an old layout.
+Two older layouts still read, each as the current one, through converters
+that the reader admits beside :data:`ALLOWED`.  A blob marked ``RSNAP\\x01``
+carries no digest, and its engines and peers hold the fields of the
+engine's second queue and of the simulated periodic timers
+(:func:`_v1_globals` drops them).  A blob without a marker was written
+before it existed (:func:`_legacy_globals`): a counter pickled as
+``itertools.count(n)`` becomes the int ``n``, a pickled delivery listener
+or handler-table entry is dropped, and the classes whose fields changed
+convert their old state as it is set.  No live class knows an old layout.
 
 Any malformed, hostile or mismatched blob raises
 :class:`~repro.api.capabilities.SnapshotStateError` from :func:`load`,
@@ -27,6 +32,7 @@ before the caller has changed anything.
 from __future__ import annotations
 
 import functools
+import hashlib
 import io
 import pickle
 from contextlib import contextmanager
@@ -36,7 +42,13 @@ from repro.api.capabilities import SnapshotStateError
 
 #: Prefix of every blob :func:`dump` writes.  No pickle starts with it: a
 #: pickle of protocol 2 or later starts with the ``PROTO`` opcode ``0x80``.
-MAGIC = b"RSNAP\x01"
+MAGIC = b"RSNAP\x02"
+
+#: Prefix of the previous layout, a marker followed directly by the pickle.
+MAGIC_V1 = b"RSNAP\x01"
+
+#: The digest of the pickle that follows :data:`MAGIC`.
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 #: Every global a current snapshot may name: the union, over every
 #: snapshot-capable backend, of what a snapshot after a build, publishes, a
@@ -97,7 +109,8 @@ _SHARDED_KEYS = {"kind", "seed", "now", "config", "streams", "metrics",
 
 def dump(payload: Dict[str, Any]) -> bytes:
     """The snapshot blob of ``payload``, a dict of plain state."""
-    return MAGIC + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return MAGIC + hashlib.sha256(data).digest() + data
 
 
 def load(blob: bytes, kind: str,
@@ -111,17 +124,24 @@ def load(blob: bytes, kind: str,
     if not isinstance(blob, (bytes, bytearray)):
         raise SnapshotStateError(
             f"a snapshot blob is bytes, not {type(blob).__name__}")
+    legacy = False
     if blob.startswith(MAGIC):
-        reader, data = _Reader, memoryview(blob)[len(MAGIC):]
+        body = memoryview(blob)[len(MAGIC):]
+        data = body[_DIGEST_SIZE:]
+        if hashlib.sha256(data).digest() != body[:_DIGEST_SIZE]:
+            raise SnapshotStateError(
+                "snapshot blob does not match its digest: it is damaged")
+        converters: Dict[tuple, Any] = {}
+    elif blob.startswith(MAGIC_V1):
+        data, converters = memoryview(blob)[len(MAGIC_V1):], _v1_globals()
     else:
-        reader, data = _LegacyReader, blob
+        data, converters, legacy = blob, _legacy_globals(), True
     try:
-        payload = reader(io.BytesIO(data)).load()
+        payload = _Reader(io.BytesIO(data), converters).load()
     except Exception as exc:  # noqa: BLE001 - any unpickle failure
         raise SnapshotStateError(
             f"snapshot blob does not deserialize: {exc}") from exc
-    if reader is _LegacyReader and kind == "shard" \
-            and not isinstance(payload, dict):
+    if legacy and kind == "shard" and not isinstance(payload, dict):
         # A shard once pickled its bare simulation.
         payload = {"kind": "shard", "sim": payload}
     _check(payload, kind, backend)
@@ -176,22 +196,21 @@ def _check(payload: Any, kind: str, backend: Optional[str]) -> None:
 
 
 class _Reader(pickle.Unpickler):
-    """Reads the current format: only :data:`ALLOWED` globals."""
+    """Admits the :data:`ALLOWED` globals, and reads each global that
+    ``converters`` names (an old layout's) as its converter."""
+
+    def __init__(self, file: io.BytesIO,
+                 converters: Dict[tuple, Any]) -> None:
+        super().__init__(file)
+        self.converters = converters
 
     def find_class(self, module: str, name: str) -> Any:
+        converter = self.converters.get((module, name))
+        if converter is not None:
+            return converter
         if (module, name) not in ALLOWED:
             raise pickle.UnpicklingError(
                 f"snapshot names {module}.{name}, which no snapshot holds")
-        return super().find_class(module, name)
-
-
-class _LegacyReader(_Reader):
-    """Reads blobs written before :data:`MAGIC`, as the current layout."""
-
-    def find_class(self, module: str, name: str) -> Any:
-        legacy = _legacy_globals().get((module, name))
-        if legacy is not None:
-            return legacy
         return super().find_class(module, name)
 
 
@@ -201,8 +220,24 @@ class _LegacyReader(_Reader):
 
 
 @functools.lru_cache(maxsize=None)
+def _v1_globals() -> Dict[tuple, Any]:
+    """What a global of an ``RSNAP\\x01`` blob is read as, beside the
+    :data:`ALLOWED` ones."""
+    from repro.overlay.peer import DRTreePeer
+    from repro.sim.engine import SimulationEngine
+
+    return {
+        ("repro.sim.engine", "SimulationEngine"): _converting(
+            SimulationEngine, _engine_state),
+        ("repro.overlay.peer", "DRTreePeer"): _converting(DRTreePeer,
+                                                          _v1_peer_state),
+    }
+
+
+@functools.lru_cache(maxsize=None)
 def _legacy_globals() -> Dict[tuple, Any]:
-    """What an old global is read as, beside the :data:`ALLOWED` ones."""
+    """What a global of an unmarked blob is read as, beside the
+    :data:`ALLOWED` ones."""
     from repro.overlay.peer import DRTreePeer
     from repro.overlay.state import ChildInfo
     from repro.pubsub.accounting import DeliveryAccounting
@@ -212,6 +247,7 @@ def _legacy_globals() -> Dict[tuple, Any]:
     from repro.sim.sharded.worker import ShardNetwork
 
     return {
+        **_v1_globals(),
         ("itertools", "count"): _counter_value,
         ("builtins", "getattr"): _dropped_wiring,
         ("repro.sim.messages", "MessagePool"): _Dropped,
@@ -293,8 +329,21 @@ def _converting(cls: type,
                                        "__module__": __name__})
 
 
+def _engine_state(state: Dict[str, Any]) -> None:
+    # Engines kept a second queue, of per-instant buckets, beside the heap.
+    # A snapshot is taken at quiescence, so the buckets are empty.
+    for name in ("_batch_buckets", "_batch_times", "_batch_pending"):
+        state.pop(name, None)
+
+
+def _v1_peer_state(state: Dict[str, Any]) -> None:
+    # Processes kept a table of periodic timers (never armed by a broker).
+    state.pop("_periodic", None)
+
+
 def _peer_state(state: Dict[str, Any]) -> None:
     # Peers pickled their own handler table, and every event they had seen.
+    _v1_peer_state(state)
     state.pop("_handlers", None)
     state["seen_events"] = {}
 

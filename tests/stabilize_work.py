@@ -8,10 +8,20 @@ run (``stabilization.*`` and ``network.messages.*`` included).  It runs
 the sequence on ``drtree:batched`` and then on ``drtree:classic``; the
 classic leg goes on to publish a fixed ``targeted_events`` stream and
 prints the delivered digest and every counter again, so a change to how
-classic schedules its messages shows here too.  The output is
-deterministic: two commits that do the same work print the same bytes.  CI
-runs it against the source trees of HEAD and of its parent and fails on
-any difference::
+classic schedules its messages shows here too.
+
+Both of those legs run lossless with a fixed latency, where every message
+joins a per-round queue.  Two more legs drive the scheduling paths that
+draw randomness at send time, on a bulk-loaded 600-peer
+``DRTreeSimulation``: one at ``loss_rate=0.05``, one with a
+``UniformLatency(0.5, 1.5)`` network.  Each crashes two peers, stabilizes,
+makes one leave, stabilizes, then publishes a fixed ``targeted_events``
+stream, and prints each report's ``summary()``, a digest of the deliveries
+in the order they happened and every counter.
+
+The output is deterministic: two commits that do the same work print the
+same bytes.  CI runs it against the source trees of HEAD and of its parent
+and fails on any difference::
 
     PYTHONPATH=src python3 tests/stabilize_work.py > head.txt
     PYTHONPATH=../parent/src python3 tests/stabilize_work.py > parent.txt
@@ -20,13 +30,19 @@ any difference::
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.analysis.digests import delivered_digest
 from repro.api import SystemSpec
+from repro.overlay.builder import DRTreeSimulation
+from repro.sim.network import UniformLatency
 from repro.workloads import uniform_subscriptions
 from repro.workloads.events import targeted_events
 
 SEED = 1
 EVENTS = 200
+#: Events published by each leg that draws randomness at send time.
+RANDOM_LEG_EVENTS = 100
 
 
 def print_counters(simulation) -> None:
@@ -79,9 +95,48 @@ def run(backend: str, publish: bool) -> None:
         print_counters(simulation)
 
 
+def run_random(name: str, loss_rate: float, uniform: bool) -> None:
+    """One leg whose network draws at send time (loss or latency)."""
+    print(f"== DRTreeSimulation, {name}")
+    population = uniform_subscriptions(600, seed=SEED)
+    subscriptions = list(population)
+    simulation = DRTreeSimulation(seed=SEED, loss_rate=loss_rate)
+    if uniform:
+        simulation.network.latency = UniformLatency(0.5, 1.5,
+                                                    simulation.streams)
+    simulation.bulk_load(subscriptions)
+    deliveries = hashlib.sha256()
+
+    def listener(peer_id, event, matched, hops) -> None:
+        deliveries.update(
+            f"{peer_id} {event.event_id} {matched} {hops}\n".encode())
+
+    for peer in simulation.peers.values():
+        peer.delivery_listener = listener
+    ranked = sorted(subscriptions, key=lambda sub: (-sub.rect.area(), sub.name))
+    reports = []
+    for victim in (ranked[1], ranked[-2]):
+        simulation.crash(victim.name)
+    reports.append(simulation.stabilize(max_rounds=50))
+    simulation.leave(ranked[0].name)
+    reports.append(simulation.stabilize(max_rounds=50))
+    events = targeted_events(population.space, subscriptions,
+                             RANDOM_LEG_EVENTS, seed=SEED)
+    for index, event in enumerate(events):
+        live = simulation.live_peers()
+        simulation.publish(live[index % len(live)].process_id, event)
+    for index, report in enumerate(reports):
+        print(f"report {index}: {report.summary()}")
+    print(f"deliveries digest after {RANDOM_LEG_EVENTS} events: "
+          f"{deliveries.hexdigest()}")
+    print_counters(simulation)
+
+
 def main() -> None:
     run("drtree:batched", publish=False)
     run("drtree:classic", publish=True)
+    run_random("loss_rate=0.05", loss_rate=0.05, uniform=False)
+    run_random("UniformLatency(0.5, 1.5)", loss_rate=0.0, uniform=True)
 
 
 if __name__ == "__main__":

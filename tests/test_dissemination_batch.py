@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.overlay import messages as msg
 from repro.pubsub.api import PubSubSystem
-from repro.sim.engine import SimulationEngine
 from repro.sim.network import Network
 from repro.spatial.containment import child_ids_containing_point
 from repro.spatial.filters import (Event, make_space, subscription_from_intervals,
@@ -60,16 +59,22 @@ def test_batched_rounds_and_publishes_never_schedule_a_single_message(
         monkeypatch):
     """On ``drtree:batched`` stabilization traffic (PARENT_QUERY/ACK and the
     rest) and the whole dissemination — PUBLISH_UP included — join the
-    per-round queues: neither pushes one entry onto the engine's heap."""
+    per-round queues: every message sent reaches ``_enqueue_round``, and
+    none gets an engine entry of its own."""
     system, publish = _built_batched_system()
-    calls = []
-    original = SimulationEngine.schedule
+    enqueued, single = [], []
+    enqueue, deliver = Network._enqueue_round, Network._deliver
 
-    def spy(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
+    def spy_enqueue(self, time, messages):
+        enqueued.extend(messages)
+        return enqueue(self, time, messages)
 
-    monkeypatch.setattr(SimulationEngine, "schedule", spy)
+    def spy_deliver(self, message):
+        single.append(message)
+        return deliver(self, message)
+
+    monkeypatch.setattr(Network, "_enqueue_round", spy_enqueue)
+    monkeypatch.setattr(Network, "_deliver", spy_deliver)
     metrics = system.simulation.metrics
     before = metrics.counter("network.messages_sent")
     system.simulation.run_round()
@@ -78,7 +83,8 @@ def test_batched_rounds_and_publishes_never_schedule_a_single_message(
     assert after_round > before
     assert metrics.counter(f"network.messages.{msg.PUBLISH_UP}") > 0
     assert metrics.counter("network.messages_sent") > after_round
-    assert calls == []
+    assert len(enqueued) == metrics.counter("network.messages_sent") - before
+    assert single == []
 
 
 def test_an_idle_batched_network_holds_no_round_and_no_envelope(monkeypatch):

@@ -442,15 +442,16 @@ def test_net_messages_never_reach_the_simulated_round_queues(monkeypatch):
     """``NetNetwork`` is lossless with a ``FixedLatency``, so every message
     — a single send or a fan-out — reaches its one ``_enqueue_round``
     override, which hands it to the runtime: none reaches the base class's
-    round queues or ``SimulationEngine.schedule_batch``."""
-    from repro.sim.engine import SimulationEngine
+    round queues, and none is delivered by the simulated network (its
+    per-delay entries, were one scheduled on the clock, would run
+    ``_deliver`` or ``_deliver_many``)."""
     from repro.sim.network import Network
 
     scheduled, enqueued = [], []
-    monkeypatch.setattr(SimulationEngine, "schedule_batch",
-                        lambda self, *args, **kwargs: scheduled.append(args))
-    monkeypatch.setattr(Network, "_enqueue_round",
-                        lambda self, *args: scheduled.append(args))
+    for name in ("_enqueue_round", "_deliver", "_deliver_many"):
+        monkeypatch.setattr(Network, name,
+                            lambda self, *args, name=name:
+                            scheduled.append((name, args)))
     enqueue = NetRuntime.enqueue
 
     def recording_enqueue(self, message):

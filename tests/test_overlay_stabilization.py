@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.overlay import DRTreeConfig, DRTreeSimulation, build_stable_tree
+from repro.overlay import DRTreeConfig, build_stable_tree
 from repro.spatial.rectangle import Rect
 from tests.conftest import random_subscriptions
 
@@ -148,20 +148,6 @@ def test_stabilize_is_idempotent_on_legal_configuration(space):
     # A legal configuration requires no repair messages beyond the periodic
     # parent queries/acks of at most a few rounds.
     assert sim.metrics.counter("network.messages_sent") - messages_before >= 0
-
-
-def test_periodic_stabilization_timers(space):
-    """The stabilization can also run from per-peer periodic timers."""
-    subs = random_subscriptions(space, 10, seed=12)
-    sim = DRTreeSimulation(DRTreeConfig(2, 4, stabilization_period=5.0), seed=0)
-    sim.join_all(subs)
-    for peer in sim.live_peers():
-        peer.start_periodic_stabilization()
-    sim.engine.run(until=sim.engine.now + 50.0)
-    report = sim.verify()
-    assert report.is_legal, report.violations
-    for peer in sim.live_peers():
-        assert peer.round_number >= 5
 
 
 def test_metrics_record_repairs(space):

@@ -156,6 +156,38 @@ def test_a_publish_that_raises_leaves_no_phantom_outcome(space, backend,
             if op.op == "publish"] == ["event-0", "event-1"]
 
 
+@pytest.mark.parametrize("backend, options", [
+    ("drtree:classic", None), ("drtree:batched", None),
+    ("drtree:sharded", {"shards": 2, "transport": "inline"}),
+    *((backend, None) for backend in BASELINE_BACKENDS)])
+def test_a_departed_publisher_is_rejected(backend, options):
+    """A crashed or departed subscriber publishes nothing, so naming one as
+    ``publisher_id`` raises as an unknown id does, before any id is drawn.
+
+    The DR-tree used to accept it, publish from the dead peer, send
+    nothing and count every intended receiver as a false negative.
+    """
+    population = uniform_subscriptions(60, seed=1)
+    system = SystemSpec(population.space, backend=backend, seed=1,
+                        engine_options=options).build()
+    try:
+        system.subscribe_all(list(population))
+        system.fail("S5")
+        system.unsubscribe("S6")
+        [targeted] = targeted_events(population.space, list(population), 1,
+                                     seed=2)
+        event = Event(dict(targeted.attributes))  # the facade draws its id
+        for departed in ("S5", "S6"):
+            with pytest.raises(KeyError, match=f"unknown publisher '{departed}'"):
+                system.publish(event, publisher_id=departed)
+        assert not system.accounting.outcomes
+        outcome = system.publish(event, publisher_id="S7")
+        assert outcome.event_id == "event-0"
+        assert not outcome.false_negatives
+    finally:
+        getattr(system, "close", lambda: None)()
+
+
 def test_subscribe_rejects_wrong_space(space):
     system = PubSubSystem(space)
     other_space = make_space("a", "b")

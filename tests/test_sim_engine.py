@@ -131,14 +131,14 @@ def test_events_processed_counter():
 
 
 # --------------------------------------------------------------------- #
-# Batch mode: per-round delivery queues
+# Entries standing for many deliveries (rounds and fan-outs)
 # --------------------------------------------------------------------- #
 
 
 def test_schedule_batch_counts_deliveries():
     engine = SimulationEngine()
     ran = []
-    engine.schedule_batch(1.0, lambda: ran.append("batch"), count=5)
+    engine.schedule(1.0, lambda: ran.append("batch"), count=5)
     assert engine.pending() == 5
     assert engine.has_pending()
     processed = engine.run()
@@ -153,7 +153,7 @@ def test_batch_and_heap_events_merge_in_schedule_order():
     engine = SimulationEngine()
     order = []
     engine.schedule(1.0, lambda: order.append("event-1"))
-    engine.schedule_batch(1.0, lambda: order.append("batch"), count=2)
+    engine.schedule(1.0, lambda: order.append("batch"), count=2)
     engine.schedule(1.0, lambda: order.append("event-2"))
     engine.schedule(0.5, lambda: order.append("earlier"))
     engine.run_until_idle()
@@ -163,8 +163,8 @@ def test_batch_and_heap_events_merge_in_schedule_order():
 def test_batches_at_distinct_times_run_in_time_order():
     engine = SimulationEngine()
     order = []
-    engine.schedule_batch(2.0, lambda: order.append("late"))
-    engine.schedule_batch(1.0, lambda: order.append("early"))
+    engine.schedule(2.0, lambda: order.append("late"))
+    engine.schedule(1.0, lambda: order.append("early"))
     engine.run_until_idle()
     assert order == ["early", "late"]
     assert engine.now == 2.0
@@ -177,9 +177,9 @@ def test_batch_callbacks_can_schedule_more_batches():
     def cascade():
         times.append(engine.now)
         if len(times) < 3:
-            engine.schedule_batch(1.0, cascade, count=2)
+            engine.schedule(1.0, cascade, count=2)
 
-    engine.schedule_batch(1.0, cascade, count=2)
+    engine.schedule(1.0, cascade, count=2)
     engine.run_until_idle()
     assert times == [1.0, 2.0, 3.0]
 
@@ -187,7 +187,7 @@ def test_batch_callbacks_can_schedule_more_batches():
 def test_grow_batch_extends_pending_and_accounting():
     engine = SimulationEngine()
     ran = []
-    entry = engine.schedule_batch(1.0, lambda: ran.append("round"), count=2)
+    entry = engine.schedule(1.0, lambda: ran.append("round"), count=2)
     engine.grow_batch(entry, 3)
     assert engine.pending() == 5
     assert engine.run() == 5
@@ -199,47 +199,18 @@ def test_grow_batch_extends_pending_and_accounting():
 def test_schedule_batch_validation():
     engine = SimulationEngine()
     with pytest.raises(ValueError):
-        engine.schedule_batch(-1.0, lambda: None)
+        engine.schedule(-1.0, lambda: None)
     with pytest.raises(ValueError):
-        engine.schedule_batch(1.0, lambda: None, count=0)
+        engine.schedule(1.0, lambda: None, count=0)
 
 
 def test_run_until_idle_with_batches_reaches_idle():
     engine = SimulationEngine()
     seen = []
     engine.schedule(1.0, lambda: seen.append("event"))
-    engine.schedule_batch(2.0, lambda: seen.append("batch"), count=3)
+    engine.schedule(2.0, lambda: seen.append("batch"), count=3)
     assert engine.run_until_idle() == 4
     assert seen == ["event", "batch"]
-
-
-def test_run_rounds_drains_one_round_at_a_time():
-    engine = SimulationEngine()
-    rounds_seen = []
-
-    def fan_out(depth):
-        rounds_seen.append(engine.now)
-        if depth > 0:
-            engine.schedule_batch(1.0, lambda: fan_out(depth - 1), count=2)
-
-    engine.schedule_batch(1.0, lambda: fan_out(2), count=2)
-    rounds = engine.run_rounds()
-    assert rounds == 3
-    assert rounds_seen == [1.0, 2.0, 3.0]
-    assert not engine.has_pending()
-
-
-def test_run_rounds_raises_when_capped():
-    from repro.sim.engine import SimulationStalledError
-
-    engine = SimulationEngine()
-
-    def perpetual():
-        engine.schedule_batch(1.0, perpetual)
-
-    engine.schedule_batch(1.0, perpetual)
-    with pytest.raises(SimulationStalledError):
-        engine.run_rounds(max_rounds=5)
 
 
 def test_run_until_idle_truncation_warns_and_raises(caplog):
@@ -263,38 +234,19 @@ def test_stalled_error_is_a_runtime_error():
     assert issubclass(SimulationStalledError, RuntimeError)
 
 
-def test_run_rounds_drains_trailing_heap_events():
-    engine = SimulationEngine()
-    order = []
-    engine.schedule_batch(1.0, lambda: engine.schedule(
-        1.0, lambda: order.append("heap-tail")), count=2)
-    rounds = engine.run_rounds()
-    assert order == ["heap-tail"]
-    assert rounds == 2  # one batch round, one heap-only round
-    assert not engine.has_pending()
-
-
-def test_run_rounds_detects_zero_delay_cascade():
-    from repro.sim.engine import SimulationStalledError
-
-    engine = SimulationEngine()
-
-    def perpetual():
-        engine.schedule_batch(0.0, perpetual)
-
-    engine.schedule_batch(0.0, perpetual)
-    with pytest.raises(SimulationStalledError):
-        engine.run_rounds(max_events_per_round=500)
-
-
 def test_grow_batch_rejects_executed_entries():
     engine = SimulationEngine()
-    entry = engine.schedule_batch(1.0, lambda: None, count=2)
+    entry = engine.schedule(1.0, lambda: None, count=2)
     engine.run_until_idle()
     assert engine.pending() == 0
     with pytest.raises(ValueError):
         engine.grow_batch(entry, 3)
     assert engine.pending() == 0  # accounting unharmed by the rejected call
+    cancelled = engine.schedule(1.0, lambda: None, count=2)
+    cancelled.cancel()
+    with pytest.raises(ValueError):
+        engine.grow_batch(cancelled, 3)
+    assert engine.pending() == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -333,7 +285,7 @@ def test_interleaved_scheduling_runs_in_time_sequence_order(ops):
     engine = SimulationEngine()
     ran = []
     #: key -> [time, deliveries]; key is the op's sequence number, which is
-    #: also the engine's (heap events and batch entries share one counter).
+    #: also the engine's (every entry takes one when it is scheduled).
     live = {}
     handles = {}
 
@@ -358,17 +310,19 @@ def test_interleaved_scheduling_runs_in_time_sequence_order(ops):
             assert (handles[key].time, handles[key].sequence) == (time, key)
             live[key] = [time, 1]
         elif op[0] == "batch":
-            handles[key] = engine.schedule_batch(
+            handles[key] = engine.schedule(
                 op[1], _Unorderable(ran, key), count=op[2])
             live[key] = [engine.now + op[1], op[2]]
         elif op[0] == "cancel":
-            event = handles.get(op[1])
-            if hasattr(event, "cancel"):
-                event.cancel()
+            entry = handles.get(op[1])
+            if entry is not None:
+                entry.cancel()
                 live.pop(op[1], None)
         elif op[0] == "grow":
+            # Any entry grows while it is queued, a timer's as a round's;
+            # one that ran or was cancelled refuses.
             entry = handles.get(op[1])
-            if entry is not None and not hasattr(entry, "cancel"):
+            if entry is not None:
                 if op[1] in live:
                     engine.grow_batch(entry, op[2])
                     live[op[1]][1] += op[2]

@@ -126,6 +126,21 @@ def test_message_loss(net):
     assert delivered > 40
 
 
+def test_a_lossless_send_draws_nothing_from_the_loss_stream(net):
+    """At loss 0 no draw can decide anything, so ``send`` makes none: the
+    ``network.loss`` stream is as it was built, as after ``send_many``."""
+    engine, network = net
+    a = EchoProcess("a", network)
+    EchoProcess("b", network)
+    loss = network._streams.stream("network.loss")
+    state = loss.getstate()
+    a.send("b", "PING")
+    network.send_many("a", ["b", "b"], "PING", {})
+    engine.run_until_idle()
+    assert network.metrics.counter("network.messages_delivered") == 6
+    assert loss.getstate() == state
+
+
 def test_invalid_loss_rate():
     engine = SimulationEngine()
     with pytest.raises(ValueError):
@@ -181,37 +196,6 @@ def test_timer_suppressed_after_crash(net):
     a.crash()
     engine.run_until_idle()
     assert fired == []
-
-
-def test_periodic_timer_fires_repeatedly(net):
-    engine, network = net
-    a = EchoProcess("a", network)
-    ticks = []
-    a.start_periodic("tick", 2.0, lambda: ticks.append(engine.now))
-    engine.run(until=9.0)
-    assert ticks == [2.0, 4.0, 6.0, 8.0]
-    a.stop_periodic("tick")
-    engine.run(until=20.0)
-    assert len(ticks) == 4
-
-
-def test_periodic_timer_stops_on_shutdown(net):
-    engine, network = net
-    a = EchoProcess("a", network)
-    ticks = []
-    a.start_periodic("tick", 2.0, lambda: ticks.append(engine.now))
-    engine.run(until=5.0)
-    a.shutdown()
-    engine.run(until=20.0)
-    assert ticks == [2.0, 4.0]
-    assert "a" not in network.processes()
-
-
-def test_periodic_rejects_bad_period(net):
-    _, network = net
-    a = EchoProcess("a", network)
-    with pytest.raises(ValueError):
-        a.start_periodic("bad", 0.0, lambda: None)
 
 
 def test_unhandled_message_counted(net):

@@ -3,18 +3,23 @@
 :mod:`repro.snapshot` writes and reads every snapshot byte.  A current blob
 names only allow-listed globals (no ``itertools`` counter, whose pickling
 Python 3.12 deprecates and 3.14 removes, and no ``builtins.getattr``, which
-a pickled bound method needs), on every backend that can snapshot.  Blobs
-written before the format had a marker go through the module's legacy
-reader: ``tests/golden/snapshot-96aa8df-*.pickle.gz`` pin the last layout
-before it, on classic, 2 shards and flooding.
+a pickled bound method needs), on every backend that can snapshot.  A blob
+carries the SHA-256 of its pickle, so a damaged one is refused before it is
+unpickled.  Older blobs go through the module's converters:
+``tests/golden/snapshot-96aa8df-*.pickle.gz`` pin the last layout before the
+format had a marker, on classic, 2 shards and flooding, and
+``tests/golden/snapshot-ed024b5-*.pickle.gz`` the last one before the
+digest, on classic and 2 shards.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import io
 import os
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,7 @@ from repro.analysis.digests import delivered_digest
 from repro.api import SystemSpec
 from repro.api.capabilities import SnapshotStateError
 from repro.api.registry import backend_names, backend_spec
+from repro.sim.engine import SimulationEngine
 from repro.sim.sharded import TRANSPORT_ENV_VAR
 from repro.workloads import uniform_subscriptions
 from repro.workloads.events import uniform_events
@@ -48,6 +54,16 @@ GOLDEN_96AA8DF = {
 }
 
 
+#: The same inputs written by commit ed024b5, the last layout before the
+#: digest: its engines kept a second queue and its peers a table of
+#: periodic timers.
+GOLDEN_ED024B5 = {name: GOLDEN_96AA8DF[name]
+                  for name in ("classic", "sharded-2")}
+
+#: The width of the digest that follows the marker.
+DIGEST_SIZE = hashlib.sha256().digest_size
+
+
 def build(backend, options=None, seed=SEED):
     return SystemSpec(POPULATION.space, backend=backend, seed=seed,
                       engine_options=options).build()
@@ -65,10 +81,39 @@ def golden(name: str) -> bytes:
 
 @pytest.mark.parametrize("name", list(GOLDEN_96AA8DF))
 def test_a_96aa8df_snapshot_finishes_the_stream_as_if_uninterrupted(name):
-    backend, options, digest = GOLDEN_96AA8DF[name]
+    finishes_the_stream_as_if_uninterrupted("96aa8df", name,
+                                            GOLDEN_96AA8DF[name])
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ED024B5))
+def test_an_ed024b5_snapshot_finishes_the_stream_as_if_uninterrupted(name):
+    finishes_the_stream_as_if_uninterrupted("ed024b5", name,
+                                            GOLDEN_ED024B5[name])
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ED024B5))
+def test_an_ed024b5_snapshot_reads_as_the_one_queue_layout(name):
+    """Its engines lose the second queue's fields, its peers the periodic
+    timer table: every restored object has the current layout."""
+    blob = golden(f"ed024b5-{name}")
+    assert blob.startswith(snapshot.MAGIC_V1)
+    backend = GOLDEN_ED024B5[name][0]
+    sim = snapshot.load(blob, "pubsub", backend)["sim"]
+    sims = ([snapshot.load(shard, "shard")["sim"] for shard in sim["blobs"]]
+            if isinstance(sim, dict) else [sim])
+    assert len(sims) == (2 if isinstance(sim, dict) else 1)
+    for one in sims:
+        assert type(one.engine) is SimulationEngine
+        assert vars(one.engine).keys() == vars(SimulationEngine()).keys()
+        assert one.peers and not any(
+            "_periodic" in vars(peer) for peer in one.peers.values())
+
+
+def finishes_the_stream_as_if_uninterrupted(commit, name, row):
+    backend, options, digest = row
     restored, uninterrupted = build(backend, options), build(backend, options)
     try:
-        restored.restore(golden(f"96aa8df-{name}"))
+        restored.restore(golden(f"{commit}-{name}"))
         restored.publish_many(STREAM[200:])
         uninterrupted.subscribe_all(list(POPULATION))
         uninterrupted.publish_many(STREAM)
@@ -89,7 +134,8 @@ def names_in(blob: bytes) -> set:
             return super().find_class(module, name)
 
     assert blob.startswith(snapshot.MAGIC)
-    payload = Recorder(io.BytesIO(blob[len(snapshot.MAGIC):])).load()
+    payload = Recorder(io.BytesIO(
+        blob[len(snapshot.MAGIC) + DIGEST_SIZE:])).load()
     if isinstance(payload.get("sim"), dict):
         for shard_blob in payload["sim"]["blobs"]:
             named |= names_in(shard_blob)
@@ -179,4 +225,32 @@ def test_a_blob_whose_references_were_swapped_is_refused():
     with pytest.raises(SnapshotStateError, match="do not fit this broker"):
         broker.restore(snapshot.dump(payload))
     # Neither refusal touched the broker.
+    assert broker.snapshot() == blob
+
+
+def test_a_blob_carries_the_digest_of_its_pickle():
+    broker = build("drtree:classic")
+    broker.subscribe_all(list(POPULATION)[:40])
+    blob = broker.snapshot()
+    digest = blob[len(snapshot.MAGIC):len(snapshot.MAGIC) + DIGEST_SIZE]
+    assert digest == hashlib.sha256(
+        blob[len(snapshot.MAGIC) + DIGEST_SIZE:]).digest()
+
+
+def test_no_single_bit_flip_restores():
+    """Every flip of one bit, in the marker, the digest or the pickle, is
+    refused with the typed error, and the refusal leaves the broker as it
+    was.  Without the digest, over a third of such flips restored."""
+    broker = build("drtree:classic")
+    broker.subscribe_all(list(POPULATION)[:40])
+    broker.publish_many(STREAM[:10])
+    blob = broker.snapshot()
+    draw = random.Random(0)
+    positions = (list(range(len(snapshot.MAGIC) + DIGEST_SIZE + 2))
+                 + draw.sample(range(len(blob)), 200))
+    for position in positions:
+        damaged = bytearray(blob)
+        damaged[position] ^= 1 << draw.randrange(8)
+        with pytest.raises(SnapshotStateError):
+            broker.restore(bytes(damaged))
     assert broker.snapshot() == blob
