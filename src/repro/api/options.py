@@ -13,6 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+#: Every shard transport name the ``sharded`` engine accepts.  ``pipe`` is
+#: an alias of ``process`` (one worker process per shard over a pickled
+#: pipe); ``shm`` runs the same workers over shared-memory rings;
+#: ``inline`` executes shards synchronously in-process; ``auto`` resolves
+#: via the ``REPRO_SHARD_TRANSPORT`` environment variable, then to
+#: ``inline`` inside daemonic processes and ``process`` everywhere else.
+TRANSPORTS = ("auto", "inline", "process", "pipe", "shm")
+
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -77,8 +85,7 @@ class ShardedOptions(EngineOptions):
         object.__setattr__(self, "transport", str(self.transport))
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.transport not in ("auto", "process", "pipe", "shm",
-                                  "inline"):
+        if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown shard transport {self.transport!r}")
 
 

@@ -38,7 +38,7 @@ existing one.  See ``docs/architecture.md`` ("Construction paths").
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Mapping, Sequence, Set, TYPE_CHECKING
 
 from repro.overlay.layout import TreeLayout, compute_layout
 from repro.overlay.state import LevelState
@@ -56,39 +56,52 @@ BULK_THRESHOLD = 512
 def bootstrap_overlay(sim: "DRTreeSimulation",
                       subscriptions: Sequence[Subscription]) -> None:
     """Create one peer per subscription and wire them into a legal DR-tree."""
+    if not subscriptions:
+        return
+    layout = compute_layout([(sub.name, sub.rect) for sub in subscriptions],
+                            sim.config)
+    install_layout(sim, subscriptions, layout)
+
+
+def install_layout(sim: "DRTreeSimulation",
+                   subscriptions: Sequence[Subscription],
+                   layout: TreeLayout) -> None:
+    """Create the peers of ``subscriptions`` and wire them from ``layout``.
+
+    ``subscriptions`` are the layout's leaves or, on a shard of the sharded
+    simulator, the slice of them it owns.  Either way the oracle ends up
+    holding what the single-process bootstrap gives it — the whole
+    population as members and the layout's root as hint — so every shard
+    starts from the same replica.
+    """
     peers = [sim.add_peer(subscription, join=False)
              for subscription in subscriptions]
-    if not peers:
-        return
     for peer in peers:
         peer.ensure_leaf_instance()
-    if len(peers) == 1:
+    if not layout.levels:
         # Degenerate overlay: a single-leaf root.
-        peers[0].start_join()
+        for peer in peers:
+            peer.start_join()
         return
-
-    layout = compute_layout(
-        [(peer.process_id, peer.filter_rect) for peer in peers], sim.config)
-    wire_layout(sim.peers, layout, sim.config)
+    wire_layout(sim.peers, layout, sim.config,
+                {peer.process_id for peer in peers})
     for peer in peers:
         peer.joined = True
-        sim.oracle.add_member(peer.process_id)
+    for peer_id, _ in layout.leaves:
+        sim.oracle.add_member(peer_id)
     sim.oracle.set_root_hint(layout.root_id)
 
 
 def wire_layout(peers: Mapping[str, "DRTreePeer"], layout: TreeLayout,
-                config: "DRTreeConfig",
-                only: Optional[Set[str]] = None) -> None:
-    """Apply a computed layout to live peer objects.
+                config: "DRTreeConfig", local: Set[str]) -> None:
+    """Apply a computed layout to the live peers named in ``local``.
 
-    ``only`` restricts the wiring to a subset of peer ids (the sharded
-    simulator passes each worker's local peers); with the default ``None``
-    every peer named by the layout is wired.  Peers outside ``only`` are
-    never touched — a group whose parent is remote still wires its local
-    children's parent pointers, and vice versa, so the union of the per-
-    shard wirings equals the full single-process wiring.
+    ``local`` is every peer of the layout on one process, or a sharded
+    simulator worker's own peers.  Peers outside it are never touched — a
+    group whose parent is remote still wires its local children's parent
+    pointers, and vice versa, so the union of the per-shard wirings equals
+    the full single-process wiring.
     """
-    local = set(peers) if only is None else set(only)
     for level_groups in layout.levels:
         for group in level_groups:
             level = group.child_level

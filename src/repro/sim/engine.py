@@ -179,15 +179,19 @@ class SimulationEngine:
             self._now = until
         return processed
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+    def run_until_idle(self, max_events: int = 1_000_000,
+                       until: Optional[float] = None) -> int:
         """Run until no events remain (bounded by ``max_events`` for safety).
 
         Hitting the cap with deliveries still pending means the simulation
         stalled (a livelock or an unexpectedly heavy cascade); that is logged
         as a warning and raised as :class:`SimulationStalledError` so callers
-        cannot mistake a truncated run for a converged one.
+        cannot mistake a truncated run for a converged one.  ``until`` stops
+        the run at that instant instead (a shard's round barrier); work left
+        after it still counts as stalled once the cap is hit, because the
+        cap is the budget of the caller's whole run.
         """
-        processed = self.run(max_events=max_events)
+        processed = self.run(until=until, max_events=max_events)
         if self.has_pending() and processed >= max_events:
             pending = self.pending()
             logger.warning(

@@ -5,32 +5,28 @@ facade drives — ``add_peer`` / ``bulk_load`` / ``publish`` / ``stabilize`` /
 ``crash`` / ``peers`` / ``metrics`` — while the actual event loops run in
 worker processes, one DR-tree subtree per shard.
 
-Two regimes, one determinism story:
-
-* **Single-shard** (every population below the bulk threshold, or a bulk
-  load whose tree yields a single subtree): all operations are delegated
-  verbatim to worker 0, which runs the unmodified single-process simulator
-  — so outcomes are byte-identical to ``drtree:classic`` by construction,
-  join protocol and all.
-* **Multi-shard** (after :meth:`bulk_load` partitions the population along
-  the STR tiling): each worker owns whole subtrees of the *one global
-  layout*.  Execution proceeds in lockstep rounds: the coordinator computes
-  the earliest pending instant across all shards, delivers the cross-shard
-  messages stamped for it, and advances every shard with work to exactly
-  that instant.  Messages cross shards only with the (strictly positive)
-  network latency, so no shard can observe an effect before its cause; and
-  because a legal DR-tree delivers each event to each peer exactly once and
-  stabilization refreshes are commutative, the per-instant interleaving
-  across shards changes no delivery record, hop count or message counter of
-  a bulk load, a publish or a join — byte-identical to ``drtree:classic``
-  on the same seed, as the ``scale`` scenario and the shard-parity tests
-  assert.  A repair after a crash or a departure is the exception: orphans
-  re-joining in one instant on several shards may be ordered differently
-  than in classic's single queue, so the repaired tree, though legal and
-  without false negatives, can be shaped differently (see
-  ``docs/architecture.md``, "Determinism argument").  ``stabilize`` runs
-  the single-process fixpoint itself over the merged peer views of all
-  shards.
+One regime, one determinism story.  :meth:`bulk_load` lays the population
+out once, parent-side, and partitions it along the STR tiling, so each
+worker owns whole subtrees of the *one global layout*; a population built
+by joins lives on worker 0, next to the root.  Execution proceeds in
+lockstep rounds: the coordinator computes the earliest pending instant
+across all shards, delivers the cross-shard messages stamped for it, and
+advances every shard with work to exactly that instant.  Messages cross
+shards only with the (strictly positive) network latency, so no shard can
+observe an effect before its cause; and because a legal DR-tree delivers
+each event to each peer exactly once and stabilization refreshes are
+commutative, the per-instant interleaving across shards changes no delivery
+record, hop count or message counter of a bulk load, a publish or a join —
+byte-identical to ``drtree:classic`` on the same seed, as the ``scale``
+scenario and the shard-parity tests assert.  A repair after a crash or a
+departure is the exception: orphans re-joining in one instant on several
+shards may be ordered differently than in classic's single queue, so the
+repaired tree, though legal and without false negatives, can be shaped
+differently (see ``docs/architecture.md``, "Determinism argument").  On one
+shard there is one queue and nothing to reorder, so every operation is
+classic's.  ``stabilize`` runs the single-process fixpoint itself over the
+merged peer views of all shards, and ``root()`` / ``height()`` give
+classic's answer, the one live peer that roots itself.
 
 **One contact oracle.**  Each shard holds a replica of the oracle
 (:class:`~repro.sim.sharded.worker.ShardOracle`).  A reply's flush carries
@@ -65,6 +61,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.api.capabilities import SnapshotStateError
+from repro.api.options import TRANSPORTS
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import (compute_layout, partition_layout,
                                   partition_members)
@@ -81,14 +78,6 @@ from repro.sim.sharded.worker import (HINT, OracleChanges, ShardRuntime,
 from repro.spatial.filters import Event, Subscription
 
 logger = logging.getLogger(__name__)
-
-#: Every transport name the coordinator accepts.  ``pipe`` is an alias of
-#: ``process`` (one worker process per shard over a pickled pipe); ``shm``
-#: runs the same workers over shared-memory rings; ``inline`` executes
-#: shards synchronously in-process; ``auto`` resolves via the
-#: ``REPRO_SHARD_TRANSPORT`` environment variable, then to ``inline`` inside
-#: daemonic processes and ``process`` everywhere else.
-TRANSPORTS = ("auto", "inline", "process", "pipe", "shm")
 
 #: Environment override consulted by ``transport="auto"`` — the lever that
 #: lets subprocess entry points (journaled runs, CI scenarios) pick the
@@ -130,6 +119,9 @@ def resolve_transport(transport: str) -> str:
 #: Global settle safety valve: more barriers than this in one settle means
 #: the simulation is livelocked across shards.
 MAX_SETTLE_BARRIERS = 1_000_000
+
+#: The delivery bound of one settle: ``DRTreeSimulation.settle``'s default.
+SETTLE_EVENTS = 200_000
 
 #: Seconds between liveness checks while waiting on a worker reply.
 _POLL_INTERVAL = 0.05
@@ -388,9 +380,8 @@ class ShardedSimulation:
         self._settled: Set[int] = set()
         self._next_times: Dict[int, Optional[float]] = {}
         self._shard_now: Dict[int, float] = {}
-        self._multi = False
+        #: The last root seen: joins are created on its shard.
         self._root_id: Optional[str] = None
-        self._height = 0
         self._plan = None
         self._closed = False
         self._finalizer = weakref.finalize(self, _stop_shards, self._shards)
@@ -464,8 +455,6 @@ class ShardedSimulation:
                                         text)
         self._next_times[shard_id] = reply["next"]
         self._shard_now[shard_id] = reply["now"]
-        if not self._multi:
-            self.engine.now = max(self.engine.now, reply["now"])
         if not reply["ok"]:
             if reply["kind"] == "stalled":
                 raise ShardStalledError(shard_id, reply["error"])
@@ -550,11 +539,16 @@ class ShardedSimulation:
         return self._exchange([(shard.shard_id, command)
                                for shard in self._shards])
 
-    def _advance(self, shards: List[Any], until: float) -> int:
-        """Run ``shards`` to ``until`` with their mail; deliveries processed."""
+    def _advance(self, shards: List[Any], until: float, budget: int) -> int:
+        """Run ``shards`` to ``until`` with their mail; deliveries processed.
+
+        A shard that spends ``budget`` deliveries with work still queued
+        raises a :class:`ShardStalledError` carrying its own id.
+        """
         return sum(self._exchange([
             (shard.shard_id,
-             ("advance", until, self._mailbox.pop(shard.shard_id, [])))
+             ("advance", until, self._mailbox.pop(shard.shard_id, []),
+              budget))
             for shard in shards]))
 
     # ------------------------------------------------------------------ #
@@ -574,18 +568,21 @@ class ShardedSimulation:
         now = self.engine.now
         self._advance([shard for shard in self._shards
                        if self._shard_now.get(shard.shard_id, 0.0) < now],
-                      now)
+                      now, SETTLE_EVENTS)
 
-    def _settle(self, max_events: int = 200_000) -> None:
+    def _settle(self, max_events: int = SETTLE_EVENTS) -> None:
         """Advance all shards in lockstep until no work remains anywhere.
 
         ``max_events`` bounds the total deliveries processed across all
         shards, mirroring the single-process ``settle``/``run_until_idle``
         cap (the default is the drain bound ``DRTreeSimulation.settle``
-        uses after a join, leave, publish or stabilization round): hitting
-        it with work still queued raises a routed
-        :class:`ShardStalledError` (like a batch, a barrier executes
-        atomically, so the count may overshoot by at most one barrier).
+        uses after a join, leave, publish or stabilization round).  Each
+        barrier hands its shards what is left of it, so a shard that spends
+        it with work queued raises a :class:`ShardStalledError` with its own
+        id — on one shard, exactly where classic's settle stalls; several
+        shards that only spend it together raise one with shard id -1 (like
+        a batch, a barrier executes atomically, so the count may overshoot
+        by at most one barrier).
         """
         barriers = 0
         processed_total = 0
@@ -607,7 +604,8 @@ class ShardedSimulation:
                 or (self._next_times.get(shard.shard_id) is not None
                     and self._next_times[shard.shard_id] <= target)
             ]
-            processed_total += self._advance(active, target)
+            processed_total += self._advance(active, target,
+                                             max_events - processed_total)
             self.engine.now = max(self.engine.now, target)
             barriers += 1
             if barriers > MAX_SETTLE_BARRIERS:  # pragma: no cover - valve
@@ -629,63 +627,43 @@ class ShardedSimulation:
         The layout is computed once, parent-side, by the exact algorithm of
         the single-process bootstrap; :func:`~repro.overlay.layout.
         partition_layout` cuts it into subtrees along the STR tiling, and
-        every worker wires its own peers from the same layout.  With one
-        effective shard (tiny populations, ``shards=1``) the whole bootstrap
-        is delegated to worker 0 instead, which runs the unmodified
-        single-process path.
+        every worker wires its own peers from the same layout.  A tree with
+        fewer subtrees than requested shards uses fewer workers.
         """
         subs = list(subscriptions)
         if self.peers:
             raise ValueError("bulk load requires an empty simulation")
         if not subs:
             return
-        if self.shards_requested == 1 or len(subs) == 1:
-            self._delegate_bootstrap(subs)
-            return
         layout = compute_layout([(sub.name, sub.rect) for sub in subs],
                                 self.config)
         plan = partition_layout(layout, self.shards_requested)
-        if plan.effective_shards <= 1:
-            self._delegate_bootstrap(subs)
-            return
         self._ensure_shards(plan.effective_shards)
-        self._owner = dict(plan.owner)
         members = partition_members(layout, plan)
         subs_by_name = {sub.name: sub for sub in subs}
-        member_ids = [sub.name for sub in subs]
         self._exchange([
             (shard.shard_id,
              ("bulk_wire",
               [subs_by_name[name] for name in members.get(shard.shard_id, [])],
-              layout, plan.owner, member_ids, layout.root_id))
+              layout, plan.owner))
             for shard in self._shards])
+        self._owner = dict(plan.owner)
         for sub in subs:
             self.peers[sub.name] = ShardPeerHandle(sub.name,
                                                    plan.owner[sub.name])
-        self._multi = True
         self._plan = plan
         self._root_id = layout.root_id
-        self._height = layout.height
-
-    def _delegate_bootstrap(self, subs: List[Subscription]) -> None:
-        self._ensure_shards(1)
-        self._rpc(0, ("bootstrap_local", subs))
-        for sub in subs:
-            self.peers[sub.name] = ShardPeerHandle(sub.name, 0)
-            self._owner[sub.name] = 0
 
     def add_peer(self, subscription: Subscription,
                  peer_id: Optional[str] = None, join: bool = True,
                  settle: bool = True) -> ShardPeerHandle:
-        """Create and join one peer, in either regime.
+        """Create and join one peer.
 
-        Single-shard populations delegate to worker 0's unmodified
-        ``DRTreeSimulation.add_peer``.  In the multi-shard regime the joiner
-        is created on the shard owning the current root (so it lives next
-        to the top of the tree) and the join protocol runs unmodified from
-        there; descents that cross shards travel like any other cross-shard
-        message, and the new membership reaches the other oracle replicas
-        with the join's flush.
+        The joiner is created on the shard owning the last root seen (so it
+        lives next to the top of the tree; shard 0 before there is one) and
+        the join protocol runs unmodified from there; descents that cross
+        shards travel like any other cross-shard message, and the new
+        membership reaches the other oracle replicas with the join's flush.
         """
         if peer_id is not None and peer_id != subscription.name:
             raise ShardedUnsupportedError(
@@ -697,19 +675,13 @@ class ShardedSimulation:
         name = subscription.name
         if name in self.peers:
             raise ValueError(f"duplicate peer id {name!r}")
-        if not self._multi:
-            self._ensure_shards(1)
-            self._rpc(0, ("add_peer", subscription))
-            handle = ShardPeerHandle(name, 0)
-            self.peers[name] = handle
-            self._owner[name] = 0
-            return handle
+        self._ensure_shards(1)
         target = self._owner.get(self._root_id or "", 0)
         self._sync_clocks()
         # Every shard must route messages to the joiner before any join
         # traffic can cross a shard boundary.
         self._broadcast(("set_owner", name, target))
-        self._rpc(target, ("add_peer", subscription, False))
+        self._rpc(target, ("add_peer", subscription))
         handle = ShardPeerHandle(name, target)
         self.peers[name] = handle
         self._owner[name] = target
@@ -718,15 +690,10 @@ class ShardedSimulation:
 
     def leave(self, peer_id: str, settle: bool = True) -> None:
         """Controlled departure: the owning shard runs the leave protocol."""
-        if not self._multi:
-            self._rpc(0, ("leave", peer_id))
-            return
         if peer_id not in self.peers:
             raise KeyError(peer_id)
-        owner = self._owner[peer_id]
         self._sync_clocks()
-        self._rpc(owner, ("leave", peer_id, False))
-        self._note_departure(peer_id)
+        self._rpc(self._owner[peer_id], ("leave", peer_id))
         if settle:
             self._settle()
 
@@ -735,16 +702,6 @@ class ShardedSimulation:
         if peer_id not in self.peers:
             raise KeyError(peer_id)
         self._rpc(self._owner[peer_id], ("crash", peer_id))
-        self._note_departure(peer_id)
-
-    def _note_departure(self, peer_id: str) -> None:
-        """A departed root leaves no root (``height()`` 0) until a stabilize.
-
-        As on classic.  ``_root_id`` stays: joins are still routed to its
-        shard.
-        """
-        if peer_id == self._root_id:
-            self._height = 0
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -753,35 +710,23 @@ class ShardedSimulation:
     def publish(self, publisher_id: str, event: Event,
                 settle: bool = True) -> None:
         """Publish ``event`` from ``publisher_id``."""
-        if not self._multi:
-            self._rpc(0, ("publish", publisher_id, event, settle))
-            return
         self._sync_clocks()
-        owner = self._owner[publisher_id]
-        self._rpc(owner, ("peer_publish", publisher_id, event))
+        self._rpc(self._owner[publisher_id],
+                  ("peer_publish", publisher_id, event))
         if settle:
             self._settle()
 
-    def settle(self, max_events: int = 200_000) -> None:
+    def settle(self, max_events: int = SETTLE_EVENTS) -> None:
         """Deliver every in-flight message across all shards."""
-        if not self._multi:
-            if self._shards:
-                self._rpc(0, ("settle", max_events))
-            return
         self._settle(max_events=max_events)
 
     def stabilize(self, max_rounds: int = 50) -> VerificationReport:
         """Run synchronized stabilization rounds until the overlay is legal.
 
-        Single-shard populations delegate to the worker's unmodified
-        ``DRTreeSimulation.stabilize``.  Multi-shard populations run the
-        same :class:`~repro.overlay.verifier.StabilizeFixpoint` over the
+        Runs :class:`~repro.overlay.verifier.StabilizeFixpoint` over the
         merged peer snapshots of every shard (one ``peer_views`` exchange
         per iteration), so the real verifier judges the global structure.
         """
-        if not self._multi:
-            self._ensure_shards(1)
-            return self._rpc(0, ("stabilize", max_rounds))
         verifier = OverlayVerifier(self.config.min_children,
                                    self.config.max_children)
         fixpoint = StabilizeFixpoint(self._peer_views, verifier, max_rounds,
@@ -791,13 +736,9 @@ class ShardedSimulation:
             self._broadcast(("stab_round",))
             self._settle()
         report = fixpoint.report
-        # Repairs can re-elect the root; keep the coordinator's view (used
-        # by root()/height() and to route joins) in sync with the verified
-        # structure.
+        # Repairs can re-elect the root: route joins to the verified one.
         if report.root is not None:
             self._root_id = report.root
-        if report.height:
-            self._height = report.height
         return report
 
     def _peer_views(self) -> List[_PeerView]:
@@ -821,22 +762,28 @@ class ShardedSimulation:
         """Handles of every peer ever created (crashes are shard-local)."""
         return list(self.peers.values())
 
-    def root(self) -> Optional[ShardPeerHandle]:
-        """The current root peer's handle, if one exists."""
-        if self._multi:
-            return self.peers.get(self._root_id) if self._height else None
-        if not self._shards:
+    def _root(self) -> Optional[Tuple[str, int]]:
+        """Classic's root: the one live peer rooting itself, and its top level.
+
+        ``None`` when no peer or several do (a crashed root leaves none
+        until a stabilize repairs the tree).
+        """
+        roots = [root for shard_roots in self._broadcast(("roots",))
+                 for root in shard_roots]
+        if len(roots) != 1:
             return None
-        root_id = self._rpc(0, ("root",))
-        return self.peers.get(root_id) if root_id else None
+        self._root_id = roots[0][0]
+        return roots[0]
+
+    def root(self) -> Optional[ShardPeerHandle]:
+        """The current root peer's handle, if a unique one exists."""
+        root = self._root()
+        return self.peers[root[0]] if root else None
 
     def height(self) -> int:
         """Height of the DR-tree (number of levels)."""
-        if self._multi:
-            return self._height
-        if not self._shards:
-            return 0
-        return int(self._rpc(0, ("height",)))
+        root = self._root()
+        return root[1] + 1 if root else 0
 
     def shard_report(self) -> List[Dict[str, Any]]:
         """Per-shard load-balance and cross-shard-traffic table rows."""
@@ -915,9 +862,7 @@ class ShardedSimulation:
             "shard_metrics": self.shard_metrics,
             "shard_deliveries": dict(self.shard_deliveries),
             "owner": dict(self._owner),
-            "multi": self._multi,
             "root_id": self._root_id,
-            "height": self._height,
             "plan": self._plan,
             "blobs": blobs,
         }
@@ -928,30 +873,39 @@ class ShardedSimulation:
         Shard count and transport come from this simulation's own options
         (the facade rebuilt it from the same spec); worker processes are
         spawned as needed and each receives its shard's snapshot blob.
-        The facade's :func:`repro.snapshot.load` has checked the keys.
+        The facade's :func:`repro.snapshot.load` has checked the keys (an
+        older payload's ``multi`` and ``height`` are ignored).  The
+        coordinator adopts the payload only once every worker has loaded
+        its blob: on a refusal it stops the workers, which held nothing
+        but the restore, and is as fresh as before.
         """
         if self.peers:
             raise SnapshotStateError(
                 "sharded restore requires a freshly built simulation")
+        blobs = state["blobs"]
+        self._ensure_shards(len(blobs))
+        try:
+            # One exchange: every replica's re-announced oracle entries
+            # reach the others with their next command, after all have
+            # restored.
+            self._exchange([(shard_id, ("restore", blob))
+                            for shard_id, blob in enumerate(blobs)])
+        except Exception:
+            _stop_shards(self._shards)
+            for mirror in (self.shard_metrics, self.shard_deliveries,
+                           self._next_times, self._shard_now, self._mailbox,
+                           self._oracle_mail, self._holding, self._settled):
+                mirror.clear()
+            raise
         self.config = state["config"]
         self.seed = state["seed"]
         self.streams = state["streams"]
         self.metrics = state["metrics"]
         self.peers = state["peers"]
         self._owner = dict(state["owner"])
-        self._multi = state["multi"]
         self._root_id = state["root_id"]
-        self._height = state["height"]
         self._plan = state["plan"]
         self.engine.now = float(state["now"])
-        blobs = state["blobs"]
-        self._ensure_shards(len(blobs))
-        # After _ensure_shards: _spawn seeds fresh per-shard mirrors, which
-        # the restored ones must replace.
         self.shard_metrics = state["shard_metrics"]
         self.shard_deliveries = dict(state["shard_deliveries"])
-        # One exchange: every replica's re-announced oracle entries reach
-        # the others with their next command, after all have restored.
-        self._exchange([(shard_id, ("restore", blob))
-                        for shard_id, blob in enumerate(blobs)])
         return self

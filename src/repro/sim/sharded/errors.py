@@ -41,10 +41,9 @@ class ShardStalledError(SimulationStalledError):
 class ShardedUnsupportedError(NotImplementedError):
     """A requested variation of an operation is not available when sharded.
 
-    The sharded engine supports the full facade surface in both regimes —
-    including multi-shard joins and controlled departures, which are routed
-    through the owning shard — but a few parameterizations have no sharded
-    equivalent: peers named differently from their subscription, and
+    The sharded engine supports the full facade surface — joins are
+    created on the root's shard and departures run on the owning shard —
+    but a few parameterizations have no sharded equivalent: peers named differently from their subscription, and
     ``add_peer`` without the join-and-settle protocol (use ``bulk_load``
     for pre-wired construction).  Those raise this error instead of
     silently doing the wrong thing.

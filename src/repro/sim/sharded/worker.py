@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import snapshot as snapshots
 from repro.api.capabilities import SnapshotStateError
-from repro.overlay.bootstrap import bootstrap_overlay, wire_layout
+from repro.overlay.bootstrap import install_layout
 from repro.overlay.builder import DRTreeSimulation
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import TreeLayout
@@ -51,11 +51,6 @@ from repro.sim.failures import MemoryCorruptor
 from repro.sim.messages import Message
 from repro.sim.network import FixedLatency, Network
 from repro.spatial.filters import Event, Subscription
-
-#: Per-``advance`` safety valve: a shard that fails to drain this many
-#: deliveries without passing its target instant is livelocked (a zero-delay
-#: cascade) and raises instead of spinning forever.
-ADVANCE_EVENT_CAP = 1_000_000
 
 #: One captured cross-shard message: (delivery time, destination shard, msg).
 RemoteSend = Tuple[float, int, Message]
@@ -156,19 +151,21 @@ def _replicate_oracle(sim: DRTreeSimulation) -> ShardOracle:
 class ShardNetwork(Network):
     """A :class:`~repro.sim.network.Network` that diverts cross-shard sends.
 
-    ``owner`` maps peer ids to shard ids; recipients not in the map (the
-    pre-bulk-load regime, where every peer lives in shard 0) are treated as
-    local.  The network is lossless with a ``FixedLatency``, so every
-    message reaches :meth:`_enqueue_round`, the override point, which runs
-    *after* the base class has applied every per-message rule — taps,
-    crashed-sender drops, partitions, counters — so a cross-shard send is
-    accounted exactly like a local one and only its delivery is remoted.
+    ``owner`` maps peer ids to shard ids.  Every peer enters it when it is
+    created (the bulk wiring or a join's ``set_owner``); recipients not in
+    it are treated as local: a one-shard snapshot of an older coordinator
+    restores with an empty map.  The network is lossless with a
+    ``FixedLatency``, so every message reaches :meth:`_enqueue_round`, the
+    override point, which runs *after* the base class has applied every
+    per-message rule — taps, crashed-sender drops, partitions, counters —
+    so a cross-shard send is accounted exactly like a local one and only
+    its delivery is remoted.
     """
 
     def __init__(self, shard_id: int, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.shard_id = shard_id
-        #: peer id -> owning shard; empty until a bulk load partitions.
+        #: peer id -> owning shard.
         self.owner: Dict[str, int] = {}
         #: Captured cross-shard sends since the last flush.
         self.outbound: List[RemoteSend] = []
@@ -224,10 +221,10 @@ class _LogCapture(logging.Handler):
 class ShardRuntime:
     """Executes shard commands against one local simulation.
 
-    Shared by both transports: the process worker loop drives it from pipe
-    messages, the inline transport (used where child processes are not
-    allowed, e.g. inside a daemonic pool worker) calls :meth:`execute`
-    directly.
+    Shared by every transport: the process worker loop drives it from pipe
+    or shared-memory frames, the inline transport (used where child
+    processes are not allowed, e.g. inside a daemonic pool worker) calls
+    :meth:`execute` directly.
     """
 
     def __init__(self, shard_id: int, config: Optional[DRTreeConfig],
@@ -328,75 +325,37 @@ class ShardRuntime:
                                    self._collect_delivery)
 
     # ------------------------------------------------------------------ #
-    # The facade surface (single-shard delegation; ``add_peer``, ``leave``
-    # and ``crash`` also run a multi-shard peer on its owning shard)
-    # ------------------------------------------------------------------ #
-
-    def cmd_bootstrap_local(self, subscriptions: List[Subscription]) -> None:
-        bootstrap_overlay(self.sim, subscriptions)
-        self._watch_new_peers()
-
-    def cmd_add_peer(self, subscription: Subscription,
-                     settle: bool = True) -> None:
-        """Create and join one peer on this shard.
-
-        A multi-shard join passes ``settle=False``: its descents cross
-        shards, so settling is the coordinator's.  The join protocol runs
-        unmodified against this shard's oracle replica, which holds every
-        other shard's changes up to this request.
-        """
-        self.sim.add_peer(subscription, settle=settle)
-        self._watch_new_peers()
-
-    def cmd_leave(self, peer_id: str, settle: bool = True) -> None:
-        self.sim.leave(peer_id, settle=settle)
-
-    def cmd_crash(self, peer_id: str) -> None:
-        self.sim.crash(peer_id)
-
-    def cmd_publish(self, peer_id: str, event: Event, settle: bool) -> None:
-        self.sim.publish(peer_id, event, settle=settle)
-
-    def cmd_settle(self, max_events: int) -> None:
-        self.sim.settle(max_events=max_events)
-
-    def cmd_stabilize(self, max_rounds: int):
-        return self.sim.stabilize(max_rounds=max_rounds)
-
-    def cmd_root(self) -> Optional[str]:
-        root = self.sim.root()
-        return root.process_id if root is not None else None
-
-    def cmd_height(self) -> int:
-        return self.sim.height()
-
-    # ------------------------------------------------------------------ #
-    # Multi-shard commands (round-barrier execution)
+    # Round-barrier commands
     # ------------------------------------------------------------------ #
 
     def cmd_bulk_wire(self, subscriptions: List[Subscription],
-                      layout: TreeLayout, owner: Dict[str, int],
-                      member_ids: List[str], root_id: str) -> None:
+                      layout: TreeLayout, owner: Dict[str, int]) -> None:
         """Instantiate this shard's peers and wire them from the layout."""
         if self.sim.peers:
             raise RuntimeError("bulk wiring requires an empty shard")
-        peers = [self.sim.add_peer(subscription, join=False)
-                 for subscription in subscriptions]
-        for peer in peers:
-            peer.ensure_leaf_instance()
-        wire_layout(self.sim.peers, layout, self.sim.config,
-                    only={peer.process_id for peer in peers})
-        for peer in peers:
-            peer.joined = True
-        # The oracle state of the single-process bootstrap: the membership
-        # covers the whole population, not just this shard.  Every shard
-        # starts from it, so it is not a change to replicate.
-        for member_id in member_ids:
-            self.sim.oracle.add_member(member_id)
-        self.sim.oracle.set_root_hint(root_id)
+        install_layout(self.sim, subscriptions, layout)
+        # Every shard starts from the bootstrap's oracle state, so it is
+        # not a change to replicate.
         self.sim.oracle.changes.clear()
         self.net.owner.update(owner)
         self._watch_new_peers()
+
+    def cmd_add_peer(self, subscription: Subscription) -> None:
+        """Create one peer on this shard and start its join.
+
+        Settling is the coordinator's: the join's descents may cross
+        shards.  The join protocol runs unmodified against this shard's
+        oracle replica, which holds every other shard's changes up to this
+        request.
+        """
+        self.sim.add_peer(subscription, settle=False)
+        self._watch_new_peers()
+
+    def cmd_leave(self, peer_id: str) -> None:
+        self.sim.leave(peer_id, settle=False)
+
+    def cmd_crash(self, peer_id: str) -> None:
+        self.sim.crash(peer_id)
 
     def cmd_set_owner(self, peer_id: str, shard: int) -> None:
         """Route future sends to ``peer_id`` toward its owning shard."""
@@ -423,18 +382,23 @@ class ShardRuntime:
                  peer.instances)
                 for peer in self.sim.live_peers()]
 
+    def cmd_roots(self) -> List[Tuple[str, int]]:
+        """``(id, top level)`` of every live local peer rooting itself."""
+        return [(peer.process_id, peer.top_level())
+                for peer in self.sim.live_peers() if peer.is_overlay_root()]
+
     def cmd_advance(self, until: float,
-                    incoming: List[Tuple[float, Message]]) -> int:
-        """Inject cross-shard messages, then run the local engine to ``until``."""
+                    incoming: List[Tuple[float, Message]],
+                    budget: int) -> int:
+        """Inject cross-shard messages, then run the local engine to ``until``.
+
+        ``budget`` is what is left of the settle's delivery bound: spending
+        it with work still queued stalls the settle, which this shard
+        reports (and logs) as its own.
+        """
         for time, message in incoming:
             self.net.inject(time, message)
-        processed = self.sim.engine.run(until=until,
-                                        max_events=ADVANCE_EVENT_CAP)
-        if processed >= ADVANCE_EVENT_CAP and self.sim.engine.has_pending():
-            raise SimulationStalledError(
-                f"shard did not drain within {ADVANCE_EVENT_CAP} deliveries "
-                f"at t<={until}")
-        return processed
+        return self.sim.engine.run_until_idle(max_events=budget, until=until)
 
     # ------------------------------------------------------------------ #
     # Snapshot / restore (crash recovery)

@@ -101,10 +101,11 @@ _KEYS = {
     "shard": {"sim"},
 }
 
-#: Keys of the sharded simulation's state inside a ``pubsub`` payload.
+#: Keys of the sharded simulation's state inside a ``pubsub`` payload
+#: (older payloads also carry ``multi`` and ``height``, read as extras).
 _SHARDED_KEYS = {"kind", "seed", "now", "config", "streams", "metrics",
                  "peers", "shard_metrics", "shard_deliveries", "owner",
-                 "multi", "root_id", "height", "plan", "blobs"}
+                 "root_id", "plan", "blobs"}
 
 
 def dump(payload: Dict[str, Any]) -> bytes:

@@ -10,7 +10,12 @@ classic leg goes on to publish a fixed ``targeted_events`` stream and
 prints the delivered digest and every counter again, so a change to how
 classic schedules its messages shows here too.
 
-Both of those legs run lossless with a fixed latency, where every message
+Two ``drtree:sharded`` legs run the same sequence with a published stream:
+one shard over ``pipe`` on a 200-peer population built by joins, and two
+shards ``inline`` on the 600-peer bulk load.  Their counters are printed
+without the ``shard.*`` transport counters.
+
+Those legs run lossless with a fixed latency, where every message
 joins a per-round queue.  Two more legs drive the scheduling paths that
 draw randomness at send time, on a bulk-loaded 600-peer
 ``DRTreeSimulation``: one at ``loss_rate=0.05``, one with a
@@ -47,15 +52,18 @@ RANDOM_LEG_EVENTS = 100
 
 def print_counters(simulation) -> None:
     for name, value in sorted(simulation.metrics.counters().items()):
-        print(f"{name}: {value}")
+        if not name.startswith("shard."):
+            print(f"{name}: {value}")
 
 
-def run(backend: str, publish: bool) -> None:
-    print(f"== {backend}")
-    population = uniform_subscriptions(600, seed=SEED)
+def run(backend: str, publish: bool, peers: int = 600,
+        options=None) -> None:
+    print(f"== {backend}" + (f", {peers} peers, {options}" if options else ""))
+    population = uniform_subscriptions(peers, seed=SEED)
     subscriptions = list(population)
     joiners = list(uniform_subscriptions(5, seed=SEED + 1, prefix="J"))
-    broker = SystemSpec(population.space, backend=backend, seed=SEED).build()
+    broker = SystemSpec(population.space, backend=backend, seed=SEED,
+                        engine_options=options).build()
     simulation = broker.simulation
     reports = []
     stabilize = simulation.stabilize
@@ -93,6 +101,7 @@ def run(backend: str, publish: bool) -> None:
               f"{delivered_digest(broker)}")
         print(f"summary: {broker.summary()}")
         print_counters(simulation)
+    getattr(simulation, "close", lambda: None)()
 
 
 def run_random(name: str, loss_rate: float, uniform: bool) -> None:
@@ -135,6 +144,10 @@ def run_random(name: str, loss_rate: float, uniform: bool) -> None:
 def main() -> None:
     run("drtree:batched", publish=False)
     run("drtree:classic", publish=True)
+    run("drtree:sharded", publish=True, peers=200,
+        options={"shards": 1, "transport": "pipe"})
+    run("drtree:sharded", publish=True,
+        options={"shards": 2, "transport": "inline"})
     run_random("loss_rate=0.05", loss_rate=0.05, uniform=False)
     run_random("UniformLatency(0.5, 1.5)", loss_rate=0.0, uniform=True)
 

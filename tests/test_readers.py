@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import os
 import re
 from datetime import timedelta
 from pathlib import Path
@@ -31,6 +32,7 @@ from repro.api import SystemSpec
 from repro.api.capabilities import SnapshotStateError
 from repro.journal import JournalError
 from repro.journal.io import read_journal, verify_journal
+from repro.sim.sharded import TRANSPORT_ENV_VAR
 from repro.traces import TraceFormatError, loads_trace, read_trace
 from repro.traces.io import dump_record, load_record
 from repro.wire import FrameSplitter, frame
@@ -201,6 +203,8 @@ def test_damaged_input_returns_or_raises_the_rows_error(tmp_path_factory,
 SNAPSHOTS = ("classic", "sharded-2", "batched", "96aa8df-classic",
              "96aa8df-sharded-2", "96aa8df-flooding")
 POPULATION = uniform_subscriptions(40, seed=3)
+#: The sharded rows run inline unless the environment pins a transport.
+SHARD_TRANSPORT = "auto" if os.environ.get(TRANSPORT_ENV_VAR) else "inline"
 EVENTS = uniform_events(POPULATION.space, 20, seed=3)
 
 
@@ -287,7 +291,7 @@ def test_a_hostile_snapshot_runs_nothing(tmp_path, name, marked):
 
 
 def test_a_hostile_shard_blob_is_refused_by_the_worker(tmp_path):
-    options = {"shards": 2, "transport": "inline"}
+    options = {"shards": 2, "transport": SHARD_TRANSPORT}
     broker = _broker("drtree:sharded", options)
     try:
         payload = snapshot.load(broker.snapshot(), "pubsub", broker.backend)
@@ -297,9 +301,16 @@ def test_a_hostile_shard_blob_is_refused_by_the_worker(tmp_path):
     payload["sim"]["blobs"][0] = blob
     target = SystemSpec(POPULATION.space, backend="drtree:sharded", seed=3,
                         engine_options=options).build()
+    twin = _broker("drtree:sharded", options)
     try:
         with pytest.raises(SnapshotStateError, match="shard 0: .*deserialize"):
             target.restore(snapshot.dump(payload))
+        # The refused restore left the target as fresh as its twin was.
+        target.subscribe_all(list(POPULATION))
+        target.publish_many(EVENTS[:10])
+        assert delivered_digest(target) == delivered_digest(twin)
+        assert target.summary() == twin.summary()
     finally:
         target.close()
+        twin.close()
     assert not marker.exists()

@@ -7,10 +7,11 @@ Covers the tentpole contracts of ``repro.sim.sharded``:
 * shard counts 1, 2 and 8 reproduce the classic engine's delivery metrics
   byte for byte, on the inline, pipe (``process``) and shared-memory
   (``shm``) transports;
-* the single-shard regime delegates the *entire* facade surface (joins,
-  unsubscribes, crashes, moves) with byte-identical outcomes, and the
-  multi-shard regime routes post-bulk-load joins/leaves to the owning
-  shard with the same parity guarantee;
+* a population on one shard runs the *entire* facade surface (joins,
+  unsubscribes, crashes, moves) through the round barrier with outcomes
+  byte-identical to classic's, and on several shards post-bulk-load
+  joins/leaves are routed to the root's or the owning shard with the same
+  parity guarantee;
 * a crashed worker process surfaces as a typed ``ShardFailedError`` instead
   of a hang, and shard-local stalls/warnings are routed to the parent with
   the shard id attached.
@@ -184,7 +185,8 @@ def test_spawned_shm_workers_reproduce_the_forked_run(bulk_workload,
 
 
 def test_single_shard_regime_delegates_full_facade_surface():
-    """Below the bulk threshold every op runs classic code, byte-identically."""
+    """Below the bulk threshold the population lives on one shard, whose
+    one queue makes every op of the facade classic's, byte for byte."""
     workload = mixed_subscriptions(36, seed=0)
     subs = list(workload)
     config = DRTreeConfig(min_children=2, max_children=5)
@@ -467,6 +469,21 @@ def test_worker_stall_is_routed_with_shard_id(caplog):
         routed = [record for record in caplog.records
                   if "[shard 0]" in record.getMessage()]
         assert routed, "worker warning was not routed to the parent"
+    finally:
+        sim.close()
+
+
+def test_a_stall_on_several_shards_is_typed(bulk_workload):
+    """Two shards that spend one settle's bound raise the typed stall too."""
+    space, subs, stream = bulk_workload
+    sim = ShardedSimulation(config=CONFIG, seed=3, shards=2,
+                            transport="inline")
+    try:
+        sim.bulk_load(subs)
+        for event in stream[:5]:
+            sim.publish(subs[0].name, event, settle=False)
+        with pytest.raises(ShardStalledError):
+            sim.settle(max_events=2)
     finally:
         sim.close()
 

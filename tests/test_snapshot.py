@@ -7,9 +7,11 @@ a pickled bound method needs), on every backend that can snapshot.  A blob
 carries the SHA-256 of its pickle, so a damaged one is refused before it is
 unpickled.  Older blobs go through the module's converters:
 ``tests/golden/snapshot-96aa8df-*.pickle.gz`` pin the last layout before the
-format had a marker, on classic, 2 shards and flooding, and
+format had a marker, on classic, 2 shards and flooding,
 ``tests/golden/snapshot-ed024b5-*.pickle.gz`` the last one before the
-digest, on classic and 2 shards.
+digest, on classic and 2 shards, and
+``tests/golden/snapshot-48ed7bf-sharded-1.pickle.gz`` the last one-shard
+payload of the regime that handed such a population to worker 0 verbatim.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ GOLDEN_96AA8DF = {
 GOLDEN_ED024B5 = {name: GOLDEN_96AA8DF[name]
                   for name in ("classic", "sharded-2")}
 
+#: The same inputs on one shard, written by commit 48ed7bf: its coordinator
+#: delegated a one-shard population to worker 0 and wrote ``multi: False``
+#: and a ``height``.  It finishes the stream with classic's digest.
+GOLDEN_48ED7BF = {
+    "sharded-1": ("drtree:sharded", {"shards": 1, "transport": SHARD_TRANSPORT},
+                  GOLDEN_96AA8DF["classic"][2]),
+}
+
 #: The width of the digest that follows the marker.
 DIGEST_SIZE = hashlib.sha256().digest_size
 
@@ -107,6 +117,25 @@ def test_an_ed024b5_snapshot_reads_as_the_one_queue_layout(name):
         assert vars(one.engine).keys() == vars(SimulationEngine()).keys()
         assert one.peers and not any(
             "_periodic" in vars(peer) for peer in one.peers.values())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_48ED7BF))
+def test_a_48ed7bf_one_shard_snapshot_finishes_the_stream_on_the_barrier(
+        name):
+    """The old one-shard payload restores onto the one regime; what the
+    restored broker writes no longer carries ``multi`` or ``height``."""
+    backend, options, _ = GOLDEN_48ED7BF[name]
+    old = snapshot.load(golden(f"48ed7bf-{name}"), "pubsub", backend)["sim"]
+    assert old["multi"] is False and len(old["blobs"]) == 1
+    finishes_the_stream_as_if_uninterrupted("48ed7bf", name,
+                                            GOLDEN_48ED7BF[name])
+    restored = build(backend, options)
+    try:
+        restored.restore(golden(f"48ed7bf-{name}"))
+        new = snapshot.load(restored.snapshot(), "pubsub", backend)["sim"]
+        assert new.keys() == old.keys() - {"multi", "height"}
+    finally:
+        close(restored)
 
 
 def finishes_the_stream_as_if_uninterrupted(commit, name, row):
