@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from repro.sim.conditions import NetConditions
+
 #: Every shard transport name the ``sharded`` engine accepts.  ``pipe`` is
 #: an alias of ``process`` (one worker process per shard over a pickled
 #: pipe); ``shm`` runs the same workers over shared-memory rings;
@@ -115,7 +117,7 @@ class NetOptions(EngineOptions):
     #: duplication, partitions) applied to every outbound frame — a
     #: mapping, a compact ``--conditions`` string, or ``None`` for a
     #: perfect network.  Normalized to the canonical mapping form (see
-    #: :meth:`repro.net.conditions.NetConditions.to_mapping`) so specs,
+    #: :meth:`repro.sim.conditions.NetConditions.to_mapping`) so specs,
     #: traces and journals carry a JSON-safe value.
     conditions: Optional[Union[Mapping[str, Any], str]] = None
 
@@ -142,16 +144,10 @@ class NetOptions(EngineOptions):
         if self.idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive")
         if self.conditions is not None:
-            from repro.net.conditions import NetConditions
-
             spec = NetConditions.coerce(self.conditions)
             object.__setattr__(self, "conditions", spec.to_mapping())
 
     def resolved_conditions(self):
-        """The validated :class:`~repro.net.conditions.NetConditions`, or
+        """The validated :class:`~repro.sim.conditions.NetConditions`, or
         ``None`` when the network is perfect."""
-        if self.conditions is None:
-            return None
-        from repro.net.conditions import NetConditions
-
         return NetConditions.coerce(self.conditions)

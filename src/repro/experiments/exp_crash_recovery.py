@@ -45,6 +45,27 @@ from repro.runtime.registry import Param, backend_param, register_scenario
 #: kill threshold before giving up (generous: CI machines can be slow).
 KILL_DEADLINE_S = 120.0
 
+#: How long a killed journaled run may take to exit before the scenario
+#: stops waiting for it.
+REAP_DEADLINE_S = 30.0
+
+
+class UnreapedProcessError(RuntimeError):
+    """A killed child process did not exit within its deadline; the
+    message names its pid."""
+
+
+def _kill_and_reap(proc: subprocess.Popen) -> None:
+    """``SIGKILL`` ``proc`` and wait for it to exit, at most
+    :data:`REAP_DEADLINE_S`; past that, raise :class:`UnreapedProcessError`."""
+    proc.send_signal(signal.SIGKILL)
+    try:
+        proc.wait(timeout=REAP_DEADLINE_S)
+    except subprocess.TimeoutExpired:
+        raise UnreapedProcessError(
+            f"killed process {proc.pid} did not exit within "
+            f"{REAP_DEADLINE_S}s") from None
+
 
 @contextlib.contextmanager
 def _transport_env(transport: str) -> Iterator[None]:
@@ -166,13 +187,11 @@ def crash_recovery(peers: int, events: int, seed: int, kill_after_ops: int,
                         f"reaching {kill_after_ops} ops; it journaled {durable}")
                 time.sleep(0.005)
             else:
-                proc.kill()
-                proc.wait()
+                _kill_and_reap(proc)
                 raise RuntimeError(
                     f"journaled run reached only {durable}/{kill_after_ops} ops "
                     f"within {KILL_DEADLINE_S}s")
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            _kill_and_reap(proc)
 
             # 3+4. What must the resume re-execute?  Derived from the file, not
             # from the resume machinery being tested.

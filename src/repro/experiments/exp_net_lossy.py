@@ -3,7 +3,7 @@
 ``net-soak`` measures the real-network backend's background stabilizers
 over a *perfect* loopback: every repair frame arrives.  This scenario is
 the adversarial companion: the same crash wave is applied under injected
-network conditions (:mod:`repro.net.conditions`) — a sweep of Bernoulli
+network conditions (:mod:`repro.sim.conditions`) — a sweep of Bernoulli
 loss rates plus one timed partition-heal window — and the background
 stabilizers must converge anyway, now with their CHECK/ACK/SET_PARENT
 frames randomly vanishing in flight.  This is the first measurement of the
@@ -41,7 +41,7 @@ condition property suite in ``tests/test_net_conditions.py``); here false
 positives are reported as the per-condition ``fp`` column instead.
 
 Determinism note: the per-row condition decisions are seeded and per-link
-(see :mod:`repro.net.conditions`), but *which* repair frames exist when
+(see :mod:`repro.sim.conditions`), but *which* repair frames exist when
 depends on real stabilizer timing — so the cycle/seconds columns measure
 the machine while the delivery columns are exact.
 """
@@ -54,9 +54,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.api.spec import SystemSpec
 from repro.experiments.exp_baselines import _comparison_events
 from repro.experiments.harness import ExperimentResult
-from repro.net.conditions import NetConditions, PartitionWindow
 from repro.overlay.config import DRTreeConfig
 from repro.runtime.registry import Param, register_scenario
+from repro.sim.conditions import NetConditions, PartitionWindow
 from repro.sim.rng import RandomStreams
 from repro.spatial.filters import Event
 from repro.workloads.subscriptions import mixed_subscriptions

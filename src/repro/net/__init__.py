@@ -11,11 +11,8 @@ simulator's global ``stabilize()`` round barrier.
 Module map:
 
 * :mod:`~repro.net.faults` — the typed fault hierarchy (``NetError`` →
-  ``NetTimeoutError`` / ``PeerUnreachableError`` / ``NetProtocolError`` /
-  ``ConditionSpecError``),
+  ``NetTimeoutError`` / ``PeerUnreachableError`` / ``NetProtocolError``),
 * :mod:`~repro.net.codec` — frame encoding and the incremental decoder,
-* :mod:`~repro.net.conditions` — deterministic network-condition injection
-  (seeded per-link loss/latency/reorder/duplication/partition pipeline),
 * :mod:`~repro.net.runtime` — the event-loop thread, pooled outbound
   channels with bounded retry/backoff, the in-flight ledger that turns
   "stabilize" into a quiescence wait, and the real-time clock adapter,
@@ -28,14 +25,19 @@ Module map:
 Select it like any other backend: ``SystemSpec(backend="drtree:net")``,
 ``--backend drtree:net`` on the CLI, or ``engine="net"`` on the facade.
 See ``docs/net.md``.
+
+Network-condition injection (the seeded per-link loss / latency / reorder /
+duplication / partition pipeline and ``ConditionSpecError``) lives in
+:mod:`repro.sim.conditions`, which the simulated network uses too; this
+package re-exports its spec, pipeline and error.
 """
 
 from repro.net.broker import NetSimulation
 from repro.net.codec import FrameDecoder, encode_frame
-from repro.net.conditions import (ConditionPipeline, NetConditions,
-                                  PartitionWindow)
-from repro.net.faults import (ConditionSpecError, NetError, NetProtocolError,
-                              NetTimeoutError, PeerUnreachableError)
+from repro.net.faults import (NetError, NetProtocolError, NetTimeoutError,
+                              PeerUnreachableError)
+from repro.sim.conditions import (ConditionPipeline, ConditionSpecError,
+                                  NetConditions, PartitionWindow)
 from repro.wire import FRAME_HEADER, FRAME_MAGIC, MAX_FRAME_BYTES
 
 __all__ = [

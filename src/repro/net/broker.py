@@ -37,7 +37,6 @@ import time
 from typing import Dict, Optional, Sequence
 
 from repro.api.capabilities import SnapshotUnsupportedError
-from repro.net.conditions import ConditionPipeline, NetConditions
 from repro.net.faults import NetTimeoutError
 from repro.net.peer import PeerEndpoint
 from repro.net.runtime import NetRuntime
@@ -48,8 +47,9 @@ from repro.overlay.oracle import ContactOracle
 from repro.overlay.peer import DRTreePeer
 from repro.overlay.verifier import (OverlayVerifier, StabilizeFixpoint,
                                    VerificationReport, structure_signature)
+from repro.sim.conditions import ConditionPipeline, NetConditions
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import FixedLatency, Network
+from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.spatial.filters import Event, Subscription
 
@@ -59,19 +59,18 @@ class NetNetwork(Network):
 
     Inherits every per-message bookkeeping rule (``sent_at`` stamping, the
     ``network.messages_sent`` / per-kind counters, taps, crashed-sender
-    drops) and overrides only the scheduling step: the network is lossless
-    with a ``FixedLatency``, so every message reaches :meth:`_enqueue_round`,
-    which hands it to the runtime's outbound channel for its recipient
-    instead of a simulated round.
+    drops) and overrides only the scheduling step: the network has no
+    condition pipeline of its own (the runtime applies one per frame), so
+    every message reaches :meth:`_enqueue_round`, which hands it to the
+    runtime's outbound channel for its recipient instead of a simulated
+    round.
     """
 
-    def __init__(self, runtime: NetRuntime, metrics: MetricsRegistry,
-                 streams: RandomStreams) -> None:
+    def __init__(self, runtime: NetRuntime, metrics: MetricsRegistry) -> None:
         super().__init__(
             engine=runtime.clock,  # duck-typed: .now and .schedule suffice
-            latency=FixedLatency(0.0),
+            delay=0.0,
             metrics=metrics,
-            streams=streams,
         )
         self.runtime = runtime
 
@@ -111,7 +110,7 @@ class NetSimulation(DeploymentView):
         #: The facade reads ``simulation.engine.now`` for its clock; here
         #: that is real monotonic time in simulated units.
         self.engine = self.runtime.clock
-        self.network = NetNetwork(self.runtime, self.metrics, self.streams)
+        self.network = NetNetwork(self.runtime, self.metrics)
         self.oracle = ContactOracle()
         self.verifier = OverlayVerifier(
             self.config.min_children, self.config.max_children)

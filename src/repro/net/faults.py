@@ -26,10 +26,3 @@ class PeerUnreachableError(NetError):
 class NetProtocolError(NetError):
     """A frame stream was torn: bad magic, implausible length or CRC
     mismatch.  The connection is closed rather than resynchronized."""
-
-
-class ConditionSpecError(NetError, ValueError):
-    """A network-condition spec (mapping or ``--conditions`` string) is
-    malformed: unknown key, out-of-range probability, bad latency model.
-    Also a ``ValueError`` so engine-option validation reports it through
-    the standard ``SystemSpec`` rejection path."""

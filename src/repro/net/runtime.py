@@ -26,7 +26,7 @@ Three pieces live here:
   gate that defers background stabilizer ticks while a facade operation is
   in flight.
 
-When a :class:`~repro.net.conditions.ConditionPipeline` is installed, every
+When a :class:`~repro.sim.conditions.ConditionPipeline` is installed, every
 frame entering :meth:`NetRuntime.enqueue` is routed through it first: drops
 (loss, partition, ``drop_first``) never reach a channel but are counted;
 delayed frames stay *held in the ledger* for the delay's duration before
@@ -53,7 +53,7 @@ from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.conditions import ConditionPipeline
+    from repro.sim.conditions import ConditionPipeline
     from repro.overlay.peer import DRTreePeer
     from repro.api.options import NetOptions
 

@@ -16,17 +16,19 @@ examples and every experiment:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Union)
 
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.oracle import ContactOracle
 from repro.overlay.peer import DRTreePeer
 from repro.overlay.verifier import (OverlayVerifier, StabilizeFixpoint,
                                    VerificationReport)
+from repro.sim.conditions import NetConditions
 from repro.sim.engine import SimulationEngine
 from repro.sim.failures import MemoryCorruptor, CorruptionReport
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.network import FixedLatency, Network
+from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.spatial.filters import Event, Subscription
 
@@ -75,7 +77,7 @@ class DRTreeSimulation(DeploymentView):
         self,
         config: Optional[DRTreeConfig] = None,
         seed: int = 0,
-        loss_rate: float = 0.0,
+        conditions: Union[None, str, Mapping[str, Any], NetConditions] = None,
     ) -> None:
         self.config = config or DRTreeConfig()
         self.streams = RandomStreams(seed)
@@ -83,9 +85,9 @@ class DRTreeSimulation(DeploymentView):
         self.metrics = MetricsRegistry()
         self.network = Network(
             self.engine,
-            latency=FixedLatency(self.config.message_latency),
+            delay=self.config.message_latency,
             metrics=self.metrics,
-            loss_rate=loss_rate,
+            conditions=conditions,
             streams=self.streams,
         )
         self.oracle = ContactOracle()

@@ -6,8 +6,11 @@ used to execute the protocol:
 
 * :class:`~repro.sim.engine.SimulationEngine` — an event-queue scheduler with
   a simulated clock,
-* :class:`~repro.sim.network.Network` — message delivery with configurable
-  latency, loss and partitions,
+* :class:`~repro.sim.network.Network` — message delivery after a fixed
+  delay, with optional network conditions,
+* :mod:`~repro.sim.conditions` — the seeded per-link condition pipeline
+  (loss, latency, reordering, duplication, timed partitions) the simulated
+  network and ``drtree:net``'s socket runtime both apply,
 * :class:`~repro.sim.process.Process` — the base class for protocol
   participants (handlers and one-shot timers),
 * :mod:`~repro.sim.failures` — crash and memory-corruption fault injection,
@@ -27,7 +30,7 @@ reproducible bit-for-bit.
 
 from repro.sim.engine import SimulationEngine, ScheduledEvent
 from repro.sim.messages import Message
-from repro.sim.network import LatencyModel, Network, UniformLatency, FixedLatency
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
@@ -37,9 +40,6 @@ __all__ = [
     "ScheduledEvent",
     "Message",
     "Network",
-    "LatencyModel",
-    "UniformLatency",
-    "FixedLatency",
     "Process",
     "MetricsRegistry",
     "RandomStreams",

@@ -1,34 +1,35 @@
-"""Deterministic network-condition injection for the real-network backend.
+"""Deterministic network-condition injection, on both clocks.
 
-PR 8's ``drtree:net`` only ever ran over a perfect loopback: every frame
-that left a peer arrived, immediately, exactly once.  This module supplies
-the adversarial half of the paper's asynchrony model — message loss,
-transmission latency, reordering, duplication and timed network partitions
-— as a *deterministic pipeline* every outbound frame passes through before
-it reaches the channel pool.
+One fault model serves the simulated :class:`~repro.sim.network.Network`
+and ``drtree:net``'s socket runtime: message loss, transmission latency,
+reordering, duplication and timed network partitions, as a *deterministic
+pipeline* every message (a simulated send or an outbound frame) passes
+through before it is scheduled.  This module imports nothing from the
+socket backend; the socket runtime imports it.
 
 Two pieces live here:
 
 * :class:`NetConditions` — the frozen condition spec.  Loss is Bernoulli
   (independent per frame) or burst-Gilbert (a two-state good/bad Markov
   chain, the classic model for correlated loss); latency is fixed, uniform
-  or lognormal, expressed in *simulated time units* (the runtime scales by
-  ``time_scale`` when arming the delay); ``reorder`` holds a frame back an
-  extra window so later frames overtake it; ``duplicate`` emits a second
-  copy; ``drop_first`` deterministically eats the first N frames of every
-  link (the test knob that makes "the retry timer fired" a certainty, not
-  a coin flip); ``partitions`` are timed windows during which frames
-  between peer groups are dropped.  Specs parse from a mapping (the
-  ``engine_options={"conditions": {...}}`` form) or from a compact string
-  (the ``--conditions`` CLI form).
+  or lognormal, expressed in *simulated time units* (the simulated network
+  adds it to its own delay; the socket runtime scales it by ``time_scale``
+  when arming the delay); ``reorder`` holds a frame back an extra window so
+  later frames overtake it; ``duplicate`` emits a second copy;
+  ``drop_first`` deterministically eats the first N frames of every link
+  (the test knob that makes "the retry timer fired" a certainty, not a
+  coin flip); ``partitions`` are timed windows during which frames between
+  peer groups are dropped.  Specs parse from a mapping (the
+  ``engine_options={"conditions": {...}}`` form of ``drtree:net``) or from
+  a compact string (the ``--conditions`` CLI form).
 * :class:`ConditionPipeline` — the per-link decision engine.  Every link
   (ordered sender→recipient pair) owns its own named RNG stream derived
   from the master seed (:class:`~repro.sim.rng.RandomStreams`), plus its
   Gilbert chain state and frame counter.  A decision is therefore a pure
   function of ``(seed, spec, the link's frame sequence, the frame's
   submission time)`` — independent of scheduling on other links — which is
-  what the property suite pins: same seed + same spec ⇒ byte-identical
-  drop/delay/duplicate decisions.
+  what the property suite pins, on both clocks: same seed + same spec ⇒
+  byte-identical drop/delay/duplicate decisions.
 
 Draw-order discipline: the pipeline consumes its per-link RNG in a fixed
 order (loss, latency, reorder, duplicate) on *every* frame past the
@@ -44,13 +45,19 @@ from dataclasses import dataclass, field
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
-from repro.net.faults import ConditionSpecError
 from repro.sim.rng import RandomStreams
 
 #: Latency models :class:`NetConditions` accepts.
 LATENCY_MODELS = ("none", "fixed", "uniform", "lognormal")
 #: Loss models :class:`NetConditions` accepts.
 LOSS_MODELS = ("bernoulli", "gilbert")
+
+
+class ConditionSpecError(ValueError):
+    """A network-condition spec (mapping or ``--conditions`` string) is
+    malformed: unknown key, out-of-range probability, bad latency model.
+    A ``ValueError``, so engine-option validation reports it through the
+    standard ``SystemSpec`` rejection path."""
 
 
 @dataclass(frozen=True)
@@ -351,9 +358,9 @@ class ConditionPipeline:
     """Applies a :class:`NetConditions` spec, one decision per frame.
 
     ``origin`` anchors the partition-window timeline: windows are declared
-    relative to the moment the pipeline is installed, so
-    :meth:`~repro.net.broker.NetSimulation.set_conditions` can arm a
-    partition "starting now" on a long-running deployment.  ``scope``
+    relative to the moment the pipeline is installed, so ``drtree:net``'s
+    ``NetSimulation.set_conditions`` can arm a partition "starting now" on
+    a long-running deployment.  ``scope``
     namespaces the per-link RNG stream names, so reinstalling a pipeline
     draws from fresh streams instead of continuing the previous ones.
     """

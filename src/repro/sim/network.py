@@ -1,19 +1,20 @@
 """Message delivery between simulated processes.
 
-The network owns the registry of live processes and delivers messages with a
-configurable latency model.  It also implements the failure modes needed by
-the stabilization experiments: message loss, crashed recipients (messages to
-a crashed process are dropped, as after an *uncontrolled departure*), and
-network partitions.
+The network owns the registry of live processes and delivers every message
+after a fixed ``delay``.  A message from or to a crashed process is dropped,
+as after an *uncontrolled departure*.  Every other fault — message loss, extra latency,
+reordering, duplication and timed partitions — comes from an optional
+:class:`~repro.sim.conditions.NetConditions` spec, the one fault model
+``drtree:net``'s socket runtime applies too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple, TYPE_CHECKING)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple, TYPE_CHECKING, Union)
 
+from repro.sim.conditions import ConditionPipeline, NetConditions
 from repro.sim.engine import ScheduledEvent, SimulationEngine
 from repro.sim.messages import Message
 from repro.sim.metrics import MetricsRegistry
@@ -29,68 +30,37 @@ def _kind_counter(kind: str) -> str:
     return f"network.messages.{kind}"
 
 
-class LatencyModel:
-    """Interface of per-message latency models."""
-
-    def sample(self) -> float:
-        """Latency of the next message, in simulated time units."""
-        raise NotImplementedError
-
-
-@dataclass
-class FixedLatency(LatencyModel):
-    """Every message takes exactly ``delay`` time units."""
-
-    delay: float = 1.0
-
-    def sample(self) -> float:
-        return self.delay
-
-
-class UniformLatency(LatencyModel):
-    """Latency drawn uniformly from ``[low, high]`` using a named RNG stream."""
-
-    def __init__(self, low: float, high: float, streams: RandomStreams) -> None:
-        if low < 0 or high < low:
-            raise ValueError("need 0 <= low <= high")
-        self.low = low
-        self.high = high
-        self._rng = streams.stream("network.latency")
-
-    def sample(self) -> float:
-        return self._rng.uniform(self.low, self.high)
-
-
 class Network:
     """The message transport connecting all simulated processes."""
 
     def __init__(
         self,
         engine: SimulationEngine,
-        latency: Optional[LatencyModel] = None,
+        delay: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
-        loss_rate: float = 0.0,
+        conditions: Union[None, str, Mapping[str, Any], NetConditions] = None,
         streams: Optional[RandomStreams] = None,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
         self.engine = engine
-        self.latency = latency or FixedLatency(1.0)
+        self.delay = delay
         self.metrics = metrics or MetricsRegistry()
-        self.loss_rate = loss_rate
+        spec = NetConditions.coerce(conditions)
+        #: The per-link decision pipeline, or ``None`` when no spec (or a
+        #: transparent one) can alter a message.  ``streams`` seeds its
+        #: per-link RNG streams.
+        self.pipeline: Optional[ConditionPipeline] = None
+        if spec is not None and not spec.is_transparent:
+            self.pipeline = ConditionPipeline(
+                spec, streams or RandomStreams(0), scope="network.conditions")
         #: Per-round delivery queues: delivery time -> (messages, engine
-        #: entry).  On a lossless ``FixedLatency`` network every message
-        #: landing at the same instant appends to one buffer and grows one
-        #: engine entry, so a whole round — fan-outs, stabilization and join
-        #: traffic alike — costs a single scheduling operation.  Under loss
-        #: or a sampling latency model each message (or each delay a fan-out
-        #: samples) gets its own engine entry instead.
+        #: entry).  Without a pipeline every message landing at the same
+        #: instant appends to one buffer and grows one engine entry, so a
+        #: whole round — fan-outs, stabilization and join traffic alike —
+        #: costs a single scheduling operation.  With one, each delay a send
+        #: or a fan-out is given gets its own engine entry instead.
         self._rounds: Dict[float, Tuple[List[Message], ScheduledEvent]] = {}
-        self._streams = streams or RandomStreams(0)
-        self._loss_rng = self._streams.stream("network.loss")
         self._processes: Dict[str, "Process"] = {}
         self._crashed: Set[str] = set()
-        self._partitions: List[Set[str]] = []
         self._taps: List[Callable[[Message], None]] = []
         #: The receivers' de-dup tables filled since the last
         #: :meth:`forget_receptions`.
@@ -143,22 +113,6 @@ class Network:
         """The set of crashed process ids."""
         return set(self._crashed)
 
-    def partition(self, groups: List[Set[str]]) -> None:
-        """Install a partition: messages across groups are dropped."""
-        self._partitions = [set(group) for group in groups]
-
-    def heal_partition(self) -> None:
-        """Remove any installed partition."""
-        self._partitions = []
-
-    def _partitioned(self, sender: str, recipient: str) -> bool:
-        if not self._partitions:
-            return False
-        for group in self._partitions:
-            if sender in group and recipient in group:
-                return False
-        return True
-
     # ------------------------------------------------------------------ #
     # Delivery
     # ------------------------------------------------------------------ #
@@ -168,7 +122,7 @@ class Network:
         self._taps.append(tap)
 
     def send(self, message: Message) -> None:
-        """Send a message; it is delivered after the latency model's delay."""
+        """Send a message; it is delivered after the network's delay."""
         now = message.sent_at = self.engine.now
         metrics = self.metrics
         metrics.increment("network.messages_sent")
@@ -178,40 +132,26 @@ class Network:
                 tap(message)
         if message.sender in self._crashed:
             metrics.increment("network.messages_dropped")
-            return
-        if self.loss_rate and self._loss_rng.random() < self.loss_rate:
-            metrics.increment("network.messages_lost")
-            return
-        if self._partitions and self._partitioned(message.sender,
-                                                  message.recipient):
-            metrics.increment("network.messages_partitioned")
-            return
-        latency = self.latency
-        if not self.loss_rate and type(latency) is FixedLatency:
-            self._enqueue_round(now + latency.delay, [message])
+        elif self.pipeline is None:
+            self._enqueue_round(now + self.delay, [message])
         else:
-            self.engine.schedule(latency.sample(),
-                                 lambda: self._deliver(message))
+            self._schedule_decided([message])
 
     def send_many(self, sender: str, recipients: Sequence[str], kind: str,
                   payload: Dict[str, Any]) -> None:
         """Send one ``kind`` message from ``sender`` to each of ``recipients``.
 
         Every envelope shares ``payload``; receivers treat it as read-only.
-        The per-message bookkeeping (taps, crash/loss/partition filtering,
-        latency sampling) is that of one :meth:`send` per recipient, but the
-        fan-out is accounted once and scheduled as a whole.
+        The per-message bookkeeping (taps, crashed-sender drops, the
+        pipeline's verdict) is that of one :meth:`send` per recipient, but
+        the fan-out is accounted once and scheduled as a whole.
 
-        Ordering note: on a lossless fixed-latency network the fan-out joins
-        the per-round delivery queue of its instant, like every other
-        message :meth:`send` puts in flight there, so same-instant
-        deliveries run in send order as one engine entry.  That merge is
-        outcome-neutral exactly because no per-message randomness exists to
-        reorder; as soon as the network consumes RNG at send time
-        (``loss_rate > 0``, or a sampling latency model), the fan-out gets
-        one engine entry per delay it samples instead, which preserves the
-        per-message global delivery order — and therefore the RNG draw
-        order — bit for bit.
+        Ordering note: without a pipeline the fan-out joins the per-round
+        delivery queue of its instant, like every other message :meth:`send`
+        puts in flight there, so same-instant deliveries run in send order
+        as one engine entry.  With one, the fan-out gets one engine entry per
+        delay its verdicts give, which keeps the per-message global delivery
+        order bit for bit.
         """
         if not recipients:
             return
@@ -221,46 +161,39 @@ class Network:
         metrics = self.metrics
         metrics.increment("network.messages_sent", len(messages))
         metrics.increment(_kind_counter(kind), len(messages))
-        if (not self._taps and sender not in self._crashed
-                and not self.loss_rate and not self._partitions):
-            # Fast path: nothing can filter the batch.
-            deliverable = messages
-        else:
-            dropped = lost = partitioned = 0
-            deliverable = []
+        if self._taps:
             for message in messages:
                 for tap in self._taps:
                     tap(message)
-                if sender in self._crashed:
-                    dropped += 1
-                elif self.loss_rate and self._loss_rng.random() < self.loss_rate:
-                    lost += 1
-                elif self._partitions and self._partitioned(sender,
-                                                            message.recipient):
-                    partitioned += 1
-                else:
-                    deliverable.append(message)
-            if dropped:
-                metrics.increment("network.messages_dropped", dropped)
-            if lost:
-                metrics.increment("network.messages_lost", lost)
-            if partitioned:
-                metrics.increment("network.messages_partitioned", partitioned)
-            if not deliverable:
-                return
-        latency = self.latency
-        if not self.loss_rate and type(latency) is FixedLatency:
-            # No send-time randomness anywhere: merging same-instant
-            # fan-outs into one round entry cannot change outcomes.
-            self._enqueue_round(now + latency.delay, deliverable)
-            return
-        # Loss draws or latency samples happen at send time, so handler
-        # execution order must match per-message scheduling exactly: one
-        # entry per sampled delay (a FixedLatency samples one, drawing
-        # nothing), ordered among all others by sequence number.
+        if sender in self._crashed:
+            metrics.increment("network.messages_dropped", len(messages))
+        elif self.pipeline is None:
+            self._enqueue_round(now + self.delay, messages)
+        else:
+            self._schedule_decided(messages)
+
+    def _schedule_decided(self, messages: List[Message]) -> None:
+        """Schedule ``messages`` by the pipeline's verdict on each.
+
+        A dropped message counts under ``network.messages_<reason>``
+        (``lost``, ``partitioned`` or ``drop_first``).  A delivered one is
+        due after the network's delay plus the verdict's, one engine entry
+        per distinct delay, ordered among all others by sequence number.  A
+        duplicated one is counted and delivered once: the receiver's de-dup
+        guard would drop the copy, as it does on ``drtree:net``.
+        """
+        decide = self.pipeline.decide
+        metrics = self.metrics
         groups: Dict[float, List[Message]] = {}
-        for message in deliverable:
-            groups.setdefault(latency.sample(), []).append(message)
+        for message in messages:
+            decision = decide(message.sender, message.recipient,
+                              message.sent_at)
+            if decision.drop is not None:
+                metrics.increment(f"network.messages_{decision.drop}")
+                continue
+            if decision.copies > 1:
+                metrics.increment("network.messages_duplicated")
+            groups.setdefault(self.delay + decision.delay, []).append(message)
         for delay, group in groups.items():
             self.engine.schedule(
                 delay,
@@ -271,7 +204,7 @@ class Network:
     def _enqueue_round(self, time: float, messages: List[Message]) -> None:
         """Append ``messages`` to the per-round delivery queue at ``time``.
 
-        Every message of a lossless ``FixedLatency`` network — a single
+        Every message of a network without a pipeline — a single
         :meth:`send` or a :meth:`send_many` fan-out — arrives here after the
         per-message rules ran, so a transport that delivers elsewhere (a
         shard's cross-shard capture, the real-socket runtime) overrides this
@@ -294,14 +227,6 @@ class Network:
         """Deliver every message queued for the round at ``time``."""
         messages, _ = self._rounds.pop(time)
         self._deliver_many(messages)
-
-    def _deliver(self, message: Message) -> None:
-        recipient = self._processes.get(message.recipient)
-        if recipient is None or message.recipient in self._crashed:
-            self.metrics.increment("network.messages_dropped")
-            return
-        self.metrics.increment("network.messages_delivered")
-        recipient.handle_message(message)
 
     def _deliver_many(self, messages: List[Message]) -> None:
         """Deliver one batch, dropping each envelope as it is handled.

@@ -382,7 +382,6 @@ class ShardedSimulation:
         self._shard_now: Dict[int, float] = {}
         #: The last root seen: joins are created on its shard.
         self._root_id: Optional[str] = None
-        self._plan = None
         self._closed = False
         self._finalizer = weakref.finalize(self, _stop_shards, self._shards)
         _LIVE_SIMULATIONS.add(self)
@@ -651,7 +650,6 @@ class ShardedSimulation:
         for sub in subs:
             self.peers[sub.name] = ShardPeerHandle(sub.name,
                                                    plan.owner[sub.name])
-        self._plan = plan
         self._root_id = layout.root_id
 
     def add_peer(self, subscription: Subscription,
@@ -847,8 +845,7 @@ class ShardedSimulation:
         Each worker snapshots its whole local simulation (`cmd_snapshot`)
         after applying its pending oracle changes, so no oracle mail is
         left to save; the coordinator adds everything it owns — handles,
-        owner map, per-shard metric mirrors, the partition plan and the
-        global clock.
+        owner map, per-shard metric mirrors and the global clock.
         """
         blobs = self._broadcast(("snapshot",))
         return {
@@ -863,7 +860,6 @@ class ShardedSimulation:
             "shard_deliveries": dict(self.shard_deliveries),
             "owner": dict(self._owner),
             "root_id": self._root_id,
-            "plan": self._plan,
             "blobs": blobs,
         }
 
@@ -874,7 +870,7 @@ class ShardedSimulation:
         (the facade rebuilt it from the same spec); worker processes are
         spawned as needed and each receives its shard's snapshot blob.
         The facade's :func:`repro.snapshot.load` has checked the keys (an
-        older payload's ``multi`` and ``height`` are ignored).  The
+        older payload's ``multi``, ``height`` and ``plan`` are ignored).  The
         coordinator adopts the payload only once every worker has loaded
         its blob: on a refusal it stops the workers, which held nothing
         but the restore, and is as fresh as before.
@@ -904,7 +900,6 @@ class ShardedSimulation:
         self.peers = state["peers"]
         self._owner = dict(state["owner"])
         self._root_id = state["root_id"]
-        self._plan = state["plan"]
         self.engine.now = float(state["now"])
         self.shard_metrics = state["shard_metrics"]
         self.shard_deliveries = dict(state["shard_deliveries"])

@@ -49,7 +49,7 @@ from repro.overlay.oracle import ContactOracle
 from repro.sim.engine import SimulationStalledError
 from repro.sim.failures import MemoryCorruptor
 from repro.sim.messages import Message
-from repro.sim.network import FixedLatency, Network
+from repro.sim.network import Network
 from repro.spatial.filters import Event, Subscription
 
 #: One captured cross-shard message: (delivery time, destination shard, msg).
@@ -154,12 +154,11 @@ class ShardNetwork(Network):
     ``owner`` maps peer ids to shard ids.  Every peer enters it when it is
     created (the bulk wiring or a join's ``set_owner``); recipients not in
     it are treated as local: a one-shard snapshot of an older coordinator
-    restores with an empty map.  The network is lossless with a
-    ``FixedLatency``, so every message reaches :meth:`_enqueue_round`, the
-    override point, which runs *after* the base class has applied every
-    per-message rule — taps, crashed-sender drops, partitions, counters —
-    so a cross-shard send is accounted exactly like a local one and only
-    its delivery is remoted.
+    restores with an empty map.  The network has no condition pipeline, so
+    every message reaches :meth:`_enqueue_round`, the override point, which
+    runs *after* the base class has applied every per-message rule — taps,
+    crashed-sender drops, counters — so a cross-shard send is accounted
+    exactly like a local one and only its delivery is remoted.
     """
 
     def __init__(self, shard_id: int, **kwargs: Any) -> None:
@@ -173,8 +172,8 @@ class ShardNetwork(Network):
     def _enqueue_round(self, time: float, messages: List[Message]) -> None:
         """Split messages joining a round between local delivery and capture.
 
-        A shard network is lossless and ``FixedLatency``, so every message
-        it sends — a single :meth:`send` or a ``send_many`` fan-out —
+        A shard network has no condition pipeline, so every message it
+        sends — a single :meth:`send` or a ``send_many`` fan-out —
         funnels through this hook; the base class's per-delay entries are
         unreachable.  Captured messages are stamped with the round's
         delivery instant.
@@ -193,7 +192,7 @@ class ShardNetwork(Network):
     def inject(self, time: float, message: Message) -> None:
         """Deliver a message captured by another shard at its stamped time."""
         self.metrics.increment("shard.messages_in")
-        self.engine.schedule_at(time, lambda: self._deliver(message))
+        self.engine.schedule_at(time, lambda: self._deliver_many([message]))
 
     def flush_outbound(self) -> List[RemoteSend]:
         """Hand over (and clear) the captured cross-shard sends."""
@@ -236,9 +235,8 @@ class ShardRuntime:
         self.net = ShardNetwork(
             shard_id,
             engine=self.sim.engine,
-            latency=FixedLatency(self.sim.config.message_latency),
+            delay=self.sim.config.message_latency,
             metrics=self.sim.metrics,
-            streams=self.sim.streams,
         )
         self.sim.network = self.net
         self.sim.corruptor = MemoryCorruptor(self.net, self.sim.streams)

@@ -14,8 +14,12 @@ journal on disk, and a pickle that may name any global may run any code
 (``builtins.getattr`` reaches ``__globals__``; some ``repro`` constructors
 open files, sockets or processes).
 
-Two older layouts still read, each as the current one, through converters
-that the reader admits beside :data:`ALLOWED`.  A blob marked ``RSNAP\\x01``
+Older layouts still read, each as the current one, through converters
+that the reader admits beside :data:`ALLOWED`.  A blob marked ``RSNAP\\x02``
+may have been written while networks held a latency model, a loss rate, its
+RNG stream and group partitions, and sharded payloads a partition plan
+(:func:`_v2_globals` keeps the delay and drops the rest; on a current blob
+its converters change nothing).  A blob marked ``RSNAP\\x01``
 carries no digest, and its engines and peers hold the fields of the
 engine's second queue and of the simulated periodic timers
 (:func:`_v1_globals` drops them).  A blob without a marker was written
@@ -35,6 +39,7 @@ import functools
 import hashlib
 import io
 import pickle
+import types
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
@@ -63,7 +68,6 @@ ALLOWED = frozenset({
     ("repro.baselines.per_dimension", "PerDimensionOverlay"),
     ("repro.overlay.builder", "DRTreeSimulation"),
     ("repro.overlay.config", "DRTreeConfig"),
-    ("repro.overlay.layout", "ShardPlan"),
     ("repro.overlay.oracle", "ContactOracle"),
     ("repro.overlay.peer", "DRTreePeer"),
     ("repro.overlay.state", "ChildInfo"),
@@ -80,7 +84,6 @@ ALLOWED = frozenset({
     ("repro.sim.failures", "MemoryCorruptor"),
     ("repro.sim.metrics", "Histogram"),
     ("repro.sim.metrics", "MetricsRegistry"),
-    ("repro.sim.network", "FixedLatency"),
     ("repro.sim.network", "Network"),
     ("repro.sim.rng", "RandomStreams"),
     ("repro.sim.sharded.coordinator", "ShardPeerHandle"),
@@ -102,10 +105,11 @@ _KEYS = {
 }
 
 #: Keys of the sharded simulation's state inside a ``pubsub`` payload
-#: (older payloads also carry ``multi`` and ``height``, read as extras).
+#: (older payloads also carry ``multi``, ``height`` and ``plan``, read as
+#: extras).
 _SHARDED_KEYS = {"kind", "seed", "now", "config", "streams", "metrics",
                  "peers", "shard_metrics", "shard_deliveries", "owner",
-                 "root_id", "plan", "blobs"}
+                 "root_id", "blobs"}
 
 
 def dump(payload: Dict[str, Any]) -> bytes:
@@ -132,7 +136,7 @@ def load(blob: bytes, kind: str,
         if hashlib.sha256(data).digest() != body[:_DIGEST_SIZE]:
             raise SnapshotStateError(
                 "snapshot blob does not match its digest: it is damaged")
-        converters: Dict[tuple, Any] = {}
+        converters = _v2_globals()
     elif blob.startswith(MAGIC_V1):
         data, converters = memoryview(blob)[len(MAGIC_V1):], _v1_globals()
     else:
@@ -221,6 +225,25 @@ class _Reader(pickle.Unpickler):
 
 
 @functools.lru_cache(maxsize=None)
+def _v2_globals() -> Dict[tuple, Any]:
+    """What a global of an ``RSNAP\\x02`` blob is read as, beside the
+    :data:`ALLOWED` ones."""
+    from repro.overlay.layout import ShardPlan
+    from repro.sim.network import Network
+    from repro.sim.sharded.worker import ShardNetwork
+
+    return {
+        # A latency model: the network's converter keeps its delay.
+        ("repro.sim.network", "FixedLatency"): types.SimpleNamespace,
+        ("repro.overlay.layout", "ShardPlan"): ShardPlan,
+        ("repro.sim.network", "Network"): _converting(Network,
+                                                      _v2_network_state),
+        ("repro.sim.sharded.worker", "ShardNetwork"): _converting(
+            ShardNetwork, _v2_network_state),
+    }
+
+
+@functools.lru_cache(maxsize=None)
 def _v1_globals() -> Dict[tuple, Any]:
     """What a global of an ``RSNAP\\x01`` blob is read as, beside the
     :data:`ALLOWED` ones."""
@@ -228,6 +251,7 @@ def _v1_globals() -> Dict[tuple, Any]:
     from repro.sim.engine import SimulationEngine
 
     return {
+        **_v2_globals(),
         ("repro.sim.engine", "SimulationEngine"): _converting(
             SimulationEngine, _engine_state),
         ("repro.overlay.peer", "DRTreePeer"): _converting(DRTreePeer,
@@ -349,9 +373,24 @@ def _peer_state(state: Dict[str, Any]) -> None:
     state["seen_events"] = {}
 
 
+def _v2_network_state(state: Dict[str, Any]) -> None:
+    # Networks held a latency model, a loss rate with its RNG stream and
+    # group partitions.  No broker gave one loss or a partition.
+    latency = state.pop("latency", None)
+    if latency is not None:
+        state["delay"] = latency.delay
+    if state.pop("loss_rate", 0.0) or state.pop("_partitions", None):
+        raise pickle.UnpicklingError(
+            "snapshot holds a lossy or partitioned network")
+    state.pop("_loss_rng", None)
+    state.pop("_streams", None)
+    state.setdefault("pipeline", None)
+
+
 def _network_state(state: Dict[str, Any]) -> None:
     # Networks pickled an envelope free list and the flag that chose between
     # two schedulers, and held no reception tables.
+    _v2_network_state(state)
     state.pop("pool", None)
     state.pop("batch", None)
     state.setdefault("_held_receptions", [])

@@ -1,4 +1,4 @@
-"""Workload generation: subscriptions, events, churn traces.
+"""Workload generation: subscriptions, events and synthesized streams.
 
 The paper's quantitative claims ("false positive rate in the order of 2-3 %
 with most workloads", logarithmic heights/latencies) are evaluated in a
@@ -9,8 +9,6 @@ provides synthetic equivalents that exercise the same code paths:
   containment-chain subscription generators over a unit square,
 * :mod:`~repro.workloads.events` — uniform and hot-spot (biased) event
   streams,
-* :mod:`~repro.workloads.churn` — Poisson join/leave traces (re-exported from
-  :mod:`repro.sim.churn`),
 * :mod:`~repro.workloads.paper_example` — a concrete reconstruction of the
   running example of Figure 1 (subscriptions S1..S8 and events a..d),
 * :mod:`~repro.workloads.synth` — streamed production-scale workload

@@ -102,9 +102,10 @@ def record_sim_deliveries(sim) -> RecordingAccounting:
 class PerMessageNetwork(Network):
     """The reference scheduler: a fan-out is one ``send`` per recipient.
 
-    Under loss or a sampling latency model each of those sends gets its own
-    engine entry, so this fixes the per-message delivery order — and the
-    loss-RNG draw order — that ``Network.send_many`` must reproduce.
+    Under a non-transparent condition spec (loss, a sampling latency) each
+    of those sends asks the pipeline for its verdict and gets its own engine
+    entry, so this fixes the per-message delivery order — and each link's
+    draw order — that ``Network.send_many`` must reproduce.
     """
 
     def send_many(self, sender, recipients, kind, payload) -> None:

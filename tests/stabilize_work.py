@@ -15,14 +15,17 @@ one shard over ``pipe`` on a 200-peer population built by joins, and two
 shards ``inline`` on the 600-peer bulk load.  Their counters are printed
 without the ``shard.*`` transport counters.
 
-Those legs run lossless with a fixed latency, where every message
-joins a per-round queue.  Two more legs drive the scheduling paths that
-draw randomness at send time, on a bulk-loaded 600-peer
-``DRTreeSimulation``: one at ``loss_rate=0.05``, one with a
-``UniformLatency(0.5, 1.5)`` network.  Each crashes two peers, stabilizes,
-makes one leave, stabilizes, then publishes a fixed ``targeted_events``
-stream, and prints each report's ``summary()``, a digest of the deliveries
-in the order they happened and every counter.
+Those legs run without network conditions, where every message joins a
+per-round queue.  Two more legs drive the path where the network's
+condition pipeline decides every message, drawing from one RNG stream per
+link, on a bulk-loaded 600-peer ``DRTreeSimulation``: one under
+``loss=0.05``, one under ``latency=uniform:0:1`` (each message takes the
+network's delay of 1 plus a uniform draw from ``[0, 1]``).  Each crashes
+two peers, stabilizes, makes one leave, stabilizes, then publishes a fixed
+``targeted_events`` stream, and prints each report's ``summary()``, a
+digest of the deliveries in the order they happened and every counter.
+``tests/test_overlay_stabilization.py`` pins that the lossy leg's repairs
+(:func:`repaired` under :data:`LOSSY`) do not yet end legal.
 
 The output is deterministic: two commits that do the same work print the
 same bytes.  CI runs it against the source trees of HEAD and of its parent
@@ -40,14 +43,17 @@ import hashlib
 from repro.analysis.digests import delivered_digest
 from repro.api import SystemSpec
 from repro.overlay.builder import DRTreeSimulation
-from repro.sim.network import UniformLatency
 from repro.workloads import uniform_subscriptions
 from repro.workloads.events import targeted_events
 
 SEED = 1
 EVENTS = 200
-#: Events published by each leg that draws randomness at send time.
+#: Events published by each leg whose network has conditions.
 RANDOM_LEG_EVENTS = 100
+#: The lossy leg's conditions.
+LOSSY = "loss=0.05"
+#: The population of the legs whose network has conditions.
+RANDOM_LEG_POPULATION = uniform_subscriptions(600, seed=SEED)
 
 
 def print_counters(simulation) -> None:
@@ -104,22 +110,15 @@ def run(backend: str, publish: bool, peers: int = 600,
     getattr(simulation, "close", lambda: None)()
 
 
-def run_random(name: str, loss_rate: float, uniform: bool) -> None:
-    """One leg whose network draws at send time (loss or latency)."""
-    print(f"== DRTreeSimulation, {name}")
-    population = uniform_subscriptions(600, seed=SEED)
-    subscriptions = list(population)
-    simulation = DRTreeSimulation(seed=SEED, loss_rate=loss_rate)
-    if uniform:
-        simulation.network.latency = UniformLatency(0.5, 1.5,
-                                                    simulation.streams)
+def repaired(conditions: str, listener=None):
+    """A bulk-loaded 600-peer simulation under ``conditions``, after two
+    crashes and a leave, each followed by ``stabilize(max_rounds=50)``.
+
+    Returns the simulation and the two reports.
+    """
+    subscriptions = list(RANDOM_LEG_POPULATION)
+    simulation = DRTreeSimulation(seed=SEED, conditions=conditions)
     simulation.bulk_load(subscriptions)
-    deliveries = hashlib.sha256()
-
-    def listener(peer_id, event, matched, hops) -> None:
-        deliveries.update(
-            f"{peer_id} {event.event_id} {matched} {hops}\n".encode())
-
     for peer in simulation.peers.values():
         peer.delivery_listener = listener
     ranked = sorted(subscriptions, key=lambda sub: (-sub.rect.area(), sub.name))
@@ -129,8 +128,22 @@ def run_random(name: str, loss_rate: float, uniform: bool) -> None:
     reports.append(simulation.stabilize(max_rounds=50))
     simulation.leave(ranked[0].name)
     reports.append(simulation.stabilize(max_rounds=50))
-    events = targeted_events(population.space, subscriptions,
-                             RANDOM_LEG_EVENTS, seed=SEED)
+    return simulation, reports
+
+
+def run_random(conditions: str) -> None:
+    """One leg whose network decides every message through the pipeline."""
+    print(f"== DRTreeSimulation, {conditions}")
+    deliveries = hashlib.sha256()
+
+    def listener(peer_id, event, matched, hops) -> None:
+        deliveries.update(
+            f"{peer_id} {event.event_id} {matched} {hops}\n".encode())
+
+    simulation, reports = repaired(conditions, listener)
+    events = targeted_events(RANDOM_LEG_POPULATION.space,
+                             list(RANDOM_LEG_POPULATION), RANDOM_LEG_EVENTS,
+                             seed=SEED)
     for index, event in enumerate(events):
         live = simulation.live_peers()
         simulation.publish(live[index % len(live)].process_id, event)
@@ -148,8 +161,8 @@ def main() -> None:
         options={"shards": 1, "transport": "pipe"})
     run("drtree:sharded", publish=True,
         options={"shards": 2, "transport": "inline"})
-    run_random("loss_rate=0.05", loss_rate=0.05, uniform=False)
-    run_random("UniformLatency(0.5, 1.5)", loss_rate=0.0, uniform=True)
+    run_random(LOSSY)
+    run_random("latency=uniform:0:1")
 
 
 if __name__ == "__main__":

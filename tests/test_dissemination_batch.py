@@ -1,9 +1,9 @@
 """The one fan-out against a model of the paper's rule, and the round
 queues against per-message scheduling.
 
-Every engine runs one fan-out, and on a lossless ``FixedLatency`` network
-(``drtree:classic`` and ``drtree:batched`` are one such simulator) every
-message joins the per-round queue of its delivery instant.  A tree-walk
+Every engine runs one fan-out, and on a network without a condition
+pipeline (``drtree:classic`` and ``drtree:batched`` are one such simulator)
+every message joins the per-round queue of its delivery instant.  A tree-walk
 model of the paper's dissemination rule is the reference for *who* receives
 an event at *what* hop count.  Under loss each fan-out keeps its own engine
 entry, and a per-message reference network must then drop exactly the same
@@ -63,18 +63,18 @@ def test_batched_rounds_and_publishes_never_schedule_a_single_message(
     none gets an engine entry of its own."""
     system, publish = _built_batched_system()
     enqueued, single = [], []
-    enqueue, deliver = Network._enqueue_round, Network._deliver
+    enqueue, decided = Network._enqueue_round, Network._schedule_decided
 
     def spy_enqueue(self, time, messages):
         enqueued.extend(messages)
         return enqueue(self, time, messages)
 
-    def spy_deliver(self, message):
-        single.append(message)
-        return deliver(self, message)
+    def spy_decided(self, messages):
+        single.extend(messages)
+        return decided(self, messages)
 
     monkeypatch.setattr(Network, "_enqueue_round", spy_enqueue)
-    monkeypatch.setattr(Network, "_deliver", spy_deliver)
+    monkeypatch.setattr(Network, "_schedule_decided", spy_decided)
     metrics = system.simulation.metrics
     before = metrics.counter("network.messages_sent")
     system.simulation.run_round()
@@ -273,12 +273,12 @@ def _lossy_records(seed, size, loss, per_message, window=1):
     from repro.overlay.builder import DRTreeSimulation
 
     workload = uniform_subscriptions(size, seed=seed)
-    sim = DRTreeSimulation(seed=seed, loss_rate=loss)
+    sim = DRTreeSimulation(seed=seed, conditions={"loss": loss})
     if per_message:
         # Before any peer exists: peers bind to ``sim.network`` at creation.
         sim.network = PerMessageNetwork(
-            sim.engine, latency=sim.network.latency, metrics=sim.metrics,
-            loss_rate=loss, streams=sim.streams)
+            sim.engine, delay=sim.network.delay, metrics=sim.metrics,
+            conditions={"loss": loss}, streams=sim.streams)
     bootstrap_overlay(sim, list(workload))
     sim.stabilize(max_rounds=50)
     records = []
@@ -310,7 +310,7 @@ def test_batched_equals_unbatched_under_message_loss(seed, loss, window):
     remote sends (fixed by flushing the pending batch at the local-descent
     boundary), then by merging same-instant fan-outs from different senders
     into one round entry (fixed by keeping one entry per fan-out whenever
-    the network consumes RNG at send time).
+    the network has a condition pipeline).
     """
     reference = _lossy_records(seed, 70, loss, per_message=True,
                                window=window)

@@ -540,3 +540,27 @@ def test_cli_journal_flag_conflicts(tmp_path, capsys):
     assert main([*CLI_ARGS, "--snapshot-every", "5"]) == 2
     assert "--snapshot-every only applies with --journal" \
         in capsys.readouterr().err
+
+
+def test_a_killed_run_that_never_exits_raises_with_its_pid():
+    """The crash-recovery scenario waits a bounded time for the process it
+    killed; past the deadline it names the process instead of hanging."""
+    import subprocess
+
+    from repro.experiments.exp_crash_recovery import (UnreapedProcessError,
+                                                      _kill_and_reap)
+
+    class Unkillable:
+        pid = 4242
+        signals = []
+
+        def send_signal(self, signum):
+            self.signals.append(signum)
+
+        def wait(self, timeout=None):
+            assert timeout, "an unbounded wait"
+            raise subprocess.TimeoutExpired("repro", timeout)
+
+    with pytest.raises(UnreapedProcessError, match="process 4242 "):
+        _kill_and_reap(Unkillable())
+    assert Unkillable.signals

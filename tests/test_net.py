@@ -439,16 +439,16 @@ def test_net_delivers_byte_identical_to_classic():
 
 
 def test_net_messages_never_reach_the_simulated_round_queues(monkeypatch):
-    """``NetNetwork`` is lossless with a ``FixedLatency``, so every message
+    """``NetNetwork`` has no condition pipeline of its own, so every message
     — a single send or a fan-out — reaches its one ``_enqueue_round``
     override, which hands it to the runtime: none reaches the base class's
     round queues, and none is delivered by the simulated network (its
     per-delay entries, were one scheduled on the clock, would run
-    ``_deliver`` or ``_deliver_many``)."""
+    ``_deliver_many``)."""
     from repro.sim.network import Network
 
     scheduled, enqueued = [], []
-    for name in ("_enqueue_round", "_deliver", "_deliver_many"):
+    for name in ("_enqueue_round", "_deliver_many"):
         monkeypatch.setattr(Network, name,
                             lambda self, *args, name=name:
                             scheduled.append((name, args)))

@@ -1,4 +1,4 @@
-"""Deterministic network-condition injection (``repro.net.conditions``).
+"""Deterministic network-condition injection (``repro.sim.conditions``).
 
 Covers the spec forms (mapping / compact string / round-trip), the pure
 per-link decision pipeline (hypothesis: same seed + same spec ⇒
@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from repro.analysis import digests
 from repro.api import SystemSpec
 from repro.net import (ConditionPipeline, ConditionSpecError, NetConditions,
-                       NetError, NetTimeoutError, PartitionWindow)
-from repro.net.conditions import LATENCY_MODELS, LOSS_MODELS
+                       NetTimeoutError, PartitionWindow)
 from repro.runtime.registry import load_scenarios
+from repro.sim import conditions
+from repro.sim.conditions import LATENCY_MODELS, LOSS_MODELS
 from repro.sim.rng import RandomStreams
 from repro.workloads.events import targeted_events
 from repro.workloads.subscriptions import uniform_subscriptions
@@ -92,9 +93,10 @@ def test_malformed_strings_raise_condition_spec_error(bad):
         NetConditions.parse(bad)
 
 
-def test_condition_spec_error_is_net_error_and_value_error():
-    """Engine-option validation reports it through the ValueError path."""
-    assert issubclass(ConditionSpecError, NetError)
+def test_condition_spec_error_is_a_value_error():
+    """Engine-option validation reports it through the ValueError path.
+    Both clocks raise the one class: ``repro.net`` re-exports it."""
+    assert ConditionSpecError is conditions.ConditionSpecError
     assert issubclass(ConditionSpecError, ValueError)
 
 

@@ -22,7 +22,6 @@ import repro
 from repro import snapshot
 from repro.api.spec import SystemSpec
 from repro.overlay.config import DRTreeConfig
-from repro.sim.network import FixedLatency
 from repro.sim.sharded import (ShardedSimulation, ShardFailedError,
                                shm_available)
 from repro.sim.sharded.shm import leaked_segments
@@ -86,16 +85,16 @@ def test_terminate_with_a_command_outstanding(workload, transport):
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_shard_workers_always_run_the_batched_network(transport):
-    """No option chooses a shard's scheduler: its network is lossless with a
-    ``FixedLatency``, so every message joins the per-round queues."""
+    """No option chooses a shard's scheduler: its network has no condition
+    pipeline, so every message joins the per-round queues."""
     with ShardedSimulation(config=CONFIG, seed=3, shards=2,
                            transport=transport) as sim:
         sim._ensure_shards(1)
         # Any transport: the worker's own snapshot says so.
         blob = sim._rpc(0, ("snapshot",))
         network = snapshot.load(blob, "shard")["sim"].network
-        assert not network.loss_rate
-        assert type(network.latency) is FixedLatency
+        assert network.pipeline is None
+        assert network.delay == CONFIG.message_latency
         assert not hasattr(network, "batch")
         assert not hasattr(sim, "batch")
 

@@ -57,9 +57,10 @@ from tests.conftest import record_deliveries
 CONFIG = DRTreeConfig(min_children=2, max_children=4)
 
 #: The bulk-loaded base population every sequence starts from: just past
-#: the bulk threshold, so a bulk load partitions it (below it, every shard
-#: count delegates to one shard), and small enough that one hypothesis
-#: example (1 classic + 9 sharded runs) stays fast.
+#: the bulk threshold, so a bulk load partitions it (below it, peers are
+#: built by joins, each on the root's shard, so one shard holds them all),
+#: and small enough that one hypothesis example (1 classic + 9 sharded
+#: runs) stays fast.
 _WORKLOAD = uniform_subscriptions(BULK_THRESHOLD + 8, seed=13)
 SPACE = _WORKLOAD.space
 BASE_SUBS = list(_WORKLOAD)

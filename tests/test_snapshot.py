@@ -123,7 +123,8 @@ def test_an_ed024b5_snapshot_reads_as_the_one_queue_layout(name):
 def test_a_48ed7bf_one_shard_snapshot_finishes_the_stream_on_the_barrier(
         name):
     """The old one-shard payload restores onto the one regime; what the
-    restored broker writes no longer carries ``multi`` or ``height``."""
+    restored broker writes no longer carries ``multi``, ``height`` or the
+    partition ``plan``."""
     backend, options, _ = GOLDEN_48ED7BF[name]
     old = snapshot.load(golden(f"48ed7bf-{name}"), "pubsub", backend)["sim"]
     assert old["multi"] is False and len(old["blobs"]) == 1
@@ -133,9 +134,31 @@ def test_a_48ed7bf_one_shard_snapshot_finishes_the_stream_on_the_barrier(
     try:
         restored.restore(golden(f"48ed7bf-{name}"))
         new = snapshot.load(restored.snapshot(), "pubsub", backend)["sim"]
-        assert new.keys() == old.keys() - {"multi", "height"}
+        assert new.keys() == old.keys() - {"multi", "height", "plan"}
     finally:
         close(restored)
+
+
+#: Every golden DR-tree blob: all were written while networks held a
+#: ``FixedLatency``, a loss rate with its ``network.loss`` stream and group
+#: partitions.
+DRTREE_GOLDENS = ["classic", "batched", "sharded-2", "96aa8df-classic",
+                  "96aa8df-sharded-2", "ed024b5-classic",
+                  "ed024b5-sharded-2", "48ed7bf-sharded-1"]
+
+
+@pytest.mark.parametrize("name", DRTREE_GOLDENS)
+def test_an_old_networks_latency_model_reads_as_its_delay(name):
+    """Each restored network keeps the latency's delay, has no condition
+    pipeline, and holds none of the old fault fields."""
+    sim = snapshot.load(golden(name), "pubsub")["sim"]
+    sims = ([snapshot.load(shard, "shard")["sim"] for shard in sim["blobs"]]
+            if isinstance(sim, dict) else [sim])
+    for one in sims:
+        network = one.network
+        assert network.delay == 1.0 and network.pipeline is None
+        assert not vars(network).keys() & {
+            "latency", "loss_rate", "_loss_rng", "_partitions", "_streams"}
 
 
 def finishes_the_stream_as_if_uninterrupted(commit, name, row):
