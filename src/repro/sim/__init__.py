@@ -19,8 +19,8 @@ used to execute the protocol:
 * :mod:`~repro.sim.metrics` — counters, histograms and per-run registries,
 * :mod:`~repro.sim.rng` — named, seeded random streams for reproducibility,
 * :mod:`~repro.sim.sharded` — the multi-process simulator: one DR-tree
-  subtree per worker process, cross-shard messages over pipes with a
-  round-barrier merge (the ``drtree:sharded`` backend).
+  subtree per worker process, each running ahead to a conservative horizon,
+  cross-shard messages over pipes (the ``drtree:sharded`` backend).
 
 The substrate replaces the ``simpy``/``asyncio`` machinery the paper's
 authors would have used for their (unpublished) experimental harness; it is

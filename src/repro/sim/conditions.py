@@ -324,9 +324,13 @@ class NetConditions:
                 and not self.partitions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decision:
-    """The pipeline's verdict for one submitted frame."""
+    """The pipeline's verdict for one submitted frame.
+
+    Frozen: the verdicts whose fields are constant are shared module-level
+    instances, not one allocation per frame.
+    """
 
     #: Drop reason (``"drop_first"`` / ``"lost"`` / ``"partitioned"``), or
     #: ``None`` for delivery.
@@ -341,6 +345,13 @@ class Decision:
     def key(self) -> Tuple[Optional[str], float, int, bool]:
         """Comparable form used by the determinism property suite."""
         return (self.drop, self.delay, self.copies, self.reordered)
+
+
+#: The shared constant verdicts.
+_DROP_FIRST = Decision(drop="drop_first")
+_PARTITIONED = Decision(drop="partitioned")
+_LOST = Decision(drop="lost")
+_DELIVER = Decision()
 
 
 class _LinkState:
@@ -412,9 +423,10 @@ class ConditionPipeline:
     def _partitioned(self, sender: str, recipient: str,
                      now: float) -> bool:
         elapsed = now - self.origin
-        return any(window.active(elapsed)
-                   and window.separates(sender, recipient)
-                   for window in self.conditions.partitions)
+        for window in self.conditions.partitions:
+            if window.active(elapsed) and window.separates(sender, recipient):
+                return True
+        return False
 
     def decide(self, sender: str, recipient: str, now: float) -> Decision:
         """One verdict for the next frame on the ``sender→recipient`` link."""
@@ -422,7 +434,7 @@ class ConditionPipeline:
         link = self._link(sender, recipient)
         link.frames += 1
         if link.frames <= spec.drop_first:
-            return Decision(drop="drop_first")
+            return _DROP_FIRST
         # Fixed draw order regardless of the eventual verdict (see module
         # docstring): loss, latency, reorder, duplicate.
         lost = self._lost(link)
@@ -430,12 +442,14 @@ class ConditionPipeline:
         reordered = spec.reorder > 0.0 and link.rng.random() < spec.reorder
         duplicated = (spec.duplicate > 0.0
                       and link.rng.random() < spec.duplicate)
-        if self._partitioned(sender, recipient, now):
-            return Decision(drop="partitioned")
+        if spec.partitions and self._partitioned(sender, recipient, now):
+            return _PARTITIONED
         if lost:
-            return Decision(drop="lost")
+            return _LOST
         if reordered:
             delay += spec.reorder_window
+        elif delay == 0.0 and not duplicated:
+            return _DELIVER
         return Decision(drop=None, delay=delay,
                         copies=2 if duplicated else 1, reordered=reordered)
 

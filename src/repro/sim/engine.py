@@ -187,7 +187,7 @@ class SimulationEngine:
         stalled (a livelock or an unexpectedly heavy cascade); that is logged
         as a warning and raised as :class:`SimulationStalledError` so callers
         cannot mistake a truncated run for a converged one.  ``until`` stops
-        the run at that instant instead (a shard's round barrier); work left
+        the run at that instant instead (one instant of a sharded run); work left
         after it still counts as stalled once the cap is hit, because the
         cap is the budget of the caller's whole run.
         """
@@ -208,8 +208,8 @@ class SimulationEngine:
     def next_event_time(self) -> Optional[float]:
         """Absolute time of the earliest live entry (None when idle).
 
-        Public so external schedulers — the sharded simulator's round-barrier
-        coordinator — can ask "when does this engine next need to run"
+        Public so external schedulers — a sharded worker computing its
+        next pending instant — can ask "when does this engine next need to run"
         without executing anything.
         """
         queue = self._queue

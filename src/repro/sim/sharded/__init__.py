@@ -1,9 +1,10 @@
 """Sharded multi-process DR-tree simulation.
 
 Partitions the peer set across worker processes — one DR-tree subtree per
-shard, chosen at bulk-load time from the STR tiling — and exchanges
-cross-shard messages at round barriers over pickled pipes or shared-memory
-frame rings (:mod:`repro.sim.sharded.shm`, framed by :mod:`repro.wire`).
+shard, chosen at bulk-load time from the STR tiling — runs each shard ahead
+to a conservative horizon, and exchanges cross-shard messages over pickled
+pipes or shared-memory frame rings (:mod:`repro.sim.sharded.shm`, framed by
+:mod:`repro.wire`).
 Runs are deterministic.  For a bulk load and publishes, delivery metrics
 are byte-identical to the single-process ``drtree:classic`` engine on the
 same seed; after a join, a departure or a crash the repaired tree can be

@@ -8,15 +8,24 @@ worker processes, one DR-tree subtree per shard.
 One regime, one determinism story.  :meth:`bulk_load` lays the population
 out once, parent-side, and partitions it along the STR tiling, so each
 worker owns whole subtrees of the *one global layout*; a population built
-by joins lives on worker 0, next to the root.  Execution proceeds in
-lockstep rounds: the coordinator computes the earliest pending instant
-across all shards, delivers the cross-shard messages stamped for it, and
-advances every shard with work to exactly that instant.  Messages cross
-shards only with the (strictly positive) network latency, so no shard can
-observe an effect before its cause; and because a legal DR-tree delivers
-each event to each peer exactly once and stabilization refreshes are
-commutative, the per-instant interleaving across shards changes no delivery
-record, hop count or message counter of a bulk load, a publish or a join —
+by joins lives on worker 0, next to the root.  Execution is conservative
+lookahead (Chandy and Misra's distributed simulation): each exchange gives
+every shard with work a *horizon*, the earliest instant at which any other
+shard still has work (its engine's head, or a message held for it), and
+the shard runs instant by instant up to it, stopping early at the end of
+the first instant whose effects another shard must see.  Messages cross
+shards only with the (strictly positive) network latency, so nothing
+another shard does can reach a shard before its horizon; every forwarded
+message or oracle change is applied just before the receiver's first
+instant later than its stamp, in ``(instant, source shard)`` order — where
+and in what order a lockstep barrier over every instant would apply it —
+so no shard observes an effect before its cause or in another order than
+lockstep would give it.  A publish pays one exchange per cross-shard hop,
+not one per simulated instant; on one shard an operation settles in one
+exchange.  Because a legal DR-tree delivers each event to each peer exactly
+once and stabilization refreshes are commutative, the per-instant
+interleaving across shards changes no delivery record, hop count or message
+counter of a bulk load, a publish or a join —
 byte-identical to ``drtree:classic`` on the same seed, as the ``scale``
 scenario and the shard-parity tests assert.  A repair after a crash or a
 departure is the exception: orphans re-joining in one instant on several
@@ -35,11 +44,11 @@ coordinator merges them into a mailbox per other shard, and each shard
 applies its mailbox at the start of its next request, before any of its
 peers runs again.  Membership and root advertisements are per peer and only
 the peer's owning shard writes them, so they cannot conflict.  The root
-hint is the one shared entry: replies are merged in shard order, and the
-hint written by the highest shard id in an exchange wins (a shard that
-wrote the hint drops any hint already waiting in its own mailbox).  A
-remote change is visible one barrier later than on ``drtree:classic``,
-whose peers share one oracle object.
+hint is the one shared entry: of the hints written at one step, the highest
+shard id's wins (a shard skips a foreign hint stamped before its own last
+write).  A remote change is visible at the receiver's first instant after
+the one that made it, where ``drtree:classic``'s peers, sharing one oracle
+object, see it at once.
 
 Worker failures surface as typed errors instead of hangs:
 :class:`~repro.sim.sharded.errors.ShardFailedError` for dead workers,
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import atexit
 import logging
+import math
 import multiprocessing
 import os
 import weakref
@@ -72,7 +82,7 @@ from repro.sim.rng import RandomStreams
 from repro.sim.sharded import shm
 from repro.sim.sharded.errors import (ShardFailedError, ShardStalledError,
                                       ShardedUnsupportedError)
-from repro.sim.sharded.worker import (HINT, OracleChanges, ShardRuntime,
+from repro.sim.sharded.worker import (Packet, ShardRuntime,
                                       shard_worker_main,
                                       shm_shard_worker_main)
 from repro.spatial.filters import Event, Subscription
@@ -116,9 +126,9 @@ def resolve_transport(transport: str) -> str:
         transport = "process"
     return transport
 
-#: Global settle safety valve: more barriers than this in one settle means
+#: Global settle safety valve: more exchanges than this in one settle means
 #: the simulation is livelocked across shards.
-MAX_SETTLE_BARRIERS = 1_000_000
+MAX_SETTLE_EXCHANGES = 1_000_000
 
 #: The delivery bound of one settle: ``DRTreeSimulation.settle``'s default.
 SETTLE_EVENTS = 200_000
@@ -132,7 +142,7 @@ class ShardPeerHandle:
 
     Carries exactly what the facade and the scenarios touch: the peer id and
     the ``delivery_listener`` slot.  Deliveries recorded in the worker are
-    forwarded at round barriers and dispatched to the handle's listener.
+    forwarded with each reply and dispatched to the handle's listener.
     """
 
     __slots__ = ("process_id", "shard", "delivery_listener")
@@ -371,15 +381,18 @@ class ShardedSimulation:
         self._context = (_pick_context() if transport in ("process", "shm")
                          else None)
         self._owner: Dict[str, int] = {}
-        self._mailbox: Dict[int, List[Tuple[float, Any]]] = {}
-        #: shard id -> other shards' oracle changes it has not applied yet.
-        self._oracle_mail: Dict[int, OracleChanges] = {}
+        #: shard id -> packets of other shards' messages and oracle changes
+        #: not forwarded to it yet (it holds forwarded ones itself).
+        self._mailbox: Dict[int, List[Packet]] = {}
+        #: shard id -> its next pending instant, as of its last reply.
+        self._next_times: Dict[int, Optional[float]] = {}
+        #: Work injected at the global instant counts steps: the epoch
+        #: orders it after every run instant and earlier work at that time.
+        self._epoch = 0
         #: Shards whose peers hold reception records, and shards to tell,
         #: with their next command, that those records have settled.
         self._holding: Set[int] = set()
         self._settled: Set[int] = set()
-        self._next_times: Dict[int, Optional[float]] = {}
-        self._shard_now: Dict[int, float] = {}
         #: The last root seen: joins are created on its shard.
         self._root_id: Optional[str] = None
         self._closed = False
@@ -430,20 +443,24 @@ class ShardedSimulation:
             for value in values:
                 self.metrics.observe(name, value)
                 self.shard_metrics[shard_id].observe(name, value)
-        for time, destination, message in reply["out"]:
-            self._mailbox.setdefault(destination, []).append((time, message))
+        if "at" in reply:
+            # One step made every effect of a reply: one packet per shard
+            # that must see it.
+            instant, epoch = reply["at"]
+            changes = reply.get("oracle")
+            messages: Dict[int, List[Tuple[float, Any]]] = {}
+            for time, destination, message in reply["out"]:
+                messages.setdefault(destination, []).append((time, message))
+            for shard in self._shards:
+                other = shard.shard_id
+                if other != shard_id and (changes or other in messages):
+                    self._mailbox.setdefault(other, []).append(
+                        [instant, epoch, shard_id,
+                         messages.get(other, []), changes])
         if reply.get("receptions"):
             self._holding.add(shard_id)
         else:
             self._holding.discard(shard_id)
-        changes = reply.get("oracle")
-        if changes:
-            for shard in self._shards:
-                if shard.shard_id != shard_id:
-                    self._oracle_mail.setdefault(shard.shard_id,
-                                                 {}).update(changes)
-                elif HINT in changes:
-                    self._oracle_mail.get(shard_id, {}).pop(HINT, None)
         for peer_id, event, matched, hops in reply["deliveries"]:
             self.shard_deliveries[shard_id] += 1
             handle = self.peers.get(peer_id)
@@ -453,7 +470,7 @@ class ShardedSimulation:
             logging.getLogger(name).log(level, "[shard %d] %s", shard_id,
                                         text)
         self._next_times[shard_id] = reply["next"]
-        self._shard_now[shard_id] = reply["now"]
+        self.engine.now = max(self.engine.now, reply["now"])
         if not reply["ok"]:
             if reply["kind"] == "stalled":
                 raise ShardStalledError(shard_id, reply["error"])
@@ -496,17 +513,16 @@ class ShardedSimulation:
         Every command goes through here: send all, collect every reply,
         apply every flush, and only then raise the first routed error — so
         the pipes stay drained and no shard's deltas are lost because
-        another shard reported a failure.  A shard's pending oracle changes,
-        and the news that its reception records have settled, ride on its
-        command.
+        another shard reported a failure.  A shard's mail, and the news
+        that its reception records have settled, ride on its command.
         """
         self._check_open()
         sent: List[Any] = []
         failure = None
         for shard_id, command in requests:
-            mail = self._oracle_mail.pop(shard_id, None)
+            mail = self._mailbox.pop(shard_id, None)
             if mail:
-                command = ("oracle", mail) + command
+                command = ("mail", mail) + command
             if shard_id in self._settled:
                 self._settled.discard(shard_id)
                 command = ("settled",) + command
@@ -538,79 +554,80 @@ class ShardedSimulation:
         return self._exchange([(shard.shard_id, command)
                                for shard in self._shards])
 
-    def _advance(self, shards: List[Any], until: float, budget: int) -> int:
-        """Run ``shards`` to ``until`` with their mail; deliveries processed.
+    def _at(self) -> Tuple[Any, ...]:
+        """The prefix of work injected at the global instant: one new step."""
+        self._epoch += 1
+        return ("at", self.engine.now, self._epoch)
 
-        A shard that spends ``budget`` deliveries with work still queued
-        raises a :class:`ShardStalledError` carrying its own id.
-        """
-        return sum(self._exchange([
-            (shard.shard_id,
-             ("advance", until, self._mailbox.pop(shard.shard_id, []),
-              budget))
-            for shard in shards]))
+    def _pending(self, shard_id: int) -> Optional[float]:
+        """A shard's next pending instant, counting mail not forwarded yet."""
+        times = [time for packet in self._mailbox.get(shard_id, ())
+                 for time, _ in packet[3]]
+        if self._next_times.get(shard_id) is not None:
+            times.append(self._next_times[shard_id])
+        return min(times, default=None)
 
     # ------------------------------------------------------------------ #
-    # The round barrier
+    # Conservative lookahead
     # ------------------------------------------------------------------ #
 
-    def _sync_clocks(self) -> None:
-        """Bring every shard's local clock up to the global instant.
+    def _settle(self, max_events: int = SETTLE_EVENTS,
+                work: Optional[Dict[int, Tuple[Any, ...]]] = None,
+                side: Optional[Dict[int, Tuple[Any, ...]]] = None) -> None:
+        """Run every shard ahead to its horizon until no work remains.
 
-        Barriers only advance shards that have work, so an idle shard's
-        clock lags behind.  Before *new* work is injected at the global
-        instant — a publish, a stabilization round — lagging shards get an
-        empty ``advance`` to the global clock, so every shard issues the new
-        work (and stamps its messages) at exactly the time the
-        single-process simulator would have used.
-        """
-        now = self.engine.now
-        self._advance([shard for shard in self._shards
-                       if self._shard_now.get(shard.shard_id, 0.0) < now],
-                      now, SETTLE_EVENTS)
-
-    def _settle(self, max_events: int = SETTLE_EVENTS) -> None:
-        """Advance all shards in lockstep until no work remains anywhere.
+        ``work`` maps shard ids to commands injected at the global instant;
+        each rides on its shard's first exchange, which then runs on from
+        there.  ``side`` commands (no simulated effects) ride on that
+        exchange too.  A shard's horizon is the earliest pending instant of
+        any other shard — injected work counts as pending now — so only a
+        shard at the global minimum, or level with it, is sure to move.
 
         ``max_events`` bounds the total deliveries processed across all
         shards, mirroring the single-process ``settle``/``run_until_idle``
         cap (the default is the drain bound ``DRTreeSimulation.settle``
         uses after a join, leave, publish or stabilization round).  Each
-        barrier hands its shards what is left of it, so a shard that spends
+        exchange hands its shards what is left of it, so a shard that spends
         it with work queued raises a :class:`ShardStalledError` with its own
         id — on one shard, exactly where classic's settle stalls; several
         shards that only spend it together raise one with shard id -1 (like
-        a batch, a barrier executes atomically, so the count may overshoot
-        by at most one barrier).
+        a batch, an exchange executes atomically, so the count may overshoot
+        by at most one exchange).
         """
-        barriers = 0
-        processed_total = 0
+        work = dict(work or {})
+        side = dict(side or {})
+        at = self._at() if work else ()
+        processed = exchanges = 0
         while True:
-            candidates = [t for t in self._next_times.values()
-                          if t is not None]
-            candidates.extend(time for box in self._mailbox.values()
-                              for time, _ in box)
-            if not candidates:
+            pending = {shard.shard_id: self._pending(shard.shard_id)
+                       for shard in self._shards}
+            for shard_id in work:
+                pending[shard_id] = self.engine.now
+            if all(time is None for time in pending.values()):
                 break
-            if processed_total >= max_events:
+            if processed >= max_events:
                 raise ShardStalledError(
                     -1, f"simulation did not become idle within "
                         f"{max_events} deliveries")
-            target = min(candidates)
-            active = [
-                shard for shard in self._shards
-                if self._mailbox.get(shard.shard_id)
-                or (self._next_times.get(shard.shard_id) is not None
-                    and self._next_times[shard.shard_id] <= target)
-            ]
-            processed_total += self._advance(active, target,
-                                             max_events - processed_total)
-            self.engine.now = max(self.engine.now, target)
-            barriers += 1
-            if barriers > MAX_SETTLE_BARRIERS:  # pragma: no cover - valve
+            requests = []
+            for shard_id, time in pending.items():
+                horizon = min((other for other_id, other in pending.items()
+                               if other_id != shard_id and other is not None),
+                              default=math.inf)
+                run = ("run", horizon, max_events - processed)
+                if shard_id in work:
+                    requests.append((shard_id, at + run + work.pop(shard_id)))
+                elif time is not None and time <= horizon:
+                    requests.append((shard_id, run + side.pop(shard_id, ())))
+                elif shard_id in side:
+                    requests.append((shard_id, side.pop(shard_id)))
+            processed += sum(result or 0
+                             for result in self._exchange(requests))
+            exchanges += 1
+            if exchanges > MAX_SETTLE_EXCHANGES:  # pragma: no cover - valve
                 raise ShardStalledError(
-                    -1, f"global settle exceeded {MAX_SETTLE_BARRIERS} "
-                        "round barriers")
+                    -1, f"global settle exceeded {MAX_SETTLE_EXCHANGES} "
+                        "exchanges")
         # Nothing is in flight anywhere: every shard holding reception
         # records may forget them, which it does on its next command.
         self._settled |= self._holding
@@ -675,31 +692,28 @@ class ShardedSimulation:
             raise ValueError(f"duplicate peer id {name!r}")
         self._ensure_shards(1)
         target = self._owner.get(self._root_id or "", 0)
-        self._sync_clocks()
-        # Every shard must route messages to the joiner before any join
-        # traffic can cross a shard boundary.
-        self._broadcast(("set_owner", name, target))
-        self._rpc(target, ("add_peer", subscription))
         handle = ShardPeerHandle(name, target)
         self.peers[name] = handle
         self._owner[name] = target
-        self._settle()
+        # The other shards learn to route to the joiner in the exchange that
+        # starts the join, before any join traffic can reach them.
+        self._settle(work={target: ("add_peer", subscription)},
+                     side={shard.shard_id: ("set_owner", name, target)
+                           for shard in self._shards
+                           if shard.shard_id != target})
         return handle
 
     def leave(self, peer_id: str, settle: bool = True) -> None:
         """Controlled departure: the owning shard runs the leave protocol."""
         if peer_id not in self.peers:
             raise KeyError(peer_id)
-        self._sync_clocks()
-        self._rpc(self._owner[peer_id], ("leave", peer_id))
-        if settle:
-            self._settle()
+        self._inject(self._owner[peer_id], ("leave", peer_id), settle)
 
     def crash(self, peer_id: str) -> None:
         """Uncontrolled departure: the owning shard crashes the peer."""
         if peer_id not in self.peers:
             raise KeyError(peer_id)
-        self._rpc(self._owner[peer_id], ("crash", peer_id))
+        self._inject(self._owner[peer_id], ("crash", peer_id), settle=False)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -708,11 +722,18 @@ class ShardedSimulation:
     def publish(self, publisher_id: str, event: Event,
                 settle: bool = True) -> None:
         """Publish ``event`` from ``publisher_id``."""
-        self._sync_clocks()
-        self._rpc(self._owner[publisher_id],
-                  ("peer_publish", publisher_id, event))
+        self._inject(self._owner[publisher_id],
+                     ("peer_publish", publisher_id, event), settle)
+
+    def _inject(self, shard_id: int, command: Tuple[Any, ...],
+                settle: bool) -> None:
+        """Run ``command`` on one shard at the global instant, then settle
+        from that same exchange — or, unsettled, leave its effects in
+        flight (a throughput window)."""
         if settle:
-            self._settle()
+            self._settle(work={shard_id: command})
+        else:
+            self._rpc(shard_id, self._at() + command)
 
     def settle(self, max_events: int = SETTLE_EVENTS) -> None:
         """Deliver every in-flight message across all shards."""
@@ -730,9 +751,8 @@ class ShardedSimulation:
         fixpoint = StabilizeFixpoint(self._peer_views, verifier, max_rounds,
                                      self.metrics)
         for _ in fixpoint:
-            self._sync_clocks()
-            self._broadcast(("stab_round",))
-            self._settle()
+            self._settle(work={shard.shard_id: ("stab_round",)
+                               for shard in self._shards})
         report = fixpoint.report
         # Repairs can re-elect the root: route joins to the verified one.
         if report.root is not None:
@@ -836,8 +856,8 @@ class ShardedSimulation:
 
     def has_pending(self) -> bool:
         """True while any shard has queued work or cross-shard mail waits."""
-        return (any(t is not None for t in self._next_times.values())
-                or any(self._mailbox.values()))
+        return any(self._pending(shard.shard_id) is not None
+                   for shard in self._shards)
 
     def snapshot_state(self) -> Dict[str, Any]:
         """The picklable snapshot payload: parent state + per-shard blobs.
@@ -889,8 +909,8 @@ class ShardedSimulation:
         except Exception:
             _stop_shards(self._shards)
             for mirror in (self.shard_metrics, self.shard_deliveries,
-                           self._next_times, self._shard_now, self._mailbox,
-                           self._oracle_mail, self._holding, self._settled):
+                           self._next_times, self._mailbox, self._holding,
+                           self._settled):
                 mirror.clear()
             raise
         self.config = state["config"]

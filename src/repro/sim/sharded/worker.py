@@ -5,35 +5,57 @@ DRTreeSimulation` whose network is swapped for :class:`ShardNetwork`: sends
 to local peers behave exactly as in the single-process simulator, while
 sends to peers owned by another shard are captured — fully filtered and
 accounted, with their delivery time stamped — instead of being scheduled
-locally.  The coordinator collects those captured messages at each round
-barrier and injects them into their destination shard, where they are
-delivered at the stamped instant by the destination's own event loop.
+locally.  The coordinator forwards those captured messages to their
+destination shard, which holds them and delivers them at the stamped
+instant through its own event loop.
 
 Each worker's oracle is a :class:`ShardOracle`, one replica of the single
 contact oracle: it records the changes its peers make, and the flush ships
-them to the coordinator, which hands every other shard the merged changes
-with its next request.
+them to the coordinator, which forwards them to every other shard.
+
+**Runs and the hold queue.**  A worker runs its engine one instant at a
+time up to the *horizon* its command names (the earliest instant at which
+any other shard still has work), and stops early at the end of the first
+instant whose effects another shard must see: a captured message or an
+oracle change.  Every reply's effects therefore carry one stamp, the
+``(instant, epoch)`` of the step that made them — ``epoch`` 0 for a run
+instant, the coordinator's counter for work injected at the global instant
+(a publish, a join, a round), which comes after every run instant at the
+same time.  A receiving worker holds what it is forwarded and applies it
+just before its first instant *later* than the stamp, in
+``(instant, epoch, source shard)`` order, emission order within one
+packet; oracle changes also apply before injected work stamped after them.
+That is exactly where, and in what order, a lockstep barrier over every
+shard would have applied them, so a run changes no output.  The root hint
+is the one oracle entry several shards write: a foreign hint stamped
+before this shard's own last write is stale and skipped, so at one step
+the highest shard id wins.
 
 The command protocol is a strict request/response loop over one pipe: the
-parent sends ``(command, *args)`` tuples — prefixed with
-``("oracle", changes)`` when other shards changed the oracle since this
-shard's last request, and with ``("settled",)`` when a global settle has
-completed since this shard reported holding reception records — and the
-worker replies with a dict that always carries, besides the command's
-result, the *flush* — metric deltas since the previous reply, captured
-cross-shard messages, delivery records, forwarded log records, the local
-engine's next pending event time, (under ``oracle``, only when there are
-any) this shard's oracle changes and (``receptions``, only when true) that
-its peers hold reception records to forget once everything has settled.
-Errors never escape the loop: a
-:class:`~repro.sim.engine.SimulationStalledError` or any other exception is
-reported in the reply (with the flush of everything that happened up to the
-failure) and re-raised parent-side with the shard id attached.
+parent sends ``(command, *args)`` tuples, optionally prefixed, in this
+order, with ``("settled",)`` (a global settle has completed since this
+shard reported holding reception records), ``("mail", packets)`` (other
+shards' messages and oracle changes to hold), ``("at", instant, epoch)``
+(injected work: bring the clock to the global instant and stamp the work
+with it) and ``("run", horizon, budget)`` (after the command, run toward
+the horizon; the reply's result is the deliveries processed).  The worker
+replies with a dict that always carries, besides the command's result, the
+*flush* — metric deltas since the previous reply, captured cross-shard
+messages, delivery records, forwarded log records, the shard's next pending
+instant (its engine's head or a held message's delivery), its clock, and
+(``at``, ``oracle`` and ``receptions``, only when there are any) the stamp
+of its effects, its oracle changes and that its peers hold reception
+records to forget once everything has settled.  Errors never escape the
+loop: a :class:`~repro.sim.engine.SimulationStalledError` or any other
+exception is reported in the reply (with the flush of everything that
+happened up to the failure) and re-raised parent-side with the shard id
+attached.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import sys
 import traceback
@@ -54,6 +76,10 @@ from repro.spatial.filters import Event, Subscription
 
 #: One captured cross-shard message: (delivery time, destination shard, msg).
 RemoteSend = Tuple[float, int, Message]
+
+#: What one shard's reply hands another: ``[instant, epoch, source shard,
+#: [(delivery time, message), ...], oracle changes or None]``.
+Packet = list
 
 #: One forwarded delivery: (peer id, event, matched flag, hop count).
 DeliveryRecord = Tuple[str, Event, bool, int]
@@ -111,8 +137,9 @@ class ShardOracle(ContactOracle):
             self.changes["root", peer_id] = None
         super().withdraw_root(peer_id)
 
-    def apply(self, changes: OracleChanges) -> None:
-        """Install another shard's changes (each entry is a final value)."""
+    def apply(self, changes: OracleChanges, stale_hint: bool = False) -> None:
+        """Install another shard's changes (each entry is a final value);
+        a ``stale_hint`` is skipped."""
         for (kind, peer_id), value in changes.items():
             if kind == "member":
                 if value:
@@ -124,7 +151,7 @@ class ShardOracle(ContactOracle):
                     super().withdraw_root(peer_id)
                 else:
                     super().advertise_root(peer_id, value)
-            else:
+            elif not stale_hint:
                 super().set_root_hint(value)
 
     def owned_state(self, peer_ids) -> OracleChanges:
@@ -152,7 +179,7 @@ class ShardNetwork(Network):
     """A :class:`~repro.sim.network.Network` that diverts cross-shard sends.
 
     ``owner`` maps peer ids to shard ids.  Every peer enters it when it is
-    created (the bulk wiring or a join's ``set_owner``); recipients not in
+    created (bulk wiring, ``add_peer``, ``set_owner``); recipients not in
     it are treated as local: a one-shard snapshot of an older coordinator
     restores with an empty map.  The network has no condition pipeline, so
     every message reaches :meth:`_enqueue_round`, the override point, which
@@ -190,7 +217,7 @@ class ShardNetwork(Network):
             super()._enqueue_round(time, local)
 
     def inject(self, time: float, message: Message) -> None:
-        """Deliver a message captured by another shard at its stamped time."""
+        """Schedule another shard's captured message at its delivery time."""
         self.metrics.increment("shard.messages_in")
         self.engine.schedule_at(time, lambda: self._deliver_many([message]))
 
@@ -242,6 +269,13 @@ class ShardRuntime:
         self.sim.corruptor = MemoryCorruptor(self.net, self.sim.streams)
         _replicate_oracle(self.sim)
         self.deliveries: List[DeliveryRecord] = []
+        #: Other shards' packets not yet applied, in arrival order.
+        self.held: List[Packet] = []
+        #: The stamp of the step running now, which this shard's effects
+        #: carry, and the ``(instant, epoch, shard)`` of its last own root
+        #: hint write.
+        self._step: Tuple[float, int] = (0.0, 0)
+        self._hint_key: Optional[Tuple[float, int, int]] = None
         self._last_counters: Dict[str, float] = {}
         self._last_histograms: Dict[str, int] = {}
         self._log_capture: Optional[_LogCapture] = None
@@ -260,15 +294,28 @@ class ShardRuntime:
             # shard: their de-dup tables are spent.
             self.net.forget_receptions()
             command = command[1:]
-        if command[0] == "oracle":
-            # Other shards' oracle changes, applied before any peer runs.
-            self.sim.oracle.apply(command[1])
+        if command[0] == "mail":
+            self.held.extend(command[1])
             command = command[2:]
-        name, args = command[0], command[1:]
+        run = None
         try:
-            # Interned: the interpreter's attribute cache keeps the name
-            # it looked up, and a fresh string per command piled up there.
-            result = getattr(self, sys.intern(f"cmd_{name}"))(*args)
+            if command[0] == "at":
+                # Injected work: the clock catches up with the global
+                # instant (nothing here is due by then).
+                self.sim.engine.run(until=command[1])
+                self._begin((command[1], command[2]))
+                command = command[3:]
+            if command[0] == "run":
+                run, command = command[1:3], command[3:]
+            result = None
+            if command:
+                # Interned: the interpreter's attribute cache keeps the name
+                # it looked up, and a fresh string per command piled up
+                # there.
+                result = getattr(self, sys.intern(f"cmd_{command[0]}"))(
+                    *command[1:])
+            if run is not None:
+                result = self._run(*run)
             reply: Dict[str, Any] = {"ok": True, "result": result}
         except SimulationStalledError as exc:
             reply = {"ok": False, "kind": "stalled", "error": str(exc)}
@@ -303,13 +350,17 @@ class ShardRuntime:
             out=self.net.flush_outbound(),
             deliveries=self.deliveries,
             logs=(self._log_capture.drain() if self._log_capture else []),
-            next=self.sim.engine.next_event_time(),
+            next=self._next_instant(),
             now=self.sim.engine.now,
         )
         self.deliveries = []
         oracle = self.sim.oracle
         if oracle.changes:
+            if HINT in oracle.changes:
+                self._hint_key = self._step + (self.shard_id,)
             reply["oracle"], oracle.changes = oracle.changes, {}
+        if reply["out"] or "oracle" in reply:
+            reply["at"] = self._step
         if self.net.holds_receptions():
             reply["receptions"] = True
 
@@ -323,7 +374,65 @@ class ShardRuntime:
                                    self._collect_delivery)
 
     # ------------------------------------------------------------------ #
-    # Round-barrier commands
+    # Runs and the hold queue
+    # ------------------------------------------------------------------ #
+
+    def _next_instant(self) -> Optional[float]:
+        """The earliest pending instant: the engine's head or a held
+        message's delivery (``None`` when idle)."""
+        head = self.sim.engine.next_event_time()
+        for packet in self.held:
+            for delivery, _ in packet[3]:
+                if head is None or delivery < head:
+                    head = delivery
+        return head
+
+    def _begin(self, step: Tuple[float, int]) -> None:
+        """Start the step stamped ``step``: first apply every held packet
+        stamped before it — its oracle changes, and its messages when
+        stamped before the step's instant."""
+        if self.held:
+            instant = step[0]
+            due = sorted((packet for packet in self.held
+                          if (packet[0], packet[1]) < step),
+                         key=lambda packet: packet[:3])
+            for packet in due:
+                time, epoch, source, messages, changes = packet
+                if changes:
+                    self.sim.oracle.apply(
+                        changes, stale_hint=self._hint_key is not None
+                        and (time, epoch, source) < self._hint_key)
+                    packet[4] = None
+                if time < instant:
+                    for delivery, message in messages:
+                        self.net.inject(delivery, message)
+            self.held = [packet for packet in self.held
+                         if packet[0] >= instant]
+        self._step = step
+
+    def _run(self, horizon: float, budget: int) -> int:
+        """Run instant by instant up to ``horizon``; deliveries processed.
+
+        Stops early when the shard is idle or at the end of the first step
+        whose effects another shard must see (a captured message, an oracle
+        change) — the injected work's own step included.  ``budget`` is
+        what is left of the settle's delivery bound: spending it with work
+        still queued stalls the settle, which this shard reports (and logs)
+        as its own.
+        """
+        engine = self.sim.engine
+        processed = 0
+        while not (self.net.outbound or self.sim.oracle.changes):
+            instant = self._next_instant()
+            if instant is None or instant > horizon:
+                break
+            self._begin((instant, 0))
+            processed += engine.run_until_idle(max_events=budget - processed,
+                                               until=instant)
+        return processed
+
+    # ------------------------------------------------------------------ #
+    # Commands
     # ------------------------------------------------------------------ #
 
     def cmd_bulk_wire(self, subscriptions: List[Subscription],
@@ -344,8 +453,10 @@ class ShardRuntime:
         Settling is the coordinator's: the join's descents may cross
         shards.  The join protocol runs unmodified against this shard's
         oracle replica, which holds every other shard's changes up to this
-        request.
+        request; the other shards learn the new peer's owner in the same
+        exchange.
         """
+        self.net.owner[subscription.name] = self.shard_id
         self.sim.add_peer(subscription, settle=False)
         self._watch_new_peers()
 
@@ -385,19 +496,6 @@ class ShardRuntime:
         return [(peer.process_id, peer.top_level())
                 for peer in self.sim.live_peers() if peer.is_overlay_root()]
 
-    def cmd_advance(self, until: float,
-                    incoming: List[Tuple[float, Message]],
-                    budget: int) -> int:
-        """Inject cross-shard messages, then run the local engine to ``until``.
-
-        ``budget`` is what is left of the settle's delivery bound: spending
-        it with work still queued stalls the settle, which this shard
-        reports (and logs) as its own.
-        """
-        for time, message in incoming:
-            self.net.inject(time, message)
-        return self.sim.engine.run_until_idle(max_events=budget, until=until)
-
     # ------------------------------------------------------------------ #
     # Snapshot / restore (crash recovery)
     # ------------------------------------------------------------------ #
@@ -405,15 +503,21 @@ class ShardRuntime:
     def cmd_snapshot(self) -> bytes:
         """Snapshot this shard's whole simulation at quiescence.
 
-        The delivery forwarders are bound methods of this runtime (which
-        holds an unpicklable logging handler), so they are left out;
-        :meth:`cmd_restore` installs the receiving runtime's own.
+        Held oracle changes are applied first; a held message means the
+        shard is not quiescent.  The delivery forwarders are bound methods
+        of this runtime (which holds an unpicklable logging handler), so
+        they are left out; :meth:`cmd_restore` installs the receiving
+        runtime's own.
         """
         if self.sim.engine.has_pending():
             raise RuntimeError("shard engine is not idle; cannot snapshot")
         if self.net.outbound:
             raise RuntimeError("unflushed cross-shard messages; cannot "
                                "snapshot")
+        if any(packet[3] for packet in self.held):
+            raise RuntimeError("undelivered cross-shard messages are held; "
+                               "cannot snapshot")
+        self._begin((math.inf, 0))
         with snapshots.listeners_left_out(self.sim.peers.values()):
             return snapshots.dump({"kind": "shard", "sim": self.sim})
 
@@ -422,7 +526,9 @@ class ShardRuntime:
 
         The restored replica re-announces the oracle entries of its own
         peers and its hint, so replicas restored from blobs written before
-        the oracle was replicated agree again after one exchange.
+        the oracle was replicated agree again after one exchange.  The
+        announcement is stamped before any instant, so every replica
+        applies it before it runs, and the highest shard's hint wins.
         """
         sim = snapshots.load(blob, "shard")["sim"]
         oracle = _replicate_oracle(sim)
@@ -430,6 +536,8 @@ class ShardRuntime:
         self.sim = sim
         self.net = sim.network
         self.deliveries = []
+        self.held = []
+        self._step, self._hint_key = (-math.inf, 0), None
         self._watch_new_peers()
         # The restored registries already contain their pre-crash totals;
         # re-baseline the flush so this reply reports zero deltas instead of

@@ -23,19 +23,20 @@ classic's single event queue:
   ``stabilization.nacks`` counter (and, rarely, a JOIN retry) can move.
   Every delivery record and summary column still matches.
 * A repair after a crash or a departure: the orphans' re-joins race the
-  same way (and a remote oracle change is visible one barrier later), so
+  same way (and a remote oracle change is visible at the receiver's next
+  instant, not at once), so
   the repaired tree is legal but may be shaped differently; false
   positives, hops and message counters can move.  What must not move is
   *what* matching subscribers get: the same events, the same true
   deliveries, the same false negatives.
 
-One shard delegates to the single-process simulator and stays
-byte-identical on everything.
+One shard has one event queue, like classic, and stays byte-identical on
+everything.
 
 ``inline`` runs the shard command set with no channel at all, so it
 separates a barrier/partition bug from a transport one; the two *real*
 inter-process transports — pickled pipes and the shared-memory frame rings
-of :mod:`repro.sim.sharded.shm` — add the framing, batching and barrier
+of :mod:`repro.sim.sharded.shm` — add the framing, batching and exchange
 behavior that must be invisible.
 """
 

@@ -8,7 +8,7 @@ Covers the tentpole contracts of ``repro.sim.sharded``:
   byte for byte, on the inline, pipe (``process``) and shared-memory
   (``shm``) transports;
 * a population on one shard runs the *entire* facade surface (joins,
-  unsubscribes, crashes, moves) through the round barrier with outcomes
+  unsubscribes, crashes, moves) through the horizon rule with outcomes
   byte-identical to classic's, and on several shards post-bulk-load
   joins/leaves are routed to the root's or the owning shard with the same
   parity guarantee;
@@ -31,9 +31,11 @@ from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import (compute_layout, partition_layout,
                                   partition_members)
 from repro.sim.engine import SimulationStalledError
+from repro.sim.messages import Message
 from repro.sim.sharded import (ShardedSimulation, ShardedUnsupportedError,
                                ShardFailedError, ShardStalledError,
                                shm_available)
+from repro.sim.sharded.worker import HINT, ShardRuntime
 
 needs_shm = pytest.mark.skipif(not shm_available(),
                                reason="multiprocessing.shared_memory "
@@ -278,7 +280,8 @@ def test_multi_shard_membership_churn_matches_classic(bulk_workload,
     """Post-bulk-load joins and controlled leaves reproduce classic metrics.
 
     The joiner is created on the shard owning the current root, and every
-    oracle change reaches the other shards' replicas at the next barrier.
+    oracle change reaches the other shards' replicas before their next
+    instant after the one that made it.
     """
     space, subs, stream = bulk_workload
 
@@ -419,6 +422,134 @@ def test_invalid_transport_and_shard_count():
         ShardedSimulation(shards=2, transport="carrier-pigeon")
     with pytest.raises(ValueError, match="at least 1"):
         ShardedSimulation(shards=0)
+
+
+# --------------------------------------------------------------------------- #
+# Conservative lookahead: what an operation costs in exchanges
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    """Every ``_exchange`` call from here on, as its number of requests."""
+    calls = []
+    original = ShardedSimulation._exchange
+
+    def spy(self, requests):
+        calls.append(len(requests))
+        return original(self, requests)
+
+    monkeypatch.setattr(ShardedSimulation, "_exchange", spy)
+    return calls
+
+
+def test_one_shard_settles_an_operation_in_one_run(bulk_workload,
+                                                   exchanges):
+    """No other shard bounds a lone shard's horizon: a publish, a leave and
+    a join each run to quiescence in at most two exchanges."""
+    _, subs, stream = bulk_workload
+    sim = ShardedSimulation(config=CONFIG, seed=3, shards=1,
+                            transport="inline")
+    try:
+        sim.bulk_load(subs[:-1])
+        operations = [lambda: sim.publish(subs[0].name, stream[0]),
+                      lambda: sim.leave(subs[1].name),
+                      lambda: sim.add_peer(subs[-1])]
+        for operation in operations:
+            before = len(exchanges)
+            operation()
+            assert len(exchanges) - before <= 2
+        assert not sim.has_pending()
+    finally:
+        sim.close()
+
+
+def test_a_publish_pays_per_crossing_not_per_instant(bulk_workload,
+                                                     exchanges):
+    """On two shards, the exchanges of a publish that move one shard alone
+    are at most two, plus two per message that crosses a shard.
+
+    An exchange that moves both shards is an instant at which both have
+    work: lockstep's own case, where neither may run past the other.
+    """
+    _, subs, stream = bulk_workload
+    sim = ShardedSimulation(config=CONFIG, seed=3, shards=2,
+                            transport="inline")
+    try:
+        sim.bulk_load(subs)
+        assert len(sim.shard_report()) == 2
+        total_crossings = 0
+        for index, event in enumerate(stream):
+            before = len(exchanges)
+            out = sim.metrics.counter("shard.messages_out")
+            sim.publish(subs[index % len(subs)].name, event)
+            crossings = sim.metrics.counter("shard.messages_out") - out
+            total_crossings += crossings
+            alone = exchanges[before:].count(1)
+            assert alone <= 2 + 2 * crossings
+        assert total_crossings > 0
+        # Lockstep paid one exchange per simulated instant: about ten per
+        # publish on this tree.
+        assert len(exchanges) <= 4 * len(stream)
+    finally:
+        sim.close()
+
+
+@pytest.mark.parametrize("latency", [0.5, 2.5])
+def test_horizons_off_the_unit_delay_reproduce_classic(latency):
+    """At a non-unit message latency a bulk load and 200 targeted events on
+    2 and 3 shards give classic's deliveries, summary and counters."""
+    workload = uniform_subscriptions(560, seed=5)
+    subs = list(workload)
+    stream = targeted_events(workload.space, subs, 200, seed=7)
+    config = DRTreeConfig(min_children=4, max_children=8,
+                          message_latency=latency)
+    classic = _drive_backend("drtree:classic", subs, workload.space, stream,
+                             config=config)
+    for shards in (2, 3):
+        sharded = _drive_backend(
+            "drtree:sharded", subs, workload.space, stream, config=config,
+            engine_options={"shards": shards, "transport": "inline"})
+        assert sharded == classic, f"{shards} shards at latency {latency}"
+
+
+def _held_packet(changes, message=None):
+    """One packet another shard's reply would forward, stamped (0, 0)."""
+    messages = [] if message is None else [(1.0, message)]
+    return [0.0, 0, 1, messages, changes]
+
+
+def test_a_shard_holding_mail_refuses_a_snapshot():
+    """A held message is undelivered work: the shard is not quiescent."""
+    runtime = ShardRuntime(0, CONFIG, seed=3, capture_logs=False)
+    message = Message("S1", "S0", "PUBLISH_DOWN", {}, 0.0)
+    reply = runtime.execute(("mail", [_held_packet(None, message)],
+                             "snapshot"))
+    assert not reply["ok"]
+    assert "held" in reply["error"]
+    assert reply["next"] == 1.0
+
+
+def test_held_oracle_changes_apply_before_a_snapshot():
+    runtime = ShardRuntime(0, CONFIG, seed=3, capture_logs=False)
+    reply = runtime.execute(("mail", [_held_packet({("member", "S9"): True})],
+                             "snapshot"))
+    assert reply["ok"]
+    assert runtime.sim.oracle.members() == ["S9"]
+    assert runtime.held == []
+
+
+def test_a_hint_stamped_before_the_shards_own_write_is_stale():
+    """At one step the highest shard's root hint wins on every replica."""
+    runtime = ShardRuntime(1, CONFIG, seed=3, capture_logs=False)
+    runtime.sim.oracle.set_root_hint("own")
+    assert runtime.execute(("roots",))["oracle"] == {HINT: "own"}
+    lower = [0.0, 0, 0, [], {HINT: "from-shard-0"}]
+    runtime.execute(("mail", [lower], "snapshot"))
+    assert runtime.sim.oracle.best_root() == "own"
+    higher = [0.0, 0, 2, [], {HINT: "from-shard-2"}]
+    runtime.execute(("mail", [higher], "snapshot"))
+    assert runtime.sim.oracle.best_root() == "from-shard-2"
 
 
 # --------------------------------------------------------------------------- #
