@@ -8,6 +8,13 @@ mismatch) or a payload that is not a ``Message`` raises a typed
 :class:`~repro.net.faults.NetProtocolError`; the codec never
 resynchronizes silently.
 
+The bytes come off a socket, and a pickle that may name any global may run
+any code, so payloads are read with an ``Unpickler`` that admits only the
+globals in :data:`ALLOWED` — the envelope and the event and point a
+publication carries, all the protocol ever sends.  A frame naming anything
+else raises :class:`~repro.net.faults.NetProtocolError` before that global
+is looked up.
+
 :class:`FrameDecoder` is incremental: feed it whatever chunk the socket
 produced and it yields every complete message parsed out of its pending
 buffer, keeping the remainder for the next chunk.  This is what the
@@ -16,12 +23,31 @@ tamper-detection property tests drive byte by byte.
 
 from __future__ import annotations
 
+import io
 import pickle
-from typing import List
+from typing import Any, List
 
 from repro.net.faults import NetProtocolError
 from repro.sim.messages import Message
 from repro.wire import FrameSplitter, frame
+
+#: Every global a frame may name.
+ALLOWED = frozenset({
+    ("repro.sim.messages", "Message"),
+    ("repro.spatial.filters", "Event"),
+    ("repro.spatial.rectangle", "Point"),
+})
+
+
+class _Reader(pickle.Unpickler):
+    """Admits the :data:`ALLOWED` globals and nothing else."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in ALLOWED:
+            raise pickle.UnpicklingError(
+                f"frame names {module}.{name}, which the protocol never "
+                "sends")
+        return super().find_class(module, name)
 
 
 def encode_frame(message: Message) -> bytes:
@@ -44,12 +70,13 @@ class FrameDecoder:
 
         Raises :class:`NetProtocolError` on a torn stream (bad magic,
         implausible length, CRC mismatch, or an unpicklable / non-Message
-        payload); the caller must drop the connection.
+        payload, or one naming a global outside :data:`ALLOWED`); the
+        caller must drop the connection.
         """
         messages: List[Message] = []
         for payload in self._splitter.feed(chunk):
             try:
-                message = pickle.loads(payload)
+                message = _Reader(io.BytesIO(payload)).load()
             except Exception as exc:  # noqa: BLE001 - any unpickle failure
                 raise NetProtocolError(
                     f"frame payload does not deserialize: {exc!r}") from exc

@@ -259,11 +259,6 @@ class Network:
         """Keep a receiver's de-dup table, which just got its first entry."""
         self._held_receptions.append(table)
 
-    def holds_receptions(self) -> bool:
-        """True when some receiver has recorded an event since the last
-        :meth:`forget_receptions`."""
-        return bool(self._held_receptions)
-
     def forget_receptions(self) -> None:
         """Empty every held de-dup table: the events they name have settled.
 

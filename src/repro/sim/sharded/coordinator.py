@@ -140,9 +140,11 @@ _POLL_INTERVAL = 0.05
 class ShardPeerHandle:
     """Parent-side stand-in for a peer living in a worker process.
 
-    Carries exactly what the facade and the scenarios touch: the peer id and
-    the ``delivery_listener`` slot.  Deliveries recorded in the worker are
-    forwarded with each reply and dispatched to the handle's listener.
+    Carries what the facade and the scenarios touch — the peer id and the
+    ``delivery_listener`` slot — and the peer's owning shard: the handles
+    are the one owner map, by which the coordinator routes every
+    cross-shard message and operation.  Deliveries recorded in the worker
+    are forwarded with each reply and dispatched to the handle's listener.
     """
 
     __slots__ = ("process_id", "shard", "delivery_listener")
@@ -372,15 +374,12 @@ class ShardedSimulation:
         self.streams = RandomStreams(seed)
         self.metrics = MetricsRegistry()
         self.engine = _GlobalClock()
-        #: peer id -> parent-side handle (never removed, like classic peers).
+        #: peer id -> parent-side handle (never removed, like classic
+        #: peers), which names the peer's owning shard.
         self.peers: Dict[str, ShardPeerHandle] = {}
-        #: Per-shard mirrors of the metric deltas (the load-balance report).
-        self.shard_metrics: Dict[int, MetricsRegistry] = {}
-        self.shard_deliveries: Dict[int, int] = {}
         self._shards: List[Any] = []
         self._context = (_pick_context() if transport in ("process", "shm")
                          else None)
-        self._owner: Dict[str, int] = {}
         #: shard id -> packets of other shards' messages and oracle changes
         #: not forwarded to it yet (it holds forwarded ones itself).
         self._mailbox: Dict[int, List[Packet]] = {}
@@ -389,9 +388,8 @@ class ShardedSimulation:
         #: Work injected at the global instant counts steps: the epoch
         #: orders it after every run instant and earlier work at that time.
         self._epoch = 0
-        #: Shards whose peers hold reception records, and shards to tell,
-        #: with their next command, that those records have settled.
-        self._holding: Set[int] = set()
+        #: Shards to tell, with their next command, that a global settle
+        #: has spent their peers' reception records.
         self._settled: Set[int] = set()
         #: The last root seen: joins are created on its shard.
         self._root_id: Optional[str] = None
@@ -425,8 +423,6 @@ class ShardedSimulation:
             finally:
                 child_conn.close()
         self._shards.append(shard)
-        self.shard_metrics[shard_id] = MetricsRegistry()
-        self.shard_deliveries[shard_id] = 0
         self._next_times[shard_id] = None
 
     def _ensure_shards(self, count: int) -> None:
@@ -438,31 +434,31 @@ class ShardedSimulation:
         """Merge one reply's flush into parent state; raise routed errors."""
         for name, delta in reply["counters"].items():
             self.metrics.increment(name, delta)
-            self.shard_metrics[shard_id].increment(name, delta)
         for name, values in reply["histograms"].items():
             for value in values:
                 self.metrics.observe(name, value)
-                self.shard_metrics[shard_id].observe(name, value)
         if "at" in reply:
             # One step made every effect of a reply: one packet per shard
-            # that must see it.
+            # that must see it.  A message goes to its recipient's owner; one
+            # to a peer no shard ever created is dropped, as classic's
+            # delivery step drops it.
             instant, epoch = reply["at"]
             changes = reply.get("oracle")
             messages: Dict[int, List[Tuple[float, Any]]] = {}
-            for time, destination, message in reply["out"]:
-                messages.setdefault(destination, []).append((time, message))
+            for time, message in reply["out"]:
+                handle = self.peers.get(message.recipient)
+                if handle is None:
+                    self.metrics.increment("network.messages_dropped")
+                else:
+                    messages.setdefault(handle.shard, []).append(
+                        (time, message))
             for shard in self._shards:
                 other = shard.shard_id
                 if other != shard_id and (changes or other in messages):
                     self._mailbox.setdefault(other, []).append(
                         [instant, epoch, shard_id,
                          messages.get(other, []), changes])
-        if reply.get("receptions"):
-            self._holding.add(shard_id)
-        else:
-            self._holding.discard(shard_id)
         for peer_id, event, matched, hops in reply["deliveries"]:
-            self.shard_deliveries[shard_id] += 1
             handle = self.peers.get(peer_id)
             if handle is not None and handle.delivery_listener is not None:
                 handle.delivery_listener(peer_id, event, matched, hops)
@@ -514,7 +510,8 @@ class ShardedSimulation:
         apply every flush, and only then raise the first routed error — so
         the pipes stay drained and no shard's deltas are lost because
         another shard reported a failure.  A shard's mail, and the news
-        that its reception records have settled, ride on its command.
+        that a global settle has spent its reception records, ride on its
+        command.
         """
         self._check_open()
         sent: List[Any] = []
@@ -572,14 +569,12 @@ class ShardedSimulation:
     # ------------------------------------------------------------------ #
 
     def _settle(self, max_events: int = SETTLE_EVENTS,
-                work: Optional[Dict[int, Tuple[Any, ...]]] = None,
-                side: Optional[Dict[int, Tuple[Any, ...]]] = None) -> None:
+                work: Optional[Dict[int, Tuple[Any, ...]]] = None) -> None:
         """Run every shard ahead to its horizon until no work remains.
 
         ``work`` maps shard ids to commands injected at the global instant;
         each rides on its shard's first exchange, which then runs on from
-        there.  ``side`` commands (no simulated effects) ride on that
-        exchange too.  A shard's horizon is the earliest pending instant of
+        there.  A shard's horizon is the earliest pending instant of
         any other shard — injected work counts as pending now — so only a
         shard at the global minimum, or level with it, is sure to move.
 
@@ -595,7 +590,6 @@ class ShardedSimulation:
         by at most one exchange).
         """
         work = dict(work or {})
-        side = dict(side or {})
         at = self._at() if work else ()
         processed = exchanges = 0
         while True:
@@ -618,9 +612,7 @@ class ShardedSimulation:
                 if shard_id in work:
                     requests.append((shard_id, at + run + work.pop(shard_id)))
                 elif time is not None and time <= horizon:
-                    requests.append((shard_id, run + side.pop(shard_id, ())))
-                elif shard_id in side:
-                    requests.append((shard_id, side.pop(shard_id)))
+                    requests.append((shard_id, run))
             processed += sum(result or 0
                              for result in self._exchange(requests))
             exchanges += 1
@@ -628,10 +620,9 @@ class ShardedSimulation:
                 raise ShardStalledError(
                     -1, f"global settle exceeded {MAX_SETTLE_EXCHANGES} "
                         "exchanges")
-        # Nothing is in flight anywhere: every shard holding reception
-        # records may forget them, which it does on its next command.
-        self._settled |= self._holding
-        self._holding = set()
+        # Nothing is in flight anywhere: every shard may forget its peers'
+        # reception records, which it does on its next command.
+        self._settled = {shard.shard_id for shard in self._shards}
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -661,9 +652,8 @@ class ShardedSimulation:
             (shard.shard_id,
              ("bulk_wire",
               [subs_by_name[name] for name in members.get(shard.shard_id, [])],
-              layout, plan.owner))
+              layout))
             for shard in self._shards])
-        self._owner = dict(plan.owner)
         for sub in subs:
             self.peers[sub.name] = ShardPeerHandle(sub.name,
                                                    plan.owner[sub.name])
@@ -691,29 +681,25 @@ class ShardedSimulation:
         if name in self.peers:
             raise ValueError(f"duplicate peer id {name!r}")
         self._ensure_shards(1)
-        target = self._owner.get(self._root_id or "", 0)
+        root = self.peers.get(self._root_id or "")
+        target = root.shard if root is not None else 0
         handle = ShardPeerHandle(name, target)
         self.peers[name] = handle
-        self._owner[name] = target
-        # The other shards learn to route to the joiner in the exchange that
-        # starts the join, before any join traffic can reach them.
-        self._settle(work={target: ("add_peer", subscription)},
-                     side={shard.shard_id: ("set_owner", name, target)
-                           for shard in self._shards
-                           if shard.shard_id != target})
+        self._settle(work={target: ("add_peer", subscription)})
         return handle
 
     def leave(self, peer_id: str, settle: bool = True) -> None:
         """Controlled departure: the owning shard runs the leave protocol."""
         if peer_id not in self.peers:
             raise KeyError(peer_id)
-        self._inject(self._owner[peer_id], ("leave", peer_id), settle)
+        self._inject(self.peers[peer_id].shard, ("leave", peer_id), settle)
 
     def crash(self, peer_id: str) -> None:
         """Uncontrolled departure: the owning shard crashes the peer."""
         if peer_id not in self.peers:
             raise KeyError(peer_id)
-        self._inject(self._owner[peer_id], ("crash", peer_id), settle=False)
+        self._inject(self.peers[peer_id].shard, ("crash", peer_id),
+                     settle=False)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -722,7 +708,7 @@ class ShardedSimulation:
     def publish(self, publisher_id: str, event: Event,
                 settle: bool = True) -> None:
         """Publish ``event`` from ``publisher_id``."""
-        self._inject(self._owner[publisher_id],
+        self._inject(self.peers[publisher_id].shard,
                      ("peer_publish", publisher_id, event), settle)
 
     def _inject(self, shard_id: int, command: Tuple[Any, ...],
@@ -804,19 +790,13 @@ class ShardedSimulation:
         return root[1] + 1 if root else 0
 
     def shard_report(self) -> List[Dict[str, Any]]:
-        """Per-shard load-balance and cross-shard-traffic table rows."""
+        """Per-shard load-balance and cross-shard-traffic table rows: each
+        shard's counters as its own registry holds them."""
         rows = []
-        for shard_id in sorted(self.shard_metrics):
-            registry = self.shard_metrics[shard_id]
-            rows.append({
-                "shard": shard_id,
-                "peers": sum(1 for handle in self.peers.values()
-                             if handle.shard == shard_id),
-                "deliveries": int(self.shard_deliveries.get(shard_id, 0)),
-                "messages": int(registry.counter("network.messages_sent")),
-                "remote_out": int(registry.counter("shard.messages_out")),
-                "remote_in": int(registry.counter("shard.messages_in")),
-            })
+        for shard_id, counters in enumerate(self._broadcast(("report",))):
+            peers = sum(1 for handle in self.peers.values()
+                        if handle.shard == shard_id)
+            rows.append({"shard": shard_id, "peers": peers, **counters})
         return rows
 
     def close(self) -> None:
@@ -864,8 +844,8 @@ class ShardedSimulation:
 
         Each worker snapshots its whole local simulation (`cmd_snapshot`)
         after applying its pending oracle changes, so no oracle mail is
-        left to save; the coordinator adds everything it owns — handles,
-        owner map, per-shard metric mirrors and the global clock.
+        left to save; the coordinator adds everything it owns — the handles,
+        which name each peer's shard, its registry and the global clock.
         """
         blobs = self._broadcast(("snapshot",))
         return {
@@ -876,9 +856,6 @@ class ShardedSimulation:
             "streams": self.streams,
             "metrics": self.metrics,
             "peers": self.peers,
-            "shard_metrics": self.shard_metrics,
-            "shard_deliveries": dict(self.shard_deliveries),
-            "owner": dict(self._owner),
             "root_id": self._root_id,
             "blobs": blobs,
         }
@@ -890,7 +867,8 @@ class ShardedSimulation:
         (the facade rebuilt it from the same spec); worker processes are
         spawned as needed and each receives its shard's snapshot blob.
         The facade's :func:`repro.snapshot.load` has checked the keys (an
-        older payload's ``multi``, ``height`` and ``plan`` are ignored).  The
+        older payload's ``multi``, ``height``, ``plan``, ``owner``,
+        ``shard_metrics`` and ``shard_deliveries`` are ignored).  The
         coordinator adopts the payload only once every worker has loaded
         its blob: on a refusal it stops the workers, which held nothing
         but the restore, and is as fresh as before.
@@ -908,9 +886,7 @@ class ShardedSimulation:
                             for shard_id, blob in enumerate(blobs)])
         except Exception:
             _stop_shards(self._shards)
-            for mirror in (self.shard_metrics, self.shard_deliveries,
-                           self._next_times, self._mailbox, self._holding,
-                           self._settled):
+            for mirror in (self._next_times, self._mailbox, self._settled):
                 mirror.clear()
             raise
         self.config = state["config"]
@@ -918,9 +894,6 @@ class ShardedSimulation:
         self.streams = state["streams"]
         self.metrics = state["metrics"]
         self.peers = state["peers"]
-        self._owner = dict(state["owner"])
         self._root_id = state["root_id"]
         self.engine.now = float(state["now"])
-        self.shard_metrics = state["shard_metrics"]
-        self.shard_deliveries = dict(state["shard_deliveries"])
         return self

@@ -2,12 +2,13 @@
 
 A worker holds a completely ordinary :class:`~repro.overlay.builder.
 DRTreeSimulation` whose network is swapped for :class:`ShardNetwork`: sends
-to local peers behave exactly as in the single-process simulator, while
-sends to peers owned by another shard are captured — fully filtered and
-accounted, with their delivery time stamped — instead of being scheduled
-locally.  The coordinator forwards those captured messages to their
-destination shard, which holds them and delivers them at the stamped
-instant through its own event loop.
+to peers this shard created behave exactly as in the single-process
+simulator, while sends to any other recipient are captured — fully
+filtered and accounted, with their delivery time stamped — instead of being
+scheduled locally.  The coordinator, which alone knows which shard owns
+which peer, forwards those captured messages to their destination shard,
+which holds them and delivers them at the stamped instant through its own
+event loop.
 
 Each worker's oracle is a :class:`ShardOracle`, one replica of the single
 contact oracle: it records the changes its peers make, and the flush ships
@@ -34,22 +35,22 @@ the highest shard id wins.
 The command protocol is a strict request/response loop over one pipe: the
 parent sends ``(command, *args)`` tuples, optionally prefixed, in this
 order, with ``("settled",)`` (a global settle has completed since this
-shard reported holding reception records), ``("mail", packets)`` (other
-shards' messages and oracle changes to hold), ``("at", instant, epoch)``
-(injected work: bring the clock to the global instant and stamp the work
-with it) and ``("run", horizon, budget)`` (after the command, run toward
-the horizon; the reply's result is the deliveries processed).  The worker
-replies with a dict that always carries, besides the command's result, the
-*flush* — metric deltas since the previous reply, captured cross-shard
+shard's last command, so its peers' reception records are spent),
+``("mail", packets)`` (other shards' messages and oracle changes to hold),
+``("at", instant, epoch)`` (injected work: bring the clock to the global
+instant and stamp the work with it) and ``("run", horizon, budget)`` (after
+the command, run toward the horizon; the reply's result is the deliveries
+processed).  The worker replies with a dict that always carries, besides
+the command's result, the *flush* — metric deltas since the previous reply
+(the coordinator sums them into the global registry; the shard's own totals
+stay in its registry, which the ``report`` command reads), captured
 messages, delivery records, forwarded log records, the shard's next pending
 instant (its engine's head or a held message's delivery), its clock, and
-(``at``, ``oracle`` and ``receptions``, only when there are any) the stamp
-of its effects, its oracle changes and that its peers hold reception
-records to forget once everything has settled.  Errors never escape the
-loop: a :class:`~repro.sim.engine.SimulationStalledError` or any other
-exception is reported in the reply (with the flush of everything that
-happened up to the failure) and re-raised parent-side with the shard id
-attached.
+(``at`` and ``oracle``, only when there are any) the stamp of its effects
+and its oracle changes.  Errors never escape the loop: a
+:class:`~repro.sim.engine.SimulationStalledError` or any other exception is
+reported in the reply (with the flush of everything that happened up to the
+failure) and re-raised parent-side with the shard id attached.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ from repro.sim.messages import Message
 from repro.sim.network import Network
 from repro.spatial.filters import Event, Subscription
 
-#: One captured cross-shard message: (delivery time, destination shard, msg).
-RemoteSend = Tuple[float, int, Message]
+#: One captured message: (delivery time, message); the coordinator routes
+#: it by its recipient.
+RemoteSend = Tuple[float, Message]
 
 #: What one shard's reply hands another: ``[instant, epoch, source shard,
 #: [(delivery time, message), ...], oracle changes or None]``.
@@ -178,21 +180,22 @@ def _replicate_oracle(sim: DRTreeSimulation) -> ShardOracle:
 class ShardNetwork(Network):
     """A :class:`~repro.sim.network.Network` that diverts cross-shard sends.
 
-    ``owner`` maps peer ids to shard ids.  Every peer enters it when it is
-    created (bulk wiring, ``add_peer``, ``set_owner``); recipients not in
-    it are treated as local: a one-shard snapshot of an older coordinator
-    restores with an empty map.  The network has no condition pipeline, so
-    every message reaches :meth:`_enqueue_round`, the override point, which
-    runs *after* the base class has applied every per-message rule — taps,
+    ``peers`` is the shard simulation's own peer mapping, which keeps every
+    peer it ever created, departed and crashed ones included: a message to
+    one of them is delivered (or dropped) here, and a message to any other
+    recipient is captured for the coordinator, the one holder of the owner
+    map, to route.  The network has no condition pipeline, so every message
+    reaches :meth:`_enqueue_round`, the override point, which runs *after*
+    the base class has applied every per-message rule — taps,
     crashed-sender drops, counters — so a cross-shard send is accounted
     exactly like a local one and only its delivery is remoted.
     """
 
-    def __init__(self, shard_id: int, **kwargs: Any) -> None:
+    def __init__(self, shard_id: int, peers: Dict[str, Any],
+                 **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.shard_id = shard_id
-        #: peer id -> owning shard.
-        self.owner: Dict[str, int] = {}
+        self.peers = peers
         #: Captured cross-shard sends since the last flush.
         self.outbound: List[RemoteSend] = []
 
@@ -206,13 +209,13 @@ class ShardNetwork(Network):
         delivery instant.
         """
         local: List[Message] = []
+        peers = self.peers
         for message in messages:
-            shard = self.owner.get(message.recipient, self.shard_id)
-            if shard == self.shard_id:
+            if message.recipient in peers:
                 local.append(message)
             else:
                 self.metrics.increment("shard.messages_out")
-                self.outbound.append((time, shard, message))
+                self.outbound.append((time, message))
         if local:
             super()._enqueue_round(time, local)
 
@@ -261,6 +264,7 @@ class ShardRuntime:
         # bind to ``sim.network`` at creation time.
         self.net = ShardNetwork(
             shard_id,
+            self.sim.peers,
             engine=self.sim.engine,
             delay=self.sim.config.message_latency,
             metrics=self.sim.metrics,
@@ -361,8 +365,6 @@ class ShardRuntime:
             reply["oracle"], oracle.changes = oracle.changes, {}
         if reply["out"] or "oracle" in reply:
             reply["at"] = self._step
-        if self.net.holds_receptions():
-            reply["receptions"] = True
 
     def _collect_delivery(self, peer_id: str, event: Event, matched: bool,
                           hops: int) -> None:
@@ -436,7 +438,7 @@ class ShardRuntime:
     # ------------------------------------------------------------------ #
 
     def cmd_bulk_wire(self, subscriptions: List[Subscription],
-                      layout: TreeLayout, owner: Dict[str, int]) -> None:
+                      layout: TreeLayout) -> None:
         """Instantiate this shard's peers and wire them from the layout."""
         if self.sim.peers:
             raise RuntimeError("bulk wiring requires an empty shard")
@@ -444,7 +446,6 @@ class ShardRuntime:
         # Every shard starts from the bootstrap's oracle state, so it is
         # not a change to replicate.
         self.sim.oracle.changes.clear()
-        self.net.owner.update(owner)
         self._watch_new_peers()
 
     def cmd_add_peer(self, subscription: Subscription) -> None:
@@ -453,10 +454,9 @@ class ShardRuntime:
         Settling is the coordinator's: the join's descents may cross
         shards.  The join protocol runs unmodified against this shard's
         oracle replica, which holds every other shard's changes up to this
-        request; the other shards learn the new peer's owner in the same
-        exchange.
+        request; the coordinator routes the other shards' sends to the new
+        peer here.
         """
-        self.net.owner[subscription.name] = self.shard_id
         self.sim.add_peer(subscription, settle=False)
         self._watch_new_peers()
 
@@ -465,10 +465,6 @@ class ShardRuntime:
 
     def cmd_crash(self, peer_id: str) -> None:
         self.sim.crash(peer_id)
-
-    def cmd_set_owner(self, peer_id: str, shard: int) -> None:
-        """Route future sends to ``peer_id`` toward its owning shard."""
-        self.net.owner[peer_id] = shard
 
     def cmd_peer_publish(self, peer_id: str, event: Event) -> None:
         self.sim.peers[peer_id].publish(event)
@@ -495,6 +491,18 @@ class ShardRuntime:
         """``(id, top level)`` of every live local peer rooting itself."""
         return [(peer.process_id, peer.top_level())
                 for peer in self.sim.live_peers() if peer.is_overlay_root()]
+
+    def cmd_report(self) -> Dict[str, int]:
+        """This shard's load-balance counters, from its own registry.
+
+        ``pubsub.receptions`` counts every reception, and each one
+        forwards a delivery record: it is the deliveries column.
+        """
+        counter = self.sim.metrics.counter
+        return {"deliveries": int(counter("pubsub.receptions")),
+                "messages": int(counter("network.messages_sent")),
+                "remote_out": int(counter("shard.messages_out")),
+                "remote_in": int(counter("shard.messages_in"))}
 
     # ------------------------------------------------------------------ #
     # Snapshot / restore (crash recovery)
@@ -535,6 +543,9 @@ class ShardRuntime:
         oracle.changes = oracle.owned_state(sim.peers)
         self.sim = sim
         self.net = sim.network
+        # Blobs written while shard networks routed by an owner map hold
+        # no ``peers``.
+        self.net.peers = sim.peers
         self.deliveries = []
         self.held = []
         self._step, self._hint_key = (-math.inf, 0), None

@@ -12,12 +12,16 @@ any of it is unpickled.  It then reads the pickle with an ``Unpickler`` that
 admits only the globals in :data:`ALLOWED`: a snapshot comes back from a
 journal on disk, and a pickle that may name any global may run any code
 (``builtins.getattr`` reaches ``__globals__``; some ``repro`` constructors
-open files, sockets or processes).
+open files, sockets or processes).  Before that, every blob is pre-scanned
+(:func:`_refuse_unbacked_counts`), since the unpickler allocates some counts
+before it finds their bytes missing: a true digest does not make a blob's
+counts true.
 
 Older layouts still read, each as the current one, through converters
 that the reader admits beside :data:`ALLOWED`.  A blob marked ``RSNAP\\x02``
 may have been written while networks held a latency model, a loss rate, its
-RNG stream and group partitions, and sharded payloads a partition plan
+RNG stream and group partitions, shard networks an owner map, and sharded
+payloads a partition plan, an owner map and per-shard metric mirrors
 (:func:`_v2_globals` keeps the delay and drops the rest; on a current blob
 its converters change nothing).  A blob marked ``RSNAP\\x01``
 carries no digest, and its engines and peers hold the fields of the
@@ -39,6 +43,7 @@ import functools
 import hashlib
 import io
 import pickle
+import pickletools
 import types
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional
@@ -105,11 +110,11 @@ _KEYS = {
 }
 
 #: Keys of the sharded simulation's state inside a ``pubsub`` payload
-#: (older payloads also carry ``multi``, ``height`` and ``plan``, read as
-#: extras).
+#: (older payloads also carry ``multi``, ``height``, ``plan``, ``owner``,
+#: ``shard_metrics`` and ``shard_deliveries``, read as extras: the handles
+#: name each peer's shard and each shard blob holds its own counters).
 _SHARDED_KEYS = {"kind", "seed", "now", "config", "streams", "metrics",
-                 "peers", "shard_metrics", "shard_deliveries", "owner",
-                 "root_id", "blobs"}
+                 "peers", "root_id", "blobs"}
 
 
 def dump(payload: Dict[str, Any]) -> bytes:
@@ -142,6 +147,7 @@ def load(blob: bytes, kind: str,
     else:
         data, converters, legacy = blob, _legacy_globals(), True
     try:
+        _refuse_unbacked_counts(bytes(data))
         payload = _Reader(io.BytesIO(data), converters).load()
     except Exception as exc:  # noqa: BLE001 - any unpickle failure
         raise SnapshotStateError(
@@ -198,6 +204,35 @@ def _check(payload: Any, kind: str, backend: Optional[str]) -> None:
             isinstance(peer, peer_type) for peer in peers.values()):
         raise SnapshotStateError(
             f"snapshot's peers are not all {peer_type.__name__}s")
+
+
+# --------------------------------------------------------------------------- #
+# The pre-scan: no count or index the blob cannot back
+# --------------------------------------------------------------------------- #
+
+def _refuse_unbacked_counts(data: bytes) -> None:
+    """Refuse what would make the unpickler allocate what ``data`` lacks.
+
+    The unpickler allocates a bytes or bytearray count, and grows its memo
+    to an index, before it finds the bytes missing.  :func:`pickletools.genops`
+    reads each counted argument with at most the bytes left and raises
+    ``ValueError`` on a count past them.  Beside that, a frame longer than
+    the bytes after it, a memo index past the blob's length, and a
+    ``BYTEARRAY8`` or text ``PUT`` (no snapshot holds one) are refused.
+    """
+    end = len(data)
+    for opcode, arg, at in pickletools.genops(data):
+        if opcode.name in ("BYTEARRAY8", "PUT"):
+            raise pickle.UnpicklingError(
+                f"{opcode.name} at byte {at}: no snapshot holds one")
+        # A FRAME is 9 bytes long; its frame is the bytes after it.
+        if opcode.name == "FRAME" and arg > end - at - 9:
+            raise pickle.UnpicklingError(
+                f"frame of {arg} bytes at byte {at} is past the bytes left")
+        if opcode.name == "LONG_BINPUT" and arg > end:
+            raise pickle.UnpicklingError(
+                f"memo index {arg} at byte {at} is past the {end} bytes "
+                "that could back it")
 
 
 class _Reader(pickle.Unpickler):
@@ -375,7 +410,9 @@ def _peer_state(state: Dict[str, Any]) -> None:
 
 def _v2_network_state(state: Dict[str, Any]) -> None:
     # Networks held a latency model, a loss rate with its RNG stream and
-    # group partitions.  No broker gave one loss or a partition.
+    # group partitions, and shard networks an owner map, which the
+    # coordinator's handles repeat.  No broker gave one loss or a partition.
+    state.pop("owner", None)
     latency = state.pop("latency", None)
     if latency is not None:
         state["delay"] = latency.delay

@@ -10,7 +10,10 @@ be a chain that strict verification accepts from scratch.
 
 The restore rows hold ``Broker.restore`` to the same rule: damaged or random
 bytes restore or raise :class:`SnapshotStateError`, a failed restore leaves
-the broker as it was, and a hostile pickle runs nothing.
+the broker as it was, a hostile pickle runs nothing, and a blob with a true
+digest cannot make the reader allocate what it does not hold.  The socket's
+frame decoder is held to it too: bytes off the wire decode to messages or
+raise :class:`NetProtocolError`, and a hostile frame runs nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import gzip
 import hashlib
 import os
 import re
+import struct
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -32,6 +37,8 @@ from repro.api import SystemSpec
 from repro.api.capabilities import SnapshotStateError
 from repro.journal import JournalError
 from repro.journal.io import read_journal, verify_journal
+from repro.net import FrameDecoder, NetProtocolError, encode_frame
+from repro.sim.messages import Message
 from repro.sim.sharded import TRANSPORT_ENV_VAR
 from repro.traces import TraceFormatError, loads_trace, read_trace
 from repro.traces.io import dump_record, load_record
@@ -149,6 +156,35 @@ def _framed(name: str) -> bytes:
     return b"".join(frame(line) for line in lines)
 
 
+def _protocol_messages():
+    """Every message a small join-built overlay and four publishes send."""
+    workload = uniform_subscriptions(12, seed=2)
+    broker = SystemSpec(workload.space, seed=2).build()
+    sent = []
+    broker.simulation.network.add_tap(sent.append)
+    broker.subscribe_all(list(workload), bulk=False)
+    broker.publish_many(uniform_events(workload.space, 4, seed=2))
+    return sent
+
+
+PROTOCOL_FRAMES = [encode_frame(message) for message in _protocol_messages()]
+
+
+def _decode_stream(tmp_path, data: bytes):
+    decoder = FrameDecoder()
+    messages = []
+    for start in range(0, len(data), 257):
+        messages.extend(decoder.feed(data[start:start + 257]))
+    assert all(type(message) is Message for message in messages)
+    return messages
+
+
+def _decode_payload(tmp_path, data: bytes):
+    """``data`` framed under its true CRC, so the damage reaches the
+    unpickler."""
+    return _decode_stream(tmp_path, frame(data))
+
+
 #: name -> (reader, its error, golden seeds)
 ROWS = {
     "read_trace": (_read_trace_file, TraceFormatError,
@@ -166,6 +202,11 @@ ROWS = {
     "FrameSplitter": (_split_frames, _TornStream,
                       [_framed(name) for name in ("hotspot.jsonl",
                                                   "hotspot.journal")]),
+    "FrameDecoder": (_decode_stream, NetProtocolError,
+                     [b"".join(PROTOCOL_FRAMES[start:start + 40])
+                      for start in range(0, len(PROTOCOL_FRAMES), 40)]),
+    "FrameDecoder_payload": (_decode_payload, NetProtocolError,
+                             [data[12:] for data in PROTOCOL_FRAMES]),
 }
 
 
@@ -314,3 +355,48 @@ def test_a_hostile_shard_blob_is_refused_by_the_worker(tmp_path):
         target.close()
         twin.close()
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("name", ["os.system", "getattr", "JournalWriter"])
+def test_a_hostile_frame_runs_nothing(tmp_path, name):
+    """A frame under its true CRC whose pickle reaches a global outside the
+    protocol's three is refused before that global is looked up."""
+    pickled, effect = _hostile(tmp_path, name)
+    with pytest.raises(NetProtocolError, match="never sends"):
+        FrameDecoder().feed(frame(pickled))
+    assert not effect.exists()
+
+
+#: A count or index 64 MiB beyond a blob of a few bytes, per opcode that
+#: carries one wider than a byte (``PUT``'s is a text line).
+_MIB64 = 64 << 20
+UNBACKED = {
+    "BINBYTES": b"B" + struct.pack("<I", _MIB64),
+    "BINBYTES8": b"\x8e" + struct.pack("<Q", _MIB64),
+    "BYTEARRAY8": b"\x96" + struct.pack("<Q", 8) + b"8 bytes.",
+    "BINUNICODE": b"X" + struct.pack("<I", _MIB64),
+    "BINUNICODE8": b"\x8d" + struct.pack("<Q", _MIB64),
+    "BINSTRING": b"T" + struct.pack("<i", _MIB64),
+    "LONG4": b"\x8b" + struct.pack("<i", _MIB64),
+    "FRAME": b"\x95" + struct.pack("<Q", _MIB64),
+    "LONG_BINPUT": b"N" + b"r" + struct.pack("<I", _MIB64 >> 3),
+    "PUT": b"N" + b"p" + str(_MIB64 >> 3).encode() + b"\n",
+}
+
+
+@pytest.mark.parametrize("opcode", list(UNBACKED))
+def test_a_true_digest_cannot_make_load_allocate_what_the_blob_lacks(opcode):
+    """Each blob carries its pickle's true digest, so only the pre-scan
+    stands between the count and the unpickler, which would allocate it
+    (a bytes or bytearray) or grow its memo to it (an index) before finding
+    the bytes missing."""
+    pickled = b"\x80\x05" + UNBACKED[opcode] + b"N."
+    blob = snapshot.MAGIC + hashlib.sha256(pickled).digest() + pickled
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotStateError, match="does not deserialize"):
+            snapshot.load(blob, "pubsub")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{opcode}: {peak} bytes allocated"

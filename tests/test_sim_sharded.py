@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.spec import SystemSpec
+from repro.overlay.builder import DRTreeSimulation
 from repro.overlay.config import DRTreeConfig
 from repro.overlay.layout import (compute_layout, partition_layout,
                                   partition_members)
@@ -34,7 +36,7 @@ from repro.sim.engine import SimulationStalledError
 from repro.sim.messages import Message
 from repro.sim.sharded import (ShardedSimulation, ShardedUnsupportedError,
                                ShardFailedError, ShardStalledError,
-                               shm_available)
+                               TRANSPORT_ENV_VAR, shm_available)
 from repro.sim.sharded.worker import HINT, ShardRuntime
 
 needs_shm = pytest.mark.skipif(not shm_available(),
@@ -42,7 +44,7 @@ needs_shm = pytest.mark.skipif(not shm_available(),
                                       "unavailable on this platform")
 from repro.analysis.digests import delivered_digest
 from repro.spatial.filters import Event, subscription_from_intervals
-from repro.workloads.events import targeted_events
+from repro.workloads.events import targeted_events, uniform_events
 from repro.workloads.subscriptions import (mixed_subscriptions,
                                            uniform_subscriptions)
 from tests.conftest import record_deliveries
@@ -682,3 +684,75 @@ def test_close_is_idempotent_and_context_managed(bulk_workload):
     event = targeted_events(space, subs, 1, seed=0)[0]
     with pytest.raises(ShardFailedError):
         sim.publish(subs[0].name, event)
+
+
+# --------------------------------------------------------------------------- #
+# One copy of each fact: the coordinator routes, each shard counts
+# --------------------------------------------------------------------------- #
+
+
+def test_the_shard_report_is_each_shards_own_registry():
+    """On 2 shards, after a bulk load, publishes, a join, a crash, a leave
+    and a repair, the rows read from the workers' registries are the values
+    the coordinator's per-shard mirrors held, and a snapshot and restore
+    leaves them as they were."""
+    workload = uniform_subscriptions(600, seed=6)
+    subs = list(workload)
+    stream = uniform_events(workload.space, 40, seed=6)
+    options = {"shards": 2, "transport": (
+        "auto" if os.environ.get(TRANSPORT_ENV_VAR) else "inline")}
+
+    def build():
+        return SystemSpec(space=workload.space, backend="drtree:sharded",
+                          seed=6, engine_options=options).build()
+
+    broker, restored = build(), build()
+    try:
+        broker.subscribe_all(subs[:560])
+        broker.publish_many(stream[:20])
+        broker.subscribe(subs[560])
+        broker.fail(subs[3].name, stabilize=False)
+        broker.unsubscribe(subs[7].name)
+        broker.stabilize()
+        broker.publish_many(stream[20:])
+        rows = broker.simulation.shard_report()
+        assert rows == [
+            {"shard": 0, "peers": 249, "deliveries": 156, "messages": 4157,
+             "remote_out": 27, "remote_in": 42},
+            {"shard": 1, "peers": 312, "deliveries": 253, "messages": 5208,
+             "remote_out": 42, "remote_in": 27}]
+        restored.restore(broker.snapshot())
+        assert restored.simulation.shard_report() == rows
+        assert broker.simulation.shard_report() == rows
+    finally:
+        broker.close()
+        restored.close()
+
+
+def test_a_message_to_a_peer_no_shard_created_is_dropped_as_on_classic(
+        bulk_workload):
+    """A shard captures a send to a recipient it never created; the
+    coordinator, finding no owner, counts it dropped where classic's
+    delivery step does, and every other counter stays classic's."""
+    _, subs, stream = bulk_workload
+    classic = DRTreeSimulation(config=CONFIG, seed=3)
+    sharded = ShardedSimulation(config=CONFIG, seed=3, shards=2,
+                                transport="inline")
+    try:
+        classic.bulk_load(subs)
+        sharded.bulk_load(subs)
+        sender = subs[0].name
+        runtime = sharded._shards[sharded.peers[sender].shard].runtime
+        for sim, peer in ((classic, classic.peers[sender]),
+                          (sharded, runtime.sim.peers[sender])):
+            before = sim.metrics.counter("network.messages_dropped")
+            peer.send("nobody", "PING")
+            sim.publish(sender, stream[0])
+            assert sim.metrics.counter("network.messages_dropped") \
+                == before + 1
+        assert {name: value
+                for name, value in sharded.metrics.counters().items()
+                if not name.startswith("shard.")} \
+            == classic.metrics.counters()
+    finally:
+        sharded.close()

@@ -123,8 +123,9 @@ def test_an_ed024b5_snapshot_reads_as_the_one_queue_layout(name):
 def test_a_48ed7bf_one_shard_snapshot_finishes_the_stream_on_the_barrier(
         name):
     """The old one-shard payload restores onto the one regime; what the
-    restored broker writes no longer carries ``multi``, ``height`` or the
-    partition ``plan``."""
+    restored broker writes no longer carries ``multi``, ``height``, the
+    partition ``plan``, the ``owner`` map or the per-shard metric
+    mirrors."""
     backend, options, _ = GOLDEN_48ED7BF[name]
     old = snapshot.load(golden(f"48ed7bf-{name}"), "pubsub", backend)["sim"]
     assert old["multi"] is False and len(old["blobs"]) == 1
@@ -134,7 +135,9 @@ def test_a_48ed7bf_one_shard_snapshot_finishes_the_stream_on_the_barrier(
     try:
         restored.restore(golden(f"48ed7bf-{name}"))
         new = snapshot.load(restored.snapshot(), "pubsub", backend)["sim"]
-        assert new.keys() == old.keys() - {"multi", "height", "plan"}
+        assert new.keys() == old.keys() - {
+            "multi", "height", "plan", "owner", "shard_metrics",
+            "shard_deliveries"}
     finally:
         close(restored)
 
@@ -306,3 +309,33 @@ def test_no_single_bit_flip_restores():
         with pytest.raises(SnapshotStateError):
             broker.restore(bytes(damaged))
     assert broker.snapshot() == blob
+
+
+#: Every golden sharded blob: each payload still carries the coordinator's
+#: copies of the owner map and of the per-shard counters.
+SHARDED_GOLDENS = ["sharded-2", "96aa8df-sharded-2", "ed024b5-sharded-2",
+                   "48ed7bf-sharded-1"]
+
+
+@pytest.mark.parametrize("name", SHARDED_GOLDENS)
+def test_a_golden_sharded_payload_repeats_what_its_handles_and_shards_hold(
+        name):
+    """Why a payload may drop ``owner``, ``shard_metrics`` and
+    ``shard_deliveries``: the owner map is the handles' shards, and each
+    shard's mirrored counters are that shard blob's own registry, its
+    deliveries the registry's ``pubsub.receptions``."""
+    sim = snapshot.load(golden(name), "pubsub", "drtree:sharded")["sim"]
+    assert sim["owner"] == {peer_id: handle.shard
+                            for peer_id, handle in sim["peers"].items()}
+    assert sorted(sim["shard_metrics"]) == sorted(sim["shard_deliveries"]) \
+        == list(range(len(sim["blobs"])))
+    for shard_id, blob in enumerate(sim["blobs"]):
+        shard = snapshot.load(blob, "shard")["sim"]
+        registry = shard.metrics
+        mirrored = sim["shard_metrics"][shard_id].counters()
+        assert mirrored and all(registry.counter(counter) == value
+                                for counter, value in mirrored.items())
+        assert sim["shard_deliveries"][shard_id] == registry.counter(
+            "pubsub.receptions")
+        # A restored shard network holds no owner map of its own.
+        assert "owner" not in vars(shard.network)
